@@ -9,9 +9,10 @@
 #   ./ci.sh --quick        build + test only (the tier-1 inner loop)
 #   ./ci.sh --stage NAME   build, then only the named stage — the
 #                          local loop for debugging one smoke gate.
-#                          Names: test, fmt, clippy, doc, dynamics,
-#                          degradation, perf, scale, scale-sharded,
-#                          matching, net-cluster, broker-bench
+#                          Names: test, fmt, clippy, doc, codec,
+#                          dynamics, degradation, perf, scale,
+#                          scale-sharded, matching, net-cluster,
+#                          broker-bench
 #
 # Smoke artifacts go to BSUB_SMOKE_DIR when set (hosted CI sets it to
 # upload them), otherwise to a scratch directory removed on exit.
@@ -21,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES="test fmt clippy doc dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
+STAGES="test fmt clippy doc codec dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
 QUICK=0
 STAGE_FILTER=""
 while [ $# -gt 0 ]; do
@@ -153,6 +154,25 @@ fi
 if want doc; then
     stage "doc (-D warnings)"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+fi
+
+if want codec; then
+    stage "codec (one byte codec: no hand-rolled little-endian code)"
+    # Every cursor codec is built on bsub_obs::codec (DESIGN.md §12.7).
+    # Only the codec itself and the two fixed-offset formats — the TCBF
+    # wire format and the frame header — may touch to_le_bytes /
+    # from_le_bytes. Test code (from a file's first #[cfg(test)] on) is
+    # exempt.
+    CODEC_HITS="$(find crates/*/src -name '*.rs' \
+        ! -path crates/obs/src/codec.rs \
+        ! -path crates/bloom/src/wire.rs \
+        ! -path crates/net/src/frame.rs \
+        -exec awk '/#\[cfg\(test\)\]/ { nextfile } /(to|from)_le_bytes/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+    if [ -n "$CODEC_HITS" ]; then
+        echo "hand-rolled little-endian code outside bsub_obs::codec:" >&2
+        echo "$CODEC_HITS" >&2
+        exit 1
+    fi
 fi
 
 if [ -n "${BSUB_SMOKE_DIR:-}" ]; then

@@ -1,6 +1,8 @@
 //! PULL: one-hop interest collection.
 
+use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::{self as obs, Gauge};
+use bsub_sim::snapshot::{read_message, write_message, MESSAGE_MIN_LEN};
 use bsub_sim::{Link, Message, MessageId, Protocol, SimCtx, TraceEvent};
 use bsub_traces::{ContactEvent, NodeId, SimTime};
 use std::collections::HashSet;
@@ -122,11 +124,11 @@ impl Protocol for Pull {
     /// the collected-id set (canonically sorted).
     fn export_node(&self, node: NodeId) -> Option<Vec<u8>> {
         let state = self.nodes.get(node.index())?;
-        let mut w = bsub_sim::snapshot::SnapWriter::new();
+        let mut w = Writer::new();
         w.u8(1); // version
         w.u32(state.published.len() as u32);
         for msg in &state.published {
-            w.message(msg);
+            write_message(&mut w, msg);
         }
         let mut collected: Vec<u64> = state.collected.iter().map(|id| id.raw()).collect();
         collected.sort_unstable();
@@ -141,20 +143,19 @@ impl Protocol for Pull {
         if node.index() >= self.nodes.len() {
             return false;
         }
-        let mut r = bsub_sim::snapshot::SnapReader::new(bytes);
+        let mut r = Reader::new(bytes);
         let parsed = (|| {
             if r.u8()? != 1 {
                 return None;
             }
-            let mut published = Vec::new();
-            for _ in 0..r.u32()? {
-                published.push(Arc::new(r.message()?));
-            }
-            let mut collected = HashSet::new();
-            for _ in 0..r.u32()? {
-                collected.insert(MessageId::new(r.u64()?));
-            }
-            r.is_empty().then_some(NodeState {
+            let published = (0..r.count(MESSAGE_MIN_LEN)?)
+                .map(|_| read_message(&mut r).map(Arc::new))
+                .collect::<Option<_>>()?;
+            let collected = (0..r.count(8)?)
+                .map(|_| r.u64().map(MessageId::new))
+                .collect::<Option<_>>()?;
+            r.finish()?;
+            Some(NodeState {
                 published,
                 collected,
             })

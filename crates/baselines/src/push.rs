@@ -1,5 +1,6 @@
 //! PUSH: epidemic flooding.
 
+use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::{self as obs, Gauge};
 use bsub_sim::{Link, Message, Protocol, SimCtx, TraceEvent};
 use bsub_traces::{ContactEvent, NodeId};
@@ -149,7 +150,7 @@ impl Protocol for Push {
     /// decisions are identical whether or not it is warm.
     fn export_node(&self, node: NodeId) -> Option<Vec<u8>> {
         let has = self.has.get(node.index())?;
-        let mut w = bsub_sim::snapshot::SnapWriter::new();
+        let mut w = Writer::new();
         w.u8(1); // version
         w.u32(has.words.len() as u32);
         for &word in &has.words {
@@ -162,16 +163,14 @@ impl Protocol for Push {
         if node.index() >= self.has.len() {
             return false;
         }
-        let mut r = bsub_sim::snapshot::SnapReader::new(bytes);
+        let mut r = Reader::new(bytes);
         let parsed = (|| {
             if r.u8()? != 1 {
                 return None;
             }
-            let mut words = Vec::new();
-            for _ in 0..r.u32()? {
-                words.push(r.u64()?);
-            }
-            r.is_empty().then_some(words)
+            let words = (0..r.count(8)?).map(|_| r.u64()).collect();
+            r.finish()?;
+            words
         })();
         match parsed {
             Some(words) => {

@@ -4,8 +4,9 @@
 //! worker process that executes a contact and back afterwards, exactly
 //! like the sharded runner does in-process with `take_node`/`put_node`
 //! — except that across a socket the state must travel as
-//! self-contained bytes. This module implements that codec on top of
-//! the shared primitives in [`bsub_sim::snapshot`].
+//! self-contained bytes. This module implements that codec on the
+//! workspace byte codec ([`bsub_obs::codec`], DESIGN.md §12.7) and the
+//! shared message record in [`bsub_sim::snapshot`].
 //!
 //! Exactness is the contract: importing an exported snapshot must make
 //! the receiving node behave *identically* to the original — every
@@ -32,9 +33,10 @@ use crate::node::{Carried, NodeState, Produced, RelayState, Role};
 use bsub_bloom::wire::{self, CounterMode};
 use bsub_bloom::{Decayer, KeyHasher, Tcbf};
 use bsub_match::{IndexState, MatchIndex, MatchParams, SubscriberState};
-use bsub_sim::snapshot::{SnapReader, SnapWriter};
+use bsub_obs::codec::{Reader, Writer};
+use bsub_sim::snapshot::{read_message, write_message, MESSAGE_MIN_LEN};
 use bsub_sim::MessageId;
-use bsub_traces::NodeId;
+use bsub_traces::{NodeId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -55,7 +57,7 @@ const INDEX_VERSION: u8 = 1;
 #[must_use]
 pub fn encode_match_index(index: &MatchIndex) -> Vec<u8> {
     let state = index.export_state();
-    let mut w = SnapWriter::new();
+    let mut w = Writer::new();
     w.u8(INDEX_VERSION);
     w.u64(state.params.member_bits as u64);
     w.u64(state.params.member_hashes as u64);
@@ -88,11 +90,18 @@ pub fn encode_match_index(index: &MatchIndex) -> Vec<u8> {
 
 /// Rebuilds a [`MatchIndex`] from an [`encode_match_index`] snapshot.
 /// Returns `None` on any malformed input: truncation, trailing bytes,
-/// version mismatch, degenerate parameters, duplicate subscriber ids,
-/// or a tier over `tier_size`.
+/// version mismatch, a geometry the TCBF wire format cannot carry
+/// (`member_bits` over `u16::MAX`, `member_hashes` over 255), a count
+/// larger than the bytes left, decreasing tier indices, or a state
+/// [`MatchIndex::try_from_state`] rejects.
+///
+/// Occupied tiers are renumbered densely in their original order, so
+/// the rebuilt index never holds more tiers than subscribers. Empty
+/// tiers have no members and matching skips them, so no match result
+/// changes; a snapshot without gaps re-exports byte-identically.
 #[must_use]
 pub fn decode_match_index(bytes: &[u8]) -> Option<MatchIndex> {
-    let mut r = SnapReader::new(bytes);
+    let mut r = Reader::new(bytes);
     if r.u8()? != INDEX_VERSION {
         return None;
     }
@@ -105,62 +114,47 @@ pub fn decode_match_index(bytes: &[u8]) -> Option<MatchIndex> {
         keys_per_subscriber_hint: usize::try_from(r.u64()?).ok()?,
         compact_ratio: r.f64()?,
     };
-    if params.member_bits == 0
-        || params.member_hashes == 0
-        || params.initial == 0
-        || params.tier_size == 0
-        || !params.compact_ratio.is_finite()
-        || params.compact_ratio <= 0.0
-    {
+    if params.member_bits > usize::from(u16::MAX) || params.member_hashes > usize::from(u8::MAX) {
         return None;
     }
     let epoch = r.u64()?;
-    let count = r.u32()?;
-    let mut subs = Vec::with_capacity(count as usize);
-    let mut seen = HashSet::new();
-    let mut tier_fill: HashMap<usize, usize> = HashMap::new();
+    let count = r.count(8 + 8 + 8 + 1 + 4)?; // id, tier, born, flag, digests
+    let mut subs = Vec::with_capacity(count);
+    let (mut last_tier, mut tiers) = (None, 0usize);
     for _ in 0..count {
         let id = r.u64()?;
-        if !seen.insert(id) {
-            return None;
+        let tier = r.u64()?;
+        if last_tier.is_some_and(|last| tier < last) {
+            return None; // `export_state` emits tiers in order
         }
-        let tier = usize::try_from(r.u64()?).ok()?;
-        let fill = tier_fill.entry(tier).or_insert(0);
-        *fill += 1;
-        if *fill > params.tier_size {
-            return None;
+        if last_tier != Some(tier) {
+            last_tier = Some(tier);
+            tiers += 1;
         }
         let born = r.u64()?;
-        if born > epoch {
-            return None;
-        }
         let deadline = if r.flag()? { Some(r.u64()?) } else { None };
-        let digest_count = r.u32()?;
-        let mut digests = Vec::with_capacity(digest_count as usize);
-        for _ in 0..digest_count {
-            digests.push((r.u64()?, r.u64()?));
-        }
+        let digests = (0..r.count(16)?)
+            .map(|_| Some((r.u64()?, r.u64()?)))
+            .collect::<Option<_>>()?;
         subs.push(SubscriberState {
             id,
             digests,
             born,
             deadline,
-            tier,
+            tier: tiers - 1,
         });
     }
-    if !r.is_empty() {
-        return None; // trailing garbage
-    }
-    Some(MatchIndex::from_state(&IndexState {
+    r.finish()?;
+    MatchIndex::try_from_state(&IndexState {
         params,
         epoch,
         subs,
-    }))
+    })
 }
 
 /// Encodes `state` into a self-contained byte snapshot.
 pub(crate) fn encode_node(state: &NodeState) -> Vec<u8> {
-    let mut w = SnapWriter::new();
+    let mut w = Writer::new();
     w.u8(VERSION);
     w.u8(match state.role {
         Role::User => 0,
@@ -170,7 +164,7 @@ pub(crate) fn encode_node(state: &NodeState) -> Vec<u8> {
     // Election log, oldest meeting first (replay order).
     w.u32(state.election.len() as u32);
     for (at, peer, was_broker, degree) in state.election.meetings() {
-        w.time(at);
+        w.u64(at.as_millis());
         w.u32(peer.index() as u32);
         w.flag(was_broker);
         w.u64(degree as u64);
@@ -188,10 +182,10 @@ pub(crate) fn encode_node(state: &NodeState) -> Vec<u8> {
             w.flag(relay.filter.is_merged());
             w.f64(relay.decayer.rate_per_min());
             w.f64(relay.decayer.residual());
-            w.time(relay.last_decay);
+            w.u64(relay.last_decay.as_millis());
             w.u32(relay.contact_log.len() as u32);
             for &t in &relay.contact_log {
-                w.time(t);
+                w.u64(t.as_millis());
             }
             match &relay.adaptive {
                 None => w.flag(false),
@@ -215,14 +209,14 @@ pub(crate) fn encode_node(state: &NodeState) -> Vec<u8> {
     // Carried copies (Vec order is behavioral — preserved as-is).
     w.u32(state.store.len() as u32);
     for carried in &state.store {
-        w.message(&carried.msg);
+        write_message(&mut w, &carried.msg);
         write_node_set(&mut w, &carried.delivered_to);
     }
 
     // Own publications.
     w.u32(state.published.len() as u32);
     for produced in &state.published {
-        w.message(&produced.msg);
+        write_message(&mut w, &produced.msg);
         w.u32(produced.copies_left);
         write_node_set(&mut w, &produced.delivered_to);
     }
@@ -267,7 +261,7 @@ struct Parsed {
 }
 
 fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
-    let mut r = SnapReader::new(bytes);
+    let mut r = Reader::new(bytes);
     if r.u8()? != VERSION {
         return None;
     }
@@ -278,8 +272,8 @@ fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
     };
 
     let mut election = ElectionLog::new();
-    for _ in 0..r.u32()? {
-        let at = r.time()?;
+    for _ in 0..r.count(8 + 4 + 1 + 8)? {
+        let at = SimTime::from_millis(r.u64()?);
         let peer = NodeId::new(r.u32()?);
         let was_broker = r.flag()?;
         let degree = usize::try_from(r.u64()?).ok()?;
@@ -302,18 +296,21 @@ fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
         );
         let rate = r.f64()?;
         let residual = r.f64()?;
-        if !(0.0..1.0).contains(&residual) {
-            return None;
+        if !is_rate(rate) || !(0.0..1.0).contains(&residual) {
+            return None; // `Decayer` invariants
         }
         let decayer = Decayer::restore(rate, residual);
-        let last_decay = r.time()?;
+        let last_decay = SimTime::from_millis(r.u64()?);
         let mut contact_log = VecDeque::new();
-        for _ in 0..r.u32()? {
-            contact_log.push_back(r.time()?);
+        for _ in 0..r.count(8)? {
+            contact_log.push_back(SimTime::from_millis(r.u64()?));
         }
         let adaptive = if r.flag()? {
             let last_ncol = r.u64()?;
             let current = r.f64()?;
+            if !is_rate(current) {
+                return None; // it becomes the decay rate
+            }
             let DfMode::Auto { delta } = config.df else {
                 return None; // snapshot/config DF-mode mismatch
             };
@@ -330,7 +327,7 @@ fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
             None
         };
         let mut shadow = HashMap::new();
-        for _ in 0..r.u32()? {
+        for _ in 0..r.count(4 + 4)? {
             let key: Arc<str> = Arc::from(r.str()?);
             let c = r.u32()?;
             shadow.insert(key, c);
@@ -348,15 +345,15 @@ fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
     };
 
     let mut store = Vec::new();
-    for _ in 0..r.u32()? {
-        let msg = Arc::new(r.message()?);
+    for _ in 0..r.count(MESSAGE_MIN_LEN + 4)? {
+        let msg = Arc::new(read_message(&mut r)?);
         let delivered_to = read_node_set(&mut r)?;
         store.push(Carried { msg, delivered_to });
     }
 
     let mut published = Vec::new();
-    for _ in 0..r.u32()? {
-        let msg = Arc::new(r.message()?);
+    for _ in 0..r.count(MESSAGE_MIN_LEN + 4 + 4)? {
+        let msg = Arc::new(read_message(&mut r)?);
         let copies_left = r.u32()?;
         let delivered_to = read_node_set(&mut r)?;
         published.push(Produced {
@@ -367,13 +364,11 @@ fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
     }
 
     let mut seen = HashSet::new();
-    for _ in 0..r.u32()? {
+    for _ in 0..r.count(8)? {
         seen.insert(MessageId::new(r.u64()?));
     }
 
-    if !r.is_empty() {
-        return None; // trailing garbage
-    }
+    r.finish()?; // no trailing garbage
     Some(Parsed {
         role,
         election,
@@ -384,7 +379,12 @@ fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
     })
 }
 
-fn write_node_set(w: &mut SnapWriter, set: &HashSet<NodeId>) {
+/// A decay rate `Decayer` accepts: finite and non-negative.
+fn is_rate(v: f64) -> bool {
+    v.is_finite() && v >= 0.0
+}
+
+fn write_node_set(w: &mut Writer, set: &HashSet<NodeId>) {
     let mut ids: Vec<u32> = set.iter().map(|n| n.index() as u32).collect();
     ids.sort_unstable();
     w.u32(ids.len() as u32);
@@ -393,9 +393,9 @@ fn write_node_set(w: &mut SnapWriter, set: &HashSet<NodeId>) {
     }
 }
 
-fn read_node_set(r: &mut SnapReader<'_>) -> Option<HashSet<NodeId>> {
+fn read_node_set(r: &mut Reader<'_>) -> Option<HashSet<NodeId>> {
     let mut set = HashSet::new();
-    for _ in 0..r.u32()? {
+    for _ in 0..r.count(4)? {
         set.insert(NodeId::new(r.u32()?));
     }
     Some(set)
@@ -573,6 +573,77 @@ mod tests {
         let mut bad_version = snap.clone();
         bad_version[0] = INDEX_VERSION + 1;
         assert!(decode_match_index(&bad_version).is_none());
+    }
+
+    /// A match-index snapshot with the given geometry fields
+    /// (`member_bits`, `member_hashes`, `tier_size`, hint) and one
+    /// subscriber per `(tier, digest count)` pair; `count` overrides
+    /// the subscriber count prefix.
+    fn raw_index(geometry: [u64; 4], subs: &[(u64, u32)], count: Option<u32>) -> Vec<u8> {
+        let [bits, hashes, tier_size, hint] = geometry;
+        let mut w = Writer::new();
+        w.u8(INDEX_VERSION);
+        w.u64(bits);
+        w.u64(hashes);
+        w.u32(8); // initial
+        w.u64(tier_size);
+        w.u64(4096); // tier budget bytes
+        w.u64(hint);
+        w.f64(0.5);
+        w.u64(0); // epoch
+        w.u32(count.unwrap_or(subs.len() as u32));
+        for (id, &(tier, digests)) in subs.iter().enumerate() {
+            w.u64(id as u64);
+            w.u64(tier);
+            w.u64(0); // born
+            w.flag(false);
+            w.u32(digests);
+            for d in 0..u64::from(digests) {
+                w.u64(d);
+                w.u64(d + 1);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// Hostile snapshots, each aimed at one allocation or geometry
+    /// computation of the rebuild, must be refused, not crash it.
+    #[test]
+    fn hostile_match_index_snapshots_reject() {
+        const SANE: [u64; 4] = [512, 4, 4, 2];
+        let sane = raw_index(SANE, &[(0, 1), (0, 2), (3, 1)], None);
+        let restored = decode_match_index(&sane).expect("the control decodes");
+        assert_eq!(restored.tier_count(), 2, "tier 3 renumbered densely");
+
+        let hostile = [
+            // 274,877,906,880-byte `with_capacity` from a 65-byte input.
+            raw_index(SANE, &[], Some(u32::MAX)),
+            // `member_bits × 4` wraps to zero: divide by zero.
+            raw_index([1 << 62, 4, 4, 2], &[], None),
+            // `digests × member_hashes` positions: capacity overflow.
+            raw_index([512, 1 << 61, 4, 2], &[(0, 1)], None),
+            // `tier_size × hint` overflows.
+            raw_index([512, 4, 1 << 40, 1 << 40], &[], None),
+            // `tier + 1` wraps: index out of bounds.
+            raw_index(SANE, &[(u64::MAX, 1), (0, 1)], None),
+            // 2^26 empty tiers for two subscribers.
+            raw_index(SANE, &[(1 << 26, 1), (0, 1)], None),
+        ];
+        assert_eq!(hostile[0].len(), 65);
+        for (i, bytes) in hostile.iter().enumerate() {
+            assert!(decode_match_index(bytes).is_none(), "hostile input {i}");
+        }
+
+        // A lone far-out tier is renumbered, not allocated up to.
+        for tier in [u64::MAX, 1 << 26] {
+            let one = decode_match_index(&raw_index(SANE, &[(tier, 1)], None)).unwrap();
+            assert_eq!(one.tier_count(), 1, "tier {tier}");
+        }
+
+        // The wire-format caps and the tier-order rule.
+        assert!(decode_match_index(&raw_index([1 << 16, 4, 4, 2], &[], None)).is_none());
+        assert!(decode_match_index(&raw_index([512, 256, 4, 2], &[], None)).is_none());
+        assert!(decode_match_index(&raw_index(SANE, &[(1, 1), (0, 1)], None)).is_none());
     }
 
     #[test]

@@ -113,6 +113,33 @@ pub struct MatchParams {
     pub compact_ratio: f64,
 }
 
+impl MatchParams {
+    /// The tier-pool spill threshold θ these parameters derive (see
+    /// [`MatchIndex::new`]), or `None` when they are degenerate: a
+    /// zero geometry field, a compact ratio that is not finite and
+    /// positive, sizing arithmetic that overflows, or a θ that rounds
+    /// to zero.
+    #[must_use]
+    pub fn theta(&self) -> Option<f64> {
+        if self.member_bits == 0
+            || self.member_hashes == 0
+            || self.initial == 0
+            || self.tier_size == 0
+            || !(self.compact_ratio.is_finite() && self.compact_ratio > 0.0)
+        {
+            return None;
+        }
+        let expected_keys = self
+            .tier_size
+            .checked_mul(self.keys_per_subscriber_hint.max(1))?;
+        let dense_filter_bytes = self.member_bits.checked_mul(4)?;
+        let pool_filters = (self.tier_budget_bytes / dense_filter_bytes).max(1);
+        let keys_per_filter = expected_keys as f64 / pool_filters as f64;
+        let theta = math::fill_ratio(self.member_bits, self.member_hashes, keys_per_filter);
+        (theta > 0.0).then_some(theta)
+    }
+}
+
 impl Default for MatchParams {
     fn default() -> Self {
         Self {
@@ -259,20 +286,13 @@ impl MatchIndex {
     ///
     /// # Panics
     ///
-    /// Panics if geometry parameters are zero or `compact_ratio` is
-    /// not positive.
+    /// Panics if the parameters are degenerate ([`MatchParams::theta`]
+    /// is `None`).
     #[must_use]
     pub fn new(params: MatchParams) -> Self {
-        assert!(params.member_bits > 0, "member bits must be positive");
-        assert!(params.member_hashes > 0, "hash count must be positive");
-        assert!(params.initial > 0, "initial counter must be positive");
-        assert!(params.tier_size > 0, "tier size must be positive");
-        assert!(params.compact_ratio > 0.0, "compact ratio must be positive");
-        let expected_keys = params.tier_size * params.keys_per_subscriber_hint.max(1);
-        let dense_filter_bytes = params.member_bits * 4;
-        let pool_filters = (params.tier_budget_bytes / dense_filter_bytes).max(1);
-        let keys_per_filter = expected_keys as f64 / pool_filters as f64;
-        let theta = math::fill_ratio(params.member_bits, params.member_hashes, keys_per_filter);
+        let theta = params
+            .theta()
+            .expect("degenerate MatchParams: zero geometry, bad compact ratio, or overflow");
         Self {
             params,
             hasher: KeyHasher::default(),
@@ -676,10 +696,22 @@ impl MatchIndex {
     ///
     /// # Panics
     ///
-    /// Panics if the state is inconsistent: duplicate subscriber ids,
-    /// or a tier holding more members than `params.tier_size`.
+    /// Panics if the state is inconsistent (see
+    /// [`MatchIndex::try_from_state`]).
     #[must_use]
     pub fn from_state(state: &IndexState) -> Self {
+        Self::try_from_state(state).expect("consistent index state")
+    }
+
+    /// [`MatchIndex::from_state`], returning `None` if the state is
+    /// inconsistent: degenerate parameters ([`MatchParams::theta`]),
+    /// duplicate subscriber ids, a birth epoch after the index epoch,
+    /// or a tier holding more members than `params.tier_size`. Tiers
+    /// are allocated up to the largest tier index, so untrusted state
+    /// must have its tiers numbered densely first.
+    #[must_use]
+    pub fn try_from_state(state: &IndexState) -> Option<Self> {
+        state.params.theta()?;
         let mut idx = Self::new(state.params);
         idx.epoch = state.epoch;
         let tiers = state.subs.iter().map(|s| s.tier + 1).max().unwrap_or(0);
@@ -708,11 +740,9 @@ impl MatchIndex {
             positions.dedup();
             let tier = &mut idx.tiers[sub.tier];
             tier.members.push(sub.id);
-            assert!(
-                tier.members.len() <= state.params.tier_size,
-                "tier {} overflows tier_size",
-                sub.tier
-            );
+            if tier.members.len() > state.params.tier_size || sub.born > state.epoch {
+                return None;
+            }
             let previous = idx.subs.insert(
                 sub.id,
                 Subscriber {
@@ -723,7 +753,9 @@ impl MatchIndex {
                     tier: sub.tier,
                 },
             );
-            assert!(previous.is_none(), "duplicate subscriber id {}", sub.id);
+            if previous.is_some() {
+                return None; // duplicate subscriber id
+            }
         }
         for tier in 0..idx.tiers.len() {
             let members = idx.tiers[tier].members.clone();
@@ -738,7 +770,7 @@ impl MatchIndex {
                 }
             }
         }
-        idx
+        Some(idx)
     }
 }
 
@@ -897,5 +929,28 @@ mod tests {
             set.stats
         );
         assert!(set.stats.tier_probes >= set.stats.tier_hits);
+    }
+
+    #[test]
+    fn try_from_state_rejects_inconsistent_state() {
+        let mut idx = MatchIndex::new(small());
+        idx.decay(2);
+        for id in 0..6 {
+            idx.subscribe(id, &keys_of(id));
+        }
+        let state = idx.export_state();
+        assert!(MatchIndex::try_from_state(&state).is_some());
+
+        let mut duplicate = state.clone();
+        duplicate.subs[1].id = duplicate.subs[0].id;
+        let mut unborn = state.clone();
+        unborn.subs[0].born = state.epoch + 1;
+        let mut crowded = state.clone();
+        crowded.subs.iter_mut().for_each(|s| s.tier = 0);
+        let mut degenerate = state.clone();
+        degenerate.params.member_bits = usize::MAX / 2;
+        for bad in [duplicate, unborn, crowded, degenerate] {
+            assert!(MatchIndex::try_from_state(&bad).is_none());
+        }
     }
 }

@@ -43,6 +43,7 @@ use crate::frame::{Frame, FrameKind};
 use crate::peer::{PeerConfig, PeerId, PeerManager};
 use crate::transport::EndpointAddr;
 use bsub_match::{Event, IndexState, MatchIndex, MatchParams};
+use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::{self as obs, Counter, SizeHist, TimeHist};
 use std::collections::BTreeMap;
 use std::io;
@@ -75,28 +76,26 @@ impl SubscribeBody {
     /// Encodes the body.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.keys.iter().map(|k| 4 + k.len()).sum::<usize>());
-        out.extend_from_slice(&self.ttl_ms.to_le_bytes());
-        out.extend_from_slice(&(self.keys.len() as u32).to_le_bytes());
+        let mut w =
+            Writer::with_capacity(12 + self.keys.iter().map(|k| 4 + k.len()).sum::<usize>());
+        w.u64(self.ttl_ms);
+        w.u32(self.keys.len() as u32);
         for key in &self.keys {
-            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            out.extend_from_slice(key.as_bytes());
+            w.str(key);
         }
-        out
+        w.into_bytes()
     }
 
-    /// Decodes a body; `None` on truncation, trailing bytes, or
-    /// non-UTF-8 keys.
+    /// Decodes a body; `None` on truncation, trailing bytes,
+    /// non-UTF-8 keys, or a key count the body is too short to hold.
     #[must_use]
     pub fn decode(body: &[u8]) -> Option<Self> {
-        let mut r = Cursor::new(body);
+        let mut r = Reader::new(body);
         let ttl_ms = r.u64()?;
-        let count = r.u32()?;
-        let mut keys = Vec::with_capacity(count.min(1024) as usize);
-        for _ in 0..count {
-            keys.push(r.string()?);
-        }
-        r.done()?;
+        let keys = (0..r.count(4)?)
+            .map(|_| r.str().map(str::to_owned))
+            .collect::<Option<_>>()?;
+        r.finish()?;
         Some(Self { ttl_ms, keys })
     }
 }
@@ -129,23 +128,22 @@ impl PublishBody {
     /// Encodes the body.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20 + self.key.len());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.sent_ns.to_le_bytes());
-        out.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.key.as_bytes());
-        out
+        let mut w = Writer::with_capacity(20 + self.key.len());
+        w.u64(self.seq);
+        w.u64(self.sent_ns);
+        w.str(&self.key);
+        w.into_bytes()
     }
 
     /// Decodes a body; `None` on truncation, trailing bytes, or a
     /// non-UTF-8 key.
     #[must_use]
     pub fn decode(body: &[u8]) -> Option<Self> {
-        let mut r = Cursor::new(body);
+        let mut r = Reader::new(body);
         let seq = r.u64()?;
         let sent_ns = r.u64()?;
-        let key = r.string()?;
-        r.done()?;
+        let key = r.str()?.to_owned();
+        r.finish()?;
         Some(Self { seq, sent_ns, key })
     }
 }
@@ -176,69 +174,30 @@ impl DeliverBody {
     /// Encodes the body.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.key.len());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.sent_ns.to_le_bytes());
-        out.extend_from_slice(&self.publisher.to_le_bytes());
-        out.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.key.as_bytes());
-        out
+        let mut w = Writer::with_capacity(24 + self.key.len());
+        w.u64(self.seq);
+        w.u64(self.sent_ns);
+        w.u32(self.publisher);
+        w.str(&self.key);
+        w.into_bytes()
     }
 
     /// Decodes a body; `None` on truncation, trailing bytes, or a
     /// non-UTF-8 key.
     #[must_use]
     pub fn decode(body: &[u8]) -> Option<Self> {
-        let mut r = Cursor::new(body);
+        let mut r = Reader::new(body);
         let seq = r.u64()?;
         let sent_ns = r.u64()?;
         let publisher = r.u32()?;
-        let key = r.string()?;
-        r.done()?;
+        let key = r.str()?.to_owned();
+        r.finish()?;
         Some(Self {
             seq,
             sent_ns,
             publisher,
             key,
         })
-    }
-}
-
-/// Minimal LE field reader shared by the body codecs; rejects
-/// truncation and (via [`Cursor::done`]) trailing bytes.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.bytes.len() < n {
-            return None;
-        }
-        let (head, tail) = self.bytes.split_at(n);
-        self.bytes = tail;
-        Some(head)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn done(&self) -> Option<()> {
-        self.bytes.is_empty().then_some(())
     }
 }
 

@@ -44,8 +44,8 @@ use crate::frame::{Frame, FrameKind};
 use crate::peer::{PeerConfig, PeerId, PeerManager};
 use crate::stats::StatsHandle;
 use crate::transport::EndpointAddr;
+use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::{self as obs, Counter, ProfReport, TimeHist};
-use bsub_sim::snapshot::{SnapReader, SnapWriter};
 use bsub_sim::{
     GeneratedMessage, Link, Message, MessageId, MetricsCollector, NullRecorder, Protocol,
     ProtocolFactory, Recorder, SimConfig, SimCtx, SimReport, Simulation, SubscriptionTable,
@@ -219,47 +219,50 @@ fn timed_out(message: impl Into<String>) -> io::Error {
 
 // ---- frame body codecs ------------------------------------------------
 
+/// Decodes a whole frame body with `read`; truncation, a malformed
+/// field, or trailing bytes is an `InvalidData` error naming `what`.
+fn decode_body<'a, T>(
+    body: &'a [u8],
+    what: &str,
+    read: impl FnOnce(&mut Reader<'a>) -> Option<T>,
+) -> io::Result<T> {
+    let mut r = Reader::new(body);
+    read(&mut r)
+        .filter(|_| r.finish().is_some())
+        .ok_or_else(|| bad(format!("malformed {what} body")))
+}
+
 fn body_u32(v: u32) -> Vec<u8> {
-    v.to_le_bytes().to_vec()
+    let mut w = Writer::with_capacity(4);
+    w.u32(v);
+    w.into_bytes()
 }
 
 fn body_u64(v: u64) -> Vec<u8> {
-    v.to_le_bytes().to_vec()
+    let mut w = Writer::with_capacity(8);
+    w.u64(v);
+    w.into_bytes()
 }
 
 fn read_u32(body: &[u8]) -> io::Result<u32> {
-    let mut r = SnapReader::new(body);
-    let v = r.u32().ok_or_else(|| bad("truncated u32 body"))?;
-    if !r.is_empty() {
-        return Err(bad("trailing bytes in u32 body"));
-    }
-    Ok(v)
+    decode_body(body, "u32", Reader::u32)
 }
 
 fn read_u64(body: &[u8]) -> io::Result<u64> {
-    let mut r = SnapReader::new(body);
-    let v = r.u64().ok_or_else(|| bad("truncated u64 body"))?;
-    if !r.is_empty() {
-        return Err(bad("trailing bytes in u64 body"));
-    }
-    Ok(v)
+    decode_body(body, "u64", Reader::u64)
 }
 
 fn body_node_bytes(node: u32, bytes: &[u8]) -> Vec<u8> {
-    let mut w = SnapWriter::new();
+    let mut w = Writer::with_capacity(8 + bytes.len());
     w.u32(node);
     w.bytes(bytes);
     w.into_bytes()
 }
 
 fn read_node_bytes(body: &[u8]) -> io::Result<(u32, Vec<u8>)> {
-    let mut r = SnapReader::new(body);
-    let node = r.u32().ok_or_else(|| bad("truncated node id"))?;
-    let bytes = r.bytes().ok_or_else(|| bad("truncated snapshot"))?.to_vec();
-    if !r.is_empty() {
-        return Err(bad("trailing bytes after snapshot"));
-    }
-    Ok((node, bytes))
+    decode_body(body, "node snapshot", |r| {
+        Some((r.u32()?, r.bytes()?.to_vec()))
+    })
 }
 
 // ---- STATS sub-protocol (DESIGN.md §15) -------------------------------
@@ -316,7 +319,7 @@ struct ExchangeOutcome {
 
 impl ExchangeOutcome {
     fn encode(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
+        let mut w = Writer::with_capacity(56 + 13 * self.deliveries.len());
         w.u64(self.index);
         w.u64(self.forwardings);
         w.u64(self.control_bytes);
@@ -333,32 +336,18 @@ impl ExchangeOutcome {
     }
 
     fn decode(body: &[u8]) -> io::Result<Self> {
-        let mut r = SnapReader::new(body);
-        let index = r.u64().ok_or_else(|| bad("truncated result"))?;
-        let forwardings = r.u64().ok_or_else(|| bad("truncated result"))?;
-        let control_bytes = r.u64().ok_or_else(|| bad("truncated result"))?;
-        let data_bytes = r.u64().ok_or_else(|| bad("truncated result"))?;
-        let injections = r.u64().ok_or_else(|| bad("truncated result"))?;
-        let false_injections = r.u64().ok_or_else(|| bad("truncated result"))?;
-        let count = r.u64().ok_or_else(|| bad("truncated result"))?;
-        let mut deliveries = Vec::with_capacity(count.min(1 << 16) as usize);
-        for _ in 0..count {
-            let msg = r.u64().ok_or_else(|| bad("truncated delivery"))?;
-            let node = r.u32().ok_or_else(|| bad("truncated delivery"))?;
-            let genuine = r.flag().ok_or_else(|| bad("truncated delivery"))?;
-            deliveries.push((msg, node, genuine));
-        }
-        if !r.is_empty() {
-            return Err(bad("trailing bytes in result"));
-        }
-        Ok(Self {
-            index,
-            forwardings,
-            control_bytes,
-            data_bytes,
-            injections,
-            false_injections,
-            deliveries,
+        decode_body(body, "result", |r| {
+            Some(Self {
+                index: r.u64()?,
+                forwardings: r.u64()?,
+                control_bytes: r.u64()?,
+                data_bytes: r.u64()?,
+                injections: r.u64()?,
+                false_injections: r.u64()?,
+                deliveries: (0..r.count_u64(8 + 4 + 1)?)
+                    .map(|_| Some((r.u64()?, r.u32()?, r.flag()?)))
+                    .collect::<Option<_>>()?,
+            })
         })
     }
 
@@ -1090,6 +1079,34 @@ mod tests {
             deliveries: vec![(7, 11, true), (9, 0, false)],
         };
         assert_eq!(ExchangeOutcome::decode(&outcome.encode()).unwrap(), outcome);
+    }
+
+    /// Golden bytes captured before the rewrite onto the shared codec:
+    /// six u64 LE scalars, a u64 LE delivery count, then per delivery
+    /// a u64 LE message id, a u32 LE node, and a flag byte.
+    #[test]
+    fn exchange_outcome_bytes_are_pinned() {
+        let outcome = ExchangeOutcome {
+            index: 0x0102,
+            forwardings: 3,
+            control_bytes: 128,
+            data_bytes: 4096,
+            injections: 2,
+            false_injections: 1,
+            deliveries: vec![(7, 11, true), (9, 0, false)],
+        };
+        assert_eq!(
+            outcome.encode(),
+            [
+                2, 1, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0,
+                0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0,
+                0, 7, 0, 0, 0, 0, 0, 0, 0, 11, 0, 0, 0, 1, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0
+            ]
+        );
+        // A delivery count past the bytes left is refused up front.
+        let mut lying = outcome.encode();
+        lying[48..56].copy_from_slice(&[0xFF; 8]);
+        assert!(ExchangeOutcome::decode(&lying).is_err());
     }
 
     #[test]

@@ -35,6 +35,10 @@ pub const HEADER_LEN: usize = 8;
 /// exhaustion.
 pub const MAX_BODY_LEN: u32 = 64 * 1024 * 1024;
 
+/// Most body bytes [`Frame::read_from`] reserves ahead of their
+/// arrival; larger bodies grow a chunk at a time as they are received.
+const BODY_CHUNK: usize = 64 * 1024;
+
 /// The message kinds of the cluster protocol (DESIGN.md §12.3).
 ///
 /// Discriminants are the on-wire `kind` byte and are part of the wire
@@ -222,8 +226,14 @@ impl Frame {
                 "frame body length exceeds MAX_BODY_LEN",
             ));
         }
-        let mut body = vec![0u8; len as usize];
-        r.read_exact(&mut body)?;
+        // Grow the body a bounded chunk at a time, so memory tracks the
+        // bytes that actually arrive rather than the claimed length.
+        let mut body = Vec::new();
+        while body.len() < len as usize {
+            let start = body.len();
+            body.resize(start + (len as usize - start).min(BODY_CHUNK), 0);
+            r.read_exact(&mut body[start..])?;
+        }
         let expected = u16::from_le_bytes(header[6..8].try_into().expect("2 bytes"));
         if crc16([&header[..6], &body]) != expected {
             return Err(io::Error::new(
@@ -340,6 +350,18 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         // Dropped mid-header.
         let err = Frame::read_from(&mut &bytes[..4]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A header claiming the largest legal body, followed by 16 bytes
+    /// and EOF: the reader must report the short body, reserving only
+    /// what arrives rather than the 64 MiB the header claims (the
+    /// allocation bound is measured by `tests/decoders.rs`).
+    #[test]
+    fn truncated_max_length_body_is_unexpected_eof() {
+        let mut bytes = encode(&Frame::new(FrameKind::StateGrant, vec![3; 16]));
+        bytes[2..6].copy_from_slice(&MAX_BODY_LEN.to_le_bytes());
+        let err = Frame::read_from(&mut bytes.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 

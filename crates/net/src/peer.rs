@@ -50,6 +50,7 @@ use crate::frame::{Frame, FrameKind, HEADER_LEN};
 use crate::metrics::{frame_size_hist, frame_time_hist, NetMetrics};
 use crate::trace::{self, NetEvent, NetTrace, TraceSlot};
 use crate::transport::{EndpointAddr, Listener, Stream};
+use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::Counter;
 use std::collections::HashMap;
 use std::fmt;
@@ -304,8 +305,7 @@ impl PeerManager {
     fn dial_once(&self, peer: PeerId, addr: &EndpointAddr) -> io::Result<()> {
         let mut stream = Stream::connect(addr)?;
         stream.set_read_timeout(Some(self.config.handshake_timeout))?;
-        Frame::new(FrameKind::Hello, self.config.local.0.to_le_bytes().to_vec())
-            .write_to(&mut stream)?;
+        hello(self.config.local).write_to(&mut stream)?;
         let reply = Frame::read_from(&mut stream)?;
         let remote = decode_hello(&reply)?;
         if remote != peer {
@@ -317,8 +317,7 @@ impl PeerManager {
         // Third leg of the handshake: confirm so the acceptor knows
         // this socket was not abandoned to a reply timeout. Only after
         // this write does either side install.
-        Frame::new(FrameKind::Hello, self.config.local.0.to_le_bytes().to_vec())
-            .write_to(&mut stream)?;
+        hello(self.config.local).write_to(&mut stream)?;
         stream.set_read_timeout(None)?;
         // Either this socket was installed or an existing (or
         // race-winning) connection already serves the peer — both
@@ -461,16 +460,19 @@ impl Drop for PeerManager {
     }
 }
 
+/// The HELLO frame announcing `local`: its peer id, u32 LE.
+fn hello(local: PeerId) -> Frame {
+    let mut w = Writer::with_capacity(4);
+    w.u32(local.0);
+    Frame::new(FrameKind::Hello, w.into_bytes())
+}
+
 fn decode_hello(frame: &Frame) -> io::Result<PeerId> {
-    if frame.kind != FrameKind::Hello || frame.body.len() != 4 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed HELLO",
-        ));
-    }
-    Ok(PeerId(u32::from_le_bytes(
-        frame.body[..4].try_into().expect("4 bytes"),
-    )))
+    let mut r = Reader::new(&frame.body);
+    r.u32()
+        .filter(|_| frame.kind == FrameKind::Hello && r.finish().is_some())
+        .map(PeerId)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed HELLO"))
 }
 
 /// Longest the accept loop sleeps between empty polls.
@@ -507,11 +509,9 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener, handshake_timeout: Dur
 fn accept_handshake(shared: &Arc<Shared>, mut stream: Stream, handshake_timeout: Duration) {
     let outcome = (|| -> io::Result<()> {
         stream.set_read_timeout(Some(handshake_timeout))?;
-        let hello = Frame::read_from(&mut stream)?;
-        let remote = decode_hello(&hello)?;
+        let remote = decode_hello(&Frame::read_from(&mut stream)?)?;
         shared.set_state(remote, ConnState::Accepting);
-        Frame::new(FrameKind::Hello, shared.local.0.to_le_bytes().to_vec())
-            .write_to(&mut stream)?;
+        hello(shared.local).write_to(&mut stream)?;
         // Wait for the dialer's confirmation before installing: a
         // dialer whose reply read timed out abandons the socket and
         // retries, and installing its ghost here would let the ghost
@@ -681,6 +681,21 @@ mod tests {
         let a = PeerManager::bind(PeerConfig::new(PeerId(0), a_addr.clone(), 7)).unwrap();
         let b = PeerManager::bind(PeerConfig::new(PeerId(1), b_addr.clone(), 7)).unwrap();
         (a, b, a_addr, b_addr)
+    }
+
+    /// Golden bytes: a HELLO body is the sender's peer id, u32 LE, and
+    /// nothing else.
+    #[test]
+    fn hello_bytes_are_pinned() {
+        let frame = hello(PeerId(0x0A0B_0C0D));
+        assert_eq!(frame.kind, FrameKind::Hello);
+        assert_eq!(frame.body, [0x0D, 0x0C, 0x0B, 0x0A]);
+        assert_eq!(decode_hello(&frame).unwrap(), PeerId(0x0A0B_0C0D));
+        for body in [vec![1, 2, 3], vec![1, 2, 3, 4, 5]] {
+            assert!(decode_hello(&Frame::new(FrameKind::Hello, body)).is_err());
+        }
+        let wrong_kind = Frame::new(FrameKind::Dispatch, frame.body.clone());
+        assert!(decode_hello(&wrong_kind).is_err());
     }
 
     #[test]

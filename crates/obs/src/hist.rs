@@ -1,5 +1,7 @@
 //! Log₂-bucketed histogram with exact count/sum/min/max.
 
+use crate::codec::{Reader, Writer};
+
 /// Number of buckets: one per possible bit length of a `u64` value,
 /// plus one for zero (bucket 0 holds only the value 0).
 const BUCKETS: usize = 65;
@@ -146,48 +148,47 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Appends this histogram's wire encoding to `out`: `count`,
+    /// Appends this histogram's wire encoding to `w`: `count`,
     /// `sum`, `min`, `max` as u64 LE, then a sparse bucket list — a
     /// `u8` entry count followed by (`u8` bucket index, u64 LE bucket
     /// count) pairs in strictly ascending index order, zero buckets
     /// omitted. Part of the `ProfReport` wire layout (DESIGN.md §15).
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&self.sum.to_le_bytes());
-        out.extend_from_slice(&self.min.to_le_bytes());
-        out.extend_from_slice(&self.max.to_le_bytes());
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
+        w.u64(self.count);
+        w.u64(self.sum);
+        w.u64(self.min);
+        w.u64(self.max);
         let nonzero = self.buckets.iter().filter(|&&b| b != 0).count();
-        out.push(nonzero as u8);
+        w.u8(nonzero as u8);
         for (i, &b) in self.buckets.iter().enumerate() {
             if b != 0 {
-                out.push(i as u8);
-                out.extend_from_slice(&b.to_le_bytes());
+                w.u8(i as u8);
+                w.u64(b);
             }
         }
     }
 
-    /// Decodes one histogram record from the front of `input`,
-    /// advancing it past the consumed bytes. `None` on truncation, an
-    /// out-of-range or non-ascending bucket index, an explicit zero
-    /// bucket (the encoder never emits one), or an empty histogram
-    /// whose scalars disagree with [`Histogram::new`].
-    pub(crate) fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        let count = take_u64(input)?;
-        let sum = take_u64(input)?;
-        let min = take_u64(input)?;
-        let max = take_u64(input)?;
-        let entries = take_u8(input)? as usize;
+    /// Decodes one histogram record at the reader's cursor. `None` on
+    /// truncation, an out-of-range or non-ascending bucket index, an
+    /// explicit zero bucket (the encoder never emits one), or an empty
+    /// histogram whose scalars disagree with [`Histogram::new`].
+    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
+        let count = r.u64()?;
+        let sum = r.u64()?;
+        let min = r.u64()?;
+        let max = r.u64()?;
+        let entries = r.u8()? as usize;
         if entries > BUCKETS {
             return None;
         }
         let mut buckets = [0u64; BUCKETS];
         let mut last: Option<usize> = None;
         for _ in 0..entries {
-            let index = take_u8(input)? as usize;
+            let index = r.u8()? as usize;
             if index >= BUCKETS || last.is_some_and(|l| index <= l) {
                 return None;
             }
-            let value = take_u64(input)?;
+            let value = r.u64()?;
             if value == 0 {
                 return None;
             }
@@ -207,36 +208,19 @@ impl Histogram {
     }
 }
 
-/// Splits one byte off the front of `input`.
-pub(crate) fn take_u8(input: &mut &[u8]) -> Option<u8> {
-    let (&first, rest) = input.split_first()?;
-    *input = rest;
-    Some(first)
-}
-
-/// Splits a little-endian u16 off the front of `input`.
-pub(crate) fn take_u16(input: &mut &[u8]) -> Option<u16> {
-    if input.len() < 2 {
-        return None;
-    }
-    let (head, rest) = input.split_at(2);
-    *input = rest;
-    Some(u16::from_le_bytes(head.try_into().expect("2 bytes")))
-}
-
-/// Splits a little-endian u64 off the front of `input`.
-pub(crate) fn take_u64(input: &mut &[u8]) -> Option<u64> {
-    if input.len() < 8 {
-        return None;
-    }
-    let (head, rest) = input.split_at(8);
-    *input = rest;
-    Some(u64::from_le_bytes(head.try_into().expect("8 bytes")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(h: &Histogram) -> Vec<u8> {
+        let mut w = Writer::new();
+        h.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Option<Histogram> {
+        Histogram::decode_from(&mut Reader::new(bytes))
+    }
 
     #[test]
     fn empty_histogram_reports_zeros() {
@@ -290,41 +274,35 @@ mod tests {
         for v in [0, 1, 7, 300, 1 << 40, u64::MAX] {
             h.record(v);
         }
-        let mut bytes = Vec::new();
-        h.encode_into(&mut bytes);
-        let mut input = bytes.as_slice();
-        let back = Histogram::decode_from(&mut input).expect("decodes");
-        assert!(input.is_empty(), "decoder consumes the whole record");
+        let bytes = encode(&h);
+        let mut r = Reader::new(&bytes);
+        let back = Histogram::decode_from(&mut r).expect("decodes");
+        assert_eq!(r.finish(), Some(()), "decoder consumes the whole record");
         assert_eq!(back, h);
 
         let empty = Histogram::new();
-        let mut bytes = Vec::new();
-        empty.encode_into(&mut bytes);
+        let bytes = encode(&empty);
         assert_eq!(bytes.len(), 33, "4 scalars + entry count, no entries");
-        let mut input = bytes.as_slice();
-        assert_eq!(Histogram::decode_from(&mut input), Some(empty));
+        assert_eq!(decode(&bytes), Some(empty));
     }
 
     #[test]
     fn wire_decode_rejects_malformed_records() {
         let mut h = Histogram::new();
         h.record(9);
-        let mut bytes = Vec::new();
-        h.encode_into(&mut bytes);
+        let bytes = encode(&h);
         // Truncation anywhere in the record.
         for cut in 0..bytes.len() {
-            let mut input = &bytes[..cut];
-            assert!(Histogram::decode_from(&mut input).is_none(), "cut {cut}");
+            assert!(decode(&bytes[..cut]).is_none(), "cut {cut}");
         }
         // A bucket index past the table.
         let mut bad = bytes.clone();
         bad[33] = BUCKETS as u8;
-        assert!(Histogram::decode_from(&mut bad.as_slice()).is_none());
+        assert!(decode(&bad).is_none());
         // An empty histogram whose scalars claim samples.
-        let mut lying = Vec::new();
-        Histogram::new().encode_into(&mut lying);
+        let mut lying = encode(&Histogram::new());
         lying[8] = 1; // sum = 1 with count = 0
-        assert!(Histogram::decode_from(&mut lying.as_slice()).is_none());
+        assert!(decode(&lying).is_none());
     }
 
     #[test]

@@ -42,6 +42,11 @@
 //! [`ProfReport::decode`]). Merge commutativity is what makes the
 //! cluster-wide live report independent of frame arrival order.
 //!
+//! Because this crate is the bottom of the graph, it also hosts the
+//! workspace's one byte codec, [`codec::Writer`] / [`codec::Reader`]:
+//! the report codec, node snapshots, match-index checkpoints, and the
+//! `bsub-net` frame bodies are all written with it.
+//!
 //! # Example
 //!
 //! ```
@@ -60,6 +65,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod codec;
 mod hist;
 pub mod json;
 mod profiler;

@@ -2,7 +2,8 @@
 //! [`MetricsReport`], and the machine-speed calibration used to
 //! normalize timings across hosts.
 
-use crate::hist::{take_u16, take_u64, take_u8, Histogram};
+use crate::codec::{Reader, Writer};
+use crate::hist::Histogram;
 use crate::json::json_string;
 use crate::profiler::{Counter, Gauge, Profiler, SizeHist, TimeHist};
 use std::fmt::Write as _;
@@ -151,30 +152,27 @@ impl ProfReport {
     /// almost-empty report encodes in a few hundred bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + 8 * self.counters.len());
-        out.push(Self::WIRE_VERSION);
-        out.push(0); // reserved
+        let mut w = Writer::with_capacity(64 + 8 * self.counters.len());
+        w.u8(Self::WIRE_VERSION);
+        w.u8(0); // reserved
         for len in [
             Counter::ALL.len(),
             Gauge::ALL.len(),
             TimeHist::ALL.len(),
             SizeHist::ALL.len(),
         ] {
-            out.extend_from_slice(&(len as u16).to_le_bytes());
+            w.u16(len as u16);
         }
         for &c in &self.counters {
-            out.extend_from_slice(&c.to_le_bytes());
+            w.u64(c);
         }
         for &g in &self.gauges {
-            out.extend_from_slice(&g.to_le_bytes());
+            w.u64(g);
         }
-        for h in &self.time_hists {
-            h.encode_into(&mut out);
+        for h in self.time_hists.iter().chain(&self.size_hists) {
+            h.encode_into(&mut w);
         }
-        for h in &self.size_hists {
-            h.encode_into(&mut out);
-        }
-        out
+        w.into_bytes()
     }
 
     /// Decodes a report encoded by [`ProfReport::encode`]. `None` on
@@ -184,8 +182,8 @@ impl ProfReport {
     /// against a different taxonomy is rejected, not reinterpreted).
     #[must_use]
     pub fn decode(body: &[u8]) -> Option<Self> {
-        let mut input = body;
-        if take_u8(&mut input)? != Self::WIRE_VERSION || take_u8(&mut input)? != 0 {
+        let mut r = Reader::new(body);
+        if r.u8()? != Self::WIRE_VERSION || r.u8()? != 0 {
             return None;
         }
         for expected in [
@@ -194,26 +192,18 @@ impl ProfReport {
             TimeHist::ALL.len(),
             SizeHist::ALL.len(),
         ] {
-            if take_u16(&mut input)? as usize != expected {
+            if r.u16()? as usize != expected {
                 return None;
             }
         }
         let mut report = Self::default();
-        for slot in &mut report.counters {
-            *slot = take_u64(&mut input)?;
+        for slot in report.counters.iter_mut().chain(&mut report.gauges) {
+            *slot = r.u64()?;
         }
-        for slot in &mut report.gauges {
-            *slot = take_u64(&mut input)?;
+        for slot in report.time_hists.iter_mut().chain(&mut report.size_hists) {
+            *slot = Histogram::decode_from(&mut r)?;
         }
-        for slot in &mut report.time_hists {
-            *slot = Histogram::decode_from(&mut input)?;
-        }
-        for slot in &mut report.size_hists {
-            *slot = Histogram::decode_from(&mut input)?;
-        }
-        if !input.is_empty() {
-            return None;
-        }
+        r.finish()?;
         Some(report)
     }
 

@@ -1,273 +1,49 @@
-//! Portable byte codec for per-node protocol state snapshots.
+//! The [`Message`] record shared by every protocol's node snapshot.
 //!
 //! [`Protocol::export_node`](crate::Protocol::export_node) /
 //! [`Protocol::import_node`](crate::Protocol::import_node) ship a
-//! node's complete state between *processes*, so the format must be
-//! self-contained bytes rather than an in-process `Box<dyn Any>` move.
-//! This module is the small shared vocabulary every protocol's
-//! snapshot speaks:
-//!
-//! - all integers are **little-endian**, fixed width;
-//! - floats travel as their IEEE-754 bit pattern
-//!   ([`f64::to_bits`]/[`f64::from_bits`]), so a round trip is exact
-//!   to the bit — snapshots must reproduce simulator runs *exactly*,
-//!   and a lossy decimal detour would break that;
-//! - variable-length data (strings, byte blobs) is `u32` length
-//!   prefixed;
-//! - collections are `u32` count prefixed, and writers are expected to
-//!   emit them in a **canonical order** (sorted) so the same state
-//!   always encodes to the same bytes regardless of hash-map iteration
-//!   order.
-//!
-//! Reads are total: every accessor returns `Option` and a truncated or
-//! malformed snapshot yields `None` instead of panicking, which
-//! `import_node` surfaces as `false`. Integrity is the *caller's*
-//! concern — `bsub-net` wraps snapshots in CRC-checked frames, so this
-//! codec does not duplicate a checksum.
+//! node's complete state between *processes* as self-contained bytes,
+//! written with the workspace byte codec ([`bsub_obs::codec`]; its
+//! conventions are in DESIGN.md §12.7). Carried and published copies
+//! travel as full message records, because the `Arc` payload cannot be
+//! shared across a socket; this module is that one record format.
 
 use crate::message::{Message, MessageId};
+use bsub_obs::codec::{Reader, Writer};
 use bsub_traces::{NodeId, SimDuration, SimTime};
 use std::sync::Arc;
 
-/// Append-only writer for the snapshot byte format.
-#[derive(Debug, Default)]
-pub struct SnapWriter {
-    buf: Vec<u8>,
+/// Smallest encoded [`Message`] record (empty key), for
+/// [`Reader::count`] bounds.
+pub const MESSAGE_MIN_LEN: usize = 8 + 4 + 4 + 8 + 8 + 4;
+
+/// Writes a full [`Message`] record: id, key, size, created (ms), ttl
+/// (ms), producer — enough to reconstruct an identical message in
+/// another process.
+pub fn write_message(w: &mut Writer, msg: &Message) {
+    w.u64(msg.id.raw());
+    w.str(&msg.key);
+    w.u32(msg.size);
+    w.u64(msg.created.as_millis());
+    w.u64(msg.ttl.as_millis());
+    w.u32(msg.producer.index() as u32);
 }
 
-impl SnapWriter {
-    /// Creates an empty writer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finishes and returns the encoded bytes.
-    #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Writes one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a `bool` as one byte (1 = true).
-    pub fn flag(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    /// Writes a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an `f64` as its exact IEEE-754 bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Writes a `u32`-length-prefixed byte blob.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Writes a `u32`-length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Writes a [`SimTime`] (milliseconds since epoch).
-    pub fn time(&mut self, v: SimTime) {
-        self.u64(v.as_millis());
-    }
-
-    /// Writes a [`SimDuration`] (milliseconds).
-    pub fn duration(&mut self, v: SimDuration) {
-        self.u64(v.as_millis());
-    }
-
-    /// Writes a full [`Message`] record (id, key, size, created, ttl,
-    /// producer) — enough to reconstruct an identical message in
-    /// another process, where the `Arc` payload cannot be shared.
-    pub fn message(&mut self, msg: &Message) {
-        self.u64(msg.id.raw());
-        self.str(&msg.key);
-        self.u32(msg.size);
-        self.time(msg.created);
-        self.duration(msg.ttl);
-        self.u32(msg.producer.index() as u32);
-    }
-}
-
-/// Cursor-based reader over snapshot bytes; every accessor returns
-/// `None` on truncation or malformed content.
-#[derive(Debug)]
-pub struct SnapReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapReader<'a> {
-    /// Starts reading at the beginning of `buf`.
-    #[must_use]
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Whether every byte has been consumed — importers should check
-    /// this at the end to reject trailing garbage.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    /// Reads a `bool` written by [`SnapWriter::flag`]; any byte other
-    /// than 0 or 1 is malformed.
-    pub fn flag(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    /// Reads an `f64` bit pattern.
-    pub fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `u32`-length-prefixed byte blob.
-    pub fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    /// Reads a `u32`-length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Option<&'a str> {
-        std::str::from_utf8(self.bytes()?).ok()
-    }
-
-    /// Reads a [`SimTime`].
-    pub fn time(&mut self) -> Option<SimTime> {
-        Some(SimTime::from_millis(self.u64()?))
-    }
-
-    /// Reads a [`SimDuration`].
-    pub fn duration(&mut self) -> Option<SimDuration> {
-        Some(SimDuration::from_millis(self.u64()?))
-    }
-
-    /// Reads a [`Message`] record written by [`SnapWriter::message`].
-    pub fn message(&mut self) -> Option<Message> {
-        let id = MessageId::new(self.u64()?);
-        let key: Arc<str> = Arc::from(self.str()?);
-        let size = self.u32()?;
-        let created = self.time()?;
-        let ttl = self.duration()?;
-        let producer = NodeId::new(self.u32()?);
-        Some(Message {
-            id,
-            key,
-            size,
-            created,
-            ttl,
-            producer,
-        })
-    }
+/// Reads a record written by [`write_message`].
+pub fn read_message(r: &mut Reader<'_>) -> Option<Message> {
+    Some(Message {
+        id: MessageId::new(r.u64()?),
+        key: Arc::from(r.str()?),
+        size: r.u32()?,
+        created: SimTime::from_millis(r.u64()?),
+        ttl: SimDuration::from_millis(r.u64()?),
+        producer: NodeId::new(r.u32()?),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn primitives_round_trip() {
-        let mut w = SnapWriter::new();
-        w.u8(7);
-        w.flag(true);
-        w.flag(false);
-        w.u32(0xDEAD_BEEF);
-        w.u64(u64::MAX - 1);
-        w.f64(0.1 + 0.2); // not representable exactly in decimal
-        w.str("héllo");
-        w.bytes(&[1, 2, 3]);
-        w.time(SimTime::from_millis(123_456));
-        w.duration(SimDuration::from_millis(789));
-        let bytes = w.into_bytes();
-
-        let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.u8(), Some(7));
-        assert_eq!(r.flag(), Some(true));
-        assert_eq!(r.flag(), Some(false));
-        assert_eq!(r.u32(), Some(0xDEAD_BEEF));
-        assert_eq!(r.u64(), Some(u64::MAX - 1));
-        assert_eq!(r.f64().map(f64::to_bits), Some((0.1f64 + 0.2).to_bits()));
-        assert_eq!(r.str(), Some("héllo"));
-        assert_eq!(r.bytes(), Some(&[1u8, 2, 3][..]));
-        assert_eq!(r.time(), Some(SimTime::from_millis(123_456)));
-        assert_eq!(r.duration(), Some(SimDuration::from_millis(789)));
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn truncation_yields_none_not_panic() {
-        let mut w = SnapWriter::new();
-        w.u64(42);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes[..5]);
-        assert_eq!(r.u64(), None);
-        let mut r = SnapReader::new(&[]);
-        assert_eq!(r.u8(), None);
-        assert_eq!(r.bytes(), None);
-    }
-
-    #[test]
-    fn bad_flag_and_bad_utf8_rejected() {
-        let mut r = SnapReader::new(&[2]);
-        assert_eq!(r.flag(), None);
-        let mut w = SnapWriter::new();
-        w.bytes(&[0xFF, 0xFE]);
-        let bytes = w.into_bytes();
-        assert_eq!(SnapReader::new(&bytes).str(), None);
-    }
-
-    #[test]
-    fn oversized_length_prefix_rejected() {
-        let mut w = SnapWriter::new();
-        w.u32(u32::MAX); // claims a 4 GiB blob
-        let bytes = w.into_bytes();
-        assert_eq!(SnapReader::new(&bytes).bytes(), None);
-    }
 
     #[test]
     fn message_round_trip() {
@@ -279,15 +55,21 @@ mod tests {
             ttl: SimDuration::from_mins(120),
             producer: NodeId::new(31),
         };
-        let mut w = SnapWriter::new();
-        w.message(&msg);
+        let mut w = Writer::new();
+        write_message(&mut w, &msg);
         let bytes = w.into_bytes();
-        let got = SnapReader::new(&bytes).message().unwrap();
+        assert_eq!(bytes.len(), MESSAGE_MIN_LEN + msg.key.len());
+        let mut r = Reader::new(&bytes);
+        let got = read_message(&mut r).unwrap();
+        assert_eq!(r.finish(), Some(()));
         assert_eq!(got.id, msg.id);
         assert_eq!(got.key, msg.key);
         assert_eq!(got.size, msg.size);
         assert_eq!(got.created, msg.created);
         assert_eq!(got.ttl, msg.ttl);
         assert_eq!(got.producer, msg.producer);
+        for cut in 0..bytes.len() {
+            assert!(read_message(&mut Reader::new(&bytes[..cut])).is_none());
+        }
     }
 }
