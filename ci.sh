@@ -148,12 +148,12 @@ fi
 
 if want clippy; then
     stage "clippy (-D warnings)"
-    cargo clippy --all-targets -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
 fi
 
 if want doc; then
     stage "doc (-D warnings)"
-    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 fi
 
 if want codec; then

@@ -8,7 +8,7 @@
 //! plane* of a large broker: a deterministic population of subscribers
 //! (1–4 topics each, drawn from a shared topic space) is loaded into
 //! both matchers, decayed a few epochs, churned (every 20th subscriber
-//! unsubscribes, forcing tombstones and tier compactions), and then a
+//! unsubscribes, taking its id out of its posting lists), and then a
 //! deterministic event batch is matched through both paths.
 //!
 //! Every cell **proves** the index before timing it: the two matchers
@@ -17,7 +17,9 @@
 //! `crates/match/tests/differential.rs` establishes over randomized
 //! interleavings, re-checked here at bench scale. At the largest cell,
 //! the reference scan is timed on a truncated batch (the naive path is
-//! O(subscribers) *per event*) and rates are compared per event.
+//! O(subscribers) *per event*) and rates are compared per event. The
+//! reference is built and scanned in id-range shards of `REF_SHARD`
+//! subscribers, so its dense filters never need more than ~0.7 GB.
 //!
 //! Flags (combinable):
 //!
@@ -32,9 +34,10 @@
 //!   against the committed `BENCH_perf.json` baseline, exactly like
 //!   `scale --check`.
 //!
-//! Deterministic work counters (live subscribers, tiers, pool filters,
-//! compactions, tier probes, candidates, matches) go into the CSV in
-//! both modes; wall-clock rates go to stdout, the full CSV, and the
+//! Deterministic work counters (live subscribers, tiers, pool filters
+//! and compactions — both 0 since the posting table replaced the tier
+//! pools — tier probes, candidates, matches) go into the CSV in both
+//! modes; wall-clock rates go to stdout, the full CSV, and the
 //! perf-gate entry in `BENCH_perf.json`.
 
 use bsub_bench::output::{render_table, results_dir, write_csv};
@@ -58,6 +61,11 @@ const DECAY: u32 = 4;
 const CHURN: u64 = 20;
 /// One in this many event draws is a key nobody subscribed to.
 const ABSENT_EVERY: u64 = 10;
+/// Subscribers per reference shard. The dense reference needs 32 KiB
+/// per subscriber, about 33 GB at the 1M cell; built and scanned one
+/// id range at a time it stays near 0.7 GB, and every (subscriber,
+/// event) pair is still probed exactly once.
+const REF_SHARD: u64 = 20_000;
 
 /// One cell of the sweep.
 struct Cell {
@@ -159,28 +167,46 @@ fn run_cell(cell: &Cell, prof: bool) -> CellOutcome {
     let wall_start = Instant::now();
     let p = params();
     let mut index = MatchIndex::new(p);
-    let mut reference = ReferenceMatcher::from_params(&p);
     for id in 0..cell.subs {
-        let keys = interests_of(id, cell.topics);
-        index.subscribe(id, &keys);
-        reference.subscribe(id, &keys);
+        index.subscribe(id, &interests_of(id, cell.topics));
     }
     index.decay(DECAY);
-    reference.decay(DECAY);
     for id in (0..cell.subs).step_by(CHURN as usize) {
         index.unsubscribe(id);
-        reference.unsubscribe(id);
     }
 
     let batch = event_batch(cell.topics);
     let ref_batch = &batch[..cell.ref_events.min(batch.len())];
 
+    // The reference scan, one id range at a time: each shard gets the
+    // same subscribe/decay/churn stream as the index, and its ascending
+    // per-event lists concatenate in shard order.
+    let mut oracle: Vec<Vec<u64>> = vec![Vec::new(); ref_batch.len()];
+    let (mut ref_ns, mut ref_candidates) = (0.0, 0);
+    for lo in (0..cell.subs).step_by(REF_SHARD as usize) {
+        let shard = lo..(lo + REF_SHARD).min(cell.subs);
+        let mut reference = ReferenceMatcher::from_params(&p);
+        for id in shard.clone() {
+            reference.subscribe(id, &interests_of(id, cell.topics));
+        }
+        reference.decay(DECAY);
+        for id in shard.filter(|id| id.is_multiple_of(CHURN)) {
+            reference.unsubscribe(id);
+        }
+        let start = Instant::now();
+        let set = reference.match_events(ref_batch);
+        ref_ns += start.elapsed().as_nanos() as f64;
+        ref_candidates += set.stats.candidates;
+        for (all, part) in oracle.iter_mut().zip(set.matches) {
+            all.extend(part);
+        }
+    }
+
     // Prove before measuring: index ≡ reference on the comparison
     // prefix, per-event subscriber lists byte-identical.
-    let oracle = reference.match_events(ref_batch);
     let checked = index.match_events(ref_batch);
     assert_eq!(
-        checked.matches, oracle.matches,
+        checked.matches, oracle,
         "index diverged from the reference scan at {} subscribers",
         cell.subs
     );
@@ -192,10 +218,6 @@ fn run_cell(cell: &Cell, prof: bool) -> CellOutcome {
     let set = index.match_events(&batch);
     let index_ns = start.elapsed().as_nanos() as f64;
     let prof_report = prof.then(obs::finish);
-
-    let start = Instant::now();
-    let ref_set = reference.match_events(ref_batch);
-    let ref_ns = start.elapsed().as_nanos() as f64;
 
     let index_ns_per_event = index_ns / batch.len() as f64;
     let ref_ns_per_event = ref_ns / ref_batch.len().max(1) as f64;
@@ -213,7 +235,7 @@ fn run_cell(cell: &Cell, prof: bool) -> CellOutcome {
         candidates: set.stats.candidates,
         matched: set.stats.matched,
         ref_events: ref_batch.len(),
-        ref_candidates: ref_set.stats.candidates,
+        ref_candidates,
         index_ns_per_event,
         ref_ns_per_event,
         speedup: ref_ns_per_event / index_ns_per_event.max(f64::MIN_POSITIVE),

@@ -110,7 +110,7 @@ impl PerfEntry {
         )
     }
 
-    /// Parses one entry line written by [`to_json`]. Returns `None`
+    /// Parses one entry line written by [`Self::to_json`]. Returns `None`
     /// for lines that are not entry objects (the array brackets) or
     /// that miss a field.
     #[must_use]

@@ -106,9 +106,9 @@ impl KeyHasher {
     /// [`KeyHasher::digests`] output, for a filter of `m` bits.
     ///
     /// This is the batch-matching fast path: hash a key **once**, then
-    /// derive positions for any number of filter geometries (brokers
-    /// probe per-subscriber filters and tier aggregates of different
-    /// `m` from the same digest pair). Identical to
+    /// derive positions for any number of filter geometries (the broker
+    /// contact pipeline probes several filters from the same digest
+    /// pair). Identical to
     /// [`KeyHasher::positions`] when the digests came from the same
     /// hasher and key.
     ///

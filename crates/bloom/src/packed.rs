@@ -19,7 +19,7 @@
 //! holding values ≤ 15 can be added, subtracted, and compared without
 //! cross-lane carries, which is what makes the merges branch-free.
 //!
-//! The scalar reference implementations in [`reference`] define the
+//! The scalar reference implementations in [`mod@reference`] define the
 //! intended per-nibble semantics; `tests/packed.rs` checks the SWAR
 //! kernels against them exhaustively at the 8-bit-lane level and
 //! differentially (against [`Tcbf`] as well) over seeded key sets.

@@ -796,7 +796,7 @@ impl Protocol for BsubProtocol {
     }
 
     /// B-SUB satisfies the partitioned-ownership contract: all mutable
-    /// state lives in per-node [`NodeState`]s and every hook touches
+    /// state lives in per-node `NodeState`s and every hook touches
     /// only the nodes it is handed. (The whole-network snapshot and
     /// occupancy walks are observer-gated and never run on the sharded
     /// path, which requires an inactive recorder and profiler.)

@@ -52,8 +52,7 @@ const INDEX_VERSION: u8 = 1;
 ///
 /// Exactness follows the [`bsub_match::IndexState`] contract: the
 /// decoded index produces identical match results (members, positions,
-/// strengths, deadlines, tier layout all preserved; tier pools come
-/// back compacted).
+/// strengths, deadlines, tier layout and posting lists all preserved).
 #[must_use]
 pub fn encode_match_index(index: &MatchIndex) -> Vec<u8> {
     let state = index.export_state();
@@ -508,8 +507,7 @@ mod tests {
     }
 
     /// Builds a worked match index: several tiers, deadline and
-    /// plain subscriptions, decay in flight, and churn-driven
-    /// compactions.
+    /// plain subscriptions, decay in flight, and churn.
     fn worked_index() -> MatchIndex {
         let mut idx = MatchIndex::new(bsub_match::MatchParams {
             member_bits: 512,
@@ -622,8 +620,6 @@ mod tests {
             raw_index([1 << 62, 4, 4, 2], &[], None),
             // `digests × member_hashes` positions: capacity overflow.
             raw_index([512, 1 << 61, 4, 2], &[(0, 1)], None),
-            // `tier_size × hint` overflows.
-            raw_index([512, 4, 1 << 40, 1 << 40], &[], None),
             // `tier + 1` wraps: index out of bounds.
             raw_index(SANE, &[(u64::MAX, 1), (0, 1)], None),
             // 2^26 empty tiers for two subscribers.
@@ -633,6 +629,14 @@ mod tests {
         for (i, bytes) in hostile.iter().enumerate() {
             assert!(decode_match_index(bytes).is_none(), "hostile input {i}");
         }
+
+        // `tier_size × hint` once overflowed the tier-pool sizing. The
+        // posting table computes nothing from either field, so the
+        // snapshot is a valid empty index and must round-trip.
+        let huge = raw_index([512, 4, 1 << 40, 1 << 40], &[], None);
+        let empty = decode_match_index(&huge).expect("huge tier_size decodes");
+        assert_eq!(empty.live_count(), 0);
+        assert_eq!(encode_match_index(&empty), huge);
 
         // A lone far-out tier is renumbered, not allocated up to.
         for tier in [u64::MAX, 1 << 26] {

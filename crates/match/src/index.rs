@@ -1,75 +1,51 @@
-//! The tiered subscription-aggregation and batch-matching index.
+//! The position-postings subscription index and its batch matcher.
 //!
 //! # Model
 //!
-//! A broker aggregates per-subscriber interest filters into **tiers**
-//! of at most [`MatchParams::tier_size`] subscribers. Each tier owns a
-//! [`TcbfPool`] (the Section VI-D dynamic allocator) holding the
-//! max-merge union of its members' keys **in the member geometry** —
-//! the paper's M-merge is only defined over identical geometries, and
-//! sharing the geometry is also what makes pruning exact (see below).
-//! Each subscriber is stored as a compact filter: the sorted union of
-//! its keys' bit positions plus a birth epoch. A subscriber's
-//! materialized counter is uniform — `C ∸ (E − born)` — because
-//! per-subscriber filters are never merged after construction, so the
-//! sparse form is *exactly* the dense TCBF a consumer would have built
-//! (the property suite pins this against [`bsub_bloom::Tcbf`]
-//! directly).
+//! Every subscriber filter shares one geometry `(m, k)`. A subscriber
+//! is stored as a compact filter: the sorted union of its keys' bit
+//! positions plus a birth epoch. Its materialized counter is uniform
+//! — `C ∸ (E − born)` — because per-subscriber filters are never
+//! merged after construction, so the sparse form is *exactly* the
+//! dense TCBF a consumer would have built (the differential suite pins
+//! this against [`crate::ReferenceMatcher`]'s dense filters).
+//!
+//! Aggregation is an exact inverted index, the **posting table**: for
+//! every filter position, the ascending ids of the live subscribers
+//! whose position set holds it. Subscribe posts the member's id under
+//! each of its deduplicated positions; unsubscribe, purge and expiry
+//! take it out again at once. The table never over-approximates, so
+//! it needs no tombstones and no rebuilds, and decay only advances
+//! the epoch.
+//!
+//! Members are also laid out in **tiers** of at most
+//! [`MatchParams::tier_size`], filled first-fit. Matching never reads
+//! them: they are the member order that [`MatchIndex::export_state`]
+//! and the snapshot format expose.
 //!
 //! # Batch matching
 //!
 //! [`MatchIndex::match_events`] hashes each event key **once** (two
-//! 64-bit digests), derives one position set per event, and walks the
-//! tier hierarchy: an event only reaches a tier's members when the
-//! tier pool reports its key present. The final, exact confirmation
-//! probes the individual subscriber filter — the same predicate the
-//! naive reference scan evaluates — so the index returns *identical*
-//! matches to the reference, Bloom false positives included.
+//! 64-bit digests), derives its `k` positions and takes their `k`
+//! posting lists. An empty list ends the event: no member holds that
+//! position. Otherwise the shortest list is walked and each id is
+//! binary-searched in the others; the survivors pass the strength
+//! check (`C ∸ (E − born) > 0`) and come out in ascending order.
 //!
-//! # The no-false-negative invariant
+//! # Exactness
 //!
-//! Tier pruning is sound because every tier pool is a counterwise
-//! superset of its live members *in the same geometry*:
-//!
-//! 1. Tier pools share the member geometry `(m, k)`, so a key's pool
-//!    positions equal its member positions. Subscribing reinforces
-//!    every member key into the tier pool at the member's full counter
-//!    `C` ([`TcbfPool::reinforce`] guarantees `min_counter ≥ C`
-//!    afterwards) — covering the member's entire position set.
-//! 2. Decay is applied to tiers and members in lock-step, and uniform
-//!    saturating decay commutes with the counterwise maximum, so the
-//!    superset relation survives every epoch.
-//! 3. Unsubscribe and expiry only *remove* members (tombstones); the
-//!    pool temporarily over-approximates, which costs candidate
-//!    probes, never misses. Compaction rebuilds the pool from live
-//!    members at their current strengths.
-//!
-//! Two details are load-bearing, both forced by member-level *false
-//! positives* (which the reference scan reports as matches and the
-//! index must therefore report too):
-//!
-//! - **Shared geometry.** A member accepts a key — even a phantom key
-//!   it never subscribed to — exactly when all `k` of the key's
-//!   positions lie inside the member's position set, and (1)
-//!   guarantees every one of those positions carries a tier counter ≥
-//!   the member's strength. With an independent tier geometry, a
-//!   phantom key would hash to unrelated tier positions and be wrongly
-//!   pruned.
-//! - **Union probing.** The tier probe asks, per position, whether
-//!   *any* pool filter covers it — the counterwise-max (M-merge) view
-//!   of the pool. The pool's own existential query (all positions in
-//!   *one* filter, the joint-FPR query of Eq. 7) would be unsound: a
-//!   phantom key borrows its positions from several different real
-//!   keys, and spill allocation can scatter those keys across pool
-//!   filters.
-//!
-//! Hence `member.contains(key) ⇒ tier.contains(key)` for phantom keys
-//! too, and the pruned batch path equals the exhaustive scan — the
-//! equivalence the differential suite in `tests/differential.rs`
-//! exercises over randomized interleavings.
+//! A member accepts a key — even a phantom key it never subscribed to
+//! — exactly when all `k` of the key's positions lie in its position
+//! set and its counter is positive. It is in a position's list exactly
+//! when that position is in its set. So the intersection of the `k`
+//! lists is the set of live members whose filter holds the key, and
+//! the strength check leaves exactly what the naive reference scan
+//! reports, Bloom false positives included — the equivalence the
+//! differential suite in `tests/differential.rs` exercises over
+//! randomized interleavings.
 
 use crate::probe::Probe;
-use bsub_bloom::{math, KeyHasher, TcbfPool};
+use bsub_bloom::KeyHasher;
 use bsub_obs::{self as obs, Counter, SizeHist, TimeHist};
 use std::collections::BTreeMap;
 
@@ -91,52 +67,34 @@ impl Event {
 /// Geometry and policy parameters of a [`MatchIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchParams {
-    /// Bits `m` of the filter geometry, shared by per-subscriber
-    /// filters and tier pools (the shared geometry is what makes tier
-    /// pruning exact — see the module docs).
+    /// Bits `m` of the filter geometry every subscriber shares (at
+    /// most `u32::MAX`: positions are stored as `u32`).
     pub member_bits: usize,
-    /// Hash count `k`, shared by member and tier geometries.
+    /// Hash count `k` of that geometry.
     pub member_hashes: usize,
     /// Initial counter `C` a subscription starts at; decay expires a
     /// subscription after `C` epochs.
     pub initial: u32,
-    /// Maximum live subscribers per tier.
+    /// Maximum live subscribers per tier of the member layout.
     pub tier_size: usize,
-    /// Resident-memory bound per tier pool: caps how many **dense**
-    /// filters (`member_bits` × 4-byte counters each) a pool may
-    /// spill into, and thereby derives its spill threshold θ.
+    /// Inert: sized the TCBF tier pools the posting table replaced.
+    /// Kept, like the next two fields, because snapshots encode it.
     pub tier_budget_bytes: usize,
-    /// Expected keys per subscriber, used only to size the allocation
-    /// plan (`tier_size × hint` keys per tier).
+    /// Inert (see `tier_budget_bytes`).
     pub keys_per_subscriber_hint: usize,
-    /// A tier is rebuilt when `tombstones > compact_ratio × live`.
+    /// Inert (see `tier_budget_bytes`).
     pub compact_ratio: f64,
 }
 
 impl MatchParams {
-    /// The tier-pool spill threshold θ these parameters derive (see
-    /// [`MatchIndex::new`]), or `None` when they are degenerate: a
-    /// zero geometry field, a compact ratio that is not finite and
-    /// positive, sizing arithmetic that overflows, or a θ that rounds
-    /// to zero.
-    #[must_use]
-    pub fn theta(&self) -> Option<f64> {
-        if self.member_bits == 0
-            || self.member_hashes == 0
-            || self.initial == 0
-            || self.tier_size == 0
-            || !(self.compact_ratio.is_finite() && self.compact_ratio > 0.0)
-        {
-            return None;
-        }
-        let expected_keys = self
-            .tier_size
-            .checked_mul(self.keys_per_subscriber_hint.max(1))?;
-        let dense_filter_bytes = self.member_bits.checked_mul(4)?;
-        let pool_filters = (self.tier_budget_bytes / dense_filter_bytes).max(1);
-        let keys_per_filter = expected_keys as f64 / pool_filters as f64;
-        let theta = math::fill_ratio(self.member_bits, self.member_hashes, keys_per_filter);
-        (theta > 0.0).then_some(theta)
+    /// Whether the geometry is usable: `member_bits` in
+    /// `1..=u32::MAX`, and a nonzero hash count, initial counter and
+    /// tier size. The inert fields are not checked.
+    fn is_valid(&self) -> bool {
+        (1..=u32::MAX as usize).contains(&self.member_bits)
+            && self.member_hashes > 0
+            && self.initial > 0
+            && self.tier_size > 0
     }
 }
 
@@ -159,18 +117,21 @@ impl Default for MatchParams {
 pub struct MatchStats {
     /// Events in the batch.
     pub events: u64,
-    /// Tier-pool probes taken (tiers × events reaching them).
+    /// Posting-table probes: one per event, each taking the event's
+    /// `k` posting lists. (The name predates the posting table.)
     pub tier_probes: u64,
-    /// Tier probes that reported the key present.
+    /// Probes whose `k` posting lists were all non-empty, so their
+    /// intersection was walked.
     pub tier_hits: u64,
-    /// Exact member confirmations attempted after pruning.
+    /// Members found in all `k` posting lists, each given the
+    /// strength check.
     pub candidates: u64,
     /// Confirmed (subscriber, event) matches.
     pub matched: u64,
 }
 
 /// The result of a batched match: per-event subscriber lists plus the
-/// work counters pruning is judged by.
+/// work counters of the call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchSet {
     /// For each event (batch order), the matching subscriber ids in
@@ -210,13 +171,9 @@ pub struct SubscriberState {
 /// A portable snapshot of a whole [`MatchIndex`]: parameters, the
 /// decay epoch, and every live subscriber in tier-member order.
 ///
-/// [`MatchIndex::from_state`] rebuilds an index whose *matching
-/// behavior* is identical to the exported one — same members, same
-/// positions, same strengths, same deadlines, same tier layout. Tier
-/// pools come back compacted (reinforced from live members at current
-/// strength), so tombstone over-approximation is not carried across a
-/// snapshot; match *results* are unaffected because the final
-/// member-level confirmation is exact.
+/// [`MatchIndex::from_state`] rebuilds an identical index — same
+/// members, positions, strengths, deadlines, tier layout, and posting
+/// lists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexState {
     /// Geometry and policy parameters.
@@ -227,9 +184,9 @@ pub struct IndexState {
     pub subs: Vec<SubscriberState>,
 }
 
-/// A subscriber's aggregated state: its keys' digests (for tier
-/// rebuilds), the sorted position union of its member-geometry filter,
-/// and its birth epoch. Counters are uniform `C ∸ (E − born)`.
+/// A subscriber's aggregated state: its keys' digests (for export),
+/// the sorted position union of its filter, and its birth epoch.
+/// Counters are uniform `C ∸ (E − born)`.
 #[derive(Debug, Clone)]
 struct Subscriber {
     digests: Vec<(u64, u64)>,
@@ -239,69 +196,93 @@ struct Subscriber {
     tier: usize,
 }
 
-#[derive(Debug)]
-struct Tier {
-    pool: TcbfPool,
-    members: Vec<u64>,
-    tombstones: usize,
+/// Posting lists per page of the [`Postings`] table: small, so an
+/// index with few members allocates little beyond the lists it uses.
+const PAGE: usize = 16;
+
+/// The posting table: for each filter position, the ascending ids of
+/// the live members whose position set holds it. Pages of [`PAGE`]
+/// lists are allocated on first use, so the table grows with the
+/// occupied positions, not with `member_bits`: a snapshot that claims a
+/// wide geometry for one subscriber costs a page, not a whole table.
+#[derive(Debug, Default)]
+struct Postings {
+    pages: Vec<Option<Box<[Vec<u64>]>>>,
 }
 
-/// The broker-level subscription index: tiers of aggregated TCBF pools
-/// over per-subscriber filters, with bulk maintenance and a batched
-/// matching path. See the module docs for the model and invariants.
+impl Postings {
+    fn list(&self, position: u32) -> &[u64] {
+        let p = position as usize;
+        match self.pages.get(p / PAGE) {
+            Some(Some(page)) => &page[p % PAGE],
+            _ => &[],
+        }
+    }
+
+    fn insert(&mut self, position: u32, id: u64) {
+        let p = position as usize;
+        if self.pages.len() <= p / PAGE {
+            self.pages.resize_with(p / PAGE + 1, || None);
+        }
+        let page =
+            self.pages[p / PAGE].get_or_insert_with(|| vec![Vec::new(); PAGE].into_boxed_slice());
+        let list = &mut page[p % PAGE];
+        if let Err(at) = list.binary_search(&id) {
+            list.insert(at, id);
+        }
+    }
+
+    fn remove(&mut self, position: u32, id: u64) {
+        let p = position as usize;
+        if let Some(Some(page)) = self.pages.get_mut(p / PAGE) {
+            let list = &mut page[p % PAGE];
+            if let Ok(at) = list.binary_search(&id) {
+                list.remove(at);
+            }
+        }
+    }
+}
+
+/// The broker-level subscription index: per-subscriber filters behind
+/// an exact position → subscribers posting table, with bulk
+/// maintenance and a batched matching path. See the module docs for
+/// the model and the exactness argument.
 #[derive(Debug)]
 pub struct MatchIndex {
     params: MatchParams,
     hasher: KeyHasher,
     /// Accumulated decay epochs.
     epoch: u64,
-    /// Tier-pool spill threshold θ, from the allocation plan.
-    theta: f64,
     subs: BTreeMap<u64, Subscriber>,
-    tiers: Vec<Tier>,
+    postings: Postings,
+    /// Member ids per tier, in arrival order.
+    tiers: Vec<Vec<u64>>,
     /// Index of the first tier that may have room (first-fit hint).
     open: usize,
-    compactions: u64,
 }
 
 impl MatchIndex {
-    /// An empty index. The tier-pool spill threshold θ is derived
-    /// from the tier's **resident** budget: a pool may hold at most
-    /// `tier_budget_bytes / (member_bits × 4)` dense filters, the
-    /// expected per-tier key load (`tier_size ×
-    /// keys_per_subscriber_hint`) is split across them, and θ is the
-    /// expected fill ratio (Eq. 3) of one such share.
-    ///
-    /// This deliberately inverts the Section VI-D plan
-    /// ([`bsub_bloom::AllocationPlan::solve`]): the paper's phones
-    /// *maximize* the filter count under a wire-size budget to
-    /// minimize the joint FPR of per-filter existential queries
-    /// (Eq. 7). A broker's tier pool is the opposite regime — filters
-    /// are resident dense counters, and the tier probe is the
-    /// counterwise-max *union* view, whose discriminative power
-    /// depends only on the union fill, not on how keys are split. So
-    /// extra filters buy nothing here and cost 4 bits×`member_bits`
-    /// of RAM plus one probe per position each; the budget wants the
-    /// *fewest* filters that hold the load.
+    /// An empty index.
     ///
     /// # Panics
     ///
-    /// Panics if the parameters are degenerate ([`MatchParams::theta`]
-    /// is `None`).
+    /// Panics if the geometry is degenerate: `member_bits` zero or
+    /// above `u32::MAX`, or a zero hash count, initial counter or tier
+    /// size.
     #[must_use]
     pub fn new(params: MatchParams) -> Self {
-        let theta = params
-            .theta()
-            .expect("degenerate MatchParams: zero geometry, bad compact ratio, or overflow");
+        assert!(
+            params.is_valid(),
+            "degenerate MatchParams: zero or oversized geometry"
+        );
         Self {
             params,
             hasher: KeyHasher::default(),
             epoch: 0,
-            theta,
             subs: BTreeMap::new(),
+            postings: Postings::default(),
             tiers: Vec::new(),
             open: 0,
-            compactions: 0,
         }
     }
 
@@ -317,12 +298,6 @@ impl MatchIndex {
         self.epoch
     }
 
-    /// The tier-pool spill threshold θ in effect.
-    #[must_use]
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
     /// Live subscriber count.
     #[must_use]
     pub fn live_count(&self) -> usize {
@@ -330,22 +305,24 @@ impl MatchIndex {
     }
 
     /// Number of tiers allocated (never shrinks; emptied tiers are
-    /// skipped during matching and refilled by later subscribes).
+    /// refilled by later subscribes).
     #[must_use]
     pub fn tier_count(&self) -> usize {
         self.tiers.len()
     }
 
-    /// Total TCBF filters across every tier pool.
+    /// Always 0: the index keeps no TCBF pools. Kept so reports that
+    /// carry the column stay comparable across versions.
     #[must_use]
     pub fn pool_filter_count(&self) -> usize {
-        self.tiers.iter().map(|t| t.pool.filter_count()).sum()
+        0
     }
 
-    /// Tier rebuilds performed so far.
+    /// Always 0: postings are exact, so no tier is ever rebuilt. Kept
+    /// so reports that carry the column stay comparable.
     #[must_use]
     pub fn compactions(&self) -> u64 {
-        self.compactions
+        0
     }
 
     /// Whether `id` is currently subscribed.
@@ -395,32 +372,41 @@ impl MatchIndex {
         if self.subs.contains_key(&id) {
             self.remove(id);
         }
-        let k = self.params.member_hashes;
-        let mut digests = Vec::with_capacity(keys.len());
-        let mut positions: Vec<u32> = Vec::with_capacity(keys.len() * k);
-        for key in keys {
-            let probe = Probe::new(&self.hasher, key.as_ref());
-            digests.push(probe.digests());
-            positions.extend(
-                probe
-                    .positions(k, self.params.member_bits)
-                    .map(|p| p as u32),
-            );
+        let digests = keys
+            .iter()
+            .map(|k| self.hasher.digests(k.as_ref()))
+            .collect();
+        let tier = self.open_tier();
+        self.insert(id, digests, self.epoch, deadline, tier);
+    }
+
+    /// Adds an absent member: derives its deduplicated positions,
+    /// posts its id under each, and appends it to `tier`.
+    fn insert(
+        &mut self,
+        id: u64,
+        digests: Vec<(u64, u64)>,
+        born: u64,
+        deadline: Option<u64>,
+        tier: usize,
+    ) {
+        let (k, m) = (self.params.member_hashes, self.params.member_bits);
+        let mut positions: Vec<u32> = Vec::with_capacity(digests.len() * k);
+        for &digest in &digests {
+            positions.extend(KeyHasher::positions_from_digests(digest, k, m).map(|p| p as u32));
         }
         positions.sort_unstable();
         positions.dedup();
-
-        let tier = self.open_tier();
-        self.tiers[tier].members.push(id);
-        for &digest in &digests {
-            self.tiers[tier].pool.reinforce(digest, self.params.initial);
+        for &p in &positions {
+            self.postings.insert(p, id);
         }
+        self.tiers[tier].push(id);
         self.subs.insert(
             id,
             Subscriber {
                 digests,
                 positions,
-                born: self.epoch,
+                born,
                 deadline,
                 tier,
             },
@@ -430,26 +416,22 @@ impl MatchIndex {
     /// First tier with room, allocating a fresh one when all are full.
     fn open_tier(&mut self) -> usize {
         let mut t = self.open;
-        while t < self.tiers.len() && self.tiers[t].members.len() >= self.params.tier_size {
+        while self
+            .tiers
+            .get(t)
+            .is_some_and(|members| members.len() >= self.params.tier_size)
+        {
             t += 1;
         }
         if t == self.tiers.len() {
-            self.tiers.push(Tier {
-                pool: TcbfPool::new(
-                    self.params.member_bits,
-                    self.params.member_hashes,
-                    self.params.initial,
-                    self.theta,
-                ),
-                members: Vec::new(),
-                tombstones: 0,
-            });
+            self.tiers.push(Vec::new());
         }
         self.open = t;
         t
     }
 
-    /// Unsubscribes `id`. Returns whether it was subscribed.
+    /// Unsubscribes `id`, dropping its postings at once. Returns
+    /// whether it was subscribed.
     pub fn unsubscribe(&mut self, id: u64) -> bool {
         if !self.subs.contains_key(&id) {
             return false;
@@ -464,28 +446,11 @@ impl MatchIndex {
         ids.iter().filter(|&&id| self.unsubscribe(id)).count()
     }
 
-    /// Unsubscribes `id` and immediately rebuilds its tier pool, so the
-    /// member's keys stop contributing to the tier aggregate *now*
-    /// rather than after enough tombstones accumulate. Returns whether
-    /// it was subscribed.
-    ///
-    /// The lazy path ([`MatchIndex::unsubscribe`]) leaves the pool
-    /// over-approximating until the compaction threshold trips — sound
-    /// (extra candidate probes, never missed matches) but wrong for a
-    /// live broker honoring an explicit unsubscribe: the departed
-    /// member must not keep inflating tier hits for its former keys.
+    /// The same as [`MatchIndex::unsubscribe`]: every removal takes the
+    /// member out of the posting table at once, so its former keys stop
+    /// producing candidates immediately.
     pub fn purge(&mut self, id: u64) -> bool {
-        let Some(tier) = self.subs.get(&id).map(|s| s.tier) else {
-            return false;
-        };
-        obs::count(Counter::MatchUnsubscribe, 1);
-        self.remove(id);
-        // `remove` may already have compacted; only rebuild when
-        // tombstones (this one included) are still in the pool.
-        if self.tiers[tier].tombstones > 0 {
-            self.compact(tier);
-        }
-        true
+        self.unsubscribe(id)
     }
 
     /// A subscriber's deadline, or `None` when not subscribed or
@@ -538,122 +503,59 @@ impl MatchIndex {
         doomed.len()
     }
 
-    /// Shared removal path: tombstones the member and compacts the
-    /// tier when tombstones outweigh `compact_ratio × live`.
+    /// Shared removal path: takes the member out of every posting list
+    /// it is in and out of its tier.
     fn remove(&mut self, id: u64) {
         let sub = self.subs.remove(&id).expect("caller checked presence");
-        let tier = &mut self.tiers[sub.tier];
-        tier.members.retain(|&m| m != id);
-        tier.tombstones += 1;
+        for &p in &sub.positions {
+            self.postings.remove(p, id);
+        }
+        self.tiers[sub.tier].retain(|&m| m != id);
         self.open = self.open.min(sub.tier);
-        let live = tier.members.len();
-        if tier.tombstones as f64 > self.params.compact_ratio * live.max(1) as f64 {
-            self.compact(sub.tier);
-        }
     }
 
-    /// Rebuilds a tier pool from its live members at their *current*
-    /// strengths, dropping every tombstoned key (and any pool filter
-    /// the spill history left behind).
-    fn compact(&mut self, tier: usize) {
-        obs::count(Counter::MatchCompact, 1);
-        self.compactions += 1;
-        let mut pool = TcbfPool::new(
-            self.params.member_bits,
-            self.params.member_hashes,
-            self.params.initial,
-            self.theta,
-        );
-        for &id in &self.tiers[tier].members {
-            let sub = &self.subs[&id];
-            let strength = self.strength_of(sub);
-            if strength == 0 {
-                continue;
-            }
-            for &digest in &sub.digests {
-                pool.reinforce(digest, strength);
-            }
-        }
-        self.tiers[tier].pool = pool;
-        self.tiers[tier].tombstones = 0;
-    }
-
-    /// Decays every subscription and every tier pool by `amount`
-    /// epochs, in lock-step — the commutation that keeps tier pools
-    /// supersets of their members.
+    /// Decays every subscription by `amount` epochs. Counters are
+    /// uniform per member, so this only advances the epoch.
     pub fn decay(&mut self, amount: u32) {
-        if amount == 0 {
-            return;
-        }
         self.epoch += u64::from(amount);
-        for tier in &mut self.tiers {
-            tier.pool.decay(amount);
-        }
     }
 
     /// Matches a batch of events against every live subscription.
     ///
-    /// Each event key is hashed once; candidate tiers are pruned via
-    /// their aggregate pools before members are confirmed exactly.
-    /// Returns per-event subscriber lists identical to what the naive
-    /// per-filter scan ([`crate::ReferenceMatcher`]) produces.
+    /// Each event key is hashed once; its candidates are the
+    /// intersection of its `k` posting lists, walked from the shortest,
+    /// and each candidate passes the strength check. Returns per-event
+    /// subscriber lists identical to what the naive per-filter scan
+    /// ([`crate::ReferenceMatcher`]) produces.
     #[must_use]
     pub fn match_events(&self, events: &[Event]) -> MatchSet {
         let _span = obs::span(TimeHist::MatchBatchNs);
-        let k = self.params.member_hashes;
+        let (k, m) = (self.params.member_hashes, self.params.member_bits);
         let mut stats = MatchStats {
             events: events.len() as u64,
+            tier_probes: events.len() as u64,
             ..MatchStats::default()
         };
-
-        // One position set per event: tier pools share the member
-        // geometry, so a single probe serves both levels.
-        let mut positions: Vec<u32> = Vec::with_capacity(events.len() * k);
-        for event in events {
-            let probe = Probe::new(&self.hasher, event.key.as_bytes());
-            positions.extend(
-                probe
-                    .positions(k, self.params.member_bits)
-                    .map(|p| p as u32),
-            );
-        }
-
         let mut matches: Vec<Vec<u64>> = vec![Vec::new(); events.len()];
-        for tier in &self.tiers {
-            if tier.members.is_empty() {
+        let mut lists: Vec<&[u64]> = Vec::with_capacity(k);
+        for (event, found) in events.iter().zip(&mut matches) {
+            let probe = Probe::new(&self.hasher, event.key.as_bytes());
+            lists.clear();
+            lists.extend(probe.positions(k, m).map(|p| self.postings.list(p as u32)));
+            let shortest = lists.iter().copied().min_by_key(|list| list.len());
+            let Some(shortest) = shortest.filter(|list| !list.is_empty()) else {
                 continue;
-            }
-            for ei in 0..events.len() {
-                let mp = &positions[ei * k..(ei + 1) * k];
-                stats.tier_probes += 1;
-                // Counterwise-max (M-merge) union view of the pool: a
-                // position counts as covered when ANY filter holds it.
-                // The per-filter existential query (Eq. 7) would be
-                // unsound here — a member-level false positive borrows
-                // its positions from several different keys, and spill
-                // can scatter those keys across pool filters.
-                let filters = tier.pool.filters();
-                let tier_holds = mp
-                    .iter()
-                    .all(|&p| filters.iter().any(|f| f.counter_at(p as usize) > 0));
-                if !tier_holds {
-                    continue;
-                }
-                stats.tier_hits += 1;
-                for &id in &tier.members {
+            };
+            stats.tier_hits += 1;
+            for &id in shortest {
+                if lists.iter().all(|list| list.binary_search(&id).is_ok()) {
                     stats.candidates += 1;
-                    let sub = &self.subs[&id];
-                    if self.strength_of(sub) > 0
-                        && mp.iter().all(|p| sub.positions.binary_search(p).is_ok())
-                    {
-                        stats.matched += 1;
-                        matches[ei].push(id);
+                    if self.strength_of(&self.subs[&id]) > 0 {
+                        found.push(id);
                     }
                 }
             }
-        }
-        for per_event in &mut matches {
-            per_event.sort_unstable();
+            stats.matched += found.len() as u64;
         }
         obs::count(Counter::MatchEvents, stats.events);
         obs::count(Counter::MatchTierProbes, stats.tier_probes);
@@ -669,8 +571,8 @@ impl MatchIndex {
     #[must_use]
     pub fn export_state(&self) -> IndexState {
         let mut subs = Vec::with_capacity(self.subs.len());
-        for (tier, t) in self.tiers.iter().enumerate() {
-            for &id in &t.members {
+        for (tier, members) in self.tiers.iter().enumerate() {
+            for &id in members {
                 let sub = &self.subs[&id];
                 subs.push(SubscriberState {
                     id,
@@ -689,10 +591,8 @@ impl MatchIndex {
     }
 
     /// Rebuilds an index from exported state. Tier membership and
-    /// member order are restored verbatim; each tier pool is rebuilt by
-    /// reinforcing live members at their current strength (exactly the
-    /// compaction rebuild), so the no-false-negative superset invariant
-    /// holds from the first probe.
+    /// member order are restored verbatim, and the posting table is
+    /// rebuilt from the members' digests.
     ///
     /// # Panics
     ///
@@ -704,71 +604,34 @@ impl MatchIndex {
     }
 
     /// [`MatchIndex::from_state`], returning `None` if the state is
-    /// inconsistent: degenerate parameters ([`MatchParams::theta`]),
+    /// inconsistent: a degenerate geometry (see [`MatchIndex::new`]),
     /// duplicate subscriber ids, a birth epoch after the index epoch,
     /// or a tier holding more members than `params.tier_size`. Tiers
     /// are allocated up to the largest tier index, so untrusted state
     /// must have its tiers numbered densely first.
     #[must_use]
     pub fn try_from_state(state: &IndexState) -> Option<Self> {
-        state.params.theta()?;
+        if !state.params.is_valid() {
+            return None;
+        }
         let mut idx = Self::new(state.params);
         idx.epoch = state.epoch;
         let tiers = state.subs.iter().map(|s| s.tier + 1).max().unwrap_or(0);
-        for _ in 0..tiers {
-            idx.tiers.push(Tier {
-                pool: TcbfPool::new(
-                    state.params.member_bits,
-                    state.params.member_hashes,
-                    state.params.initial,
-                    idx.theta,
-                ),
-                members: Vec::new(),
-                tombstones: 0,
-            });
-        }
-        let k = state.params.member_hashes;
+        idx.tiers.resize_with(tiers, Vec::new);
         for sub in &state.subs {
-            let mut positions: Vec<u32> = Vec::with_capacity(sub.digests.len() * k);
-            for &digest in &sub.digests {
-                positions.extend(
-                    KeyHasher::positions_from_digests(digest, k, state.params.member_bits)
-                        .map(|p| p as u32),
-                );
-            }
-            positions.sort_unstable();
-            positions.dedup();
-            let tier = &mut idx.tiers[sub.tier];
-            tier.members.push(sub.id);
-            if tier.members.len() > state.params.tier_size || sub.born > state.epoch {
+            if idx.subs.contains_key(&sub.id)
+                || sub.born > state.epoch
+                || idx.tiers[sub.tier].len() >= state.params.tier_size
+            {
                 return None;
             }
-            let previous = idx.subs.insert(
+            idx.insert(
                 sub.id,
-                Subscriber {
-                    digests: sub.digests.clone(),
-                    positions,
-                    born: sub.born,
-                    deadline: sub.deadline,
-                    tier: sub.tier,
-                },
+                sub.digests.clone(),
+                sub.born,
+                sub.deadline,
+                sub.tier,
             );
-            if previous.is_some() {
-                return None; // duplicate subscriber id
-            }
-        }
-        for tier in 0..idx.tiers.len() {
-            let members = idx.tiers[tier].members.clone();
-            for id in members {
-                let strength = idx.strength_of(&idx.subs[&id]);
-                if strength == 0 {
-                    continue;
-                }
-                let digests = idx.subs[&id].digests.clone();
-                for digest in digests {
-                    idx.tiers[tier].pool.reinforce(digest, strength);
-                }
-            }
         }
         Some(idx)
     }
@@ -865,16 +728,17 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_matching() {
+    fn churn_preserves_matching() {
         let mut idx = MatchIndex::new(small());
         for id in 0..16 {
             idx.subscribe(id, &keys_of(id));
         }
-        // Heavy churn forces tombstone-driven rebuilds.
+        // Heavy churn empties whole tiers and shares posting lists
+        // between departed and surviving members.
         for id in 0..12 {
             idx.unsubscribe(id);
         }
-        assert!(idx.compactions() > 0, "churn must have compacted");
+        assert_eq!(idx.live_count(), 4);
         let events: Vec<Event> = (0..5).map(|t| Event::new(format!("topic-{t}"))).collect();
         let set = idx.match_events(&events);
         for (t, per_event) in set.matches.iter().enumerate() {
@@ -929,6 +793,77 @@ mod tests {
             set.stats
         );
         assert!(set.stats.tier_probes >= set.stats.tier_hits);
+    }
+
+    /// Checks every posting list against the live members' position
+    /// sets: strictly ascending, and holding exactly the members whose
+    /// set contains the position.
+    fn assert_postings_exact(idx: &MatchIndex) {
+        for p in 0..idx.params.member_bits as u32 {
+            let list = idx.postings.list(p);
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "position {p}");
+            let holders: Vec<u64> = idx
+                .subs
+                .iter()
+                .filter(|(_, s)| s.positions.binary_search(&p).is_ok())
+                .map(|(&id, _)| id)
+                .collect();
+            assert_eq!(list, holders, "position {p}");
+        }
+    }
+
+    /// Seeded random subscribe / unsubscribe / purge / expire / decay
+    /// sequences keep the posting table exact, and a snapshot round
+    /// trip rebuilds identical postings.
+    #[test]
+    fn postings_stay_exact_under_churn() {
+        use bsub_bloom::SplitMix64;
+        // 600 bits: the last page of the table is partial.
+        let params = MatchParams {
+            member_bits: 600,
+            ..small()
+        };
+        for seed in 0..12u64 {
+            let mut rng = SplitMix64::new(SplitMix64::mix(0x9057, seed));
+            let mut idx = MatchIndex::new(params);
+            let mut now = 0;
+            for _ in 0..200 {
+                let id = rng.below(24);
+                match rng.below(10) {
+                    0..=3 => {
+                        let keys: Vec<String> = (0..rng.below(4))
+                            .map(|_| format!("k-{}", rng.below(30)))
+                            .collect();
+                        if rng.below(2) == 0 {
+                            idx.subscribe_until(id, &keys, now + 1 + rng.below(10));
+                        } else {
+                            idx.subscribe(id, &keys);
+                        }
+                    }
+                    4 => {
+                        idx.unsubscribe(id);
+                    }
+                    5 => {
+                        idx.purge(id);
+                    }
+                    6 => {
+                        now += rng.below(4);
+                        idx.expire(now);
+                    }
+                    7 => {
+                        let ids: Vec<u64> = (0..24).filter(|_| rng.below(2) == 0).collect();
+                        idx.expire_candidates(&ids, now);
+                    }
+                    _ => idx.decay(rng.below(3) as u32),
+                }
+                assert_postings_exact(&idx);
+            }
+            let back = MatchIndex::from_state(&idx.export_state());
+            for p in 0..params.member_bits as u32 {
+                assert_eq!(back.postings.list(p), idx.postings.list(p), "seed {seed}");
+            }
+            assert_eq!(back.export_state(), idx.export_state(), "seed {seed}");
+        }
     }
 
     #[test]

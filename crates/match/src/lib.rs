@@ -6,12 +6,12 @@
 //! where a broker aggregates millions of subscriptions and matches
 //! high event rates against them. This crate is that subsystem:
 //!
-//! - [`MatchIndex`] — per-subscriber filters aggregated into tiers of
-//!   [`bsub_bloom::TcbfPool`]s (the Section VI-D allocator), with bulk
-//!   subscribe/unsubscribe/expire, lock-step decay, tombstone-driven
-//!   compaction, and a batched [`MatchIndex::match_events`] path that
-//!   hashes each event once and prunes candidates through the tier
-//!   hierarchy before exact per-subscriber confirmation.
+//! - [`MatchIndex`] — per-subscriber filters behind an exact posting
+//!   table (filter position → ascending ids of the live subscribers
+//!   that hold it), with bulk subscribe/unsubscribe/expire, epoch
+//!   decay, and a batched [`MatchIndex::match_events`] path that
+//!   hashes each event once and intersects its `k` posting lists
+//!   before the per-subscriber strength check.
 //! - [`ReferenceMatcher`] — the naive per-filter scan kept in-tree as
 //!   the differential oracle: `tests/differential.rs` drives both
 //!   implementations through 100+ seeded interleavings and demands

@@ -16,7 +16,7 @@
 //! committed figure artifacts.
 
 use bsub_bloom::hash::Positions;
-use bsub_bloom::{BloomFilter, KeyHasher, Tcbf, TcbfPool};
+use bsub_bloom::{BloomFilter, KeyHasher, Tcbf};
 use std::collections::HashMap;
 
 /// The two Kirsch–Mitzenmacher digests of one key, ready to probe any
@@ -34,12 +34,6 @@ impl Probe {
         Self {
             digests: hasher.digests(key),
         }
-    }
-
-    /// The raw digest pair (for [`TcbfPool::reinforce`] and friends).
-    #[must_use]
-    pub fn digests(&self) -> (u64, u64) {
-        self.digests
     }
 
     /// The key's `k` bit positions in a filter of `m` bits — identical
@@ -72,14 +66,6 @@ impl Probe {
     #[must_use]
     pub fn hits_tcbf(&self, filter: &Tcbf) -> bool {
         self.min_counter(filter) > 0
-    }
-
-    /// Exactly [`TcbfPool::contains`] for the probed key: the
-    /// existential query across every filter of the pool (the joint
-    /// FPR of Eq. 7).
-    #[must_use]
-    pub fn hits_pool(&self, pool: &TcbfPool) -> bool {
-        pool.filters().iter().any(|f| self.hits_tcbf(f))
     }
 }
 
@@ -160,20 +146,6 @@ mod tests {
             let probe = Probe::new(&hasher, key.as_bytes());
             assert_eq!(probe.min_counter(&filter), filter.min_counter(key));
             assert_eq!(probe.hits_tcbf(&filter), filter.contains(key));
-        }
-    }
-
-    #[test]
-    fn probe_matches_pool_contains() {
-        let hasher = KeyHasher::default();
-        let mut pool = TcbfPool::new(256, 4, 10, 0.2);
-        for i in 0..40 {
-            pool.insert(format!("k-{i}"));
-        }
-        for i in 0..60 {
-            let key = format!("k-{i}");
-            let probe = Probe::new(&hasher, key.as_bytes());
-            assert_eq!(probe.hits_pool(&pool), pool.contains(&key), "key={key}");
         }
     }
 

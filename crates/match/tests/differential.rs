@@ -3,7 +3,7 @@
 //! Both implementations are driven through identical randomized
 //! interleavings of subscribe / unsubscribe / expire / decay / match
 //! operations — including deadline churn, decay past full expiry, and
-//! enough unsubscription pressure to force tier-pool compactions — and
+//! enough unsubscription pressure to empty posting lists — and
 //! every `match_events` call must return byte-identical per-event
 //! subscriber lists. Because the reference stores a *dense*
 //! [`bsub_bloom::Tcbf`] per subscriber (built exactly as a consumer's
@@ -12,8 +12,8 @@
 //! false positives included.
 //!
 //! Geometries are chosen adversarially: tiny filters force hash
-//! collisions and tier-pool false positives, tiny tiers force spills
-//! and compactions, small initial counters force expiry boundaries.
+//! collisions and shared posting lists, tiny tiers force spills and
+//! refills, small initial counters force expiry boundaries.
 //! Four geometries × ≥30 seeds each = 130 seeded interleavings.
 
 use bsub_bloom::SplitMix64;
@@ -49,14 +49,17 @@ fn draw_batch(rng: &mut SplitMix64) -> Vec<Event> {
         .collect()
 }
 
-/// Runs one seeded interleaving; returns compactions performed.
-fn drive(seed: u64, params: MatchParams) -> u64 {
+/// Runs one seeded interleaving; returns how many live members
+/// unsubscribe and expiry removed. Every member holds at least one key,
+/// so each removal takes an id out of non-empty posting lists.
+fn drive(seed: u64, params: MatchParams) -> usize {
     let mut rng = SplitMix64::new(seed);
     let mut index = MatchIndex::new(params);
     let mut reference = ReferenceMatcher::from_params(&params);
     let mut ids: Vec<u64> = Vec::new();
     let mut next_id = 0u64;
     let mut now = 0u64;
+    let mut removed = 0;
 
     for step in 0..STEPS {
         match rng.next_u64() % 100 {
@@ -86,11 +89,13 @@ fn drive(seed: u64, params: MatchParams) -> u64 {
                 } else {
                     ids[(rng.next_u64() % ids.len() as u64) as usize]
                 };
+                let was_live = index.unsubscribe(id);
                 assert_eq!(
-                    index.unsubscribe(id),
+                    was_live,
                     reference.unsubscribe(id),
                     "seed {seed} step {step}: unsubscribe({id}) disagreed"
                 );
+                removed += usize::from(was_live);
             }
             // Decay, occasionally past full expiry.
             55..=69 => {
@@ -101,11 +106,13 @@ fn drive(seed: u64, params: MatchParams) -> u64 {
             // Advance time and expire deadline-passed / decayed-out.
             70..=79 => {
                 now += 1 + rng.next_u64() % 4;
+                let expired = index.expire(now);
                 assert_eq!(
-                    index.expire(now),
+                    expired,
                     reference.expire(now),
                     "seed {seed} step {step}: expire({now}) counts disagreed"
                 );
+                removed += expired;
                 assert_eq!(index.live_count(), reference.live_count());
             }
             // Match a batch and demand identical MatchSets.
@@ -133,17 +140,17 @@ fn drive(seed: u64, params: MatchParams) -> u64 {
     let ours = index.match_events(&closing);
     let oracle = reference.match_events(&closing);
     assert_eq!(ours.matches, oracle.matches, "seed {seed}: closing sweep");
-    index.compactions()
+    removed
 }
 
 fn run_geometry(name: &str, params: MatchParams, seeds: std::ops::Range<u64>) {
-    let mut compactions = 0;
+    let mut removed = 0;
     for seed in seeds {
-        compactions += drive(SplitMix64::mix(0xB50B, seed), params);
+        removed += drive(SplitMix64::mix(0xB50B, seed), params);
     }
     assert!(
-        compactions > 0,
-        "{name}: churn never compacted a tier — the suite lost coverage"
+        removed > 0,
+        "{name}: churn never removed a live member — the suite lost coverage"
     );
 }
 
@@ -166,8 +173,8 @@ fn differential_default_like_geometry() {
 
 #[test]
 fn differential_collision_heavy_geometry() {
-    // 16-bit filters: false positives everywhere, in members, tiers,
-    // and pools alike — the reference scan reports phantom matches and
+    // 16-bit filters: false positives everywhere, every posting list
+    // shared by many members — the reference scan reports phantom matches and
     // the index must report the very same ones. Equivalence must hold
     // *through* the false positives, not despite them.
     run_geometry(
@@ -187,8 +194,8 @@ fn differential_collision_heavy_geometry() {
 
 #[test]
 fn differential_tiny_tiers_geometry() {
-    // tier_size = 1: every subscriber is its own tier; maximum
-    // tombstone pressure, compaction on nearly every removal.
+    // tier_size = 1: every subscriber is its own tier; every removal
+    // empties a tier for the next subscribe to refill.
     run_geometry(
         "tiny-tiers",
         MatchParams {
@@ -206,7 +213,7 @@ fn differential_tiny_tiers_geometry() {
 
 #[test]
 fn differential_wide_geometry() {
-    // Production-shaped: big tiers, big pools, slow decay.
+    // Production-shaped: big tiers, wide filters, slow decay.
     run_geometry(
         "wide",
         MatchParams {
@@ -222,7 +229,7 @@ fn differential_wide_geometry() {
     );
 }
 
-/// The pruning layer must never hide a match: with aggressive decay
+/// The posting table must never hide a match: with aggressive decay
 /// and churn, drive long interleavings on the collision-heavy
 /// geometry and cross-check every single event against the oracle
 /// (already covered per-batch above; this pins the count at 100+

@@ -8,9 +8,9 @@
 //!    step a decay-driven twin's uniform counter reaches zero, and the
 //!    two indexes produce identical match sets (false positives
 //!    included) on every step in between.
-//! 2. **`purge` fully evicts a member from its tier aggregate** — its
-//!    keys stop producing tier hits immediately, where the lazy
-//!    `unsubscribe` path keeps over-approximating until compaction.
+//! 2. **`unsubscribe` and `purge` drop a member's postings at once** —
+//!    its former keys stop producing candidates immediately, and the
+//!    surviving members still match.
 //! 3. **`expire_candidates` is resubscribe-safe**: a stale wheel entry
 //!    (the old deadline of a replaced subscription) never evicts the
 //!    replacement.
@@ -114,12 +114,11 @@ fn deadline_expiry_equals_epoch_decay_on_aligned_clocks() {
     }
 }
 
-/// Claim 2. Wide geometry so the four members' disjoint keys cannot
-/// collide in the tier pool; `compact_ratio` high enough that a single
-/// lazy unsubscribe does *not* trip auto-compaction — isolating the
-/// difference purge makes.
+/// Claim 2. Wide geometry so the four members' disjoint keys share no
+/// posting list; `compact_ratio` 1.0, which once kept a single lazy
+/// unsubscribe in the aggregate, is now inert.
 #[test]
-fn purge_evicts_member_from_tier_aggregate_immediately() {
+fn unsubscribe_and_purge_drop_postings_immediately() {
     let p = MatchParams {
         member_bits: 8192,
         member_hashes: 4,
@@ -138,33 +137,27 @@ fn purge_evicts_member_from_tier_aggregate_immediately() {
         idx
     };
 
-    // Lazy path: the departed member's key keeps hitting the tier
-    // aggregate (sound over-approximation, zero matches).
-    let mut lazy = build();
-    let set = lazy.match_events(&[Event::new("unique-topic-2")]);
+    let set = build().match_events(&[Event::new("unique-topic-2")]);
     assert_eq!(set.matches[0], vec![2]);
-    assert_eq!(set.stats.tier_hits, 1);
-    assert!(lazy.unsubscribe(2));
-    let set = lazy.match_events(&[Event::new("unique-topic-2")]);
-    assert!(set.matches[0].is_empty());
-    assert_eq!(
-        set.stats.tier_hits, 1,
-        "lazy unsubscribe leaves the key in the aggregate"
-    );
+    assert_eq!(set.stats.candidates, 1);
 
-    // Purge path: the tier pool is rebuilt at once; the key stops
-    // producing tier hits (and therefore candidate confirmations).
+    // Both removal paths take the member out of its posting lists at
+    // once: its former key produces no candidate confirmations.
+    let mut unsubscribed = build();
+    assert!(unsubscribed.unsubscribe(2));
     let mut purged = build();
     assert!(purged.purge(2));
-    let set = purged.match_events(&[Event::new("unique-topic-2")]);
-    assert!(set.matches[0].is_empty());
-    assert_eq!(set.stats.tier_hits, 0, "purge evicts from the aggregate");
-    assert_eq!(set.stats.candidates, 0);
+    for idx in [&unsubscribed, &purged] {
+        let set = idx.match_events(&[Event::new("unique-topic-2")]);
+        assert!(set.matches[0].is_empty());
+        assert_eq!(set.stats.tier_hits, 0, "a position of the key is now empty");
+        assert_eq!(set.stats.candidates, 0, "removal drops the postings");
 
-    // Survivors are untouched.
-    for id in [1u64, 3, 4] {
-        let set = purged.match_events(&[Event::new(format!("unique-topic-{id}"))]);
-        assert_eq!(set.matches[0], vec![id], "survivor {id}");
+        // Survivors are untouched.
+        for id in [1u64, 3, 4] {
+            let set = idx.match_events(&[Event::new(format!("unique-topic-{id}"))]);
+            assert_eq!(set.matches[0], vec![id], "survivor {id}");
+        }
     }
     assert!(!purged.purge(99), "purging a stranger is a no-op");
 }

@@ -6,7 +6,7 @@
 //! a [`StatsHandle`] is the shared, thread-safe slot the coordinator
 //! merges worker deltas into, and a [`StatsServer`] serves the slot's
 //! current contents over the workspace's unified
-//! [`Listener`](crate::transport::Listener) — so the endpoint works
+//! [`Listener`] — so the endpoint works
 //! identically over TCP (`curl http://…/metrics`) and Unix-domain
 //! sockets, with no HTTP library.
 //!

@@ -74,7 +74,10 @@ fn drive_client(client: &BrokerClient, seed: u64) -> (u64, u64) {
                 // Occasional TTLs long enough to outlive the run keep
                 // the deadline path on without racing the assertions
                 // (wheel expiry is pinned separately below).
-                let ttl = (rng.next_u64() % 4 == 0).then_some(Duration::from_secs(120));
+                let ttl = rng
+                    .next_u64()
+                    .is_multiple_of(4)
+                    .then_some(Duration::from_secs(120));
                 client.subscribe(&keys, ttl).expect("subscribe sends");
                 subscribed_once = true;
                 subs += 1;
@@ -90,7 +93,7 @@ fn drive_client(client: &BrokerClient, seed: u64) -> (u64, u64) {
                 pubs += 1;
             }
         }
-        if rng.next_u64() % 4 == 0 {
+        if rng.next_u64().is_multiple_of(4) {
             thread::sleep(Duration::from_micros(200));
         }
     }
@@ -414,7 +417,7 @@ fn live_index_state_snapshots_through_core_codec() {
             .match_events(&probe)
             .matches,
     );
-    assert_eq!(rebuilt.deadline(1).is_some(), true, "TTL survives");
+    assert!(rebuilt.deadline(1).is_some(), "TTL survives");
 
     broker.shutdown();
 }

@@ -297,9 +297,17 @@ fn match_index_target() -> Target {
     });
     small.subscribe_until(1, &["x"], 9);
     small.subscribe(2, &["y", "z"]);
+    // The widest geometry the format carries: a posting table dense in
+    // `member_bits` would allocate 1.5 MiB for this one subscriber.
+    let mut wide = bsub_match::MatchIndex::new(bsub_match::MatchParams {
+        member_bits: usize::from(u16::MAX),
+        ..bsub_match::MatchParams::default()
+    });
+    wide.subscribe(1, &["x", "y"]);
     let seeds = vec![
         encode_match_index(&support::worked_index()),
         encode_match_index(&small),
+        encode_match_index(&wide),
     ];
     Target::new("decode_match_index", seeds, |input| {
         let Some(index) = watched(input, || decode_match_index(input)) else {

@@ -28,7 +28,7 @@ pub fn sample_report() -> ProfReport {
 }
 
 /// A match index with several tiers, deadline and plain
-/// subscriptions, decay in flight, and churn-driven tombstones.
+/// subscriptions, decay in flight, and churn.
 pub fn worked_index() -> MatchIndex {
     let mut idx = MatchIndex::new(MatchParams {
         member_bits: 512,

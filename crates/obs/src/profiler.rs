@@ -86,15 +86,15 @@ pub enum Counter {
     /// Subscriptions expired out of a `bsub-match` index (deadline
     /// passed or filter fully decayed).
     MatchExpire,
-    /// Tier rebuilds triggered by tombstone accumulation
-    /// (`bsub-match` compaction).
+    /// Tier rebuilds. The `bsub-match` posting table needs none, so
+    /// this stays 0; kept so recorded reports keep their schema.
     MatchCompact,
     /// Events processed through the batched `match_events` path.
     MatchEvents,
-    /// Tier-aggregate probes taken while pruning a batch.
+    /// Posting-table probes taken by a batch, one per event.
     MatchTierProbes,
-    /// Exact per-subscriber confirmations attempted after tier
-    /// pruning (the candidates the hierarchy could not rule out).
+    /// Subscribers found in all of an event's posting lists, each
+    /// given the strength check.
     MatchCandidates,
     /// Confirmed (subscriber, event) matches produced by the index.
     MatchMatched,
