@@ -1,13 +1,13 @@
 //! Microbenchmarks of the TCBF's primitive operations — the paper's
 //! "simple and fast" claims (Sections IV-B and V-A): insertion,
 //! existential and preferential queries, the two merges, decay, and
-//! the compressed wire codec, with classic BF/CBF operations for
+//! the compressed wire codec, with classic Bloom filter operations for
 //! scale. Runs on the in-tree [`bsub_bench::microbench`] harness
 //! (`cargo bench -p bsub-bench --bench tcbf_ops`).
 
 use bsub_bench::microbench::Harness;
 use bsub_bloom::wire::{self, CounterMode};
-use bsub_bloom::{BloomFilter, CountingBloomFilter, Tcbf};
+use bsub_bloom::{BloomFilter, Tcbf};
 use bsub_workload::keys::trend_keys;
 use std::hint::black_box;
 
@@ -22,8 +22,6 @@ fn loaded_tcbf(n: usize) -> Tcbf {
 fn bench_inserts(h: &mut Harness) {
     let mut bloom = BloomFilter::new(M, K);
     h.bench("insert", "bloom", || bloom.insert(black_box("NewMoon")));
-    let mut cbf = CountingBloomFilter::new(M, K);
-    h.bench("insert", "cbf", || cbf.insert(black_box("NewMoon")));
     // The TCBF rejects duplicate inserts, so each iteration needs a
     // fresh filter; the clone cost is part of the measured loop.
     let empty = Tcbf::new(M, K, C);

@@ -5,8 +5,6 @@
 //!
 //! - [`BloomFilter`] — the classic Bloom filter (Bloom, 1970) with
 //!   insertion, probabilistic membership queries, and union merging.
-//! - [`CountingBloomFilter`] — the counting Bloom filter (Fan et al.,
-//!   "Summary Cache", 2000) which supports deletion.
 //! - [`Tcbf`] — the Temporal Counting Bloom Filter of the B-SUB paper
 //!   (Zhao & Wu, ICDCS 2010): counters are set to an initial value on
 //!   insertion, combined with *A-merge* (additive) or *M-merge*
@@ -54,7 +52,6 @@
 pub mod allocation;
 mod bitvec;
 mod bloom;
-mod counting;
 mod error;
 pub mod hash;
 pub mod math;
@@ -66,7 +63,6 @@ pub mod wire;
 pub use crate::allocation::{AllocationPlan, TcbfPool};
 pub use crate::bitvec::BitVec;
 pub use crate::bloom::BloomFilter;
-pub use crate::counting::CountingBloomFilter;
 pub use crate::error::Error;
 pub use crate::hash::KeyHasher;
 pub use crate::packed::PackedTcbf;

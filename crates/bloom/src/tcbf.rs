@@ -516,9 +516,16 @@ impl Tcbf {
     /// compare.
     #[must_use]
     pub fn min_counter<K: AsRef<[u8]>>(&self, key: K) -> u32 {
+        self.min_counter_from_digests(self.hasher.digests(key.as_ref()))
+    }
+
+    /// [`Tcbf::min_counter`] for a key already hashed to `digests` by
+    /// this filter's hasher ([`KeyHasher::digests`]): the same value
+    /// and the same `TcbfQuery` count, without re-hashing the key.
+    #[must_use]
+    pub fn min_counter_from_digests(&self, digests: (u64, u64)) -> u32 {
         obs::count(Counter::TcbfQuery, 1);
-        self.hasher
-            .positions(key.as_ref(), self.hashes, self.counters.len())
+        KeyHasher::positions_from_digests(digests, self.hashes, self.counters.len())
             .map(|pos| self.counters[pos].saturating_sub(self.epoch))
             .min()
             .unwrap_or(0)
@@ -539,12 +546,27 @@ impl Tcbf {
     /// Returns [`Error::ParamMismatch`] if the filters' parameters
     /// differ.
     pub fn preference<K: AsRef<[u8]>>(&self, against: &Self, key: K) -> Result<Preference, Error> {
+        self.preference_from_digests(against, self.hasher.digests(key.as_ref()))
+    }
+
+    /// [`Tcbf::preference`] for a key already hashed to `digests` by
+    /// the filters' shared hasher: the same result, counters and span,
+    /// without hashing the key twice.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ParamMismatch`] if the filters' parameters
+    /// differ.
+    pub fn preference_from_digests(
+        &self,
+        against: &Self,
+        digests: (u64, u64),
+    ) -> Result<Preference, Error> {
         self.check_compatible(against)?;
         obs::count(Counter::TcbfPreference, 1);
         let _span = obs::span(TimeHist::PreferenceNs);
-        let key = key.as_ref();
-        let f = i64::from(self.min_counter(key));
-        let g = i64::from(against.min_counter(key));
+        let f = i64::from(self.min_counter_from_digests(digests));
+        let g = i64::from(against.min_counter_from_digests(digests));
         Ok(if g == 0 {
             Preference::Absolute(f)
         } else {

@@ -14,7 +14,8 @@
 //! Brokers themselves never promote or demote anyone.
 
 use bsub_traces::{NodeId, SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 /// One remembered meeting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,11 +26,36 @@ struct Meeting {
     peer_degree: usize,
 }
 
+/// What the window holds about one peer.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// Meetings with the peer in the window (never 0 while tallied).
+    meetings: usize,
+    /// Those of them at which the peer was a broker.
+    broker_meetings: usize,
+    /// Degree reported at the latest broker meeting (meaningful only
+    /// while `broker_meetings > 0`).
+    broker_degree: usize,
+}
+
 /// A node's sliding meeting log and the election statistics derived
 /// from it.
+///
+/// The statistics are kept incrementally: [`ElectionLog::record`] and
+/// [`ElectionLog::prune`] update a per-peer tally, the number of
+/// distinct brokers, and the exact integer sum of their latest
+/// degrees, so every query is O(1). Meetings leave the window
+/// oldest-first, so a peer's latest broker report only changes when
+/// its last broker meeting leaves — at which point the peer drops out
+/// of the broker count and the sum.
 #[derive(Debug, Clone, Default)]
 pub struct ElectionLog {
     meetings: VecDeque<Meeting>,
+    peers: HashMap<NodeId, Tally>,
+    brokers: usize,
+    /// Σ of `broker_degree` over the peers with broker meetings; `u128`
+    /// so no sequence of reported degrees can overflow it.
+    broker_degree_sum: u128,
 }
 
 /// What a user decides about the peer it just met.
@@ -55,11 +81,22 @@ impl ElectionLog {
     pub fn prune(&mut self, now: SimTime, window: SimDuration) {
         let cutoff = now.saturating_since(SimTime::ZERO + window);
         let cutoff = SimTime::from_secs(cutoff.as_secs());
-        while let Some(front) = self.meetings.front() {
-            if front.at < cutoff {
-                self.meetings.pop_front();
-            } else {
-                break;
+        while self.meetings.front().is_some_and(|m| m.at < cutoff) {
+            let m = self.meetings.pop_front().expect("front exists");
+            let Entry::Occupied(mut entry) = self.peers.entry(m.peer) else {
+                unreachable!("every logged meeting is tallied");
+            };
+            let tally = entry.get_mut();
+            tally.meetings -= 1;
+            if m.peer_was_broker {
+                tally.broker_meetings -= 1;
+                if tally.broker_meetings == 0 {
+                    self.brokers -= 1;
+                    self.broker_degree_sum -= tally.broker_degree as u128;
+                }
+            }
+            if tally.meetings == 0 {
+                entry.remove();
             }
         }
     }
@@ -79,51 +116,37 @@ impl ElectionLog {
             peer_was_broker,
             peer_degree,
         });
+        let tally = self.peers.entry(peer).or_default();
+        tally.meetings += 1;
+        if peer_was_broker {
+            if tally.broker_meetings == 0 {
+                self.brokers += 1;
+            } else {
+                self.broker_degree_sum -= tally.broker_degree as u128;
+            }
+            tally.broker_meetings += 1;
+            tally.broker_degree = peer_degree; // later meeting wins
+            self.broker_degree_sum += peer_degree as u128;
+        }
     }
 
     /// Distinct brokers met within the (already pruned) window.
     #[must_use]
     pub fn brokers_met(&self) -> usize {
-        let mut seen: Vec<NodeId> = Vec::new();
-        for m in &self.meetings {
-            if m.peer_was_broker && !seen.contains(&m.peer) {
-                seen.push(m.peer);
-            }
-        }
-        seen.len()
+        self.brokers
     }
 
     /// This node's degree: distinct peers met within the window.
     #[must_use]
     pub fn degree(&self) -> usize {
-        let mut seen: Vec<NodeId> = Vec::new();
-        for m in &self.meetings {
-            if !seen.contains(&m.peer) {
-                seen.push(m.peer);
-            }
-        }
-        seen.len()
+        self.peers.len()
     }
 
     /// Mean of the last-reported degrees of the distinct brokers in
     /// the window; `None` if no broker was met.
     #[must_use]
     pub fn average_broker_degree(&self) -> Option<f64> {
-        let mut latest: Vec<(NodeId, usize)> = Vec::new();
-        for m in &self.meetings {
-            if !m.peer_was_broker {
-                continue;
-            }
-            if let Some(entry) = latest.iter_mut().find(|(p, _)| *p == m.peer) {
-                entry.1 = m.peer_degree; // later meeting wins
-            } else {
-                latest.push((m.peer, m.peer_degree));
-            }
-        }
-        if latest.is_empty() {
-            return None;
-        }
-        Some(latest.iter().map(|&(_, d)| d as f64).sum::<f64>() / latest.len() as f64)
+        (self.brokers > 0).then(|| self.broker_degree_sum as f64 / self.brokers as f64)
     }
 
     /// The election rule of Section V-B, evaluated by a **user** about

@@ -3,7 +3,8 @@
 use crate::broker::ElectionLog;
 use crate::config::{BsubConfig, DfMode};
 use crate::df::AdaptiveDf;
-use bsub_bloom::{Decayer, SparseTcbf, Tcbf};
+use bsub_bloom::{Decayer, KeyHasher, SparseTcbf, Tcbf};
+use bsub_match::Probe;
 use bsub_sim::{Message, MessageId};
 use bsub_traces::{NodeId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -19,12 +20,20 @@ pub enum Role {
     Broker,
 }
 
+/// The hash configuration every B-SUB filter shares (Section IV-A):
+/// the one a message key's [`Probe`] is computed under.
+pub(crate) const NETWORK_HASHER: KeyHasher = KeyHasher::new();
+
 /// A message carried by a broker. The payload is shared (`Arc`) with
 /// the producer's store and the simulator — moving a message between
 /// stores never copies it.
 #[derive(Debug, Clone)]
 pub(crate) struct Carried {
     pub msg: Arc<Message>,
+    /// The key's digests, computed once when the message was published
+    /// and copied with every replica: matching a copy against a filter
+    /// never re-hashes its key. Derived state — snapshots recompute it.
+    pub probe: Probe,
     /// Consumers this copy was already handed to (suppresses repeated
     /// transfers on later meetings; the metrics would dedup anyway,
     /// but re-sending would waste link budget and inflate the
@@ -37,12 +46,37 @@ pub(crate) struct Carried {
 #[derive(Debug, Clone)]
 pub(crate) struct Produced {
     pub msg: Arc<Message>,
+    /// The key's digests (see [`Carried::probe`]).
+    pub probe: Probe,
     /// Broker copies still allowed (starts at ℂ; Section V-D: "The
     /// message is removed from the producer's memory after its copy
     /// number reaches the limit").
     pub copies_left: u32,
     /// Consumers served directly (direct deliveries are not copies).
     pub delivered_to: HashSet<NodeId>,
+}
+
+impl Carried {
+    /// A fresh copy of `msg`, handed to no consumer yet.
+    pub fn new(msg: Arc<Message>) -> Self {
+        Self {
+            probe: Probe::new(&NETWORK_HASHER, msg.key.as_bytes()),
+            msg,
+            delivered_to: HashSet::new(),
+        }
+    }
+}
+
+impl Produced {
+    /// A new publication of `msg` with `copies_left` broker copies.
+    pub fn new(msg: Arc<Message>, copies_left: u32) -> Self {
+        Self {
+            probe: Probe::new(&NETWORK_HASHER, msg.key.as_bytes()),
+            msg,
+            copies_left,
+            delivered_to: HashSet::new(),
+        }
+    }
 }
 
 /// The relay side of a broker.
@@ -445,15 +479,8 @@ mod tests {
             ttl: SimDuration::from_secs(100),
             producer: NodeId::new(0),
         });
-        n.store.push(Carried {
-            msg: msg.clone(),
-            delivered_to: HashSet::new(),
-        });
-        n.published.push(Produced {
-            msg: msg.clone(),
-            copies_left: 3,
-            delivered_to: HashSet::new(),
-        });
+        n.store.push(Carried::new(msg.clone()));
+        n.published.push(Produced::new(msg.clone(), 3));
         n.seen.insert(msg.id);
 
         n.reset_volatile(&cfg, SimTime::from_secs(60));
@@ -491,15 +518,8 @@ mod tests {
             ttl: SimDuration::from_secs(100),
             producer: NodeId::new(0),
         });
-        n.store.push(Carried {
-            msg: msg.clone(),
-            delivered_to: HashSet::new(),
-        });
-        n.published.push(Produced {
-            msg,
-            copies_left: 3,
-            delivered_to: HashSet::new(),
-        });
+        n.store.push(Carried::new(msg.clone()));
+        n.published.push(Produced::new(msg, 3));
         n.prune(SimTime::from_secs(50));
         assert_eq!(n.store.len(), 1);
         n.prune(SimTime::from_secs(101));

@@ -42,9 +42,8 @@
 
 use crate::broker::ElectionAction;
 use crate::config::BsubConfig;
-use crate::node::{Carried, NodeState, Produced, Role};
+use crate::node::{Carried, NodeState, Produced, Role, NETWORK_HASHER};
 use bsub_bloom::wire::{self, CounterMode};
-use bsub_match::ProbeCache;
 use bsub_obs::{self as obs, Counter, Gauge};
 use bsub_sim::{
     Link, MergeKind, Message, PreferenceValue, Protocol, SimCtx, SubscriptionTable, TraceEvent,
@@ -417,7 +416,6 @@ impl BsubProtocol {
         &mut self,
         ctx: &mut SimCtx<'_>,
         link: &mut Link,
-        probes: &mut ProbeCache,
         src: NodeId,
         dst: NodeId,
         channel: FilterChannel,
@@ -447,20 +445,20 @@ impl BsubProtocol {
             }
         }
         let dst_bloom = self.nodes[dst.index()].genuine.to_bloom();
+        debug_assert_eq!(dst_bloom.hasher(), NETWORK_HASHER);
         let now = ctx.now();
 
-        // 5a: direct producer → consumer (not counted as copies).
+        // 5a: direct producer → consumer (not counted as copies). The
+        // predicates are pure, so the cheap ones run first: the Bloom
+        // test on the message's cached probe rejects almost every pair
+        // before any set lookup.
         let src_state = &mut self.nodes[src.index()];
         for produced in &mut src_state.published {
             obs::count(Counter::MatchChecked, 1);
-            if produced.msg.is_expired(now)
-                || produced.delivered_to.contains(&dst)
+            if !produced.probe.hits_bloom(&dst_bloom)
+                || produced.msg.is_expired(now)
                 || produced.msg.producer == dst
-                || !probes.contains(
-                    produced.msg.id.raw(),
-                    produced.msg.key.as_bytes(),
-                    &dst_bloom,
-                )
+                || produced.delivered_to.contains(&dst)
             {
                 continue;
             }
@@ -475,10 +473,10 @@ impl BsubProtocol {
         // 5c: relayed copies → consumer.
         for carried in &mut src_state.store {
             obs::count(Counter::MatchChecked, 1);
-            if carried.msg.is_expired(now)
-                || carried.delivered_to.contains(&dst)
+            if !carried.probe.hits_bloom(&dst_bloom)
+                || carried.msg.is_expired(now)
                 || carried.msg.producer == dst
-                || !probes.contains(carried.msg.id.raw(), carried.msg.key.as_bytes(), &dst_bloom)
+                || carried.delivered_to.contains(&dst)
             {
                 continue;
             }
@@ -500,7 +498,6 @@ impl BsubProtocol {
         &mut self,
         ctx: &mut SimCtx<'_>,
         link: &mut Link,
-        probes: &mut ProbeCache,
         producer: NodeId,
         broker: NodeId,
     ) -> bool {
@@ -544,13 +541,9 @@ impl BsubProtocol {
         for produced in &mut producer_state.published {
             obs::count(Counter::MatchChecked, 1);
             if produced.copies_left == 0
+                || !produced.probe.hits_bloom(&relay_bloom)
                 || produced.msg.is_expired(now)
                 || broker_state.seen.contains(&produced.msg.id)
-                || !probes.contains(
-                    produced.msg.id.raw(),
-                    produced.msg.key.as_bytes(),
-                    &relay_bloom,
-                )
             {
                 continue;
             }
@@ -569,6 +562,7 @@ impl BsubProtocol {
             broker_state.seen.insert(produced.msg.id);
             broker_state.store.push(Carried {
                 msg: Arc::clone(&produced.msg),
+                probe: produced.probe,
                 delivered_to: HashSet::new(),
             });
             ctx.record_injection(broker, &produced.msg, fp);
@@ -713,14 +707,14 @@ impl BsubProtocol {
                 match self.config.forwarding {
                     crate::config::ForwardingPolicy::Preferential => {
                         let pref = dst_filter
-                            .preference(src_filter, carried.msg.key.as_bytes())
+                            .preference_from_digests(src_filter, carried.probe.digests())
                             .expect("parameters match");
                         if pref.is_positive() {
                             candidates.push((i, pref));
                         }
                     }
                     crate::config::ForwardingPolicy::AnyMatch => {
-                        if dst_filter.contains(carried.msg.key.as_bytes()) {
+                        if dst_filter.min_counter_from_digests(carried.probe.digests()) > 0 {
                             candidates.push((i, bsub_bloom::Preference::Relative(0)));
                         }
                     }
@@ -782,11 +776,9 @@ impl Protocol for BsubProtocol {
     fn on_message(&mut self, _ctx: &mut SimCtx<'_>, msg: &Arc<Message>) {
         let state = &mut self.nodes[msg.producer.index()];
         state.seen.insert(msg.id);
-        state.published.push(Produced {
-            msg: Arc::clone(msg),
-            copies_left: self.config.copies,
-            delivered_to: HashSet::new(),
-        });
+        state
+            .published
+            .push(Produced::new(Arc::clone(msg), self.config.copies));
     }
 
     fn on_node_reset(&mut self, ctx: &mut SimCtx<'_>, node: NodeId) {
@@ -893,13 +885,6 @@ impl Protocol for BsubProtocol {
         // 5a + 5c: serve each side as a consumer. The genuine filter
         // already traveled (with counters) if the serving side is a
         // broker — unless it was corrupted in flight.
-        //
-        // A contact probes the same message against up to two filters
-        // (a genuine bloom in 5a/5c, a relay bloom in 5b); the probe
-        // cache hashes each message key once per contact and replays
-        // the digest pair — the decisions are bit-identical to direct
-        // `contains` calls.
-        let mut probes = ProbeCache::new(self.nodes[a.index()].genuine.hasher());
         let channel = |server_is_broker: bool, arrived: bool| {
             if !server_is_broker {
                 FilterChannel::Pay
@@ -909,18 +894,18 @@ impl Protocol for BsubProtocol {
                 FilterChannel::Corrupted
             }
         };
-        if !self.serve_consumer(ctx, link, &mut probes, a, b, channel(a_is_broker, a_got_b)) {
+        if !self.serve_consumer(ctx, link, a, b, channel(a_is_broker, a_got_b)) {
             return;
         }
-        if !self.serve_consumer(ctx, link, &mut probes, b, a, channel(b_is_broker, b_got_a)) {
+        if !self.serve_consumer(ctx, link, b, a, channel(b_is_broker, b_got_a)) {
             return;
         }
 
         // 5b: producers replicate to brokers.
-        if !self.replicate_to_broker(ctx, link, &mut probes, a, b) {
+        if !self.replicate_to_broker(ctx, link, a, b) {
             return;
         }
-        if !self.replicate_to_broker(ctx, link, &mut probes, b, a) {
+        if !self.replicate_to_broker(ctx, link, b, a) {
             return;
         }
 

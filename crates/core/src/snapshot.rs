@@ -24,6 +24,8 @@
 //! - The genuine filter is *not* shipped: it is a pure function of the
 //!   node's subscriptions (which every process knows) and never
 //!   changes, so the importer keeps its own copy.
+//! - Neither is a message's key probe: it is a pure function of the
+//!   key, recomputed for every decoded copy and publication.
 //! - Hash-ordered collections are canonically sorted on export, so
 //!   equal states encode to equal bytes.
 
@@ -345,21 +347,16 @@ fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
 
     let mut store = Vec::new();
     for _ in 0..r.count(MESSAGE_MIN_LEN + 4)? {
-        let msg = Arc::new(read_message(&mut r)?);
-        let delivered_to = read_node_set(&mut r)?;
-        store.push(Carried { msg, delivered_to });
+        let mut carried = Carried::new(Arc::new(read_message(&mut r)?));
+        carried.delivered_to = read_node_set(&mut r)?;
+        store.push(carried);
     }
 
     let mut published = Vec::new();
     for _ in 0..r.count(MESSAGE_MIN_LEN + 4 + 4)? {
-        let msg = Arc::new(read_message(&mut r)?);
-        let copies_left = r.u32()?;
-        let delivered_to = read_node_set(&mut r)?;
-        published.push(Produced {
-            msg,
-            copies_left,
-            delivered_to,
-        });
+        let mut produced = Produced::new(Arc::new(read_message(&mut r)?), r.u32()?);
+        produced.delivered_to = read_node_set(&mut r)?;
+        published.push(produced);
     }
 
     let mut seen = HashSet::new();
@@ -452,6 +449,46 @@ mod tests {
         assert_eq!(sibling.broker_count(), bsub.broker_count());
         assert_eq!(sibling.carried_copies(), bsub.carried_copies());
         assert_eq!(sibling.max_relay_counter(), bsub.max_relay_counter());
+    }
+
+    /// A message's key probe is derived state the snapshot does not
+    /// carry: every imported copy and publication must probe exactly
+    /// like a fresh hash of its key, or deliveries would silently
+    /// change after a restore.
+    #[test]
+    fn imported_probes_equal_fresh_key_probes() {
+        let (mut bsub, subs) = worked_protocol();
+        // Every publication of the run was replicated out; add a live
+        // one so both stores travel.
+        bsub.nodes_mut()[2].published.push(Produced::new(
+            Arc::new(bsub_sim::Message {
+                id: MessageId::new(1 << 40),
+                key: "weather".into(),
+                size: 100,
+                created: bsub_traces::SimTime::ZERO,
+                ttl: SimDuration::from_days(1),
+                producer: NodeId::new(2),
+            }),
+            3,
+        ));
+        let mut sibling = BsubProtocol::new(bsub.config().clone(), &subs);
+        let fresh = |key: &str| bsub_match::Probe::new(&KeyHasher::default(), key.as_bytes());
+        let (mut carried, mut produced) = (0, 0);
+        for i in 0..16 {
+            let node = NodeId::new(i);
+            let snap = bsub.export_node(node).expect("B-SUB exports");
+            assert!(sibling.import_node(node, &snap), "import accepts");
+            let state = &sibling.nodes_mut()[node.index()];
+            for c in &state.store {
+                assert_eq!(c.probe, fresh(&c.msg.key), "carried {}", c.msg.id);
+                carried += 1;
+            }
+            for p in &state.published {
+                assert_eq!(p.probe, fresh(&p.msg.key), "published {}", p.msg.id);
+                produced += 1;
+            }
+        }
+        assert!(carried > 0 && produced > 0, "both stores must travel");
     }
 
     /// The relay filter round-trips losslessly even when counters

@@ -3,7 +3,10 @@
 //! model (a plain `Vec` of meetings re-scanned per query), and every
 //! derived statistic and decision must agree. The deterministic cases
 //! pin the boundaries the simulator leans on: window-pruning cutoffs,
-//! the empty window, a single known broker, and stale degree reports.
+//! the empty window, a single known broker, stale degree reports, and
+//! the cases the log's incremental tallies must get right — a peer
+//! whose broker meetings expire before its user meetings, and a peer
+//! that leaves the window and returns as a broker.
 
 use bsub_bloom::SplitMix64;
 use bsub_core::broker::{ElectionAction, ElectionLog};
@@ -275,4 +278,86 @@ fn stale_degree_reports_latest_wins() {
     log.prune(t(330), WINDOW);
     assert_eq!(log.len(), 1, "only the t=90 meeting survives");
     assert_eq!(log.average_broker_degree(), Some(4.0));
+}
+
+/// Every derived statistic of the log equals the mirror model's.
+fn assert_agrees(log: &ElectionLog, naive: &Naive) {
+    assert_eq!(log.len(), naive.meetings.len());
+    assert_eq!(log.brokers_met(), naive.brokers_met());
+    assert_eq!(log.degree(), naive.degree());
+    assert_eq!(log.average_broker_degree(), naive.average_broker_degree());
+}
+
+fn record_both(log: &mut ElectionLog, naive: &mut Naive, m: (SimTime, NodeId, bool, usize)) {
+    log.record(m.0, m.1, m.2, m.3);
+    naive.meetings.push(m);
+}
+
+fn prune_both(log: &mut ElectionLog, naive: &mut Naive, now: SimTime) {
+    log.prune(now, WINDOW);
+    naive.prune(now, WINDOW);
+}
+
+#[test]
+fn broker_meetings_expire_while_user_meetings_stay() {
+    // Peer 1 was a broker early in the window and a user later (it was
+    // demoted); peer 2 is a broker throughout.
+    let (mut log, mut naive) = (ElectionLog::new(), Naive::default());
+    record_both(&mut log, &mut naive, (t(0), NodeId::new(1), true, 10));
+    record_both(&mut log, &mut naive, (t(20), NodeId::new(1), true, 12));
+    record_both(&mut log, &mut naive, (t(60), NodeId::new(1), false, 9));
+    record_both(&mut log, &mut naive, (t(80), NodeId::new(1), false, 7));
+    record_both(&mut log, &mut naive, (t(100), NodeId::new(2), true, 4));
+    assert_eq!(log.average_broker_degree(), Some(8.0), "(12 + 4) / 2");
+    assert_agrees(&log, &naive);
+
+    // now = 250 ⇒ cutoff = 10: one of peer 1's broker reports is left,
+    // and its t=20 report is still the latest.
+    prune_both(&mut log, &mut naive, t(250));
+    assert_eq!(log.average_broker_degree(), Some(8.0));
+    assert_agrees(&log, &naive);
+
+    // now = 290 ⇒ cutoff = 50: peer 1's broker meetings are gone, its
+    // user meetings stay. The average drops it, the degree keeps it.
+    prune_both(&mut log, &mut naive, t(290));
+    assert_eq!(log.len(), 3);
+    assert_eq!(log.brokers_met(), 1);
+    assert_eq!(log.average_broker_degree(), Some(4.0));
+    assert_eq!(log.degree(), 2, "peer 1 is still a met peer");
+    assert_agrees(&log, &naive);
+    // One broker met with band (0, 0): peer 1 no longer props up the
+    // average, so a degree-5 broker survives.
+    assert_eq!(log.decide(true, 5, 0, 0), ElectionAction::Keep);
+    assert_eq!(log.decide(true, 3, 0, 0), ElectionAction::Demote);
+}
+
+#[test]
+fn peer_leaves_the_window_then_returns_as_a_broker() {
+    let (mut log, mut naive) = (ElectionLog::new(), Naive::default());
+    record_both(&mut log, &mut naive, (t(0), NodeId::new(3), false, 2));
+    record_both(&mut log, &mut naive, (t(10), NodeId::new(3), true, 6));
+    record_both(&mut log, &mut naive, (t(200), NodeId::new(4), true, 8));
+    assert_eq!(log.average_broker_degree(), Some(7.0));
+    assert_agrees(&log, &naive);
+
+    // now = 300 ⇒ cutoff = 60: peer 3 is gone entirely.
+    prune_both(&mut log, &mut naive, t(300));
+    assert_eq!(log.degree(), 1);
+    assert_eq!(log.brokers_met(), 1);
+    assert_eq!(log.average_broker_degree(), Some(8.0));
+    assert_agrees(&log, &naive);
+
+    // It returns as a broker with a new degree: counted once, at the
+    // new report — nothing of its earlier tally survives.
+    record_both(&mut log, &mut naive, (t(310), NodeId::new(3), true, 14));
+    assert_eq!(log.degree(), 2);
+    assert_eq!(log.brokers_met(), 2);
+    assert_eq!(log.average_broker_degree(), Some(11.0), "(14 + 8) / 2");
+    assert_agrees(&log, &naive);
+
+    // Once peer 4 expires, peer 3's new report is the whole average.
+    prune_both(&mut log, &mut naive, t(450));
+    assert_eq!(log.degree(), 1);
+    assert_eq!(log.average_broker_degree(), Some(14.0));
+    assert_agrees(&log, &naive);
 }

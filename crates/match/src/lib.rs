@@ -16,10 +16,10 @@
 //!   the differential oracle: `tests/differential.rs` drives both
 //!   implementations through 100+ seeded interleavings and demands
 //!   identical [`MatchSet`]s, Bloom false positives included.
-//! - [`Probe`] / [`ProbeCache`] — hash-once probes shared with the
-//!   `bsub-core` broker contact pipeline, so the simulator, the scale
-//!   harness, and the `bsub-net` cluster all match through one
-//!   implementation without perturbing any committed artifact.
+//! - [`Probe`] — hash-once probes shared with the `bsub-core` broker
+//!   contact pipeline, so the simulator, the scale harness, and the
+//!   `bsub-net` cluster all match through one implementation without
+//!   perturbing any committed artifact.
 //!
 //! Instrumented with `bsub-obs` (`match_*` counters, the
 //! `match_batch_ns` timing histogram, and batch-size/candidate size
@@ -36,5 +36,5 @@ mod reference;
 pub use crate::index::{
     Event, IndexState, MatchIndex, MatchParams, MatchSet, MatchStats, SubscriberState,
 };
-pub use crate::probe::{Probe, ProbeCache};
+pub use crate::probe::Probe;
 pub use crate::reference::ReferenceMatcher;

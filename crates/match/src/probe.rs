@@ -7,7 +7,8 @@
 //! variable-length key hash **once per key** and then derives
 //! positions for any `(k, m)` with two integer ops per probe — the
 //! amortization the `MatchIndex` batch path and the broker contact
-//! pipeline in `bsub-core` both lean on.
+//! pipeline in `bsub-core` both lean on (the latter computes one probe
+//! per message when it is published and carries it with every copy).
 //!
 //! All checks here are *uninstrumented*, mirroring
 //! [`BloomFilter::contains`]: swapping a per-key query for a
@@ -17,7 +18,6 @@
 
 use bsub_bloom::hash::Positions;
 use bsub_bloom::{BloomFilter, KeyHasher, Tcbf};
-use std::collections::HashMap;
 
 /// The two Kirsch–Mitzenmacher digests of one key, ready to probe any
 /// filter geometry without re-hashing the key bytes.
@@ -34,6 +34,13 @@ impl Probe {
         Self {
             digests: hasher.digests(key),
         }
+    }
+
+    /// The key's two digests, exactly [`KeyHasher::digests`] — for the
+    /// instrumented `*_from_digests` queries of [`Tcbf`].
+    #[must_use]
+    pub fn digests(&self) -> (u64, u64) {
+        self.digests
     }
 
     /// The key's `k` bit positions in a filter of `m` bits — identical
@@ -69,59 +76,6 @@ impl Probe {
     }
 }
 
-/// A per-batch probe memo: hash each distinct item once, reuse the
-/// probe across every filter it is tested against.
-///
-/// The broker contact pipeline keys the memo by message id (one
-/// message's key may be probed against the consumer's genuine bloom
-/// in step 5a/5c *and* the broker's relay bloom in step 5b), so a
-/// contact hashes each carried message at most once.
-#[derive(Debug)]
-pub struct ProbeCache {
-    hasher: KeyHasher,
-    probes: HashMap<u64, Probe>,
-}
-
-impl ProbeCache {
-    /// An empty cache whose probes are computed with `hasher`.
-    #[must_use]
-    pub fn new(hasher: KeyHasher) -> Self {
-        Self {
-            hasher,
-            probes: HashMap::new(),
-        }
-    }
-
-    /// The probe for `key`, memoized under `id`. The caller guarantees
-    /// the id↔key association is stable within the cache's lifetime.
-    pub fn probe(&mut self, id: u64, key: &[u8]) -> Probe {
-        let hasher = self.hasher;
-        *self
-            .probes
-            .entry(id)
-            .or_insert_with(|| Probe::new(&hasher, key))
-    }
-
-    /// [`BloomFilter::contains`] via the memoized probe: identical
-    /// decision, at most one key hash per id.
-    pub fn contains(&mut self, id: u64, key: &[u8], bloom: &BloomFilter) -> bool {
-        debug_assert_eq!(bloom.hasher(), self.hasher);
-        self.probe(id, key).hits_bloom(bloom)
-    }
-
-    /// Number of distinct ids hashed so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.probes.len()
-    }
-
-    /// Whether no probe has been computed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.probes.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,17 +101,6 @@ mod tests {
             assert_eq!(probe.min_counter(&filter), filter.min_counter(key));
             assert_eq!(probe.hits_tcbf(&filter), filter.contains(key));
         }
-    }
-
-    #[test]
-    fn cache_memoizes_by_id() {
-        let mut cache = ProbeCache::new(KeyHasher::default());
-        let bloom = Tcbf::from_keys(256, 4, 10, ["hit"]).to_bloom();
-        assert!(cache.contains(7, b"hit", &bloom));
-        assert!(cache.contains(7, b"hit", &bloom));
-        assert_eq!(cache.len(), 1, "same id hashed once");
-        assert!(!cache.contains(8, b"miss", &bloom) || bloom.contains("miss"));
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

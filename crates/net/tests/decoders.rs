@@ -7,10 +7,12 @@
 //! input the harness demands:
 //!
 //! 1. no panic;
-//! 2. no single allocation during the decode larger than
-//!    1 MiB + 64 × the input length (a counting global allocator
-//!    watches the decoding thread), so no untrusted count reaches
-//!    `with_capacity` unbounded;
+//! 2. neither a single allocation nor the peak of live heap bytes
+//!    during the decode larger than 1 MiB + 64 × the input length (a
+//!    counting global allocator watches the decoding thread), so no
+//!    untrusted count reaches `with_capacity` unbounded, and no
+//!    untrusted count grows a collection one bounded push at a time
+//!    past what the input could describe;
 //! 3. an accepted input reaches a fixed point: decode → encode →
 //!    decode gives an equal value, and the broker bodies, profiler
 //!    reports, and frames re-encode to the input bytes exactly.
@@ -34,7 +36,7 @@ use bsub_traces::NodeId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 /// Mutants fed to each decoder, spread over its seed encodings.
 const MUTANTS_PER_TARGET: usize = 100_000;
@@ -43,38 +45,50 @@ const MUTANTS_PER_TARGET: usize = 100_000;
 
 struct Counting;
 
+/// Largest single allocation of the watched decode.
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+/// Live heap bytes the watched decode added so far: allocations minus
+/// frees. Frees of memory allocated before the decode (a replaced
+/// node state, say) can take it below zero.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+/// Highest value `LIVE` reached during the watched decode.
+static PEAK: AtomicIsize = AtomicIsize::new(0);
 
 thread_local! {
     static WATCHING: Cell<bool> = const { Cell::new(false) };
 }
 
-fn note(size: usize) {
+/// Accounts one heap event of `size` bytes that changes the live
+/// total by `delta`.
+fn note(size: usize, delta: isize) {
     if WATCHING.try_with(Cell::get).unwrap_or(false) {
         LARGEST.fetch_max(size, Ordering::Relaxed);
+        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        PEAK.fetch_max(live, Ordering::Relaxed);
     }
 }
 
 // SAFETY: every call forwards to `System` unchanged; `note` only
-// reads a const-initialized thread-local and updates an atomic, so it
+// reads a const-initialized thread-local and updates atomics, so it
 // never allocates or touches the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as isize));
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(new_size, new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -82,18 +96,27 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `decode` on `input` and asserts its largest single allocation
-/// stays within 1 MiB + 64 × `input.len()`.
+/// Runs `decode` on `input` and asserts that both its largest single
+/// allocation and its peak of live heap bytes stay within
+/// 1 MiB + 64 × `input.len()`.
 fn watched<T>(input: &[u8], decode: impl FnOnce() -> T) -> T {
     LARGEST.store(0, Ordering::Relaxed);
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
     WATCHING.set(true);
     let out = decode();
     WATCHING.set(false);
     let largest = LARGEST.load(Ordering::Relaxed);
+    let peak = PEAK.load(Ordering::Relaxed);
     let bound = (1 << 20) + 64 * input.len();
     assert!(
         largest <= bound,
         "a {largest}-byte allocation while decoding {} bytes (bound {bound})",
+        input.len()
+    );
+    assert!(
+        peak <= bound as isize,
+        "{peak} live heap bytes at peak while decoding {} bytes (bound {bound})",
         input.len()
     );
     out

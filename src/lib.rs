@@ -4,7 +4,7 @@
 //! See the individual crates for documentation:
 //!
 //! - [`obs`] — allocation-free in-process metrics and profiling.
-//! - [`bloom`] — Bloom filter, counting Bloom filter, and the TCBF.
+//! - [`bloom`] — Bloom filter and the TCBF.
 //! - [`traces`] — contact traces: parsers, synthetic generators, stats.
 //! - [`sim`] — the contact-driven DTN simulator and its metrics.
 //! - [`workload`] — Twitter-trend keys and message generation.
