@@ -10,9 +10,9 @@
 #   ./ci.sh --stage NAME   build, then only the named stage — the
 #                          local loop for debugging one smoke gate.
 #                          Names: test, fmt, clippy, doc, codec,
-#                          dynamics, degradation, perf, scale,
-#                          scale-sharded, matching, net-cluster,
-#                          broker-bench
+#                          perfbench-build, dynamics, degradation,
+#                          perf, scale, scale-sharded, matching,
+#                          net-cluster, broker-bench
 #
 # Smoke artifacts go to BSUB_SMOKE_DIR when set (hosted CI sets it to
 # upload them), otherwise to a scratch directory removed on exit.
@@ -22,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES="test fmt clippy doc codec dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
+STAGES="test fmt clippy doc codec perfbench-build dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
 QUICK=0
 STAGE_FILTER=""
 while [ $# -gt 0 ]; do
@@ -173,6 +173,14 @@ if want codec; then
         echo "$CODEC_HITS" >&2
         exit 1
     fi
+fi
+
+if want perfbench-build; then
+    stage "perfbench-build (the repository benchmark compiles against the workspace)"
+    # perfbench/ is a cargo workspace of its own (BENCHMARK.json), so
+    # the workspace build above never compiles it; a removed public API
+    # it uses would otherwise only surface when the benchmark runs.
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 if [ -n "${BSUB_SMOKE_DIR:-}" ]; then

@@ -67,4 +67,4 @@ pub use crate::error::Error;
 pub use crate::hash::KeyHasher;
 pub use crate::packed::PackedTcbf;
 pub use crate::rng::SplitMix64;
-pub use crate::tcbf::{Decayer, Preference, SparseTcbf, Tcbf};
+pub use crate::tcbf::{Decayer, Preference, Tcbf};

@@ -19,10 +19,10 @@
 //! holding values ≤ 15 can be added, subtracted, and compared without
 //! cross-lane carries, which is what makes the merges branch-free.
 //!
-//! The scalar reference implementations in [`mod@reference`] define the
-//! intended per-nibble semantics; `tests/packed.rs` checks the SWAR
-//! kernels against them exhaustively at the 8-bit-lane level and
-//! differentially (against [`Tcbf`] as well) over seeded key sets.
+//! `tests/packed.rs` holds scalar reference kernels that define the
+//! intended per-nibble semantics, and checks the SWAR kernels against
+//! them exhaustively at the 8-bit-lane level and differentially
+//! (against [`Tcbf`] as well) over seeded key sets.
 //!
 //! [`Tcbf`]: crate::tcbf::Tcbf
 
@@ -118,49 +118,6 @@ pub fn word_set(word: u64, i: usize, v: u8) -> u64 {
     debug_assert!(v <= NIBBLE_MAX);
     let shift = (i % NIBBLES_PER_WORD) * 4;
     (word & !(0xFu64 << shift)) | (u64::from(v) << shift)
-}
-
-/// Scalar per-nibble reference kernels: the executable specification
-/// the SWAR kernels are tested against. Deliberately written as the
-/// obvious loop over unpacked nibbles.
-pub mod reference {
-    use super::{NIBBLES_PER_WORD, NIBBLE_MAX};
-
-    /// Unpacks a word into its 16 nibble values.
-    #[must_use]
-    pub fn unpack(word: u64) -> [u8; NIBBLES_PER_WORD] {
-        std::array::from_fn(|i| ((word >> (i * 4)) & 0xF) as u8)
-    }
-
-    /// Packs 16 nibble values (each ≤ 15) into a word.
-    #[must_use]
-    pub fn pack(nibbles: [u8; NIBBLES_PER_WORD]) -> u64 {
-        nibbles
-            .iter()
-            .enumerate()
-            .fold(0u64, |w, (i, &v)| w | (u64::from(v & 0xF) << (i * 4)))
-    }
-
-    /// Per-nibble saturating add.
-    #[must_use]
-    pub fn sat_add(a: u64, b: u64) -> u64 {
-        let (a, b) = (unpack(a), unpack(b));
-        pack(std::array::from_fn(|i| (a[i] + b[i]).min(NIBBLE_MAX)))
-    }
-
-    /// Per-nibble maximum.
-    #[must_use]
-    pub fn max(a: u64, b: u64) -> u64 {
-        let (a, b) = (unpack(a), unpack(b));
-        pack(std::array::from_fn(|i| a[i].max(b[i])))
-    }
-
-    /// Per-nibble saturating subtract of a constant.
-    #[must_use]
-    pub fn sat_sub(a: u64, d: u8) -> u64 {
-        let a = unpack(a);
-        pack(std::array::from_fn(|i| a[i].saturating_sub(d)))
-    }
 }
 
 /// A TCBF with 4-bit packed counters — the scale-tier representation.
@@ -550,28 +507,6 @@ mod tests {
         for i in 0..NIBBLES_PER_WORD {
             assert_eq!(word_get(w, i), (i % 16) as u8);
         }
-    }
-
-    #[test]
-    fn sat_add_saturates_at_15() {
-        let a = reference::pack([15; 16]);
-        let b = reference::pack([1; 16]);
-        assert_eq!(word_sat_add(a, b), a);
-        assert_eq!(word_sat_add(a, a), a);
-    }
-
-    #[test]
-    fn sat_sub_floors_at_zero() {
-        let a = reference::pack(std::array::from_fn(|i| i as u8));
-        assert_eq!(word_sat_sub(a, 15), 0);
-        assert_eq!(word_sat_sub(a, 0), a);
-    }
-
-    #[test]
-    fn nonzero_nibbles_counts() {
-        let w = reference::pack([0, 1, 0, 15, 0, 0, 7, 0, 0, 0, 0, 2, 0, 0, 0, 9]);
-        assert_eq!(word_nonzero_nibbles(w).count_ones(), 5);
-        assert_eq!(word_nonzero_nibbles(0), 0);
     }
 
     #[test]

@@ -250,129 +250,6 @@ impl Tcbf {
         Ok(())
     }
 
-    /// Additive merge against a pre-extracted sparse view: identical
-    /// observable result to [`Tcbf::a_merge`] with the view's source
-    /// filter, in O(set bits) instead of O(m).
-    ///
-    /// This is the consumer → broker fast path: a genuine filter holds
-    /// a handful of interests (tens of non-zero counters out of
-    /// thousands), and it never changes after construction, so the
-    /// sparse view is extracted once and reused for every meeting.
-    /// Zero counters are additive identities — skipping them is exact,
-    /// not approximate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ParamMismatch`] if the view's source filter
-    /// had a different length, hash count, or hasher.
-    pub fn a_merge_sparse(&mut self, other: &SparseTcbf) -> Result<(), Error> {
-        if self.counters.len() != other.bits
-            || self.hashes != other.hashes
-            || self.hasher != other.hasher
-        {
-            return Err(Error::ParamMismatch {
-                ours: (self.counters.len(), self.hashes),
-                theirs: (other.bits, other.hashes),
-            });
-        }
-        obs::count(Counter::TcbfAMerge, 1);
-        let _span = obs::span(TimeHist::MergeNs);
-        // The sparse entries are already materialized. A pending epoch
-        // on the receiver does NOT force an O(m) flush: storing
-        // `max(a, e) + v` under unchanged epoch `e` materializes to
-        // `(max(a, e) + v) ∸ e = (a ∸ e) + v` — exactly the dense
-        // A-merge result — as long as the add itself cannot overflow.
-        // If an entry would (counter within `v` of `u32::MAX`, unseen
-        // in any committed workload), flush mid-way — entries already
-        // stored as `max(a, e) + v` materialize correctly through the
-        // flush — and finish with plain saturating adds, so saturation
-        // lands on materialized values.
-        let e = self.epoch;
-        for (n, &(i, v)) in other.entries.iter().enumerate() {
-            let c = &mut self.counters[i as usize];
-            let s = u64::from((*c).max(e)) + u64::from(v);
-            if s > u64::from(u32::MAX) {
-                self.flush_epoch();
-                for &(i, v) in &other.entries[n..] {
-                    let c = &mut self.counters[i as usize];
-                    *c = c.saturating_add(v);
-                }
-                self.merged = true;
-                return Ok(());
-            }
-            *c = s as u32;
-        }
-        self.merged = true;
-        Ok(())
-    }
-
-    /// Adopts an already-computed A-merge result by copy — see
-    /// [`Tcbf::m_merge_adopt`]; addition is commutative too.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ParamMismatch`] if the filters' parameters
-    /// differ.
-    pub fn a_merge_adopt(&mut self, merged: &Self) -> Result<(), Error> {
-        self.check_compatible(merged)?;
-        obs::count(Counter::TcbfAMerge, 1);
-        let _span = obs::span(TimeHist::MergeNs);
-        self.adopt(merged);
-        Ok(())
-    }
-
-    /// Adopts an already-computed M-merge result by copy.
-    ///
-    /// Merging is commutative: when two brokers exchange relay filters
-    /// and each merges the other's pre-contact snapshot, both sides
-    /// converge on the *same* counter array, so the second side can
-    /// copy the first side's merged state instead of re-running the
-    /// O(m) combining pass. The caller guarantees `merged` is exactly
-    /// `self_snapshot ∨ peer` for the peer snapshot `self` would have
-    /// merged — i.e. neither filter changed between snapshot and
-    /// merge. Counted as an M-merge in the profile: it *is* one,
-    /// computed by copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ParamMismatch`] if the filters' parameters
-    /// differ.
-    pub fn m_merge_adopt(&mut self, merged: &Self) -> Result<(), Error> {
-        self.check_compatible(merged)?;
-        obs::count(Counter::TcbfMMerge, 1);
-        let _span = obs::span(TimeHist::MergeNs);
-        self.adopt(merged);
-        Ok(())
-    }
-
-    /// Becomes a copy of `merged` (counters, pending epoch, merged
-    /// flag), reusing this filter's storage.
-    fn adopt(&mut self, merged: &Self) {
-        self.counters.copy_from_slice(&merged.counters);
-        self.epoch = merged.epoch;
-        self.merged = true;
-    }
-
-    /// Extracts a reusable sparse view: the materialized non-zero
-    /// counters as `(bit index, value)` pairs, plus the merge-compat
-    /// parameters. The view is a snapshot — it does not track later
-    /// mutations of this filter — so it suits filters that are
-    /// immutable after construction, like a consumer's genuine filter.
-    #[must_use]
-    pub fn to_sparse(&self) -> SparseTcbf {
-        SparseTcbf {
-            bits: self.counters.len(),
-            hashes: self.hashes,
-            hasher: self.hasher,
-            entries: self
-                .iter_counters()
-                .enumerate()
-                .filter(|&(_, c)| c > 0)
-                .map(|(i, c)| (i as u32, c))
-                .collect(),
-        }
-    }
-
     /// Shared merge loop, monomorphized per combiner so `op` inlines
     /// into a branchless, autovectorizable pass. When either side has
     /// a pending decay epoch, the fold happens *inside* the same pass
@@ -697,32 +574,6 @@ impl Tcbf {
             });
         }
         Ok(())
-    }
-}
-
-/// A pre-extracted sparse view of a [`Tcbf`]: its materialized
-/// non-zero counters and the parameters another filter must share to
-/// merge with it. Built with [`Tcbf::to_sparse`], consumed by
-/// [`Tcbf::a_merge_sparse`].
-///
-/// The point is asymptotic: a consumer's genuine filter sets
-/// `interests × k` counters out of `m`, so reinforcing a broker's
-/// relay through the sparse view costs O(set bits) per meeting rather
-/// than a full O(m) counter pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SparseTcbf {
-    bits: usize,
-    hashes: usize,
-    hasher: KeyHasher,
-    /// Materialized `(bit index, counter)` pairs, ascending by index.
-    entries: Vec<(u32, u32)>,
-}
-
-impl SparseTcbf {
-    /// Number of non-zero counters in the view.
-    #[must_use]
-    pub fn set_bits(&self) -> usize {
-        self.entries.len()
     }
 }
 
@@ -1347,137 +1198,6 @@ mod tests {
         m2.m_merge(&a).unwrap();
         assert_eq!(m2.epoch, 4);
         assert_eq!(m2.counter_values(), eager);
-    }
-
-    #[test]
-    fn sparse_a_merge_with_pending_epoch_avoids_flush() {
-        // The sparse add stores `max(a, e) + v` under the unchanged
-        // epoch instead of flushing — observably identical to the
-        // dense merge, with the decay still pending afterwards.
-        let genuine = Tcbf::from_keys(256, 4, 10, ["g"]);
-        let mut relay = Tcbf::new(256, 4, 10);
-        relay
-            .a_merge(&Tcbf::from_keys(256, 4, 10, ["g", "other"]))
-            .unwrap();
-        relay.decay(6);
-        let mut dense = relay.clone();
-        relay.a_merge_sparse(&genuine.to_sparse()).unwrap();
-        dense.a_merge(&genuine).unwrap();
-        assert_eq!(relay.epoch, 6, "epoch must survive the sparse add");
-        assert_eq!(relay, dense);
-        assert_eq!(relay.counter_values(), dense.counter_values());
-        // Later decay applies on top of the preserved epoch.
-        relay.decay(5);
-        dense.decay(5);
-        assert_eq!(relay.counter_values(), dense.counter_values());
-    }
-
-    #[test]
-    fn sparse_a_merge_near_saturation_falls_back_exactly() {
-        // When `max(a, e) + v` would overflow u32, the sparse path
-        // must flush and saturate on materialized values, exactly
-        // like the dense merge.
-        let big = u32::MAX - 2;
-        let genuine = Tcbf::from_keys(64, 2, big, ["k"]);
-        let mut relay = Tcbf::new(64, 2, big);
-        relay.a_merge(&genuine).unwrap();
-        relay.decay(5); // materialized MAX - 7, epoch pending
-        let mut dense = relay.clone();
-        relay.a_merge_sparse(&genuine.to_sparse()).unwrap();
-        dense.a_merge(&genuine).unwrap();
-        assert_eq!(relay.min_counter("k"), u32::MAX);
-        assert_eq!(relay.counter_values(), dense.counter_values());
-        relay.decay(9);
-        dense.decay(9);
-        assert_eq!(relay.counter_values(), dense.counter_values());
-    }
-
-    #[test]
-    fn sparse_a_merge_matches_dense() {
-        // The sparse fast path must be observably identical to the
-        // dense A-merge, including with pending epochs on the
-        // receiver and a decayed source.
-        let genuine = Tcbf::from_keys(256, 4, 10, ["a", "b", "c"]);
-        let sparse = genuine.to_sparse();
-        assert_eq!(sparse.set_bits(), genuine.set_bits());
-        let mut relay = Tcbf::new(256, 4, 10);
-        relay.a_merge(&Tcbf::from_keys(256, 4, 10, ["a"])).unwrap();
-        relay.decay(3); // pending epoch on the receiver
-        let mut dense = relay.clone();
-        relay.a_merge_sparse(&sparse).unwrap();
-        dense.a_merge(&genuine).unwrap();
-        assert_eq!(relay, dense);
-        assert_eq!(relay.counter_values(), dense.counter_values());
-    }
-
-    #[test]
-    fn sparse_view_of_decayed_filter_is_materialized() {
-        let mut f = Tcbf::from_keys(256, 4, 10, ["x", "y"]);
-        f.decay(4);
-        let sparse = f.to_sparse();
-        let mut via_sparse = Tcbf::new(256, 4, 10);
-        via_sparse.a_merge_sparse(&sparse).unwrap();
-        let mut via_dense = Tcbf::new(256, 4, 10);
-        via_dense.a_merge(&f).unwrap();
-        assert_eq!(via_sparse, via_dense);
-        assert_eq!(via_sparse.min_counter("x"), 6);
-    }
-
-    #[test]
-    fn sparse_merge_param_mismatch() {
-        let genuine = Tcbf::from_keys(128, 4, 10, ["a"]);
-        let mut relay = Tcbf::new(256, 4, 10);
-        assert!(matches!(
-            relay.a_merge_sparse(&genuine.to_sparse()),
-            Err(Error::ParamMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn merge_adopt_matches_second_direction_merge() {
-        // The broker-exchange shortcut: after a merges b's snapshot,
-        // b adopting a's result must equal b merging a's snapshot —
-        // for both rules, and with pending epochs on both sides.
-        for additive in [false, true] {
-            let mut a = Tcbf::new(256, 4, 10);
-            a.a_merge(&Tcbf::from_keys(256, 4, 10, ["a1", "shared"]))
-                .unwrap();
-            a.decay(2);
-            let mut b = Tcbf::new(256, 4, 10);
-            b.a_merge(&Tcbf::from_keys(256, 4, 10, ["b1", "shared"]))
-                .unwrap();
-            b.a_merge(&Tcbf::from_keys(256, 4, 10, ["shared"])).unwrap();
-            b.decay(5);
-
-            let (snap_a, snap_b) = (a.clone(), b.clone());
-            let mut b_expected = b.clone();
-            if additive {
-                a.a_merge(&snap_b).unwrap();
-                b_expected.a_merge(&snap_a).unwrap();
-                b.a_merge_adopt(&a).unwrap();
-            } else {
-                a.m_merge(&snap_b).unwrap();
-                b_expected.m_merge(&snap_a).unwrap();
-                b.m_merge_adopt(&a).unwrap();
-            }
-            assert_eq!(b, b_expected, "additive={additive}");
-            assert_eq!(b.counter_values(), b_expected.counter_values());
-        }
-    }
-
-    #[test]
-    fn merge_adopt_counts_as_merge() {
-        bsub_obs::start();
-        let mut a = Tcbf::new(256, 4, 10);
-        a.m_merge(&Tcbf::from_keys(256, 4, 10, ["k"])).unwrap();
-        let mut b = Tcbf::new(256, 4, 10);
-        b.m_merge_adopt(&a).unwrap();
-        let genuine = Tcbf::from_keys(256, 4, 10, ["g"]);
-        b.a_merge_sparse(&genuine.to_sparse()).unwrap();
-        let report = bsub_obs::finish();
-        assert_eq!(report.counter(Counter::TcbfMMerge), 2);
-        assert_eq!(report.counter(Counter::TcbfAMerge), 1);
-        assert_eq!(report.time_hist(TimeHist::MergeNs).count(), 3);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! its randomness from `SplitMix64::mix(TAG, case)`, so failures
 //! reproduce exactly.
 
-use bsub_bloom::packed::{
-    reference, word_max, word_nonzero_nibbles, word_sat_add, word_sat_sub, NIBBLE_MAX,
-};
+use bsub_bloom::packed::{word_max, word_nonzero_nibbles, word_sat_add, word_sat_sub, NIBBLE_MAX};
 use bsub_bloom::rng::SplitMix64;
 use bsub_bloom::{PackedTcbf, Tcbf};
 
@@ -23,6 +21,73 @@ fn rng_for(case: u64) -> SplitMix64 {
 fn random_keys(rng: &mut SplitMix64, max: usize) -> Vec<String> {
     let n = rng.below_usize(max) + 1;
     (0..n).map(|_| format!("key-{}", rng.next_u64())).collect()
+}
+
+/// Scalar per-nibble reference kernels: the executable specification
+/// the SWAR kernels are tested against. Deliberately written as the
+/// obvious loop over unpacked nibbles.
+mod reference {
+    use bsub_bloom::packed::{NIBBLES_PER_WORD, NIBBLE_MAX};
+
+    /// Unpacks a word into its 16 nibble values.
+    #[must_use]
+    pub fn unpack(word: u64) -> [u8; NIBBLES_PER_WORD] {
+        std::array::from_fn(|i| ((word >> (i * 4)) & 0xF) as u8)
+    }
+
+    /// Packs 16 nibble values (each ≤ 15) into a word.
+    #[must_use]
+    pub fn pack(nibbles: [u8; NIBBLES_PER_WORD]) -> u64 {
+        nibbles
+            .iter()
+            .enumerate()
+            .fold(0u64, |w, (i, &v)| w | (u64::from(v & 0xF) << (i * 4)))
+    }
+
+    /// Per-nibble saturating add.
+    #[must_use]
+    pub fn sat_add(a: u64, b: u64) -> u64 {
+        let (a, b) = (unpack(a), unpack(b));
+        pack(std::array::from_fn(|i| (a[i] + b[i]).min(NIBBLE_MAX)))
+    }
+
+    /// Per-nibble maximum.
+    #[must_use]
+    pub fn max(a: u64, b: u64) -> u64 {
+        let (a, b) = (unpack(a), unpack(b));
+        pack(std::array::from_fn(|i| a[i].max(b[i])))
+    }
+
+    /// Per-nibble saturating subtract of a constant.
+    #[must_use]
+    pub fn sat_sub(a: u64, d: u8) -> u64 {
+        let a = unpack(a);
+        pack(std::array::from_fn(|i| a[i].saturating_sub(d)))
+    }
+}
+
+// ---- SWAR kernel edge cases ----
+
+#[test]
+fn sat_add_saturates_at_15() {
+    let a = reference::pack([15; 16]);
+    let b = reference::pack([1; 16]);
+    assert_eq!(word_sat_add(a, b), a);
+    assert_eq!(word_sat_add(a, a), a);
+}
+
+#[test]
+fn sat_sub_floors_at_zero() {
+    let a = reference::pack(std::array::from_fn(|i| i as u8));
+    assert_eq!(word_sat_sub(a, 15), 0);
+    assert_eq!(word_sat_sub(a, 0), a);
+}
+
+#[test]
+fn nonzero_nibbles_counts() {
+    let w = reference::pack([0, 1, 0, 15, 0, 0, 7, 0, 0, 0, 0, 2, 0, 0, 0, 9]);
+    assert_eq!(word_nonzero_nibbles(w).count_ones(), 5);
+    assert_eq!(word_nonzero_nibbles(0), 0);
 }
 
 // ---- SWAR kernels vs the scalar reference, on random words ----

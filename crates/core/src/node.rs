@@ -3,7 +3,7 @@
 use crate::broker::ElectionLog;
 use crate::config::{BsubConfig, DfMode};
 use crate::df::AdaptiveDf;
-use bsub_bloom::{Decayer, KeyHasher, SparseTcbf, Tcbf};
+use bsub_bloom::{Decayer, KeyHasher, Tcbf};
 use bsub_match::Probe;
 use bsub_sim::{Message, MessageId};
 use bsub_traces::{NodeId, SimTime};
@@ -149,15 +149,9 @@ impl RelayState {
 
     /// A-merges a consumer's genuine filter (and mirrors it in the
     /// shadow: each interest key gains the consumer's counter value).
-    ///
-    /// Takes the consumer's cached sparse view
-    /// ([`NodeState::genuine_sparse`]): a genuine filter sets only
-    /// `interests × k` of the `m` counters and never changes after
-    /// construction, so reinforcement touches just those entries
-    /// instead of walking the whole relay filter.
-    pub fn absorb_genuine(&mut self, genuine: &SparseTcbf, interests: &[Arc<str>], counter: u32) {
+    pub fn absorb_genuine(&mut self, genuine: &Tcbf, interests: &[Arc<str>], counter: u32) {
         self.filter
-            .a_merge_sparse(genuine)
+            .a_merge(genuine)
             .expect("network-wide filter parameters match");
         for key in interests {
             let c = self.shadow.entry(Arc::clone(key)).or_insert(0);
@@ -197,42 +191,6 @@ impl RelayState {
         }
     }
 
-    /// Second-direction variant of [`RelayState::absorb_relay`]: when
-    /// both sides of a broker exchange received each other's snapshot
-    /// intact, the merge rules (max and saturating sum alike) are
-    /// commutative, so the peer that merged first already computed
-    /// exactly the array this side's merge would produce. Adopt its
-    /// filter by copy instead of re-running the O(m) combining pass.
-    /// The shadow is still merged per-side — it is a small map, and
-    /// copying it would allocate.
-    pub fn absorb_relay_adopted(
-        &mut self,
-        peer_merged: &Tcbf,
-        shadow: &HashMap<Arc<str>, u32>,
-        rule: crate::config::MergeRule,
-    ) {
-        match rule {
-            crate::config::MergeRule::Maximum => {
-                self.filter
-                    .m_merge_adopt(peer_merged)
-                    .expect("network-wide filter parameters match");
-                for (key, &c) in shadow {
-                    let mine = self.shadow.entry(Arc::clone(key)).or_insert(0);
-                    *mine = (*mine).max(c);
-                }
-            }
-            crate::config::MergeRule::Additive => {
-                self.filter
-                    .a_merge_adopt(peer_merged)
-                    .expect("network-wide filter parameters match");
-                for (key, &c) in shadow {
-                    let mine = self.shadow.entry(Arc::clone(key)).or_insert(0);
-                    *mine = mine.saturating_add(c);
-                }
-            }
-        }
-    }
-
     /// Whether the relay *truly* holds `key` (ground truth — a
     /// filter-positive key absent here is a Bloom false positive).
     #[must_use]
@@ -263,10 +221,6 @@ pub(crate) struct NodeState {
     pub election: ElectionLog,
     /// The consumer's genuine filter (its own interests at counter C).
     pub genuine: Tcbf,
-    /// Sparse view of `genuine`, extracted once — the filter is
-    /// immutable after construction. Brokers A-merge this on every
-    /// meeting, touching only the set counters.
-    pub genuine_sparse: SparseTcbf,
     /// Relay state while (or since last being) a broker; `None` for a
     /// node that was never promoted. Demotion drops it.
     pub relay: Option<RelayState>,
@@ -289,12 +243,10 @@ impl NodeState {
             config.initial_counter,
             interests.iter().map(|k| k.as_bytes()),
         );
-        let genuine_sparse = genuine.to_sparse();
         Self {
             role: Role::User,
             election: ElectionLog::new(),
             genuine,
-            genuine_sparse,
             relay: None,
             store: Vec::new(),
             published: Vec::new(),

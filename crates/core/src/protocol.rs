@@ -386,7 +386,7 @@ impl BsubProtocol {
         let (consumer_state, broker_state) = two(&mut self.nodes, consumer.index(), broker.index());
         let relay = broker_state.relay.as_mut().expect("broker has relay");
         relay.absorb_genuine(
-            &consumer_state.genuine_sparse,
+            &consumer_state.genuine,
             &interests,
             self.config.initial_counter,
         );
@@ -646,20 +646,7 @@ impl BsubProtocol {
         }
         if b_received_a {
             let relay_b = state_b.relay.as_mut().expect("broker");
-            if a_received_b {
-                // Both directions succeeded: each side merges the
-                // other's pre-contact snapshot, and the merge rules
-                // are commutative, so side a (which merged first)
-                // already holds exactly the array side b would
-                // compute. Adopt it by copy instead of re-running the
-                // O(m) combining pass. Nothing mutates either relay
-                // filter between the snapshots and this point — the
-                // handoff only moves messages.
-                let relay_a = state_a.relay.as_ref().expect("broker");
-                relay_b.absorb_relay_adopted(&relay_a.filter, &shadow_a, rule);
-            } else {
-                relay_b.absorb_relay(&filter_a, &shadow_a, rule);
-            }
+            relay_b.absorb_relay(&filter_a, &shadow_a, rule);
         }
         // Fill ratios are O(m) walks; compute them inside the closures
         // so only recording runs pay them.
@@ -787,39 +774,7 @@ impl Protocol for BsubProtocol {
         nodes[node.index()].reset_volatile(config, now);
     }
 
-    /// B-SUB satisfies the partitioned-ownership contract: all mutable
-    /// state lives in per-node `NodeState`s and every hook touches
-    /// only the nodes it is handed. (The whole-network snapshot and
-    /// occupancy walks are observer-gated and never run on the sharded
-    /// path, which requires an inactive recorder and profiler.)
-    fn shard_fork(&self) -> Option<Box<dyn Protocol>> {
-        Some(Box::new(Self {
-            config: self.config.clone(),
-            nodes: Vec::new(),
-            occupancy_probe: 0,
-        }))
-    }
-
-    fn take_node(&mut self, node: NodeId) -> Option<Box<dyn std::any::Any + Send>> {
-        let slot = self.nodes.get_mut(node.index())?;
-        let placeholder = NodeState::new(&self.config, &[]);
-        Some(Box::new(std::mem::replace(slot, placeholder)))
-    }
-
-    fn put_node(&mut self, node: NodeId, state: Box<dyn std::any::Any + Send>) {
-        let state = *state
-            .downcast::<NodeState>()
-            .expect("a checked-out B-SUB node state");
-        if self.nodes.len() <= node.index() {
-            let config = &self.config;
-            self.nodes
-                .resize_with(node.index() + 1, || NodeState::new(config, &[]));
-        }
-        self.nodes[node.index()] = state;
-    }
-
-    /// Serializes `node`'s full state for cross-process shipping (the
-    /// networked runtime's analogue of [`Protocol::take_node`]); see
+    /// Serializes `node`'s full state for cross-process shipping; see
     /// the `snapshot` module for the format and exactness contract.
     fn export_node(&self, node: NodeId) -> Option<Vec<u8>> {
         let state = self.nodes.get(node.index())?;
@@ -1559,106 +1514,6 @@ mod tests {
             Role::Broker,
             "the role survives the restart"
         );
-    }
-
-    /// Node state survives a fork → take → put round trip, including
-    /// roles and carried cargo.
-    #[test]
-    fn shard_checkout_round_trip_preserves_state() {
-        use bsub_sim::Protocol as _;
-        let trace = ContactTrace::new(
-            "rt",
-            4,
-            vec![contact(2, 3, 100, 300), contact(0, 3, 500, 700)],
-        )
-        .unwrap();
-        let mut subs = SubscriptionTable::new(4);
-        subs.subscribe(NodeId::new(2), "news");
-        let sched = vec![message(10, 0, "news")];
-        let sim = Simulation::new(trace, subs.clone(), sched, SimConfig::default());
-        let mut bsub = BsubProtocol::new(config(), &subs);
-        let _ = sim.run(&mut bsub);
-        assert_eq!(bsub.carried_copies(), 1, "broker 3 holds the copy");
-        let role_before = bsub.role_of(NodeId::new(3));
-
-        let mut fork = bsub.shard_fork().expect("B-SUB shards");
-        let state = bsub.take_node(NodeId::new(3)).expect("take");
-        fork.put_node(NodeId::new(3), state);
-        assert_eq!(bsub.carried_copies(), 0, "placeholder left behind");
-        let state = fork.take_node(NodeId::new(3)).expect("take back");
-        bsub.put_node(NodeId::new(3), state);
-        assert_eq!(bsub.carried_copies(), 1);
-        assert_eq!(bsub.role_of(NodeId::new(3)), role_before);
-    }
-
-    /// The sharded runner reproduces the serial report exactly, on a
-    /// dense trace with elections, relays, and handoffs — and for a
-    /// prime shard count that splits components unevenly.
-    #[test]
-    fn sharded_run_matches_serial_report() {
-        use bsub_traces::synthetic::SyntheticTrace;
-        let trace = SyntheticTrace::new("shardeq", 40, SimDuration::from_hours(24), 4000)
-            .seed(9)
-            .build();
-        let mut subs = SubscriptionTable::new(40);
-        for i in 0..40 {
-            if i % 3 == 0 {
-                subs.subscribe(NodeId::new(i), "news");
-            }
-        }
-        let sched: Vec<GeneratedMessage> = (0..20)
-            .map(|k| message(100 + k * 900, (k % 5) as u32, "news"))
-            .collect();
-        let sim = Simulation::new(trace, subs.clone(), sched, SimConfig::default());
-        let mut serial = BsubProtocol::new(config(), &subs);
-        let expected = sim.run(&mut serial);
-        for shards in [2usize, 3, 7] {
-            let mut bsub = BsubProtocol::new(config(), &subs);
-            let got = sim.clone().with_shards(shards).run(&mut bsub);
-            assert_eq!(got, expected, "S={shards} must match serial");
-            assert_eq!(bsub.broker_count(), serial.broker_count());
-            assert_eq!(bsub.carried_copies(), serial.carried_copies());
-            assert_eq!(bsub.max_relay_counter(), serial.max_relay_counter());
-        }
-    }
-
-    /// Fault draws are shard-placement-independent: churn cells travel
-    /// with their node, loss/truncation/corruption draws are pure
-    /// functions of the contact index — so a fully faulted run is also
-    /// identical for every shard count.
-    #[test]
-    fn sharded_run_matches_serial_under_faults() {
-        use bsub_sim::fault::PPM;
-        use bsub_sim::FaultSpec;
-        use bsub_traces::synthetic::SyntheticTrace;
-        let trace = SyntheticTrace::new("shardfault", 30, SimDuration::from_hours(24), 3000)
-            .seed(4)
-            .build();
-        let mut subs = SubscriptionTable::new(30);
-        for i in 0..30 {
-            if i % 4 == 1 {
-                subs.subscribe(NodeId::new(i), "news");
-            }
-        }
-        let sched: Vec<GeneratedMessage> = (0..15)
-            .map(|k| message(100 + k * 1200, (k % 7) as u32, "news"))
-            .collect();
-        let spec = FaultSpec::none()
-            .with_seed(21)
-            .with_churn(PPM / 5, SimDuration::from_hours(2))
-            .with_contact_loss(PPM / 10)
-            .with_truncation(PPM / 10)
-            .with_corruption(PPM / 10);
-        let sim =
-            Simulation::new(trace, subs.clone(), sched, SimConfig::default()).with_faults(spec);
-        let mut serial = BsubProtocol::new(config(), &subs);
-        let expected = sim.run(&mut serial);
-        assert!(expected.contacts > 0);
-        for shards in [2usize, 5, 7] {
-            let mut bsub = BsubProtocol::new(config(), &subs);
-            let got = sim.clone().with_shards(shards).run(&mut bsub);
-            assert_eq!(got, expected, "faulted S={shards} must match serial");
-        }
     }
 
     #[test]

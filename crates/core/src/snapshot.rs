@@ -1,10 +1,9 @@
 //! Cross-process serialization of one node's complete B-SUB state.
 //!
 //! The networked runtime (`bsub-net`) checks node state out to the
-//! worker process that executes a contact and back afterwards, exactly
-//! like the sharded runner does in-process with `take_node`/`put_node`
-//! — except that across a socket the state must travel as
-//! self-contained bytes. This module implements that codec on the
+//! worker process that executes a contact and back afterwards; across
+//! a socket the state must travel as self-contained bytes. This module
+//! implements that codec on the
 //! workspace byte codec ([`bsub_obs::codec`], DESIGN.md §12.7) and the
 //! shared message record in [`bsub_sim::snapshot`].
 //!
@@ -233,9 +232,8 @@ pub(crate) fn encode_node(state: &NodeState) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Overwrites everything in `state` except the genuine filter (and its
-/// sparse view) from a snapshot produced by [`encode_node`] under the
-/// same `config`. Returns `false` — leaving `state` untouched — on any
+/// Overwrites everything in `state` except the genuine filter from a
+/// snapshot produced by [`encode_node`] under the same `config`. Returns `false` — leaving `state` untouched — on any
 /// malformed or config-incompatible input.
 pub(crate) fn decode_node_into(state: &mut NodeState, config: &BsubConfig, bytes: &[u8]) -> bool {
     let Some(parsed) = parse(config, bytes) else {

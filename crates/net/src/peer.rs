@@ -145,6 +145,10 @@ struct Shared {
     /// [`PeerManager::await_connections`] never have to poll on a
     /// fixed sleep — the fix for the 1-vCPU assembly flake.
     conns_changed: Condvar,
+    /// The last lifecycle state of each peer *without* an installed
+    /// connection. `conns` alone decides `Established`: a handshake
+    /// that loses a race to an installed connection has overwritten
+    /// this entry and never restores it.
     states: Mutex<HashMap<PeerId, ConnState>>,
     inbound: Sender<(PeerId, Frame)>,
     shutdown: AtomicBool,
@@ -238,6 +242,15 @@ impl PeerManager {
     /// The lifecycle state of the connection toward `peer`.
     #[must_use]
     pub fn state(&self, peer: PeerId) -> ConnState {
+        if self
+            .shared
+            .conns
+            .lock()
+            .expect("conns lock")
+            .contains_key(&peer)
+        {
+            return ConnState::Established;
+        }
         *self
             .shared
             .states
@@ -583,7 +596,6 @@ fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -
     );
     shared.conns_changed.notify_all();
     drop(conns);
-    shared.set_state(peer, ConnState::Established);
     shared.trace(NetEvent::HandshakeOk {
         peer,
         dialer: dialer == shared.local,
@@ -721,6 +733,29 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("reply arrives");
         assert_eq!((from, frame.kind), (PeerId(1), FrameKind::PublishOk));
+    }
+
+    /// A second handshake from an already connected peer that loses the
+    /// dial-race tiebreak leaves the incumbent connection, and its
+    /// reported state, untouched.
+    #[test]
+    fn race_losing_handshake_keeps_established_state() {
+        let (a, _b, a_addr, b_addr) = pair("racelost");
+        a.connect(PeerId(1), &b_addr).unwrap();
+
+        // Peer 1 dials again over a raw socket; the incumbent was
+        // dialed by the lower id (0), so this newcomer loses.
+        let mut raw = Stream::connect(&a_addr).unwrap();
+        hello(PeerId(1)).write_to(&mut raw).unwrap();
+        let reply = Frame::read_from(&mut raw).unwrap();
+        assert_eq!(decode_hello(&reply).unwrap(), PeerId(0));
+        hello(PeerId(1)).write_to(&mut raw).unwrap();
+        // The loser's socket is shut down once `install` has resolved
+        // the race, so EOF here means the handshake is over.
+        assert!(Frame::read_from(&mut raw).is_err());
+
+        assert_eq!(a.connection_count(), 1);
+        assert_eq!(a.state(PeerId(1)), ConnState::Established);
     }
 
     #[test]
