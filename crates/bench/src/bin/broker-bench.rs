@@ -31,8 +31,8 @@
 //! `HOST:PORT` or `unix:PATH`). `--worker --dir D --peer N
 //! --workers W --publishes P --keys K` is the internal client mode.
 
-use bsub_bench::output::{render_table, results_dir, write_csv};
-use bsub_bench::perf::{self, PerfEntry, Tolerance};
+use bsub_bench::output::{render_table, write_csv};
+use bsub_bench::perf::{self, PerfEntry};
 use bsub_net::{
     frame_time_hist, BrokerClient, BrokerConfig, BrokerNode, EndpointAddr, FrameKind, PeerConfig,
     PeerId, StatsHandle, StatsServer, HEADER_LEN,
@@ -377,24 +377,7 @@ fn main() {
         forwardings: total_publishes,
         delivered: total_deliveries,
     };
-    let trajectory = results_dir().join("BENCH_perf.json");
-    perf::append(&trajectory, &entry);
-    println!("[appended {}]", trajectory.display());
-
-    if check {
-        let baseline_path = match std::env::var("BSUB_PERF_BASELINE") {
-            Ok(custom) => PathBuf::from(custom),
-            Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
-        };
-        let baseline = perf::load(&baseline_path);
-        match perf::check(&baseline, &entry, Tolerance::from_env()) {
-            Ok(msg) => println!("[perf ok] {msg}"),
-            Err(msg) => {
-                eprintln!("[perf REGRESSION] {msg}");
-                std::process::exit(3);
-            }
-        }
-    }
+    perf::record(&[entry], check);
     println!(
         "broker-bench: {total_publishes} publishes → {total_deliveries} deliveries at {qps:.0}/s"
     );

@@ -34,18 +34,16 @@
 //!   against the committed `BENCH_perf.json` baseline, exactly like
 //!   `scale --check`.
 //!
-//! Deterministic work counters (live subscribers, tiers, pool filters
-//! and compactions — both 0 since the posting table replaced the tier
-//! pools — tier probes, candidates, matches) go into the CSV in both
-//! modes; wall-clock rates go to stdout, the full CSV, and the
-//! perf-gate entry in `BENCH_perf.json`.
+//! Deterministic work counters (live subscribers, posting-table probes
+//! and hits, candidates, matches) go into the CSV in both modes;
+//! wall-clock rates go to stdout, the full CSV, and the perf-gate
+//! entry in `BENCH_perf.json`.
 
-use bsub_bench::output::{render_table, results_dir, write_csv};
-use bsub_bench::perf::{self, PerfEntry, Tolerance};
+use bsub_bench::output::{render_table, write_csv};
+use bsub_bench::perf::{self, PerfEntry};
 use bsub_bloom::rng::SplitMix64;
 use bsub_match::{Event, MatchIndex, MatchParams, ReferenceMatcher};
 use bsub_obs::{self as obs, MetricsReport, ProfReport};
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Master seed for subscriber interests and the event batch.
@@ -82,9 +80,6 @@ struct CellOutcome {
     topics: u64,
     events: usize,
     live: usize,
-    tiers: usize,
-    pool_filters: usize,
-    compactions: u64,
     tier_probes: u64,
     tier_hits: u64,
     candidates: u64,
@@ -227,9 +222,6 @@ fn run_cell(cell: &Cell, prof: bool) -> CellOutcome {
         topics: cell.topics,
         events: batch.len(),
         live: index.live_count(),
-        tiers: index.tier_count(),
-        pool_filters: index.pool_filter_count(),
-        compactions: index.compactions(),
         tier_probes: set.stats.tier_probes,
         tier_hits: set.stats.tier_hits,
         candidates: set.stats.candidates,
@@ -241,13 +233,6 @@ fn run_cell(cell: &Cell, prof: bool) -> CellOutcome {
         speedup: ref_ns_per_event / index_ns_per_event.max(f64::MIN_POSITIVE),
         wall_ms: wall_start.elapsed().as_secs_f64() * 1e3,
         prof: prof_report,
-    }
-}
-
-fn baseline_path() -> PathBuf {
-    match std::env::var("BSUB_PERF_BASELINE") {
-        Ok(custom) => PathBuf::from(custom),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
     }
 }
 
@@ -276,9 +261,6 @@ fn main() {
         "topics",
         "events",
         "live",
-        "tiers",
-        "pool_filters",
-        "compactions",
         "tier_probes",
         "tier_hits",
         "candidates",
@@ -292,9 +274,6 @@ fn main() {
             o.topics.to_string(),
             o.events.to_string(),
             o.live.to_string(),
-            o.tiers.to_string(),
-            o.pool_filters.to_string(),
-            o.compactions.to_string(),
             o.tier_probes.to_string(),
             o.tier_hits.to_string(),
             o.candidates.to_string(),
@@ -331,7 +310,6 @@ fn main() {
             vec![
                 o.subs.to_string(),
                 o.live.to_string(),
-                o.tiers.to_string(),
                 format!("{:.1}", o.index_ns_per_event / 1e3),
                 format!("{:.1}", o.ref_ns_per_event / 1e3),
                 format!("{:.1}", o.speedup),
@@ -349,7 +327,6 @@ fn main() {
             &[
                 "subs",
                 "live",
-                "tiers",
                 "index_us/ev",
                 "ref_us/ev",
                 "speedup",
@@ -391,18 +368,5 @@ fn main() {
         forwardings: outcomes.iter().map(|o| o.tier_probes).sum(),
         delivered: outcomes.iter().map(|o| o.matched).sum(),
     };
-    let trajectory = results_dir().join("BENCH_perf.json");
-    perf::append(&trajectory, &entry);
-    println!("[appended {}]", trajectory.display());
-
-    if check {
-        let baseline = perf::load(&baseline_path());
-        match perf::check(&baseline, &entry, Tolerance::from_env()) {
-            Ok(note) => println!("[perf check] {note}"),
-            Err(err) => {
-                eprintln!("[perf check FAILED] {err}");
-                std::process::exit(1);
-            }
-        }
-    }
+    perf::record(&[entry], check);
 }

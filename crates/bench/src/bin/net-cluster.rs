@@ -47,7 +47,7 @@
 
 use bsub_bench::experiments::{smoke_environment, smoke_protocols};
 use bsub_bench::output::{render_table, results_dir, write_csv};
-use bsub_bench::perf::{self, PerfEntry, Tolerance};
+use bsub_bench::perf::{self, PerfEntry};
 use bsub_bench::{Experiment, MASTER_SEED};
 use bsub_net::{
     frame_time_hist, render_prometheus, run_coordinator_with, run_worker, scrape, ClusterSpec,
@@ -56,7 +56,7 @@ use bsub_net::{
 use bsub_obs::calibrate_ns;
 use bsub_sim::{ProtocolFactory, SimConfig, SimReport};
 use bsub_traces::SimDuration;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
@@ -411,23 +411,6 @@ fn main() {
         forwardings: sum_forwardings,
         delivered: sum_delivered,
     };
-    let trajectory = results_dir().join("BENCH_perf.json");
-    perf::append(&trajectory, &entry);
-    println!("[appended {}]", trajectory.display());
-
-    if check {
-        let baseline_path = match std::env::var("BSUB_PERF_BASELINE") {
-            Ok(custom) => PathBuf::from(custom),
-            Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
-        };
-        let baseline = perf::load(&baseline_path);
-        match perf::check(&baseline, &entry, Tolerance::from_env()) {
-            Ok(msg) => println!("[perf ok] {msg}"),
-            Err(msg) => {
-                eprintln!("[perf REGRESSION] {msg}");
-                std::process::exit(3);
-            }
-        }
-    }
+    perf::record(&[entry], check);
     println!("net-cluster: all protocols reproduced the serial simulator exactly");
 }

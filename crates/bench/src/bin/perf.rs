@@ -16,17 +16,9 @@
 //!   `perf --smoke --check`.
 
 use bsub_bench::engine::{Executor, SweepSpec};
-use bsub_bench::output::{record_perf, results_dir};
-use bsub_bench::perf::{self, Tolerance};
+use bsub_bench::output::{results_dir, write_run_walls};
+use bsub_bench::perf::{self, PerfEntry};
 use bsub_bench::{experiments, Experiment, MASTER_SEED};
-use std::path::{Path, PathBuf};
-
-fn baseline_path() -> PathBuf {
-    match std::env::var("BSUB_PERF_BASELINE") {
-        Ok(custom) => PathBuf::from(custom),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -45,9 +37,7 @@ fn main() {
         ]
     };
 
-    let baseline = perf::load(&baseline_path());
-    let tolerance = Tolerance::from_env();
-    let mut failures = 0usize;
+    let mut entries = Vec::new();
     for mut spec in specs {
         for run in &mut spec.runs {
             run.record.prof = true;
@@ -61,31 +51,8 @@ fn main() {
         std::fs::write(&json_path, format!("{}\n", metrics.to_json())).expect("write metrics JSON");
         println!("[written {}]", json_path.display());
 
-        record_perf(&outcome);
-        if check {
-            // record_perf appended this sweep's entry (with its host
-            // calibration) to the results trajectory — reuse it rather
-            // than calibrating twice.
-            let trajectory = perf::load(&results_dir().join("BENCH_perf.json"));
-            let entry = trajectory
-                .iter()
-                .rev()
-                .find(|e| e.experiment == outcome.name)
-                .expect("record_perf appended this sweep");
-            match perf::check(&baseline, entry, tolerance) {
-                Ok(note) => println!("[perf check] {note}"),
-                Err(err) => {
-                    eprintln!("[perf check FAILED] {err}");
-                    failures += 1;
-                }
-            }
-        }
+        write_run_walls(&outcome);
+        entries.push(PerfEntry::from_outcome(&outcome));
     }
-    if failures > 0 {
-        eprintln!(
-            "{failures} perf regression(s) against {}",
-            baseline_path().display()
-        );
-        std::process::exit(1);
-    }
+    perf::record(&entries, check);
 }

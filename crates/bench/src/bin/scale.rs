@@ -72,14 +72,13 @@
 //! same spans also feed the `scale_*_ns` histograms (one sample per
 //! epoch per worker), giving tail latencies per phase.
 
-use bsub_bench::output::{render_table, results_dir, write_csv};
-use bsub_bench::perf::{self, PerfEntry, Tolerance};
+use bsub_bench::output::{render_table, write_csv};
+use bsub_bench::perf::{self, PerfEntry};
 use bsub_bloom::rng::SplitMix64;
 use bsub_bloom::PackedTcbf;
 use bsub_obs::{self as obs, Counter, MetricsReport, ProfReport, TimeHist};
 use bsub_traces::synthetic::ContactStream;
 use bsub_traces::SimDuration;
-use std::path::{Path, PathBuf};
 use std::sync::{Barrier, Mutex, RwLock};
 use std::time::Instant;
 
@@ -500,13 +499,6 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-fn baseline_path() -> PathBuf {
-    match std::env::var("BSUB_PERF_BASELINE") {
-        Ok(custom) => PathBuf::from(custom),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
-    }
-}
-
 fn parse_shards(args: &[String]) -> usize {
     if let Some(i) = args.iter().position(|a| a == "--shards") {
         match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
@@ -708,33 +700,9 @@ fn main() {
     }
 
     let entry = perf_entry(name, &outcomes.iter().collect::<Vec<_>>(), total_ms);
-    let trajectory = results_dir().join("BENCH_perf.json");
-    perf::append(&trajectory, &entry);
-    for sweep_entry in &sweep_entries {
-        perf::append(&trajectory, sweep_entry);
-    }
-    for phase in &phase_entries {
-        perf::append(&trajectory, phase);
-    }
-    println!("[appended {}]", trajectory.display());
-
-    if check {
-        let baseline = perf::load(&baseline_path());
-        let mut failed = false;
-        for e in std::iter::once(&entry)
-            .chain(&sweep_entries)
-            .chain(&phase_entries)
-        {
-            match perf::check(&baseline, e, Tolerance::from_env()) {
-                Ok(note) => println!("[perf check] {note}"),
-                Err(err) => {
-                    eprintln!("[perf check FAILED] {err}");
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+    let entries: Vec<PerfEntry> = std::iter::once(entry)
+        .chain(sweep_entries)
+        .chain(phase_entries)
+        .collect();
+    perf::record(&entries, check);
 }

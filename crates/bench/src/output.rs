@@ -129,6 +129,12 @@ pub fn write_events(name: &str, log: &EventLog) {
 /// `results/BENCH_perf.json` (the cross-run perf trajectory the
 /// regression gate compares against).
 pub fn record_perf(outcome: &SweepOutcome) {
+    write_run_walls(outcome);
+    crate::perf::record(&[crate::perf::PerfEntry::from_outcome(outcome)], false);
+}
+
+/// Writes `perf_<name>.csv`: the wall clock of every run of a sweep.
+pub fn write_run_walls(outcome: &SweepOutcome) {
     let headers = ["index", "point", "label", "seed", "wall_ms"];
     let rows: Vec<Vec<String>> = outcome
         .records
@@ -145,10 +151,6 @@ pub fn record_perf(outcome: &SweepOutcome) {
         })
         .collect();
     write_csv(&format!("perf_{}", outcome.name), &headers, &rows);
-
-    let path = results_dir().join("BENCH_perf.json");
-    crate::perf::append(&path, &crate::perf::PerfEntry::from_outcome(outcome));
-    println!("[appended {}]", path.display());
 }
 
 /// Formats a float with three decimals.

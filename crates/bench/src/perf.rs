@@ -12,13 +12,16 @@
 //! The gate itself is [`check`]: median-of-N over the baseline entries
 //! for the same experiment, with a noise tolerance on the normalized
 //! CPU time and a tighter one on the deterministic byte counters.
-//! `ci.sh` runs it through `perf --smoke --check`.
+//! Every binary that records perf entries goes through [`record`],
+//! which appends them and, under `--check`, gates them; `ci.sh` runs
+//! it through `perf --smoke --check` and the other smoke stages.
 
 use crate::engine::SweepOutcome;
+use crate::output::results_dir;
 use bsub_obs::calibrate_ns;
 use bsub_obs::json::{json_f64, json_string};
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Default multiplier on the baseline's median normalized CPU time
 /// before a run counts as a timing regression. Wide enough to absorb
@@ -165,14 +168,53 @@ pub fn load(path: &Path) -> Vec<PerfEntry> {
     text.lines().filter_map(PerfEntry::parse).collect()
 }
 
-/// Appends `entry` to the trajectory at `path`, keeping the file a
+/// Appends `entries` to the trajectory at `path`, keeping the file a
 /// valid JSON array with one entry object per line.
-pub fn append(path: &Path, entry: &PerfEntry) {
-    let mut entries = load(path);
-    entries.push(entry.clone());
-    let body: Vec<String> = entries.iter().map(PerfEntry::to_json).collect();
+pub fn append(path: &Path, entries: &[PerfEntry]) {
+    let mut all = load(path);
+    all.extend_from_slice(entries);
+    let body: Vec<String> = all.iter().map(PerfEntry::to_json).collect();
     let text = format!("[\n{}\n]\n", body.join(",\n"));
     fs::write(path, text).expect("write perf trajectory");
+}
+
+/// The trajectory `--check` gates against: `BSUB_PERF_BASELINE`, or
+/// the repo's committed `results/BENCH_perf.json`.
+fn baseline_path() -> PathBuf {
+    std::env::var_os("BSUB_PERF_BASELINE").map_or_else(
+        || Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
+        PathBuf::from,
+    )
+}
+
+/// Appends `entries` to the results trajectory and, when `gate` is set
+/// (a binary's `--check` flag), [`check`]s each one against the
+/// baseline at [`Tolerance::from_env`]. Every entry is checked and
+/// reported; the process exits with status 1 if any failed.
+pub fn record(entries: &[PerfEntry], gate: bool) {
+    let trajectory = results_dir().join("BENCH_perf.json");
+    append(&trajectory, entries);
+    println!("[appended {}]", trajectory.display());
+    if !gate {
+        return;
+    }
+    let path = baseline_path();
+    let baseline = load(&path);
+    let tolerance = Tolerance::from_env();
+    let mut failures = 0usize;
+    for entry in entries {
+        match check(&baseline, entry, tolerance) {
+            Ok(note) => println!("[perf check] {note}"),
+            Err(err) => {
+                eprintln!("[perf check FAILED] {err}");
+                failures += 1;
+            }
+        }
+    }
+    if failures > 0 {
+        eprintln!("{failures} perf regression(s) against {}", path.display());
+        std::process::exit(1);
+    }
 }
 
 /// Noise tolerances for the regression gate, as multipliers on the
@@ -332,8 +374,8 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_perf.json");
         let _ = fs::remove_file(&path);
-        append(&path, &entry("a", 10.0, 1_000_000, 5));
-        append(&path, &entry("b", 20.0, 1_000_000, 6));
+        append(&path, &[entry("a", 10.0, 1_000_000, 5)]);
+        append(&path, &[entry("b", 20.0, 1_000_000, 6)]);
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.starts_with("[\n") && text.ends_with("\n]\n"));
         let loaded = load(&path);

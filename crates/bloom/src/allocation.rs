@@ -11,11 +11,14 @@
 //! optimum is the **largest feasible `h`**, found by binary search
 //! ([`AllocationPlan::solve`]). The fill ratio corresponding to
 //! `n_keys / h` keys per filter becomes the allocation threshold θ.
+//!
+//! This module solves the plan; the analysis sweeps report it. No
+//! component of the system runs a multi-filter collection: nodes keep
+//! one TCBF each, and the broker matching index uses exact position
+//! postings.
 
 use crate::error::Error;
-use crate::hash::KeyHasher;
 use crate::math;
-use crate::tcbf::Tcbf;
 use crate::wire::{self, CounterMode};
 
 /// The solved parameters of a multi-TCBF allocation (Eq. 9–10).
@@ -95,187 +98,6 @@ impl AllocationPlan {
     }
 }
 
-/// A growable collection of TCBFs that allocates a new filter whenever
-/// the active one's fill ratio would exceed the threshold θ
-/// (Section VI-D's dynamic allocation strategy).
-///
-/// Queries consult every filter, so the collection behaves as one big
-/// filter with the joint FPR of Eq. 7. Decay applies to all members;
-/// fully decayed filters are reclaimed.
-///
-/// # Examples
-///
-/// ```
-/// use bsub_bloom::TcbfPool;
-///
-/// let mut pool = TcbfPool::new(256, 4, 50, 0.3);
-/// for i in 0..60 {
-///     pool.insert(format!("key-{i}"));
-/// }
-/// assert!(pool.filter_count() > 1, "pool spilled into extra filters");
-/// assert!(pool.contains("key-0"));
-/// assert!(pool.contains("key-59"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct TcbfPool {
-    filters: Vec<Tcbf>,
-    bits: usize,
-    hashes: usize,
-    initial: u32,
-    fr_threshold: f64,
-}
-
-impl TcbfPool {
-    /// Creates an empty pool. A new filter is allocated whenever
-    /// inserting into the active filter would push its fill ratio past
-    /// `fr_threshold`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if parameters are zero or `fr_threshold` is outside
-    /// `(0, 1]`.
-    #[must_use]
-    pub fn new(bits: usize, hashes: usize, initial: u32, fr_threshold: f64) -> Self {
-        assert!(
-            fr_threshold > 0.0 && fr_threshold <= 1.0,
-            "fill-ratio threshold must be in (0, 1]"
-        );
-        Self {
-            filters: vec![Tcbf::new(bits, hashes, initial)],
-            bits,
-            hashes,
-            initial,
-            fr_threshold,
-        }
-    }
-
-    /// Creates a pool from a solved [`AllocationPlan`].
-    #[must_use]
-    pub fn from_plan(bits: usize, hashes: usize, initial: u32, plan: &AllocationPlan) -> Self {
-        Self::new(bits, hashes, initial, plan.fr_threshold)
-    }
-
-    /// Inserts a key into the active filter, spilling into a freshly
-    /// allocated filter if the active one is past the threshold.
-    pub fn insert<K: AsRef<[u8]>>(&mut self, key: K) {
-        let key = key.as_ref();
-        let active = self.filters.last_mut().expect("pool is never empty");
-        if active.fill_ratio() <= self.fr_threshold && active.insert(key).is_ok() {
-            return;
-        }
-        let mut fresh = Tcbf::new(self.bits, self.hashes, self.initial);
-        fresh.insert(key).expect("fresh filter accepts inserts");
-        self.filters.push(fresh);
-    }
-
-    /// Inserts-or-refreshes a key, identified by its pre-computed
-    /// [`KeyHasher::digests`], at strength `value`: afterwards some
-    /// filter in the pool holds every position of the key at a
-    /// materialized counter `>= value`, i.e.
-    /// `self.min_counter(key) >= value`.
-    ///
-    /// This is the aggregation write path of `bsub-match`: unlike
-    /// [`TcbfPool::insert`], which keeps already-set counters (the
-    /// paper's insertion rule), reinforcement *refreshes* counters
-    /// that an earlier key set and decay has since weakened, so a
-    /// tier-level pool stays a superset of every member filter. The
-    /// digests must come from the same hasher the pool's filters use
-    /// (the crate default unless constructed otherwise). Spill
-    /// behavior mirrors `insert`: a fresh filter is allocated when the
-    /// active one is past the threshold θ and does not already hold
-    /// the key.
-    pub fn reinforce(&mut self, digests: (u64, u64), value: u32) {
-        if value == 0 {
-            return;
-        }
-        let (hashes, bits) = (self.hashes, self.bits);
-        let active = self.filters.last_mut().expect("pool is never empty");
-        let present = KeyHasher::positions_from_digests(digests, hashes, bits)
-            .all(|p| active.counter_at(p) > 0);
-        if present || active.fill_ratio() <= self.fr_threshold {
-            active.refresh_positions(
-                KeyHasher::positions_from_digests(digests, hashes, bits),
-                value,
-            );
-            return;
-        }
-        let mut fresh = Tcbf::new(self.bits, self.hashes, self.initial);
-        fresh.refresh_positions(
-            KeyHasher::positions_from_digests(digests, hashes, bits),
-            value,
-        );
-        self.filters.push(fresh);
-    }
-
-    /// Existential query across all filters (joint FPR of Eq. 7).
-    #[must_use]
-    pub fn contains<K: AsRef<[u8]>>(&self, key: K) -> bool {
-        let key = key.as_ref();
-        self.filters.iter().any(|f| f.contains(key))
-    }
-
-    /// The largest min-counter of the key across all filters; zero if
-    /// absent everywhere.
-    #[must_use]
-    pub fn min_counter<K: AsRef<[u8]>>(&self, key: K) -> u32 {
-        let key = key.as_ref();
-        self.filters
-            .iter()
-            .map(|f| f.min_counter(key))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Decays every filter and reclaims the ones that fully expire (at
-    /// least one filter is always retained).
-    pub fn decay(&mut self, amount: u32) {
-        for f in &mut self.filters {
-            f.decay(amount);
-        }
-        if self.filters.len() > 1 {
-            self.filters.retain(|f| !f.is_empty());
-            if self.filters.is_empty() {
-                self.filters
-                    .push(Tcbf::new(self.bits, self.hashes, self.initial));
-            }
-        }
-    }
-
-    /// Number of filters currently allocated.
-    #[must_use]
-    pub fn filter_count(&self) -> usize {
-        self.filters.len()
-    }
-
-    /// Total set bits across filters.
-    #[must_use]
-    pub fn set_bits(&self) -> usize {
-        self.filters.iter().map(Tcbf::set_bits).sum()
-    }
-
-    /// Wire size in bytes of shipping every filter in full-counter
-    /// mode — the quantity Eq. 8 models.
-    #[must_use]
-    pub fn wire_bytes(&self) -> usize {
-        self.filters
-            .iter()
-            .map(|f| wire::encoded_len(f.set_bits(), f.bit_len(), CounterMode::Full))
-            .sum()
-    }
-
-    /// Read-only access to the member filters.
-    #[must_use]
-    pub fn filters(&self) -> &[Tcbf] {
-        &self.filters
-    }
-
-    /// The allocation threshold θ.
-    #[must_use]
-    pub fn fr_threshold(&self) -> f64 {
-        self.fr_threshold
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,170 +140,5 @@ mod tests {
     fn plan_h_bounded_by_keys() {
         let plan = AllocationPlan::solve(256, 4, 5, usize::MAX / 2).unwrap();
         assert!(plan.filters <= 5);
-    }
-
-    #[test]
-    fn pool_spills_when_threshold_exceeded() {
-        let mut pool = TcbfPool::new(256, 4, 10, 0.2);
-        for i in 0..50 {
-            pool.insert(format!("spill-{i}"));
-        }
-        assert!(pool.filter_count() >= 2);
-        for i in 0..50 {
-            assert!(pool.contains(format!("spill-{i}")));
-        }
-    }
-
-    #[test]
-    fn pool_single_filter_when_threshold_high() {
-        let mut pool = TcbfPool::new(4096, 4, 10, 0.9);
-        for i in 0..30 {
-            pool.insert(format!("fit-{i}"));
-        }
-        assert_eq!(pool.filter_count(), 1);
-    }
-
-    #[test]
-    fn pool_decay_reclaims_empty_filters() {
-        let mut pool = TcbfPool::new(256, 4, 5, 0.1);
-        for i in 0..60 {
-            pool.insert(format!("tmp-{i}"));
-        }
-        let before = pool.filter_count();
-        assert!(before > 1);
-        pool.decay(5);
-        assert_eq!(pool.filter_count(), 1, "fully decayed pool collapses");
-        assert!(!pool.contains("tmp-0"));
-    }
-
-    #[test]
-    fn pool_min_counter_max_across_filters() {
-        let mut pool = TcbfPool::new(256, 4, 7, 0.05);
-        pool.insert("a");
-        for i in 0..40 {
-            pool.insert(format!("fill-{i}"));
-        }
-        assert_eq!(pool.min_counter("a"), 7);
-        assert_eq!(pool.min_counter("absent-key"), 0);
-    }
-
-    #[test]
-    fn reinforce_guarantees_min_counter() {
-        let hasher = KeyHasher::default();
-        let mut pool = TcbfPool::new(256, 4, 10, 0.3);
-        for i in 0..40 {
-            pool.insert(format!("base-{i}"));
-        }
-        pool.decay(6);
-        pool.reinforce(hasher.digests(b"fresh"), 9);
-        assert!(pool.min_counter("fresh") >= 9);
-    }
-
-    #[test]
-    fn reinforce_refreshes_decayed_counters() {
-        // insert keeps already-set counters; reinforce raises them.
-        let hasher = KeyHasher::default();
-        let mut pool = TcbfPool::new(256, 4, 10, 0.9);
-        pool.insert("k");
-        pool.decay(7);
-        assert_eq!(pool.min_counter("k"), 3);
-        pool.insert("k");
-        assert_eq!(pool.min_counter("k"), 3, "insert keeps set counters");
-        pool.reinforce(hasher.digests(b"k"), 10);
-        assert_eq!(pool.min_counter("k"), 10, "reinforce refreshes them");
-    }
-
-    #[test]
-    fn reinforce_spills_past_threshold_like_insert() {
-        let hasher = KeyHasher::default();
-        let mut pool = TcbfPool::new(256, 4, 10, 0.2);
-        for i in 0..50 {
-            pool.reinforce(hasher.digests(format!("spill-{i}").as_bytes()), 10);
-        }
-        assert!(pool.filter_count() >= 2);
-        for i in 0..50 {
-            assert!(pool.min_counter(format!("spill-{i}")) >= 10);
-        }
-    }
-
-    #[test]
-    fn reinforce_present_key_refreshes_in_place_past_threshold() {
-        // Push the active filter just past θ while it holds "k": every
-        // call below finds fill ≤ θ at call time, so nothing spills.
-        let hasher = KeyHasher::default();
-        let mut pool = TcbfPool::new(64, 4, 10, 0.2);
-        pool.reinforce(hasher.digests(b"k"), 10);
-        let mut i = 0;
-        while pool.filters().last().unwrap().fill_ratio() <= 0.2 {
-            pool.reinforce(hasher.digests(format!("fill-{i}").as_bytes()), 10);
-            i += 1;
-        }
-        assert_eq!(pool.filter_count(), 1);
-        pool.decay(4);
-        pool.reinforce(hasher.digests(b"k"), 10);
-        assert_eq!(
-            pool.filter_count(),
-            1,
-            "refreshing a key the active filter holds must not spill"
-        );
-        assert_eq!(pool.min_counter("k"), 10);
-        // A genuinely new key now does spill.
-        pool.reinforce(hasher.digests(b"brand-new"), 10);
-        assert_eq!(pool.filter_count(), 2);
-    }
-
-    #[test]
-    fn reinforce_zero_value_is_noop() {
-        let hasher = KeyHasher::default();
-        let mut pool = TcbfPool::new(256, 4, 10, 0.3);
-        let bits = pool.set_bits();
-        pool.reinforce(hasher.digests(b"k"), 0);
-        assert_eq!(pool.set_bits(), bits);
-    }
-
-    #[test]
-    fn pool_wire_bytes_positive_after_insert() {
-        let mut pool = TcbfPool::new(256, 4, 10, 0.5);
-        let empty = pool.wire_bytes();
-        pool.insert("k");
-        assert!(pool.wire_bytes() > empty);
-    }
-
-    #[test]
-    fn pool_joint_fpr_matches_eq7_shape() {
-        // A pool that spilled into h filters has empirical FPR close to
-        // the joint formula.
-        let mut pool = TcbfPool::new(256, 4, 10, 0.25);
-        for i in 0..80 {
-            pool.insert(format!("member-{i}"));
-        }
-        let per: Vec<f64> = pool
-            .filters()
-            .iter()
-            .map(|f| math::keys_from_fill_ratio(256, 4, f.fill_ratio()))
-            .collect();
-        let theory = math::joint_false_positive_rate(256, 4, &per);
-        let trials = 20_000;
-        let fp = (0..trials)
-            .filter(|i| pool.contains(format!("absent-{i}")))
-            .count();
-        let empirical = fp as f64 / f64::from(trials);
-        assert!(
-            (empirical - theory).abs() < 0.05,
-            "empirical {empirical} vs theory {theory}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn pool_rejects_zero_threshold() {
-        let _ = TcbfPool::new(256, 4, 10, 0.0);
-    }
-
-    #[test]
-    fn from_plan_uses_plan_threshold() {
-        let plan = AllocationPlan::solve(256, 4, 60, 1500).unwrap();
-        let pool = TcbfPool::from_plan(256, 4, 10, &plan);
-        assert!((pool.fr_threshold() - plan.fr_threshold).abs() < 1e-12);
     }
 }

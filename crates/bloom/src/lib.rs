@@ -24,9 +24,10 @@
 //! - [`wire`] — the compressed encoding of Section VI-C: set-bit
 //!   locations packed at ⌈log₂ m⌉ bits each, with full, shared, or
 //!   ripped counters.
-//! - [`allocation`] — the dynamic multi-filter allocation strategy of
-//!   Section VI-D, including the binary search for the optimal filter
-//!   count under a storage bound (Eq. 9–10).
+//! - [`allocation`] — the planner of Section VI-D's dynamic
+//!   multi-filter allocation: the binary search for the optimal filter
+//!   count under a storage bound (Eq. 9–10) and its fill-ratio
+//!   threshold θ.
 //!
 //! # Quickstart
 //!
@@ -60,7 +61,7 @@ pub mod rng;
 mod tcbf;
 pub mod wire;
 
-pub use crate::allocation::{AllocationPlan, TcbfPool};
+pub use crate::allocation::AllocationPlan;
 pub use crate::bitvec::BitVec;
 pub use crate::bloom::BloomFilter;
 pub use crate::error::Error;

@@ -439,6 +439,32 @@ mod tests {
     }
 
     #[test]
+    fn eq7_matches_empirical_fpr_of_split_filters() {
+        // 80 keys spread over four 256-bit filters, queried as one
+        // collection: the empirical FPR is close to the joint formula.
+        let filters: Vec<crate::Tcbf> = (0..4)
+            .map(|f| crate::Tcbf::from_keys(256, 4, 10, (0..20).map(|i| format!("member-{f}-{i}"))))
+            .collect();
+        let per: Vec<f64> = filters
+            .iter()
+            .map(|f| keys_from_fill_ratio(256, 4, f.fill_ratio()))
+            .collect();
+        let theory = joint_false_positive_rate(256, 4, &per);
+        let trials = 20_000;
+        let fp = (0..trials)
+            .filter(|i| {
+                let key = format!("absent-{i}");
+                filters.iter().any(|f| f.contains(&key))
+            })
+            .count();
+        let empirical = fp as f64 / f64::from(trials);
+        assert!(
+            (empirical - theory).abs() < 0.05,
+            "empirical {empirical} vs theory {theory}"
+        );
+    }
+
+    #[test]
     fn optimal_k_for_paper_setting() {
         // 256 bits / 44 keys: k* = (256/44)·ln2 ≈ 4 — the paper's
         // choice of k = 4 sits at the optimum for its load.

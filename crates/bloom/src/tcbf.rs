@@ -333,42 +333,6 @@ impl Tcbf {
         self.counters[idx].saturating_sub(self.epoch)
     }
 
-    /// Raises the counters at `positions` to at least `value`: each
-    /// becomes `max(current, value)` on materialized values.
-    ///
-    /// Observationally identical to M-merging a fresh filter whose
-    /// only key hashes to exactly `positions` with initial counter
-    /// `value`, in O(k) instead of O(m). Unlike [`Tcbf::insert`],
-    /// which keeps already-set counters (the paper's insertion rule),
-    /// this *refreshes* decayed counters — the aggregation write path
-    /// of `bsub-match`, where a tier filter must guarantee
-    /// `min_counter ≥ value` over a member's positions even when an
-    /// earlier subscriber set them and decay has since weakened them.
-    /// Being an M-merge, it marks the filter merged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any position is `>= self.bit_len()`.
-    pub fn refresh_positions<I: IntoIterator<Item = usize>>(&mut self, positions: I, value: u32) {
-        if value == 0 {
-            return;
-        }
-        // Store `max(materialized, value)` under the unchanged epoch:
-        // `max(c ∸ e, v) = max(c, v + e) ∸ e` as long as `v + e` does
-        // not overflow; flush first in the (unreachable in practice)
-        // saturating case so the max lands on materialized values.
-        if self.epoch > u32::MAX - value {
-            self.flush_epoch();
-        }
-        let target = value + self.epoch;
-        for pos in positions {
-            if self.counters[pos] < target {
-                self.counters[pos] = target;
-            }
-        }
-        self.merged = true;
-    }
-
     /// Materialized (epoch-adjusted) counter values, in bit order — the
     /// observable state of the filter. Allocation-free iterator; use
     /// [`Tcbf::counter_values`] for a `Vec`.
@@ -768,54 +732,6 @@ mod tests {
         for (i, &c) in eager.iter().enumerate() {
             assert_eq!(f.counter_at(i), c);
         }
-    }
-
-    #[test]
-    fn refresh_positions_equals_m_merge_with_singleton() {
-        // refresh = M-merge with a fresh one-key filter at counter v,
-        // across decay states on the receiver.
-        for receiver_decay in [0u32, 4, 9, 15] {
-            let mut merged = Tcbf::from_keys(256, 4, 10, ["a", "b"]);
-            merged.decay(receiver_decay);
-            let mut refreshed = merged.clone();
-
-            let single = Tcbf::from_keys(256, 4, 7, ["c"]);
-            merged.m_merge(&single).unwrap();
-
-            let positions: Vec<usize> = refreshed.hasher().positions(b"c", 4, 256).collect();
-            refreshed.refresh_positions(positions.iter().copied(), 7);
-
-            assert_eq!(refreshed, merged, "receiver_decay={receiver_decay}");
-            assert!(refreshed.is_merged());
-            assert!(refreshed.min_counter("c") >= 7);
-        }
-    }
-
-    #[test]
-    fn refresh_positions_raises_decayed_counters() {
-        let mut f = Tcbf::from_keys(256, 4, 10, ["k"]);
-        f.decay(8);
-        assert_eq!(f.min_counter("k"), 2);
-        let positions: Vec<usize> = f.hasher().positions(b"k", 4, 256).collect();
-        f.refresh_positions(positions, 10);
-        assert_eq!(f.min_counter("k"), 10);
-    }
-
-    #[test]
-    fn refresh_positions_never_lowers() {
-        let mut f = Tcbf::from_keys(256, 4, 10, ["k"]);
-        let positions: Vec<usize> = f.hasher().positions(b"k", 4, 256).collect();
-        f.refresh_positions(positions, 3);
-        assert_eq!(f.min_counter("k"), 10, "refresh keeps the larger value");
-    }
-
-    #[test]
-    fn refresh_positions_zero_value_is_noop() {
-        let mut f = Tcbf::from_keys(256, 4, 10, ["k"]);
-        let before = f.clone();
-        f.refresh_positions(0..4, 0);
-        assert_eq!(f, before);
-        assert!(!f.is_merged());
     }
 
     #[test]

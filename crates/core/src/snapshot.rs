@@ -45,15 +45,15 @@ use std::sync::Arc;
 const VERSION: u8 = 1;
 
 /// Match-index snapshot format version; bump on any layout change.
-const INDEX_VERSION: u8 = 1;
+const INDEX_VERSION: u8 = 2;
 
-/// Encodes a live [`MatchIndex`]'s state — parameters, decay epoch,
-/// and every subscriber in tier-member order — into a self-contained
-/// byte snapshot a restarted broker can [`decode_match_index`] from.
+/// Encodes a live [`MatchIndex`]'s state — geometry, decay epoch, and
+/// every subscriber in ascending id order — into a self-contained byte
+/// snapshot a restarted broker can [`decode_match_index`] from.
 ///
 /// Exactness follows the [`bsub_match::IndexState`] contract: the
 /// decoded index produces identical match results (members, positions,
-/// strengths, deadlines, tier layout and posting lists all preserved).
+/// strengths, deadlines and posting lists all preserved).
 #[must_use]
 pub fn encode_match_index(index: &MatchIndex) -> Vec<u8> {
     let state = index.export_state();
@@ -62,15 +62,10 @@ pub fn encode_match_index(index: &MatchIndex) -> Vec<u8> {
     w.u64(state.params.member_bits as u64);
     w.u64(state.params.member_hashes as u64);
     w.u32(state.params.initial);
-    w.u64(state.params.tier_size as u64);
-    w.u64(state.params.tier_budget_bytes as u64);
-    w.u64(state.params.keys_per_subscriber_hint as u64);
-    w.f64(state.params.compact_ratio);
     w.u64(state.epoch);
     w.u32(state.subs.len() as u32);
     for sub in &state.subs {
         w.u64(sub.id);
-        w.u64(sub.tier as u64);
         w.u64(sub.born);
         match sub.deadline {
             None => w.flag(false),
@@ -90,15 +85,11 @@ pub fn encode_match_index(index: &MatchIndex) -> Vec<u8> {
 
 /// Rebuilds a [`MatchIndex`] from an [`encode_match_index`] snapshot.
 /// Returns `None` on any malformed input: truncation, trailing bytes,
-/// version mismatch, a geometry the TCBF wire format cannot carry
-/// (`member_bits` over `u16::MAX`, `member_hashes` over 255), a count
-/// larger than the bytes left, decreasing tier indices, or a state
+/// version mismatch (version 1 included), a geometry the TCBF wire
+/// format cannot carry (`member_bits` over `u16::MAX`, `member_hashes`
+/// over 255), a count larger than the bytes left, subscriber ids that
+/// are not strictly ascending, or a state
 /// [`MatchIndex::try_from_state`] rejects.
-///
-/// Occupied tiers are renumbered densely in their original order, so
-/// the rebuilt index never holds more tiers than subscribers. Empty
-/// tiers have no members and matching skips them, so no match result
-/// changes; a snapshot without gaps re-exports byte-identically.
 #[must_use]
 pub fn decode_match_index(bytes: &[u8]) -> Option<MatchIndex> {
     let mut r = Reader::new(bytes);
@@ -109,27 +100,17 @@ pub fn decode_match_index(bytes: &[u8]) -> Option<MatchIndex> {
         member_bits: usize::try_from(r.u64()?).ok()?,
         member_hashes: usize::try_from(r.u64()?).ok()?,
         initial: r.u32()?,
-        tier_size: usize::try_from(r.u64()?).ok()?,
-        tier_budget_bytes: usize::try_from(r.u64()?).ok()?,
-        keys_per_subscriber_hint: usize::try_from(r.u64()?).ok()?,
-        compact_ratio: r.f64()?,
     };
     if params.member_bits > usize::from(u16::MAX) || params.member_hashes > usize::from(u8::MAX) {
         return None;
     }
     let epoch = r.u64()?;
-    let count = r.count(8 + 8 + 8 + 1 + 4)?; // id, tier, born, flag, digests
-    let mut subs = Vec::with_capacity(count);
-    let (mut last_tier, mut tiers) = (None, 0usize);
+    let count = r.count(8 + 8 + 1 + 4)?; // id, born, flag, digests
+    let mut subs: Vec<SubscriberState> = Vec::with_capacity(count);
     for _ in 0..count {
         let id = r.u64()?;
-        let tier = r.u64()?;
-        if last_tier.is_some_and(|last| tier < last) {
-            return None; // `export_state` emits tiers in order
-        }
-        if last_tier != Some(tier) {
-            last_tier = Some(tier);
-            tiers += 1;
+        if subs.last().is_some_and(|last| id <= last.id) {
+            return None; // `export_state` emits ids in ascending order
         }
         let born = r.u64()?;
         let deadline = if r.flag()? { Some(r.u64()?) } else { None };
@@ -141,7 +122,6 @@ pub fn decode_match_index(bytes: &[u8]) -> Option<MatchIndex> {
             digests,
             born,
             deadline,
-            tier: tiers - 1,
         });
     }
     r.finish()?;
@@ -541,17 +521,13 @@ mod tests {
         assert_eq!(sibling.export_node(node).unwrap(), baseline);
     }
 
-    /// Builds a worked match index: several tiers, deadline and
-    /// plain subscriptions, decay in flight, and churn.
+    /// Builds a worked match index: deadline and plain subscriptions,
+    /// decay in flight, and churn.
     fn worked_index() -> MatchIndex {
         let mut idx = MatchIndex::new(bsub_match::MatchParams {
             member_bits: 512,
             member_hashes: 4,
             initial: 8,
-            tier_size: 4,
-            tier_budget_bytes: 4 * 1024,
-            keys_per_subscriber_hint: 2,
-            compact_ratio: 0.5,
         });
         for id in 0..20u64 {
             let keys = vec![format!("topic-{}", id % 6), format!("extra-{id}")];
@@ -608,26 +584,67 @@ mod tests {
         assert!(decode_match_index(&bad_version).is_none());
     }
 
-    /// A match-index snapshot with the given geometry fields
-    /// (`member_bits`, `member_hashes`, `tier_size`, hint) and one
-    /// subscriber per `(tier, digest count)` pair; `count` overrides
-    /// the subscriber count prefix.
-    fn raw_index(geometry: [u64; 4], subs: &[(u64, u32)], count: Option<u32>) -> Vec<u8> {
-        let [bits, hashes, tier_size, hint] = geometry;
+    /// [`worked_index`] in the version-1 layout: the retired pool
+    /// parameters after the geometry, and each member's tier after its
+    /// id. Its first-fit tiers of four put member `id` in tier `id / 4`.
+    fn worked_index_v1() -> Vec<u8> {
+        let state = worked_index().export_state();
+        let mut w = Writer::new();
+        w.u8(1);
+        w.u64(state.params.member_bits as u64);
+        w.u64(state.params.member_hashes as u64);
+        w.u32(state.params.initial);
+        w.u64(4); // tier size
+        w.u64(4 * 1024); // tier budget bytes
+        w.u64(2); // keys per subscriber hint
+        w.f64(0.5); // compact ratio
+        w.u64(state.epoch);
+        w.u32(state.subs.len() as u32);
+        for sub in &state.subs {
+            w.u64(sub.id);
+            w.u64(sub.id / 4);
+            w.u64(sub.born);
+            w.flag(sub.deadline.is_some());
+            if let Some(d) = sub.deadline {
+                w.u64(d);
+            }
+            w.u32(sub.digests.len() as u32);
+            for &(a, b) in &sub.digests {
+                w.u64(a);
+                w.u64(b);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// A version-1 snapshot — the bytes the version-1 encoder wrote for
+    /// [`worked_index`], checked against that encoder's golden length
+    /// and FNV-1a digest — is refused like any unknown version.
+    #[test]
+    fn version_1_match_index_snapshot_rejects() {
+        let v1 = worked_index_v1();
+        let fnv = v1.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((v1.len(), fnv), (1081, 1_891_326_389_196_438_115));
+        assert!(decode_match_index(&v1).is_none());
+    }
+
+    /// A match-index snapshot with the given geometry
+    /// (`member_bits`, `member_hashes`) and one subscriber per
+    /// `(id, digest count)` pair; `count` overrides the subscriber
+    /// count prefix.
+    fn raw_index(geometry: [u64; 2], subs: &[(u64, u32)], count: Option<u32>) -> Vec<u8> {
+        let [bits, hashes] = geometry;
         let mut w = Writer::new();
         w.u8(INDEX_VERSION);
         w.u64(bits);
         w.u64(hashes);
         w.u32(8); // initial
-        w.u64(tier_size);
-        w.u64(4096); // tier budget bytes
-        w.u64(hint);
-        w.f64(0.5);
         w.u64(0); // epoch
         w.u32(count.unwrap_or(subs.len() as u32));
-        for (id, &(tier, digests)) in subs.iter().enumerate() {
-            w.u64(id as u64);
-            w.u64(tier);
+        for &(id, digests) in subs {
+            w.u64(id);
             w.u64(0); // born
             w.flag(false);
             w.u32(digests);
@@ -643,46 +660,30 @@ mod tests {
     /// computation of the rebuild, must be refused, not crash it.
     #[test]
     fn hostile_match_index_snapshots_reject() {
-        const SANE: [u64; 4] = [512, 4, 4, 2];
-        let sane = raw_index(SANE, &[(0, 1), (0, 2), (3, 1)], None);
+        const SANE: [u64; 2] = [512, 4];
+        let sane = raw_index(SANE, &[(0, 1), (1, 2), (7, 1)], None);
         let restored = decode_match_index(&sane).expect("the control decodes");
-        assert_eq!(restored.tier_count(), 2, "tier 3 renumbered densely");
+        assert_eq!(restored.live_count(), 3);
+        assert_eq!(encode_match_index(&restored), sane);
 
         let hostile = [
-            // 274,877,906,880-byte `with_capacity` from a 65-byte input.
+            // 240,518,168,520-byte `with_capacity` from a 33-byte input.
             raw_index(SANE, &[], Some(u32::MAX)),
             // `member_bits × 4` wraps to zero: divide by zero.
-            raw_index([1 << 62, 4, 4, 2], &[], None),
+            raw_index([1 << 62, 4], &[], None),
             // `digests × member_hashes` positions: capacity overflow.
-            raw_index([512, 1 << 61, 4, 2], &[(0, 1)], None),
-            // `tier + 1` wraps: index out of bounds.
-            raw_index(SANE, &[(u64::MAX, 1), (0, 1)], None),
-            // 2^26 empty tiers for two subscribers.
-            raw_index(SANE, &[(1 << 26, 1), (0, 1)], None),
+            raw_index([512, 1 << 61], &[(0, 1)], None),
+            // The wire-format caps on `member_bits` and `member_hashes`.
+            raw_index([1 << 16, 4], &[], None),
+            raw_index([512, 256], &[], None),
+            // Ids out of order, and a repeated id.
+            raw_index(SANE, &[(1, 1), (0, 1)], None),
+            raw_index(SANE, &[(0, 1), (3, 1), (3, 2)], None),
         ];
-        assert_eq!(hostile[0].len(), 65);
+        assert_eq!(hostile[0].len(), 33);
         for (i, bytes) in hostile.iter().enumerate() {
             assert!(decode_match_index(bytes).is_none(), "hostile input {i}");
         }
-
-        // `tier_size × hint` once overflowed the tier-pool sizing. The
-        // posting table computes nothing from either field, so the
-        // snapshot is a valid empty index and must round-trip.
-        let huge = raw_index([512, 4, 1 << 40, 1 << 40], &[], None);
-        let empty = decode_match_index(&huge).expect("huge tier_size decodes");
-        assert_eq!(empty.live_count(), 0);
-        assert_eq!(encode_match_index(&empty), huge);
-
-        // A lone far-out tier is renumbered, not allocated up to.
-        for tier in [u64::MAX, 1 << 26] {
-            let one = decode_match_index(&raw_index(SANE, &[(tier, 1)], None)).unwrap();
-            assert_eq!(one.tier_count(), 1, "tier {tier}");
-        }
-
-        // The wire-format caps and the tier-order rule.
-        assert!(decode_match_index(&raw_index([1 << 16, 4, 4, 2], &[], None)).is_none());
-        assert!(decode_match_index(&raw_index([512, 256, 4, 2], &[], None)).is_none());
-        assert!(decode_match_index(&raw_index(SANE, &[(1, 1), (0, 1)], None)).is_none());
     }
 
     #[test]

@@ -18,11 +18,6 @@
 //! it needs no tombstones and no rebuilds, and decay only advances
 //! the epoch.
 //!
-//! Members are also laid out in **tiers** of at most
-//! [`MatchParams::tier_size`], filled first-fit. Matching never reads
-//! them: they are the member order that [`MatchIndex::export_state`]
-//! and the snapshot format expose.
-//!
 //! # Batch matching
 //!
 //! [`MatchIndex::match_events`] hashes each event key **once** (two
@@ -64,8 +59,8 @@ impl Event {
     }
 }
 
-/// Geometry and policy parameters of a [`MatchIndex`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Geometry of a [`MatchIndex`]'s subscriber filters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchParams {
     /// Bits `m` of the filter geometry every subscriber shares (at
     /// most `u32::MAX`: positions are stored as `u32`).
@@ -75,26 +70,15 @@ pub struct MatchParams {
     /// Initial counter `C` a subscription starts at; decay expires a
     /// subscription after `C` epochs.
     pub initial: u32,
-    /// Maximum live subscribers per tier of the member layout.
-    pub tier_size: usize,
-    /// Inert: sized the TCBF tier pools the posting table replaced.
-    /// Kept, like the next two fields, because snapshots encode it.
-    pub tier_budget_bytes: usize,
-    /// Inert (see `tier_budget_bytes`).
-    pub keys_per_subscriber_hint: usize,
-    /// Inert (see `tier_budget_bytes`).
-    pub compact_ratio: f64,
 }
 
 impl MatchParams {
     /// Whether the geometry is usable: `member_bits` in
-    /// `1..=u32::MAX`, and a nonzero hash count, initial counter and
-    /// tier size. The inert fields are not checked.
+    /// `1..=u32::MAX`, and a nonzero hash count and initial counter.
     fn is_valid(&self) -> bool {
         (1..=u32::MAX as usize).contains(&self.member_bits)
             && self.member_hashes > 0
             && self.initial > 0
-            && self.tier_size > 0
     }
 }
 
@@ -104,10 +88,6 @@ impl Default for MatchParams {
             member_bits: 8192,
             member_hashes: 4,
             initial: 16,
-            tier_size: 512,
-            tier_budget_bytes: 64 * 1024,
-            keys_per_subscriber_hint: 4,
-            compact_ratio: 0.5,
         }
     }
 }
@@ -164,23 +144,20 @@ pub struct SubscriberState {
     pub born: u64,
     /// Optional expiry deadline ([`MatchIndex::expire`] semantics).
     pub deadline: Option<u64>,
-    /// Tier the member lives in.
-    pub tier: usize,
 }
 
 /// A portable snapshot of a whole [`MatchIndex`]: parameters, the
-/// decay epoch, and every live subscriber in tier-member order.
+/// decay epoch, and every live subscriber in ascending id order.
 ///
 /// [`MatchIndex::from_state`] rebuilds an identical index — same
-/// members, positions, strengths, deadlines, tier layout, and posting
-/// lists.
-#[derive(Debug, Clone, PartialEq)]
+/// members, positions, strengths, deadlines, and posting lists.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexState {
-    /// Geometry and policy parameters.
+    /// Filter geometry.
     pub params: MatchParams,
     /// Accumulated decay epochs at export time.
     pub epoch: u64,
-    /// Live subscribers, grouped by tier in member order.
+    /// Live subscribers, in ascending id order.
     pub subs: Vec<SubscriberState>,
 }
 
@@ -193,7 +170,6 @@ struct Subscriber {
     positions: Vec<u32>,
     born: u64,
     deadline: Option<u64>,
-    tier: usize,
 }
 
 /// Posting lists per page of the [`Postings`] table: small, so an
@@ -255,10 +231,6 @@ pub struct MatchIndex {
     epoch: u64,
     subs: BTreeMap<u64, Subscriber>,
     postings: Postings,
-    /// Member ids per tier, in arrival order.
-    tiers: Vec<Vec<u64>>,
-    /// Index of the first tier that may have room (first-fit hint).
-    open: usize,
 }
 
 impl MatchIndex {
@@ -267,8 +239,7 @@ impl MatchIndex {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate: `member_bits` zero or
-    /// above `u32::MAX`, or a zero hash count, initial counter or tier
-    /// size.
+    /// above `u32::MAX`, or a zero hash count or initial counter.
     #[must_use]
     pub fn new(params: MatchParams) -> Self {
         assert!(
@@ -281,8 +252,6 @@ impl MatchIndex {
             epoch: 0,
             subs: BTreeMap::new(),
             postings: Postings::default(),
-            tiers: Vec::new(),
-            open: 0,
         }
     }
 
@@ -304,11 +273,11 @@ impl MatchIndex {
         self.subs.len()
     }
 
-    /// Number of tiers allocated (never shrinks; emptied tiers are
-    /// refilled by later subscribes).
+    /// Always 0: the index keeps no tier layout. Kept so reports that
+    /// carry the column stay comparable across versions.
     #[must_use]
     pub fn tier_count(&self) -> usize {
-        self.tiers.len()
+        0
     }
 
     /// Always 0: the index keeps no TCBF pools. Kept so reports that
@@ -349,7 +318,7 @@ impl MatchIndex {
 
     /// Subscribes `id` to `keys` with no deadline. An existing
     /// subscription under the same id is replaced (its counters reset
-    /// to `C`, possibly in a different tier).
+    /// to `C`).
     pub fn subscribe<K: AsRef<[u8]>>(&mut self, id: u64, keys: &[K]) {
         self.subscribe_inner(id, keys, None);
     }
@@ -376,20 +345,12 @@ impl MatchIndex {
             .iter()
             .map(|k| self.hasher.digests(k.as_ref()))
             .collect();
-        let tier = self.open_tier();
-        self.insert(id, digests, self.epoch, deadline, tier);
+        self.insert(id, digests, self.epoch, deadline);
     }
 
-    /// Adds an absent member: derives its deduplicated positions,
-    /// posts its id under each, and appends it to `tier`.
-    fn insert(
-        &mut self,
-        id: u64,
-        digests: Vec<(u64, u64)>,
-        born: u64,
-        deadline: Option<u64>,
-        tier: usize,
-    ) {
+    /// Adds an absent member: derives its deduplicated positions and
+    /// posts its id under each.
+    fn insert(&mut self, id: u64, digests: Vec<(u64, u64)>, born: u64, deadline: Option<u64>) {
         let (k, m) = (self.params.member_hashes, self.params.member_bits);
         let mut positions: Vec<u32> = Vec::with_capacity(digests.len() * k);
         for &digest in &digests {
@@ -400,7 +361,6 @@ impl MatchIndex {
         for &p in &positions {
             self.postings.insert(p, id);
         }
-        self.tiers[tier].push(id);
         self.subs.insert(
             id,
             Subscriber {
@@ -408,26 +368,8 @@ impl MatchIndex {
                 positions,
                 born,
                 deadline,
-                tier,
             },
         );
-    }
-
-    /// First tier with room, allocating a fresh one when all are full.
-    fn open_tier(&mut self) -> usize {
-        let mut t = self.open;
-        while self
-            .tiers
-            .get(t)
-            .is_some_and(|members| members.len() >= self.params.tier_size)
-        {
-            t += 1;
-        }
-        if t == self.tiers.len() {
-            self.tiers.push(Vec::new());
-        }
-        self.open = t;
-        t
     }
 
     /// Unsubscribes `id`, dropping its postings at once. Returns
@@ -504,14 +446,12 @@ impl MatchIndex {
     }
 
     /// Shared removal path: takes the member out of every posting list
-    /// it is in and out of its tier.
+    /// it is in.
     fn remove(&mut self, id: u64) {
         let sub = self.subs.remove(&id).expect("caller checked presence");
         for &p in &sub.positions {
             self.postings.remove(p, id);
         }
-        self.tiers[sub.tier].retain(|&m| m != id);
-        self.open = self.open.min(sub.tier);
     }
 
     /// Decays every subscription by `amount` epochs. Counters are
@@ -570,19 +510,16 @@ impl MatchIndex {
     /// (see [`IndexState`] for the rebuild contract).
     #[must_use]
     pub fn export_state(&self) -> IndexState {
-        let mut subs = Vec::with_capacity(self.subs.len());
-        for (tier, members) in self.tiers.iter().enumerate() {
-            for &id in members {
-                let sub = &self.subs[&id];
-                subs.push(SubscriberState {
-                    id,
-                    digests: sub.digests.clone(),
-                    born: sub.born,
-                    deadline: sub.deadline,
-                    tier,
-                });
-            }
-        }
+        let subs = self
+            .subs
+            .iter()
+            .map(|(&id, sub)| SubscriberState {
+                id,
+                digests: sub.digests.clone(),
+                born: sub.born,
+                deadline: sub.deadline,
+            })
+            .collect();
         IndexState {
             params: self.params,
             epoch: self.epoch,
@@ -590,8 +527,7 @@ impl MatchIndex {
         }
     }
 
-    /// Rebuilds an index from exported state. Tier membership and
-    /// member order are restored verbatim, and the posting table is
+    /// Rebuilds an index from exported state; the posting table is
     /// rebuilt from the members' digests.
     ///
     /// # Panics
@@ -605,10 +541,8 @@ impl MatchIndex {
 
     /// [`MatchIndex::from_state`], returning `None` if the state is
     /// inconsistent: a degenerate geometry (see [`MatchIndex::new`]),
-    /// duplicate subscriber ids, a birth epoch after the index epoch,
-    /// or a tier holding more members than `params.tier_size`. Tiers
-    /// are allocated up to the largest tier index, so untrusted state
-    /// must have its tiers numbered densely first.
+    /// duplicate subscriber ids, or a birth epoch after the index
+    /// epoch.
     #[must_use]
     pub fn try_from_state(state: &IndexState) -> Option<Self> {
         if !state.params.is_valid() {
@@ -616,22 +550,11 @@ impl MatchIndex {
         }
         let mut idx = Self::new(state.params);
         idx.epoch = state.epoch;
-        let tiers = state.subs.iter().map(|s| s.tier + 1).max().unwrap_or(0);
-        idx.tiers.resize_with(tiers, Vec::new);
         for sub in &state.subs {
-            if idx.subs.contains_key(&sub.id)
-                || sub.born > state.epoch
-                || idx.tiers[sub.tier].len() >= state.params.tier_size
-            {
+            if idx.subs.contains_key(&sub.id) || sub.born > state.epoch {
                 return None;
             }
-            idx.insert(
-                sub.id,
-                sub.digests.clone(),
-                sub.born,
-                sub.deadline,
-                sub.tier,
-            );
+            idx.insert(sub.id, sub.digests.clone(), sub.born, sub.deadline);
         }
         Some(idx)
     }
@@ -646,10 +569,6 @@ mod tests {
             member_bits: 512,
             member_hashes: 4,
             initial: 8,
-            tier_size: 4,
-            tier_budget_bytes: 4 * 1024,
-            keys_per_subscriber_hint: 2,
-            compact_ratio: 0.5,
         }
     }
 
@@ -705,18 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn tiers_spill_and_refill() {
-        let mut idx = MatchIndex::new(small());
-        for id in 0..10 {
-            idx.subscribe(id, &keys_of(id));
-        }
-        assert_eq!(idx.tier_count(), 3, "tier_size=4 ⇒ 10 subs need 3 tiers");
-        idx.unsubscribe(0);
-        idx.subscribe(100, &keys_of(100));
-        assert_eq!(idx.tier_count(), 3, "freed slot is reused first-fit");
-    }
-
-    #[test]
     fn resubscribe_refreshes_strength() {
         let mut idx = MatchIndex::new(small());
         idx.subscribe(1, &["apples"]);
@@ -733,8 +640,8 @@ mod tests {
         for id in 0..16 {
             idx.subscribe(id, &keys_of(id));
         }
-        // Heavy churn empties whole tiers and shares posting lists
-        // between departed and surviving members.
+        // Heavy churn shares posting lists between departed and
+        // surviving members.
         for id in 0..12 {
             idx.unsubscribe(id);
         }
@@ -789,7 +696,7 @@ mod tests {
         assert_eq!(set.matches[0], vec![3]);
         assert!(
             set.stats.candidates < 12,
-            "tier pruning must cut the exhaustive scan: {:?}",
+            "posting lists must cut the exhaustive scan: {:?}",
             set.stats
         );
         assert!(set.stats.tier_probes >= set.stats.tier_hits);
@@ -880,11 +787,9 @@ mod tests {
         duplicate.subs[1].id = duplicate.subs[0].id;
         let mut unborn = state.clone();
         unborn.subs[0].born = state.epoch + 1;
-        let mut crowded = state.clone();
-        crowded.subs.iter_mut().for_each(|s| s.tier = 0);
         let mut degenerate = state.clone();
         degenerate.params.member_bits = usize::MAX / 2;
-        for bad in [duplicate, unborn, crowded, degenerate] {
+        for bad in [duplicate, unborn, degenerate] {
             assert!(MatchIndex::try_from_state(&bad).is_none());
         }
     }

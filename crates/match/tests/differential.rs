@@ -12,8 +12,8 @@
 //! false positives included.
 //!
 //! Geometries are chosen adversarially: tiny filters force hash
-//! collisions and shared posting lists, tiny tiers force spills and
-//! refills, small initial counters force expiry boundaries.
+//! collisions and shared posting lists, small initial counters force
+//! expiry boundaries.
 //! Four geometries × ≥30 seeds each = 130 seeded interleavings.
 
 use bsub_bloom::SplitMix64;
@@ -162,10 +162,6 @@ fn differential_default_like_geometry() {
             member_bits: 1024,
             member_hashes: 4,
             initial: 8,
-            tier_size: 6,
-            tier_budget_bytes: 8 * 1024,
-            keys_per_subscriber_hint: 3,
-            compact_ratio: 0.5,
         },
         0..40,
     );
@@ -183,29 +179,21 @@ fn differential_collision_heavy_geometry() {
             member_bits: 16,
             member_hashes: 2,
             initial: 4,
-            tier_size: 3,
-            tier_budget_bytes: 1024,
-            keys_per_subscriber_hint: 2,
-            compact_ratio: 0.3,
         },
         0..30,
     );
 }
 
 #[test]
-fn differential_tiny_tiers_geometry() {
-    // tier_size = 1: every subscriber is its own tier; every removal
-    // empties a tier for the next subscribe to refill.
+fn differential_short_lived_geometry() {
+    // Small filters and a 3-epoch counter: members expire within a few
+    // decay steps, so removals and resubscribes dominate the drive.
     run_geometry(
-        "tiny-tiers",
+        "short-lived",
         MatchParams {
             member_bits: 64,
             member_hashes: 3,
             initial: 3,
-            tier_size: 1,
-            tier_budget_bytes: 2048,
-            keys_per_subscriber_hint: 2,
-            compact_ratio: 0.4,
         },
         0..30,
     );
@@ -213,17 +201,13 @@ fn differential_tiny_tiers_geometry() {
 
 #[test]
 fn differential_wide_geometry() {
-    // Production-shaped: big tiers, wide filters, slow decay.
+    // Production-shaped: wide filters, slow decay.
     run_geometry(
         "wide",
         MatchParams {
             member_bits: 4096,
             member_hashes: 4,
             initial: 16,
-            tier_size: 64,
-            tier_budget_bytes: 64 * 1024,
-            keys_per_subscriber_hint: 4,
-            compact_ratio: 0.5,
         },
         0..30,
     );

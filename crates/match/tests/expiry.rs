@@ -36,10 +36,6 @@ fn params() -> MatchParams {
         member_bits: 512,
         member_hashes: 3,
         initial: 6,
-        tier_size: 3,
-        tier_budget_bytes: 4096,
-        keys_per_subscriber_hint: 2,
-        compact_ratio: 0.4,
     }
 }
 
@@ -115,18 +111,13 @@ fn deadline_expiry_equals_epoch_decay_on_aligned_clocks() {
 }
 
 /// Claim 2. Wide geometry so the four members' disjoint keys share no
-/// posting list; `compact_ratio` 1.0, which once kept a single lazy
-/// unsubscribe in the aggregate, is now inert.
+/// posting list.
 #[test]
 fn unsubscribe_and_purge_drop_postings_immediately() {
     let p = MatchParams {
         member_bits: 8192,
         member_hashes: 4,
         initial: 8,
-        tier_size: 4,
-        tier_budget_bytes: 1 << 16,
-        keys_per_subscriber_hint: 1,
-        compact_ratio: 1.0,
     };
 
     let build = || {
@@ -257,10 +248,6 @@ fn broker_surface_stays_differential_against_reference() {
         member_bits: 96,
         member_hashes: 2,
         initial: 5,
-        tier_size: 3,
-        tier_budget_bytes: 1024,
-        keys_per_subscriber_hint: 2,
-        compact_ratio: 0.3,
     };
     for seed in 0..24u64 {
         let mut rng = SplitMix64::new(SplitMix64::mix(0xB10C, seed));

@@ -9,7 +9,7 @@
 //! 1. **Drain.** Inbound `SUBSCRIBE` / `UNSUBSCRIBE` / `PUBLISH`
 //!    frames are pulled from the per-peer inbound queues into one
 //!    batch (first frame blocking up to the poll slice, the rest
-//!    opportunistically, capped at [`BrokerConfig::batch_max`]).
+//!    opportunistically, capped at 256 ops).
 //! 2. **Expire.** Subscriptions carry *real-clock* deadlines — the
 //!    sim's epoch decay replaced by wall time. A coarse monotonic
 //!    [`ClockWheel`] buckets deadlines at [`BrokerConfig::tick`]
@@ -309,37 +309,37 @@ pub enum BrokerOp {
     },
 }
 
+/// Most ops drained into one service-loop batch.
+const BATCH_MAX: usize = 256;
+
+/// How long the service loop blocks for the first frame of a batch
+/// (also bounds shutdown latency).
+const POLL: Duration = Duration::from_millis(5);
+
 /// Configuration of a [`BrokerNode`].
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
-    /// The peer-layer configuration (identity, listen address, queue
-    /// depth — the broker's `DELIVER` backpressure surface).
+    /// The peer-layer configuration (identity, listen address, dial
+    /// backoff seed).
     pub peer: PeerConfig,
     /// Geometry and policy of the owned [`MatchIndex`].
     pub params: MatchParams,
     /// Clock-wheel tick: expiry may lag a deadline by at most this.
     pub tick: Duration,
-    /// Most ops drained into one service-loop batch.
-    pub batch_max: usize,
-    /// How long the service loop blocks for the first frame of a batch
-    /// (also bounds shutdown latency).
-    pub poll: Duration,
     /// Record the op journal for differential replay (tests only —
     /// the journal grows without bound).
     pub journal: bool,
 }
 
 impl BrokerConfig {
-    /// Defaults: 100 ms wheel tick, 256-op batches, 5 ms poll slice,
-    /// no journal, default index geometry.
+    /// Defaults: 100 ms wheel tick, no journal, default index
+    /// geometry.
     #[must_use]
     pub fn new(local: PeerId, addr: EndpointAddr, seed: u64) -> Self {
         Self {
             peer: PeerConfig::new(local, addr, seed),
             params: MatchParams::default(),
             tick: Duration::from_millis(100),
-            batch_max: 256,
-            poll: Duration::from_millis(5),
             journal: false,
         }
     }
@@ -462,9 +462,9 @@ fn service_loop(
         // Drain one batch: block briefly for the first op, then sweep
         // whatever else is already queued.
         let mut ops: Vec<PendingOp> = Vec::new();
-        if let Some(op) = next_op(peers, config.poll) {
+        if let Some(op) = next_op(peers, POLL) {
             ops.push(op);
-            while ops.len() < config.batch_max {
+            while ops.len() < BATCH_MAX {
                 match next_op(peers, Duration::ZERO) {
                     Some(op) => ops.push(op),
                     None => break,

@@ -93,6 +93,16 @@ pub enum ConnState {
     Closed,
 }
 
+/// Outbound queue depth per connection; a full queue blocks
+/// [`PeerManager::send`] (backpressure).
+const QUEUE_DEPTH: usize = 64;
+
+/// Read timeout for the first two legs of the HELLO handshake.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Dial attempts before [`PeerManager::connect`] gives up.
+const DIAL_ATTEMPTS: u32 = 200;
+
 /// Configuration for a [`PeerManager`].
 #[derive(Debug, Clone)]
 pub struct PeerConfig {
@@ -102,28 +112,13 @@ pub struct PeerConfig {
     pub addr: EndpointAddr,
     /// Seed for the deterministic dial backoff.
     pub seed: u64,
-    /// Outbound queue depth per connection; a full queue blocks
-    /// [`PeerManager::send`] (backpressure).
-    pub queue_depth: usize,
-    /// Read timeout for the HELLO handshake.
-    pub handshake_timeout: Duration,
-    /// Dial attempts before [`PeerManager::connect`] gives up.
-    pub dial_attempts: u32,
 }
 
 impl PeerConfig {
-    /// A configuration with the defaults: queue depth 64, 2 s
-    /// handshake timeout, 200 dial attempts.
+    /// A configuration for `local` listening on `addr`.
     #[must_use]
     pub fn new(local: PeerId, addr: EndpointAddr, seed: u64) -> Self {
-        Self {
-            local,
-            addr,
-            seed,
-            queue_depth: 64,
-            handshake_timeout: Duration::from_secs(2),
-            dial_attempts: 200,
-        }
+        Self { local, addr, seed }
     }
 }
 
@@ -138,7 +133,6 @@ struct Conn {
 
 struct Shared {
     local: PeerId,
-    queue_depth: usize,
     conns: Mutex<HashMap<PeerId, Conn>>,
     /// Signalled on every `conns` mutation (install, displacement,
     /// retirement, drain, shutdown) so waiters like
@@ -199,7 +193,6 @@ impl PeerManager {
         let (inbound_tx, inbound_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             local: config.local,
-            queue_depth: config.queue_depth,
             conns: Mutex::new(HashMap::new()),
             conns_changed: Condvar::new(),
             states: Mutex::new(HashMap::new()),
@@ -212,10 +205,9 @@ impl PeerManager {
         let manager = Arc::new(Self {
             shared: Arc::clone(&shared),
             inbound_rx: Mutex::new(inbound_rx),
-            config: config.clone(),
+            config,
         });
-        let handshake_timeout = config.handshake_timeout;
-        thread::spawn(move || accept_loop(&shared, &listener, handshake_timeout));
+        thread::spawn(move || accept_loop(&shared, &listener));
         Ok(manager)
     }
 
@@ -281,7 +273,7 @@ impl PeerManager {
             u64::from(self.config.local.0),
             u64::from(peer.0),
         );
-        for attempt in 1..=self.config.dial_attempts {
+        for attempt in 1..=DIAL_ATTEMPTS {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 return Err(io::Error::new(
                     io::ErrorKind::Interrupted,
@@ -317,7 +309,7 @@ impl PeerManager {
 
     fn dial_once(&self, peer: PeerId, addr: &EndpointAddr) -> io::Result<()> {
         let mut stream = Stream::connect(addr)?;
-        stream.set_read_timeout(Some(self.config.handshake_timeout))?;
+        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         hello(self.config.local).write_to(&mut stream)?;
         let reply = Frame::read_from(&mut stream)?;
         let remote = decode_hello(&reply)?;
@@ -491,7 +483,7 @@ fn decode_hello(frame: &Frame) -> io::Result<PeerId> {
 /// Longest the accept loop sleeps between empty polls.
 const ACCEPT_IDLE_CAP: Duration = Duration::from_millis(5);
 
-fn accept_loop(shared: &Arc<Shared>, listener: &Listener, handshake_timeout: Duration) {
+fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
     // Adaptive wait instead of a fixed sleep: yield while a burst may
     // still be arriving, then back off geometrically to the cap. On a
     // 1-vCPU host the yields give handshake threads the core instead
@@ -503,7 +495,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener, handshake_timeout: Dur
                 idle = 0;
                 shared.trace(NetEvent::Accept);
                 let shared = Arc::clone(shared);
-                thread::spawn(move || accept_handshake(&shared, stream, handshake_timeout));
+                thread::spawn(move || accept_handshake(&shared, stream));
             }
             Ok(None) => {
                 idle = idle.saturating_add(1);
@@ -519,11 +511,13 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener, handshake_timeout: Dur
     }
 }
 
-fn accept_handshake(shared: &Arc<Shared>, mut stream: Stream, handshake_timeout: Duration) {
+fn accept_handshake(shared: &Arc<Shared>, mut stream: Stream) {
+    let mut accepting = None;
     let outcome = (|| -> io::Result<()> {
-        stream.set_read_timeout(Some(handshake_timeout))?;
+        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         let remote = decode_hello(&Frame::read_from(&mut stream)?)?;
         shared.set_state(remote, ConnState::Accepting);
+        accepting = Some(remote);
         hello(shared.local).write_to(&mut stream)?;
         // Wait for the dialer's confirmation before installing: a
         // dialer whose reply read timed out abandons the socket and
@@ -548,9 +542,16 @@ fn accept_handshake(shared: &Arc<Shared>, mut stream: Stream, handshake_timeout:
         install(shared, remote, stream, remote)?;
         Ok(())
     })();
-    // A failed handshake leaves no installed connection; nothing to
-    // clean up beyond dropping the socket.
-    let _ = outcome;
+    // A failed handshake installed nothing. Forget the peer it named,
+    // unless a later handshake has moved that peer on since: otherwise
+    // every abandoned handshake (or spoofed id) would leave an
+    // `Accepting` entry behind for good.
+    if let (Err(_), Some(remote)) = (outcome, accepting) {
+        let mut states = shared.states.lock().expect("states lock");
+        if states.get(&remote) == Some(&ConnState::Accepting) {
+            states.remove(&remote);
+        }
+    }
 }
 
 /// Installs a freshly handshaken connection, resolving a dial race if
@@ -584,7 +585,7 @@ fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -
         }
     }
     let epoch = shared.epochs.fetch_add(1, Ordering::SeqCst) + 1;
-    let (tx, rx) = mpsc::sync_channel(shared.queue_depth);
+    let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
     conns.insert(
         peer,
         Conn {
@@ -756,6 +757,33 @@ mod tests {
 
         assert_eq!(a.connection_count(), 1);
         assert_eq!(a.state(PeerId(1)), ConnState::Established);
+    }
+
+    /// Handshakes abandoned after the acceptor's reply leave no state
+    /// behind: the claimed peer ids read `Idle` again, so spoofed ids
+    /// cannot grow the state table.
+    #[test]
+    fn abandoned_handshakes_leave_no_state() {
+        let (a, _b, a_addr, _b_addr) = pair("abandon");
+        for id in 100..=109 {
+            let mut raw = Stream::connect(&a_addr).unwrap();
+            hello(PeerId(id)).write_to(&mut raw).unwrap();
+            let reply = Frame::read_from(&mut raw).unwrap();
+            assert_eq!(decode_hello(&reply).unwrap(), PeerId(0));
+            // Close without confirming.
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for id in 100..=109 {
+            while a.state(PeerId(id)) != ConnState::Idle {
+                assert!(
+                    Instant::now() < deadline,
+                    "peer {id} left in {:?}",
+                    a.state(PeerId(id))
+                );
+                thread::sleep(Duration::from_millis(5));
+            }
+        }
+        assert_eq!(a.connection_count(), 0);
     }
 
     #[test]

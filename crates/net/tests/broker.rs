@@ -45,10 +45,6 @@ fn fp_params() -> MatchParams {
         member_bits: 128,
         member_hashes: 2,
         initial: 8,
-        tier_size: 2,
-        tier_budget_bytes: 2048,
-        keys_per_subscriber_hint: 2,
-        compact_ratio: 0.5,
     }
 }
 

@@ -82,7 +82,7 @@ fn prof_report_is_pinned() {
 fn match_index_snapshot_is_pinned() {
     assert_eq!(
         pin(&encode_match_index(&support::worked_index())),
-        (1081, 1_891_326_389_196_438_115)
+        (921, 8_454_281_984_845_070_913)
     );
 }
 

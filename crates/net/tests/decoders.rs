@@ -313,10 +313,6 @@ fn match_index_target() -> Target {
         member_bits: 64,
         member_hashes: 2,
         initial: 3,
-        tier_size: 1,
-        tier_budget_bytes: 256,
-        keys_per_subscriber_hint: 1,
-        compact_ratio: 1.0,
     });
     small.subscribe_until(1, &["x"], 9);
     small.subscribe(2, &["y", "z"]);

@@ -27,17 +27,13 @@ pub fn sample_report() -> ProfReport {
     report
 }
 
-/// A match index with several tiers, deadline and plain
-/// subscriptions, decay in flight, and churn.
+/// A match index with deadline and plain subscriptions, decay in
+/// flight, and churn.
 pub fn worked_index() -> MatchIndex {
     let mut idx = MatchIndex::new(MatchParams {
         member_bits: 512,
         member_hashes: 4,
         initial: 8,
-        tier_size: 4,
-        tier_budget_bytes: 4 * 1024,
-        keys_per_subscriber_hint: 2,
-        compact_ratio: 0.5,
     });
     for id in 0..20u64 {
         let keys = vec![format!("topic-{}", id % 6), format!("extra-{id}")];
