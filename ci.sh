@@ -9,7 +9,7 @@
 #   ./ci.sh --quick        build + test only (the tier-1 inner loop)
 #   ./ci.sh --stage NAME   build, then only the named stage — the
 #                          local loop for debugging one smoke gate.
-#                          Names: test, fmt, clippy, doc, codec,
+#                          Names: test, fmt, clippy, doc, codec, sink,
 #                          perfbench-build, dynamics, degradation,
 #                          perf, scale, scale-sharded, matching,
 #                          net-cluster, broker-bench
@@ -22,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES="test fmt clippy doc codec perfbench-build dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
+STAGES="test fmt clippy doc codec sink perfbench-build dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
 QUICK=0
 STAGE_FILTER=""
 while [ $# -gt 0 ]; do
@@ -171,6 +171,21 @@ if want codec; then
     if [ -n "$CODEC_HITS" ]; then
         echo "hand-rolled little-endian code outside bsub_obs::codec:" >&2
         echo "$CODEC_HITS" >&2
+        exit 1
+    fi
+fi
+
+if want sink; then
+    stage "sink (one cross-thread metrics sink: bsub_obs::SharedReport)"
+    # A ProfReport shared across threads lives in bsub_obs::SharedReport
+    # (DESIGN.md §15.4); a second Mutex<ProfReport> sink elsewhere would
+    # re-grow the duplicated machinery it replaced. Test code (from a
+    # file's first column-0 #[cfg(test)] on) is exempt.
+    SINK_HITS="$(find crates/*/src src -name '*.rs' ! -path 'crates/obs/src/*' \
+        -exec awk '/^#\[cfg\(test\)\]/ { nextfile } /Mutex<(bsub_obs::)?ProfReport>/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+    if [ -n "$SINK_HITS" ]; then
+        echo "a Mutex<ProfReport> sink outside bsub_obs::SharedReport:" >&2
+        echo "$SINK_HITS" >&2
         exit 1
     fi
 fi

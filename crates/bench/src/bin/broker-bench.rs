@@ -35,12 +35,11 @@ use bsub_bench::output::{render_table, write_csv};
 use bsub_bench::perf::{self, PerfEntry};
 use bsub_net::{
     frame_time_hist, BrokerClient, BrokerConfig, BrokerNode, EndpointAddr, FrameKind, PeerConfig,
-    PeerId, StatsHandle, StatsServer, HEADER_LEN,
+    PeerId, StatsServer, HEADER_LEN,
 };
 use bsub_obs::{calibrate_ns, ProfReport};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -207,33 +206,21 @@ fn main() {
         BrokerNode::serve(BrokerConfig::new(BROKER, broker_addr(&dir), 0x1B)).expect("bind broker");
     broker.manager().metrics().enable();
 
-    // The live stats plane: a merger thread ships the broker's metrics
-    // deltas into a handle the optional endpoint serves while the
-    // bench is running; the per-kind rows below come from the same
-    // merged report.
-    let stats = StatsHandle::new();
+    // The live stats plane: the optional endpoint serves the broker's
+    // own sink while the bench is running; the workers' reports are
+    // recorded into the same sink after the run, and the per-kind rows
+    // below come from it.
     let server = arg_value(&args, "--stats-addr").map(|raw| {
-        let server = StatsServer::serve(&parse_stats_addr(&raw), stats.clone())
-            .expect("bind stats endpoint");
+        let peers = Arc::clone(broker.manager());
+        let server =
+            StatsServer::serve(&parse_stats_addr(&raw), move || peers.metrics().snapshot())
+                .expect("bind stats endpoint");
         println!(
             "[stats endpoint {} — /metrics, /metrics.json]",
             server.local_addr()
         );
         server
     });
-    let merger_stop = Arc::new(AtomicBool::new(false));
-    let merger = {
-        let stats = stats.clone();
-        let metrics = Arc::clone(broker.manager());
-        let stop = Arc::clone(&merger_stop);
-        thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                stats.merge(&metrics.metrics().take_delta());
-                thread::sleep(Duration::from_millis(100));
-            }
-            stats.merge(&metrics.metrics().take_delta());
-        })
-    };
 
     let exe = std::env::current_exe().expect("current executable");
     let mut children: Vec<_> = (1..=workers)
@@ -300,13 +287,12 @@ fn main() {
             std::fs::read_to_string(dir.join(format!("lat-{w}.txt"))).expect("latency samples");
         latencies_ns.extend(text.lines().filter_map(|l| l.parse::<u64>().ok()));
         let encoded = std::fs::read(dir.join(format!("stats-{w}.bin"))).expect("worker metrics");
-        stats.merge(&ProfReport::decode(&encoded).expect("decode worker metrics"));
+        let report = ProfReport::decode(&encoded).expect("decode worker metrics");
+        broker.manager().metrics().record(|r| r.merge(&report));
     }
     latencies_ns.sort_unstable();
 
-    merger_stop.store(true, Ordering::Release);
-    merger.join().expect("merger thread");
-    let merged = stats.snapshot();
+    let merged = broker.manager().metrics().snapshot();
     drop(server);
     drop(broker);
     let _ = std::fs::remove_dir_all(&dir);

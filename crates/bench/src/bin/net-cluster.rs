@@ -51,9 +51,9 @@ use bsub_bench::perf::{self, PerfEntry};
 use bsub_bench::{Experiment, MASTER_SEED};
 use bsub_net::{
     frame_time_hist, render_prometheus, run_coordinator_with, run_worker, scrape, ClusterSpec,
-    EndpointAddr, FrameKind, StatsHandle, StatsServer,
+    EndpointAddr, FrameKind, StatsServer,
 };
-use bsub_obs::calibrate_ns;
+use bsub_obs::{calibrate_ns, SharedReport};
 use bsub_sim::{ProtocolFactory, SimConfig, SimReport};
 use bsub_traces::SimDuration;
 use std::path::PathBuf;
@@ -214,13 +214,14 @@ fn main() {
     let cadence = stats_cadence(&args);
     let cadence_ms = cadence.map_or(0, |c| c.as_millis() as u64);
 
-    // One handle for the whole run: the coordinator merges every
+    // One sink for the whole run: the coordinator merges every
     // worker's STATS deltas into it across all three protocols, and
     // the server exposes it live while the cluster is executing.
-    let stats = cadence.map(|_| StatsHandle::new());
-    let server = stats.as_ref().map(|handle| {
+    let stats = cadence.map(|_| Arc::new(SharedReport::new()));
+    let server = stats.as_ref().map(|stats| {
         let bind = arg_value(&args, "--stats-addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
-        let server = StatsServer::serve(&parse_stats_addr(&bind), handle.clone())
+        let stats = Arc::clone(stats);
+        let server = StatsServer::serve(&parse_stats_addr(&bind), move || stats.snapshot())
             .expect("bind stats endpoint");
         println!(
             "[stats endpoint {} — /metrics, /metrics.json]",
@@ -328,7 +329,7 @@ fn main() {
 
     // Live-path cross-check and artifacts: the endpoint's scrape must
     // equal the in-process snapshot byte for byte (same renderer, same
-    // handle — a drift here means the server thread is serving stale
+    // sink — a drift here means the server thread is serving stale
     // or foreign state). The merged report then yields one latency row
     // per observed frame kind and the `net_metrics.json` artifact.
     if let (Some(stats), Some(server)) = (&stats, &server) {

@@ -49,9 +49,9 @@
 //!   EXPERIMENTS.md);
 //! - `--shards N` — shard count for the sweep (default from
 //!   `BSUB_SHARDS`, else 1);
-//! - `--prof` — profile each worker with `bsub-obs`, absorb the
+//! - `--prof` — profile each worker with `bsub-obs`, merge the
 //!   per-shard reports in deterministic shard order
-//!   ([`bsub_obs::absorb`]), cross-check the merge counter against the
+//!   ([`ProfReport::merge`]), cross-check the merge counter against the
 //!   engine's own sums, and print the per-cell metric tables;
 //! - `--check` — after measuring, gate the host-normalized CPU time
 //!   against the committed `BENCH_perf.json` baseline, exactly like
@@ -65,8 +65,10 @@
 //!
 //! Each barrier phase is additionally timed on every run (cheap: two
 //! clock reads per phase per epoch per worker, never any allocation),
-//! and the summed work time lands in four `scale-phase-{derive,merge,
-//! query,decay}` trajectory entries gated alongside the sweep's own —
+//! and the summed work time lands in four `<sweep>-phase-{derive,
+//! merge,query,decay}` trajectory entries (`scale-phase-*` for the full
+//! sweep, `scale-smoke-phase-*` for `--smoke`) gated alongside the
+//! sweep's own —
 //! so a regression in, say, the merge kernel is attributed to its
 //! phase instead of disappearing into the total. Under `--prof` the
 //! same spans also feed the `scale_*_ns` histograms (one sample per
@@ -110,7 +112,7 @@ const QUERY_STREAM: u64 = 0x00c0_ffee_9e37;
 /// Shard counts the full sweep measures on the largest cell.
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// The four barrier-separated phase names, in execution order. Each
-/// phase's summed work time becomes a `scale-phase-*` entry in the
+/// phase's summed work time becomes a `<sweep>-phase-*` entry in the
 /// perf trajectory, gated like every other experiment.
 const PHASES: [&str; 4] = ["derive", "merge", "query", "decay"];
 /// The profiler histogram behind each phase (DESIGN.md §15): one
@@ -449,14 +451,12 @@ fn run_cell(cell: &Cell, shards: usize, prof: bool) -> CellOutcome {
         }
     }
     let combined = prof.then(|| {
-        // Re-aggregate the per-shard profiles exactly as a sharded
-        // simulation does: absorb into a fresh run-level profiler in
-        // deterministic shard order.
-        obs::start();
+        // Re-aggregate the per-shard profiles in deterministic shard
+        // order.
+        let mut combined = ProfReport::default();
         for o in &outcomes {
-            obs::absorb(o.prof.as_ref().expect("profiled worker returns a report"));
+            combined.merge(o.prof.as_ref().expect("profiled worker returns a report"));
         }
-        let combined = obs::finish();
         assert_eq!(
             combined.counter(Counter::TcbfAMerge),
             merges,
@@ -533,12 +533,12 @@ fn perf_entry(experiment: &str, outcomes: &[&CellOutcome], total_ms: f64) -> Per
     }
 }
 
-/// One `scale-phase-*` perf entry: the sweep-wide work time spent
+/// One `<sweep>-phase-*` perf entry: the sweep-wide work time spent
 /// inside a single barrier phase, paired with that phase's own
 /// deterministic work sums so the byte gate tracks what the time pays
 /// for (derive routes events, merge folds words, query samples, decay
 /// touches relays).
-fn phase_entry(i: usize, outcomes: &[CellOutcome], total_ms: f64) -> PerfEntry {
+fn phase_entry(sweep: &str, i: usize, outcomes: &[CellOutcome], total_ms: f64) -> PerfEntry {
     let cpu_ms: f64 = outcomes.iter().map(|o| o.phase_ns[i] as f64 / 1e6).sum();
     let shards = outcomes.iter().map(|o| o.shards).max().unwrap_or(1);
     let sum = |f: fn(&CellOutcome) -> u64| outcomes.iter().map(f).sum::<u64>();
@@ -549,7 +549,7 @@ fn phase_entry(i: usize, outcomes: &[CellOutcome], total_ms: f64) -> PerfEntry {
         _ => (0, sum(|o| o.decays), 0),
     };
     PerfEntry {
-        experiment: format!("scale-phase-{}", PHASES[i]),
+        experiment: format!("{sweep}-phase-{}", PHASES[i]),
         workers: shards as u64,
         runs: outcomes.len() as u64,
         total_ms,
@@ -600,7 +600,7 @@ fn main() {
     }
     let total_ms = sweep_start.elapsed().as_secs_f64() * 1e3;
     let phase_entries: Vec<PerfEntry> = (0..PHASES.len())
-        .map(|i| phase_entry(i, &outcomes, total_ms))
+        .map(|i| phase_entry(name, i, &outcomes, total_ms))
         .collect();
 
     let headers = [

@@ -383,11 +383,6 @@ impl MatchIndex {
         true
     }
 
-    /// Bulk unsubscribe; returns how many were subscribed.
-    pub fn unsubscribe_bulk(&mut self, ids: &[u64]) -> usize {
-        ids.iter().filter(|&&id| self.unsubscribe(id)).count()
-    }
-
     /// The same as [`MatchIndex::unsubscribe`]: every removal takes the
     /// member out of the posting table at once, so its former keys stop
     /// producing candidates immediately.
@@ -682,8 +677,6 @@ mod tests {
         let batch: Vec<(u64, Vec<String>)> = (0..6).map(|id| (id, keys_of(id))).collect();
         idx.subscribe_bulk(&batch);
         assert_eq!(idx.live_count(), 6);
-        assert_eq!(idx.unsubscribe_bulk(&[0, 1, 99]), 2);
-        assert_eq!(idx.live_count(), 4);
     }
 
     #[test]

@@ -68,12 +68,6 @@ impl Probe {
             .min()
             .unwrap_or(0)
     }
-
-    /// Exactly [`Tcbf::contains`] for the probed key.
-    #[must_use]
-    pub fn hits_tcbf(&self, filter: &Tcbf) -> bool {
-        self.min_counter(filter) > 0
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +93,6 @@ mod tests {
         for key in ["x", "y", "z"] {
             let probe = Probe::new(&hasher, key.as_bytes());
             assert_eq!(probe.min_counter(&filter), filter.min_counter(key));
-            assert_eq!(probe.hits_tcbf(&filter), filter.contains(key));
         }
     }
 

@@ -353,7 +353,6 @@ pub struct BrokerNode {
     index: Arc<Mutex<MatchIndex>>,
     journal: Arc<Mutex<Vec<BrokerOp>>>,
     stop: Arc<AtomicBool>,
-    started: Instant,
     service: Option<JoinHandle<()>>,
 }
 
@@ -368,20 +367,18 @@ impl BrokerNode {
         let index = Arc::new(Mutex::new(MatchIndex::new(config.params)));
         let journal = Arc::new(Mutex::new(Vec::new()));
         let stop = Arc::new(AtomicBool::new(false));
-        let started = Instant::now();
         let service = {
             let peers = Arc::clone(&peers);
             let index = Arc::clone(&index);
             let journal = Arc::clone(&journal);
             let stop = Arc::clone(&stop);
-            thread::spawn(move || service_loop(&config, &peers, &index, &journal, &stop, started))
+            thread::spawn(move || service_loop(&config, &peers, &index, &journal, &stop))
         };
         Ok(Self {
             peers,
             index,
             journal,
             stop,
-            started,
             service: Some(service),
         })
     }
@@ -390,13 +387,6 @@ impl BrokerNode {
     #[must_use]
     pub fn manager(&self) -> &Arc<PeerManager> {
         &self.peers
-    }
-
-    /// Milliseconds elapsed on the broker's monotonic clock — the
-    /// clock subscription deadlines are measured against.
-    #[must_use]
-    pub fn elapsed_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
     }
 
     /// Live subscriber count of the owned index.
@@ -449,13 +439,9 @@ fn service_loop(
     index: &Arc<Mutex<MatchIndex>>,
     journal: &Arc<Mutex<Vec<BrokerOp>>>,
     stop: &AtomicBool,
-    started: Instant,
 ) {
-    // The index's own `match_*` instrumentation is thread-local; run a
-    // profiler on this thread and fold its deltas into the shared
-    // NetMetrics sink after every batch, so a stats scrape sees broker
-    // and socket metrics in one report.
-    obs::start();
+    // The clock subscription deadlines are measured against.
+    let started = Instant::now();
     let mut wheel = ClockWheel::new(config.tick.as_millis().max(1) as u64);
     let tick_ms = config.tick.as_millis().max(1) as u64;
     while !stop.load(Ordering::SeqCst) {
@@ -475,89 +461,92 @@ fn service_loop(
         let now_ms = started.elapsed().as_millis() as u64;
         let due = wheel.pop_due(now_ms);
         if !due.is_empty() || !ops.is_empty() {
-            let batch_started = Instant::now();
-            let op_count = ops.len() as u64;
-            let mut idx = index.lock().expect("index lock");
+            // The index's own `match_*` instrumentation is thread-local:
+            // while the peer plane's sink is armed, the batch runs under
+            // a profiler whose report lands in that sink, so a stats
+            // scrape sees broker and socket metrics in one report.
+            peers.metrics().profile(|| {
+                let batch_started = Instant::now();
+                let op_count = ops.len() as u64;
+                let mut idx = index.lock().expect("index lock");
 
-            if !due.is_empty() {
-                let evicted: Vec<u64> = due
-                    .iter()
-                    .copied()
-                    .filter(|&id| idx.expire_candidates(&[id], now_ms) == 1)
-                    .collect();
-                if !evicted.is_empty() {
-                    obs::count(Counter::BrokerExpired, evicted.len() as u64);
-                    if config.journal {
-                        journal
-                            .lock()
-                            .expect("journal lock")
-                            .push(BrokerOp::Expire {
-                                clients: evicted,
-                                at_ms: now_ms,
-                            });
-                    }
-                }
-            }
-
-            // Apply in arrival order; consecutive publishes accumulate
-            // into one match_events run, flushed at every boundary.
-            let mut pending: Vec<(u32, PublishBody)> = Vec::new();
-            for op in ops {
-                match op {
-                    PendingOp::Subscribe(client, body) => {
-                        flush_publishes(&idx, peers, journal, config.journal, &mut pending);
-                        obs::count(Counter::BrokerSubscribes, 1);
-                        if body.ttl_ms == 0 {
-                            idx.subscribe(u64::from(client), &body.keys);
-                        } else {
-                            let deadline = now_ms.saturating_add(body.ttl_ms);
-                            idx.subscribe_until(u64::from(client), &body.keys, deadline);
-                            // Round the deadline *up* to a bucket whose
-                            // pop time is past it (pop_due only drains
-                            // buckets strictly below the current tick).
-                            wheel.schedule(u64::from(client), deadline.saturating_add(tick_ms));
-                        }
+                if !due.is_empty() {
+                    let evicted: Vec<u64> = due
+                        .iter()
+                        .copied()
+                        .filter(|&id| idx.expire_candidates(&[id], now_ms) == 1)
+                        .collect();
+                    if !evicted.is_empty() {
+                        obs::count(Counter::BrokerExpired, evicted.len() as u64);
                         if config.journal {
                             journal
                                 .lock()
                                 .expect("journal lock")
-                                .push(BrokerOp::Subscribe {
-                                    client,
-                                    ttl_ms: body.ttl_ms,
-                                    keys: body.keys,
+                                .push(BrokerOp::Expire {
+                                    clients: evicted,
                                     at_ms: now_ms,
                                 });
                         }
                     }
-                    PendingOp::Unsubscribe(client) => {
-                        flush_publishes(&idx, peers, journal, config.journal, &mut pending);
-                        if idx.purge(u64::from(client)) {
-                            obs::count(Counter::BrokerUnsubscribes, 1);
+                }
+
+                // Apply in arrival order; consecutive publishes accumulate
+                // into one match_events run, flushed at every boundary.
+                let mut pending: Vec<(u32, PublishBody)> = Vec::new();
+                for op in ops {
+                    match op {
+                        PendingOp::Subscribe(client, body) => {
+                            flush_publishes(&idx, peers, journal, config.journal, &mut pending);
+                            obs::count(Counter::BrokerSubscribes, 1);
+                            if body.ttl_ms == 0 {
+                                idx.subscribe(u64::from(client), &body.keys);
+                            } else {
+                                let deadline = now_ms.saturating_add(body.ttl_ms);
+                                idx.subscribe_until(u64::from(client), &body.keys, deadline);
+                                // Round the deadline *up* to a bucket whose
+                                // pop time is past it (pop_due only drains
+                                // buckets strictly below the current tick).
+                                wheel.schedule(u64::from(client), deadline.saturating_add(tick_ms));
+                            }
                             if config.journal {
                                 journal
                                     .lock()
                                     .expect("journal lock")
-                                    .push(BrokerOp::Unsubscribe { client });
+                                    .push(BrokerOp::Subscribe {
+                                        client,
+                                        ttl_ms: body.ttl_ms,
+                                        keys: body.keys,
+                                        at_ms: now_ms,
+                                    });
                             }
                         }
+                        PendingOp::Unsubscribe(client) => {
+                            flush_publishes(&idx, peers, journal, config.journal, &mut pending);
+                            if idx.purge(u64::from(client)) {
+                                obs::count(Counter::BrokerUnsubscribes, 1);
+                                if config.journal {
+                                    journal
+                                        .lock()
+                                        .expect("journal lock")
+                                        .push(BrokerOp::Unsubscribe { client });
+                                }
+                            }
+                        }
+                        PendingOp::Publish(client, body) => pending.push((client, body)),
                     }
-                    PendingOp::Publish(client, body) => pending.push((client, body)),
                 }
-            }
-            flush_publishes(&idx, peers, journal, config.journal, &mut pending);
-            drop(idx);
+                flush_publishes(&idx, peers, journal, config.journal, &mut pending);
+                drop(idx);
 
-            obs::count(Counter::BrokerBatches, 1);
-            obs::observe(SizeHist::BrokerBatchOps, op_count);
-            obs::observe_ns(
-                TimeHist::BrokerBatchNs,
-                batch_started.elapsed().as_nanos() as u64,
-            );
-            peers.metrics().absorb(&obs::finish());
-            obs::start();
+                obs::count(Counter::BrokerBatches, 1);
+                obs::observe(SizeHist::BrokerBatchOps, op_count);
+                obs::observe_ns(
+                    TimeHist::BrokerBatchNs,
+                    batch_started.elapsed().as_nanos() as u64,
+                );
+            });
         }
     }
-    peers.metrics().absorb(&obs::finish());
 }
 
 /// Matches the accumulated publish run through one `match_events` call

@@ -42,10 +42,9 @@
 
 use crate::frame::{Frame, FrameKind};
 use crate::peer::{PeerConfig, PeerId, PeerManager};
-use crate::stats::StatsHandle;
 use crate::transport::EndpointAddr;
 use bsub_obs::codec::{Reader, Writer};
-use bsub_obs::{self as obs, Counter, ProfReport, TimeHist};
+use bsub_obs::{self as obs, Counter, ProfReport, SharedReport, TimeHist};
 use bsub_sim::{
     GeneratedMessage, Link, Message, MessageId, MetricsCollector, NullRecorder, Protocol,
     ProtocolFactory, Recorder, SimConfig, SimCtx, SimReport, Simulation, SubscriptionTable,
@@ -466,7 +465,19 @@ pub fn run_worker(
         let spec = spec.clone();
         thread::spawn(move || -> io::Result<()> {
             while let Ok(index) = exec_rx.recv() {
-                execute_contact(&spec, &pm, &protocol, &grant_rx, index)?;
+                // With the plane on, the contact runs under a profiler
+                // (the protocol's `obs::` instrumentation lights up as in
+                // the serial profiled runner) recorded into the sink
+                // BEFORE the result goes out: once the coordinator holds
+                // every result, the drain-time STATS collection misses
+                // no contact's profile.
+                let outcome = pm
+                    .metrics()
+                    .profile(|| execute_contact(&spec, &pm, &protocol, &grant_rx, index))?;
+                pm.send(
+                    COORDINATOR,
+                    Frame::new(FrameKind::ExchangeResult, outcome.encode()),
+                )?;
             }
             Ok(())
         })
@@ -593,28 +604,21 @@ pub fn run_worker(
     }
 }
 
-/// One dispatched contact on the executor worker. See the module docs
-/// for the lock discipline this function upholds.
+/// Runs one dispatched contact's exchange on the executor worker and
+/// returns its outcome. See the module docs for the lock discipline
+/// this function upholds.
 fn execute_contact(
     spec: &ClusterSpec,
     pm: &PeerManager,
     protocol: &Mutex<Box<dyn Protocol>>,
     grants: &mpsc::Receiver<(u32, Vec<u8>)>,
     index: u64,
-) -> io::Result<()> {
+) -> io::Result<ExchangeOutcome> {
     let contact = *spec
         .trace
         .events()
         .get(index as usize)
         .ok_or_else(|| bad("dispatch index outside the trace"))?;
-    // With the observability plane on, profile this contact with the
-    // ordinary thread-local profiler and fold the result into the
-    // shared sink — the protocol's own `obs::` instrumentation lights
-    // up exactly as it does under the serial profiled runner.
-    let profiled = pm.metrics().is_enabled();
-    if profiled {
-        obs::start();
-    }
     let local = pm.local();
     let mut remotes: Vec<NodeId> = Vec::new();
     for node in [contact.a, contact.b] {
@@ -689,7 +693,7 @@ fn execute_contact(
             ),
         )?;
     }
-    let outcome = ExchangeOutcome {
+    Ok(ExchangeOutcome {
         index,
         forwardings: report.forwardings,
         control_bytes: report.control_bytes,
@@ -697,19 +701,7 @@ fn execute_contact(
         injections: report.injections,
         false_injections: report.false_injections,
         deliveries,
-    };
-    if profiled {
-        // Absorb BEFORE the result frame goes out: once the
-        // coordinator holds every result, every contact's profile is
-        // already in some worker's sink, so the drain-time STATS
-        // collection misses nothing.
-        pm.metrics().absorb(&obs::finish());
-    }
-    pm.send(
-        COORDINATOR,
-        Frame::new(FrameKind::ExchangeResult, outcome.encode()),
-    )?;
-    Ok(())
+    })
 }
 
 // ---- coordinator ------------------------------------------------------
@@ -740,7 +732,7 @@ struct Coordinator<'a> {
     barrier_target: Option<u64>,
     last_progress: Instant,
     /// The live merged cluster report; `None` = plane off.
-    stats: Option<StatsHandle>,
+    stats: Option<Arc<SharedReport>>,
     /// Workers whose final STATS delta has arrived.
     stats_finals: u32,
     /// Last time the coordinator folded its own sink into `stats`.
@@ -751,14 +743,12 @@ impl Coordinator<'_> {
     /// Folds the coordinator's own socket-thread metrics into the live
     /// report on the configured cadence.
     fn merge_own_stats(&mut self) {
-        let Some(handle) = &self.stats else { return };
+        let Some(stats) = &self.stats else { return };
         let cadence = self.spec.stats_cadence.unwrap_or(POLL);
         if self.last_stats.elapsed() >= cadence {
             self.last_stats = Instant::now();
             let delta = self.pm.metrics().take_delta();
-            if !delta.is_empty() {
-                handle.merge(&delta);
-            }
+            stats.record(|r| r.merge(&delta));
         }
     }
 
@@ -798,7 +788,9 @@ impl Coordinator<'_> {
                 }
                 let ns = pending.at.elapsed().as_nanos() as u64;
                 obs::observe_ns(TimeHist::NetExchangeNs, ns);
-                self.pm.metrics().observe_ns(TimeHist::NetExchangeNs, ns);
+                self.pm
+                    .metrics()
+                    .record(|r| r.record_time(TimeHist::NetExchangeNs, ns));
                 self.exchange_ns[outcome.index as usize] = ns;
                 // Endpoints the executor itself owns are free now;
                 // remotely owned ones stay busy until NODE_FREE.
@@ -826,13 +818,15 @@ impl Coordinator<'_> {
             }
             FrameKind::Stats => {
                 let (op, report) = read_stats(&frame.body)?;
-                let Some(handle) = &self.stats else {
+                let Some(stats) = &self.stats else {
                     return Err(bad("STATS frame but the stats plane is off"));
                 };
                 let report =
                     report.ok_or_else(|| bad("coordinator got a STATS request, not a delta"))?;
-                handle.merge(&report);
-                self.pm.metrics().count(Counter::NetStatsFrames, 1);
+                stats.record(|r| r.merge(&report));
+                self.pm
+                    .metrics()
+                    .record(|r| r.add_counter(Counter::NetStatsFrames, 1));
                 if op == STATS_FINAL {
                     self.stats_finals += 1;
                 }
@@ -930,15 +924,16 @@ pub fn run_coordinator(
     factory: &dyn ProtocolFactory,
     dir: &Path,
 ) -> io::Result<ClusterOutcome> {
-    let stats = spec.stats_cadence.is_some().then(StatsHandle::new);
+    let stats = spec.stats_cadence.is_some().then(Arc::default);
     run_coordinator_with(spec, factory, dir, stats)
 }
 
-/// [`run_coordinator`] with an externally owned [`StatsHandle`]: pass
-/// `Some(handle)` to watch the merged cluster report *while the run is
-/// live* — e.g. by serving the handle from a
+/// [`run_coordinator`] with an externally owned sink: pass
+/// `Some(sink)` to watch the merged cluster report *while the run is
+/// live* — e.g. by serving the sink from a
 /// [`StatsServer`](crate::stats::StatsServer), which is exactly what
-/// the `net-cluster` binary's `--stats-addr` flag does.
+/// the `net-cluster` binary's `--stats-addr` flag does. The run arms
+/// the sink and merges into it; the caller's earlier contents stay.
 ///
 /// # Errors
 ///
@@ -947,7 +942,7 @@ pub fn run_coordinator_with(
     spec: &ClusterSpec,
     factory: &dyn ProtocolFactory,
     dir: &Path,
-    stats: Option<StatsHandle>,
+    stats: Option<Arc<SharedReport>>,
 ) -> io::Result<ClusterOutcome> {
     let started = Instant::now();
     let name = factory.build(spec.seed).name().to_string();
@@ -956,7 +951,8 @@ pub fn run_coordinator_with(
         peer_addr(dir, COORDINATOR),
         spec.seed,
     ))?;
-    if stats.is_some() {
+    if let Some(stats) = &stats {
+        stats.enable();
         pm.metrics().enable();
     }
     pm.await_connections(spec.workers as usize, ASSEMBLY)?;
@@ -1038,11 +1034,9 @@ pub fn run_coordinator_with(
         while coord.stats_finals < spec.workers {
             coord.pump()?;
         }
-        if let Some(handle) = &coord.stats {
+        if let Some(stats) = &coord.stats {
             let delta = pm.metrics().take_delta();
-            if !delta.is_empty() {
-                handle.merge(&delta);
-            }
+            stats.record(|r| r.merge(&delta));
         }
     }
 
@@ -1054,7 +1048,7 @@ pub fn run_coordinator_with(
     }
     let report = coord.metrics.finish(&name);
     let exchange_ns = coord.exchange_ns;
-    let cluster_metrics = coord.stats.as_ref().map(StatsHandle::snapshot);
+    let cluster_metrics = coord.stats.as_ref().map(|stats| stats.snapshot());
     Ok(ClusterOutcome {
         report,
         exchange_ns,

@@ -24,6 +24,7 @@
 //! (reset semantics, DESIGN.md §12.4).
 
 use bsub_bloom::wire::crc16;
+use bsub_obs::{SizeHist, TimeHist};
 use std::io::{self, Read, Write};
 
 /// Fixed size of the frame header in bytes.
@@ -144,6 +145,51 @@ impl FrameKind {
             FrameKind::Publish => "publish",
             FrameKind::Deliver => "deliver",
         }
+    }
+}
+
+/// The wall-clock write-latency histogram for frames of `kind`.
+#[must_use]
+pub fn frame_time_hist(kind: FrameKind) -> TimeHist {
+    match kind {
+        FrameKind::Hello => TimeHist::NetFrameHelloNs,
+        FrameKind::Dispatch => TimeHist::NetFrameDispatchNs,
+        FrameKind::StateReq => TimeHist::NetFrameStateReqNs,
+        FrameKind::StateGrant => TimeHist::NetFrameStateGrantNs,
+        FrameKind::StateRet => TimeHist::NetFrameStateRetNs,
+        FrameKind::ExchangeResult => TimeHist::NetFrameExchangeResultNs,
+        FrameKind::NodeFree => TimeHist::NetFrameNodeFreeNs,
+        FrameKind::Advance => TimeHist::NetFrameAdvanceNs,
+        FrameKind::PublishOk => TimeHist::NetFramePublishOkNs,
+        FrameKind::Done => TimeHist::NetFrameDoneNs,
+        FrameKind::Stats => TimeHist::NetFrameStatsNs,
+        FrameKind::Subscribe => TimeHist::NetFrameSubscribeNs,
+        FrameKind::Unsubscribe => TimeHist::NetFrameUnsubscribeNs,
+        FrameKind::Publish => TimeHist::NetFramePublishNs,
+        FrameKind::Deliver => TimeHist::NetFrameDeliverNs,
+    }
+}
+
+/// The encoded-size histogram for frames of `kind`. Recorded on the
+/// send side only, so a cluster-wide merge counts each frame once.
+#[must_use]
+pub fn frame_size_hist(kind: FrameKind) -> SizeHist {
+    match kind {
+        FrameKind::Hello => SizeHist::NetFrameHelloBytes,
+        FrameKind::Dispatch => SizeHist::NetFrameDispatchBytes,
+        FrameKind::StateReq => SizeHist::NetFrameStateReqBytes,
+        FrameKind::StateGrant => SizeHist::NetFrameStateGrantBytes,
+        FrameKind::StateRet => SizeHist::NetFrameStateRetBytes,
+        FrameKind::ExchangeResult => SizeHist::NetFrameExchangeResultBytes,
+        FrameKind::NodeFree => SizeHist::NetFrameNodeFreeBytes,
+        FrameKind::Advance => SizeHist::NetFrameAdvanceBytes,
+        FrameKind::PublishOk => SizeHist::NetFramePublishOkBytes,
+        FrameKind::Done => SizeHist::NetFrameDoneBytes,
+        FrameKind::Stats => SizeHist::NetFrameStatsBytes,
+        FrameKind::Subscribe => SizeHist::NetFrameSubscribeBytes,
+        FrameKind::Unsubscribe => SizeHist::NetFrameUnsubscribeBytes,
+        FrameKind::Publish => SizeHist::NetFramePublishBytes,
+        FrameKind::Deliver => SizeHist::NetFrameDeliverBytes,
     }
 }
 
@@ -391,5 +437,15 @@ mod tests {
         }
         assert_eq!(FrameKind::from_byte(0), None);
         assert_eq!(FrameKind::from_byte(16), None);
+    }
+
+    #[test]
+    fn every_frame_kind_maps_to_distinct_histograms() {
+        let mut times: Vec<TimeHist> = FrameKind::ALL.iter().map(|&k| frame_time_hist(k)).collect();
+        let mut sizes: Vec<SizeHist> = FrameKind::ALL.iter().map(|&k| frame_size_hist(k)).collect();
+        times.dedup();
+        sizes.dedup();
+        assert_eq!(times.len(), FrameKind::ALL.len());
+        assert_eq!(sizes.len(), FrameKind::ALL.len());
     }
 }

@@ -10,7 +10,8 @@
 //! - [`frame`] — the length-prefixed, CRC-checked frame codec. The
 //!   wire layout is specified normatively in DESIGN.md §12.4; the
 //!   unit tests here assert the implementation against the spec's
-//!   byte offsets, not the other way round.
+//!   byte offsets, not the other way round. It also maps each frame
+//!   kind to its latency and size histograms.
 //! - [`transport`] — one stream/listener enum over TCP and
 //!   Unix-domain sockets, so everything above it is family-agnostic.
 //! - [`backoff`] — deterministic jittered exponential backoff for
@@ -24,15 +25,13 @@
 //!   serial simulator's event loop across OS processes, shipping node
 //!   state via the protocols' snapshot seams. Its final report is
 //!   **equal** to the serial simulator's, not approximately so.
-//! - [`metrics`] — the cross-thread metrics sink socket threads record
-//!   into (the thread-local `bsub_obs` profiler cannot see them), plus
-//!   the per-frame-kind histogram maps.
 //! - [`trace`] — typed wall-clock event tracing for the connection
 //!   state machine (dials, races, displacements, retries, stalls,
 //!   drains), serializable as JSON lines.
-//! - [`stats`] — the live observability endpoint: a [`StatsHandle`]
-//!   the coordinator merges worker `STATS` deltas into, served as
-//!   Prometheus text and JSON by a [`StatsServer`] (DESIGN.md §15).
+//! - [`stats`] — the live observability endpoint: a [`StatsServer`]
+//!   serves a `bsub_obs::SharedReport` — the coordinator's merged
+//!   cluster report, or a broker's own sink — as Prometheus text and
+//!   JSON (DESIGN.md §15).
 //! - [`broker`] — the live broker service (DESIGN.md §16): a
 //!   [`BrokerNode`] owns a `bsub_match::MatchIndex` behind the peer
 //!   state machine, serving `SUBSCRIBE`/`UNSUBSCRIBE`/`PUBLISH`
@@ -60,7 +59,6 @@ pub mod backoff;
 pub mod broker;
 pub mod cluster;
 pub mod frame;
-pub mod metrics;
 pub mod peer;
 pub mod stats;
 pub mod trace;
@@ -71,13 +69,16 @@ pub use broker::{
     unix_ns, BrokerClient, BrokerConfig, BrokerNode, BrokerOp, ClockWheel, DeliverBody, Delivery,
     PublishBody, SubscribeBody,
 };
+/// The peer plane's metrics sink, under the name the repository
+/// benchmark (`perfbench/`, frozen until its next change) imports.
+/// New code names [`bsub_obs::SharedReport`].
+pub use bsub_obs::SharedReport as NetMetrics;
 pub use cluster::{
     peer_addr, run_coordinator, run_coordinator_with, run_worker, ClusterOutcome, ClusterSpec,
     COORDINATOR,
 };
-pub use frame::{Frame, FrameKind, HEADER_LEN, MAX_BODY_LEN};
-pub use metrics::{frame_size_hist, frame_time_hist, NetMetrics};
+pub use frame::{frame_size_hist, frame_time_hist, Frame, FrameKind, HEADER_LEN, MAX_BODY_LEN};
 pub use peer::{ConnState, PeerConfig, PeerId, PeerManager};
-pub use stats::{render_prometheus, scrape, StatsHandle, StatsServer};
+pub use stats::{render_prometheus, scrape, StatsServer};
 pub use trace::{NetEvent, NetTrace, TracedEvent};
 pub use transport::{EndpointAddr, Listener, Stream};

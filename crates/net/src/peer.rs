@@ -46,12 +46,11 @@
 //! deterministic jittered backoff of [`crate::backoff`].
 
 use crate::backoff::Backoff;
-use crate::frame::{Frame, FrameKind, HEADER_LEN};
-use crate::metrics::{frame_size_hist, frame_time_hist, NetMetrics};
+use crate::frame::{frame_size_hist, frame_time_hist, Frame, FrameKind, HEADER_LEN};
 use crate::trace::{self, NetEvent, NetTrace, TraceSlot};
 use crate::transport::{EndpointAddr, Listener, Stream};
 use bsub_obs::codec::{Reader, Writer};
-use bsub_obs::Counter;
+use bsub_obs::{Counter, SharedReport};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -149,7 +148,7 @@ struct Shared {
     epochs: AtomicU64,
     /// Cross-thread metrics sink (socket threads have no thread-local
     /// profiler); disabled unless armed via [`PeerManager::metrics`].
-    metrics: NetMetrics,
+    metrics: SharedReport,
     /// Optional wall-clock event trace; empty slot = one atomic load.
     trace: TraceSlot,
 }
@@ -161,6 +160,10 @@ impl Shared {
 
     fn trace(&self, event: NetEvent) {
         trace::record(&self.trace, event);
+    }
+
+    fn count(&self, c: Counter) {
+        self.metrics.record(|r| r.add_counter(c, 1));
     }
 }
 
@@ -199,7 +202,7 @@ impl PeerManager {
             inbound: inbound_tx,
             shutdown: AtomicBool::new(false),
             epochs: AtomicU64::new(0),
-            metrics: NetMetrics::new(),
+            metrics: SharedReport::new(),
             trace: TraceSlot::new(),
         });
         let manager = Arc::new(Self {
@@ -218,10 +221,10 @@ impl PeerManager {
     }
 
     /// The cross-thread metrics sink shared by this peer's socket
-    /// threads. Disabled until [`NetMetrics::enable`] is called, so an
-    /// unobserved runtime records nothing.
+    /// threads. Disabled until [`SharedReport::enable`] is called, so
+    /// an unobserved runtime records nothing.
     #[must_use]
-    pub fn metrics(&self) -> &NetMetrics {
+    pub fn metrics(&self) -> &SharedReport {
         &self.shared.metrics
     }
 
@@ -288,7 +291,7 @@ impl PeerManager {
             match self.dial_once(peer, addr) {
                 Ok(()) => return Ok(()),
                 Err(_) => {
-                    self.shared.metrics.count(Counter::NetRetries, 1);
+                    self.shared.count(Counter::NetRetries);
                     if self.state(peer) == ConnState::Dialing {
                         self.shared.set_state(peer, ConnState::Idle);
                     }
@@ -361,7 +364,7 @@ impl PeerManager {
                 ));
             }
             Err(TrySendError::Full(frame)) => {
-                self.shared.metrics.count(Counter::NetSendStalls, 1);
+                self.shared.count(Counter::NetSendStalls);
                 self.shared.trace(NetEvent::SendStall {
                     peer,
                     kind: frame.kind,
@@ -417,7 +420,7 @@ impl PeerManager {
                 .expect("conns lock");
             conns = guard;
             if wait.timed_out() && conns.len() <= before {
-                self.shared.metrics.count(Counter::NetPollStarved, 1);
+                self.shared.count(Counter::NetPollStarved);
             }
         }
         Ok(())
@@ -566,7 +569,7 @@ fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -
         if existing.dialer < dialer {
             // The established connection wins: it was dialed by the
             // lower id. Discard the newcomer.
-            shared.metrics.count(Counter::NetRaceLost, 1);
+            shared.count(Counter::NetRaceLost);
             shared.trace(NetEvent::RaceLost { peer });
             drop(conns);
             stream.shutdown_both();
@@ -578,7 +581,7 @@ fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -
         // previous socket, so the incumbent is dead. Displace it; its
         // reader observes the teardown and exits without touching the
         // new entry (epoch check).
-        shared.metrics.count(Counter::NetRaceLost, 1);
+        shared.count(Counter::NetRaceLost);
         shared.trace(NetEvent::Displaced { peer });
         if let Some(old) = conns.remove(&peer) {
             old.stream.shutdown_both();
@@ -617,11 +620,11 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: Stream, peer: PeerId, epoch: u6
     // socket teardown — ends the connection; the stream is never
     // resynchronized.
     while let Ok(frame) = Frame::read_from(&mut stream) {
-        shared.metrics.count(Counter::NetFramesRecv, 1);
-        shared.metrics.count(
-            Counter::NetBytesRecv,
-            (HEADER_LEN + frame.body.len()) as u64,
-        );
+        let bytes = (HEADER_LEN + frame.body.len()) as u64;
+        shared.metrics.record(|r| {
+            r.add_counter(Counter::NetFramesRecv, 1);
+            r.add_counter(Counter::NetBytesRecv, bytes);
+        });
         if shared.inbound.send((peer, frame)).is_err() {
             break;
         }
@@ -650,17 +653,19 @@ fn writer_loop(shared: &Arc<Shared>, mut stream: Stream, rx: &Receiver<Frame>) {
         if frame.write_to(&mut stream).is_err() {
             return; // reader notices the dead socket and retires it
         }
-        if let Some(started) = started {
-            // Per-kind wall clock from dequeue to completed write,
-            // and per-kind encoded size. Sizes are recorded on the
-            // send side only so a cluster-wide merge counts each
-            // frame exactly once.
-            let ns = started.elapsed().as_nanos() as u64;
-            shared.metrics.observe_ns(frame_time_hist(kind), ns);
-            shared.metrics.observe(frame_size_hist(kind), bytes);
-        }
-        shared.metrics.count(Counter::NetFramesSent, 1);
-        shared.metrics.count(Counter::NetBytesSent, bytes);
+        let write_ns = started.map(|started| started.elapsed().as_nanos() as u64);
+        shared.metrics.record(|r| {
+            if let Some(ns) = write_ns {
+                // Per-kind wall clock from dequeue to completed write,
+                // and per-kind encoded size. Sizes are recorded on the
+                // send side only so a cluster-wide merge counts each
+                // frame exactly once.
+                r.record_time(frame_time_hist(kind), ns);
+                r.record_size(frame_size_hist(kind), bytes);
+            }
+            r.add_counter(Counter::NetFramesSent, 1);
+            r.add_counter(Counter::NetBytesSent, bytes);
+        });
     }
     // Queue closed (drain): everything queued has been written.
     stream.shutdown_write();

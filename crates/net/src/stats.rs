@@ -1,14 +1,15 @@
 //! Scrapeable stats endpoint for the live observability plane.
 //!
 //! A running cluster coordinator holds one continuously-merged,
-//! cluster-wide [`ProfReport`] (DESIGN.md §15). This module makes that
-//! report *reachable from outside the process while the run is live*:
-//! a [`StatsHandle`] is the shared, thread-safe slot the coordinator
-//! merges worker deltas into, and a [`StatsServer`] serves the slot's
-//! current contents over the workspace's unified
-//! [`Listener`] — so the endpoint works
-//! identically over TCP (`curl http://…/metrics`) and Unix-domain
-//! sockets, with no HTTP library.
+//! cluster-wide [`ProfReport`] in a [`SharedReport`] (DESIGN.md §15),
+//! and a live broker records into its peer plane's own sink. This
+//! module makes such a report *reachable from outside the process
+//! while the run is live*: a [`StatsServer`] serves whatever its
+//! snapshot closure returns — typically
+//! [`SharedReport::snapshot`] — over the workspace's unified
+//! [`Listener`], so the endpoint works identically over TCP
+//! (`curl http://…/metrics`) and Unix-domain sockets, with no HTTP
+//! library.
 //!
 //! Two paths are served, both one-shot (`Connection: close`):
 //!
@@ -16,12 +17,15 @@
 //!   [`render_prometheus`]),
 //! - `/metrics.json` — the same report as `ProfReport::to_json()`.
 //!
-//! The server only ever *reads* the handle; scraping cannot perturb
+//! The server only ever *reads* the sink; scraping cannot perturb
 //! the run, which keeps the determinism guarantee intact.
+//!
+//! [`SharedReport`]: bsub_obs::SharedReport
+//! [`SharedReport::snapshot`]: bsub_obs::SharedReport::snapshot
 
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -32,35 +36,6 @@ use crate::transport::{EndpointAddr, Listener, Stream};
 /// How long one scrape connection may take to send its request line
 /// before the server gives up on it.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// A shared slot holding the live cluster-wide merged report.
-///
-/// Clones share the slot. `merge` folds a delta in (commutatively, so
-/// out-of-order worker deltas converge to the same total); `snapshot`
-/// copies the current merged state out.
-#[derive(Debug, Clone, Default)]
-pub struct StatsHandle {
-    slot: Arc<Mutex<ProfReport>>,
-}
-
-impl StatsHandle {
-    /// A fresh, empty slot.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Merges `delta` into the slot.
-    pub fn merge(&self, delta: &ProfReport) {
-        self.slot.lock().expect("stats slot").merge(delta);
-    }
-
-    /// A copy of the current merged report.
-    #[must_use]
-    pub fn snapshot(&self) -> ProfReport {
-        self.slot.lock().expect("stats slot").clone()
-    }
-}
 
 /// Appends one summary-typed series for a histogram.
 fn render_summary(out: &mut String, name: &str, hist: &Histogram) {
@@ -119,7 +94,7 @@ pub fn render_prometheus(report: &ProfReport) -> String {
 }
 
 /// Serves one accepted scrape connection.
-fn serve_connection(mut stream: Stream, handle: &StatsHandle) {
+fn serve_connection(mut stream: Stream, snapshot: &dyn Fn() -> ProfReport) {
     let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
     let mut request = Vec::new();
     let mut buf = [0u8; 512];
@@ -152,9 +127,9 @@ fn serve_connection(mut stream: Stream, handle: &StatsHandle) {
             "/metrics" => (
                 "200 OK",
                 "text/plain; version=0.0.4",
-                render_prometheus(&handle.snapshot()),
+                render_prometheus(&snapshot()),
             ),
-            "/metrics.json" => ("200 OK", "application/json", handle.snapshot().to_json()),
+            "/metrics.json" => ("200 OK", "application/json", snapshot().to_json()),
             _ => (
                 "404 Not Found",
                 "text/plain",
@@ -170,7 +145,7 @@ fn serve_connection(mut stream: Stream, handle: &StatsHandle) {
     let _ = stream.flush();
 }
 
-/// A background HTTP/1.0 server exposing a [`StatsHandle`].
+/// A background HTTP/1.0 server exposing a live report.
 ///
 /// Dropping the server (or calling [`StatsServer::shutdown`]) stops
 /// the accept thread. Bind to a TCP port `0` to let the kernel pick;
@@ -183,12 +158,18 @@ pub struct StatsServer {
 }
 
 impl StatsServer {
-    /// Binds `addr` and starts serving `handle` in the background.
+    /// Binds `addr` and starts serving, in the background, the report
+    /// `snapshot` returns at each scrape — e.g. a closure over an
+    /// `Arc<SharedReport>` calling
+    /// [`SharedReport::snapshot`](bsub_obs::SharedReport::snapshot).
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
-    pub fn serve(addr: &EndpointAddr, handle: StatsHandle) -> io::Result<Self> {
+    pub fn serve(
+        addr: &EndpointAddr,
+        snapshot: impl Fn() -> ProfReport + Send + 'static,
+    ) -> io::Result<Self> {
         let listener = Listener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -201,7 +182,7 @@ impl StatsServer {
                     match listener.accept_pending() {
                         Ok(Some(stream)) => {
                             idle = 0;
-                            serve_connection(stream, &handle);
+                            serve_connection(stream, &snapshot);
                         }
                         Ok(None) => {
                             // Adaptive wait: spin briefly on a fresh
@@ -280,6 +261,19 @@ pub fn scrape(addr: &EndpointAddr, path: &str) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsub_obs::SharedReport;
+
+    fn sample_sink() -> Arc<SharedReport> {
+        let sink = Arc::new(SharedReport::new());
+        sink.enable();
+        sink.record(|r| r.merge(&sample_report()));
+        sink
+    }
+
+    fn serve_sink(addr: &EndpointAddr, sink: &Arc<SharedReport>) -> StatsServer {
+        let sink = Arc::clone(sink);
+        StatsServer::serve(addr, move || sink.snapshot()).unwrap()
+    }
 
     fn sample_report() -> ProfReport {
         let mut r = ProfReport::default();
@@ -322,55 +316,31 @@ bsub_net_frame_stats_bytes_count 1
 
     #[test]
     fn server_serves_text_json_and_404() {
-        let handle = StatsHandle::new();
-        handle.merge(&sample_report());
+        let sink = sample_sink();
         let addr = EndpointAddr::Tcp("127.0.0.1:0".parse().unwrap());
-        let server = StatsServer::serve(&addr, handle.clone()).unwrap();
+        let server = serve_sink(&addr, &sink);
         let bound = server.local_addr().clone();
 
         let text = scrape(&bound, "/metrics").unwrap();
-        assert_eq!(text, render_prometheus(&handle.snapshot()));
+        assert_eq!(text, render_prometheus(&sink.snapshot()));
 
         let json = scrape(&bound, "/metrics.json").unwrap();
-        assert_eq!(json, handle.snapshot().to_json());
+        assert_eq!(json, sink.snapshot().to_json());
 
         let err = scrape(&bound, "/nope").unwrap_err();
         assert!(err.to_string().contains("404"), "{err}");
 
         // The endpoint is live: a merge between scrapes is visible.
-        handle.merge(&sample_report());
+        sink.record(|r| r.merge(&sample_report()));
         let text2 = scrape(&bound, "/metrics").unwrap();
         assert!(text2.contains("bsub_net_frames_sent 24"), "{text2}");
     }
 
     #[test]
     fn server_works_over_unix_sockets() {
-        let handle = StatsHandle::new();
-        handle.merge(&sample_report());
         let path = std::env::temp_dir().join(format!("bsub-stats-{}.sock", std::process::id()));
-        let server = StatsServer::serve(&EndpointAddr::Unix(path), handle.clone()).unwrap();
+        let server = serve_sink(&EndpointAddr::Unix(path), &sample_sink());
         let text = scrape(server.local_addr(), "/metrics").unwrap();
         assert!(text.contains("bsub_net_frames_sent 12"), "{text}");
-    }
-
-    #[test]
-    fn handle_merge_is_arrival_order_independent() {
-        let mut deltas = Vec::new();
-        for i in 1..=4u64 {
-            let mut d = ProfReport::default();
-            d.add_counter(Counter::NetFramesSent, i);
-            d.record_time(TimeHist::NetExchangeNs, i * 100);
-            deltas.push(d);
-        }
-        let forward = StatsHandle::new();
-        for d in &deltas {
-            forward.merge(d);
-        }
-        let reverse = StatsHandle::new();
-        for d in deltas.iter().rev() {
-            reverse.merge(d);
-        }
-        assert_eq!(forward.snapshot(), reverse.snapshot());
-        assert_eq!(forward.snapshot().counter(Counter::NetFramesSent), 10);
     }
 }

@@ -8,9 +8,9 @@ use bsub_core::{BsubConfig, BsubProtocol, DfMode};
 use bsub_net::{
     peer_addr, render_prometheus, run_coordinator, run_coordinator_with, run_worker, scrape,
     ClusterSpec, ConnState, EndpointAddr, Frame, FrameKind, PeerConfig, PeerId, PeerManager,
-    StatsHandle, StatsServer,
+    StatsServer,
 };
-use bsub_obs::{Counter, TimeHist};
+use bsub_obs::{Counter, SharedReport, TimeHist};
 use bsub_sim::{Protocol, ProtocolFactory, SimConfig, SubscriptionTable};
 use bsub_traces::synthetic::SyntheticTrace;
 use bsub_traces::{NodeId, SimDuration};
@@ -318,12 +318,13 @@ fn cluster_stats_plane_merges_and_serves_without_perturbing() {
         })
         .collect();
 
-    // Serve the handle the coordinator merges into — the endpoint is
+    // Serve the sink the coordinator merges into — the endpoint is
     // scrapeable while the run is live.
-    let stats = StatsHandle::new();
+    let stats = Arc::new(SharedReport::new());
+    let served = Arc::clone(&stats);
     let server = StatsServer::serve(
         &EndpointAddr::Tcp("127.0.0.1:0".parse().unwrap()),
-        stats.clone(),
+        move || served.snapshot(),
     )
     .expect("stats server binds");
 

@@ -35,12 +35,16 @@
 //! exception, and are excluded from invariance claims.
 //!
 //! For components whose work crosses threads or processes — the
-//! `bsub-net` runtime's socket threads, a cluster shipping per-worker
-//! reports to its coordinator — a report can also be mutated directly
-//! ([`ProfReport::add_counter`] and friends) and moved over a wire
-//! with the versioned binary codec ([`ProfReport::encode`] /
-//! [`ProfReport::decode`]). Merge commutativity is what makes the
-//! cluster-wide live report independent of frame arrival order.
+//! `bsub-net` runtime's socket threads, the broker's service loop, a
+//! cluster shipping per-worker reports to its coordinator — one
+//! [`SharedReport`] is the cross-thread sink: threads without a profiler
+//! record into it directly ([`SharedReport::record`]), and
+//! [`SharedReport::profile`] is the one bridge from the thread-local
+//! profiler into it, installing a profiler only while the sink is armed.
+//! Reports move over a wire with the versioned binary codec
+//! ([`ProfReport::encode`] / [`ProfReport::decode`]); merge
+//! commutativity is what makes the cluster-wide live report independent
+//! of frame arrival order.
 //!
 //! Because this crate is the bottom of the graph, it also hosts the
 //! workspace's one byte codec, [`codec::Writer`] / [`codec::Reader`]:
@@ -70,10 +74,12 @@ mod hist;
 pub mod json;
 mod profiler;
 mod report;
+mod shared;
 
 pub use crate::hist::Histogram;
 pub use crate::profiler::{
-    absorb, count, finish, gauge_add, gauge_set, gauge_sub, is_active, observe, observe_ns, span,
-    start, Counter, Gauge, SizeHist, Span, TimeHist, OCCUPANCY_SAMPLE_PERIOD,
+    count, finish, gauge_add, gauge_set, gauge_sub, is_active, observe, observe_ns, span, start,
+    Counter, Gauge, SizeHist, Span, TimeHist, OCCUPANCY_SAMPLE_PERIOD,
 };
 pub use crate::report::{calibrate_ns, MetricsReport, ProfReport};
+pub use crate::shared::SharedReport;

@@ -563,20 +563,6 @@ pub fn finish() -> ProfReport {
         .unwrap_or_default()
 }
 
-/// Merges a finished [`ProfReport`] into the profiler active on this
-/// thread — counters sum, gauge high-water marks take the max,
-/// histograms merge bucket-wise, exactly like
-/// [`ProfReport::merge`](crate::ProfReport::merge). No-op when no
-/// profiler is installed.
-///
-/// This is how a sharded run re-aggregates: each worker thread runs
-/// its own `start()`/`finish()` pair around its slice of the work, and
-/// the orchestrator absorbs the per-shard reports (in deterministic
-/// shard order) into the run-level profiler.
-pub fn absorb(report: &ProfReport) {
-    with_profiler(|p| report.merge_into(p));
-}
-
 /// Whether a profiler is installed on this thread. Instrumentation
 /// call sites don't need this — [`count`] and friends check it — but
 /// it lets callers skip *building* expensive arguments, mirroring the
@@ -711,28 +697,6 @@ mod tests {
         assert_eq!(report.counter(Counter::WireEncode), 5);
         assert_eq!(report.size_hist(SizeHist::EncodedFilterBytes).count(), 1);
         // A second finish without start is empty again.
-        assert!(finish().is_empty());
-    }
-
-    #[test]
-    fn absorb_merges_into_active_profiler() {
-        start();
-        count(Counter::TcbfAMerge, 2);
-        gauge_set(Gauge::BufferMsgs, 5);
-        observe(SizeHist::ContactBytes, 64);
-        let shard = finish();
-
-        start();
-        count(Counter::TcbfAMerge, 3);
-        gauge_set(Gauge::BufferMsgs, 4);
-        absorb(&shard);
-        let merged = finish();
-        assert_eq!(merged.counter(Counter::TcbfAMerge), 5);
-        assert_eq!(merged.gauge(Gauge::BufferMsgs), 5, "hwm takes the max");
-        assert_eq!(merged.size_hist(SizeHist::ContactBytes).count(), 1);
-
-        // Without an active profiler, absorb is a no-op.
-        absorb(&shard);
         assert!(finish().is_empty());
     }
 

@@ -100,28 +100,10 @@ impl ProfReport {
         }
     }
 
-    /// Merges this report into a live [`Profiler`] with the same
-    /// semantics as [`ProfReport::merge`] — the thread-local side of
-    /// [`crate::absorb`].
-    pub(crate) fn merge_into(&self, p: &mut Profiler) {
-        for (a, b) in p.counters.iter_mut().zip(&self.counters) {
-            *a = a.saturating_add(*b);
-        }
-        for (a, b) in p.gauge_hwm.iter_mut().zip(&self.gauges) {
-            *a = (*a).max(*b);
-        }
-        for (a, b) in p.time_hists.iter_mut().zip(&self.time_hists) {
-            a.merge(b);
-        }
-        for (a, b) in p.size_hists.iter_mut().zip(&self.size_hists) {
-            a.merge(b);
-        }
-    }
-
     /// Adds `n` to a counter directly on this report (saturating) —
-    /// the recording path for aggregation sinks that cannot use the
-    /// thread-local profiler, such as `bsub-net`'s socket threads,
-    /// which outlive any one profiled run.
+    /// the recording path for threads that run no profiler, such as
+    /// `bsub-net`'s socket threads recording into a
+    /// [`SharedReport`](crate::SharedReport).
     pub fn add_counter(&mut self, c: Counter, n: u64) {
         let slot = &mut self.counters[c as usize];
         *slot = slot.saturating_add(n);
