@@ -249,12 +249,19 @@ fi
 if want scale; then
     stage "scale --smoke --check (packed-kernel scale harness)"
     # Streams the 25k–100k-node synthetic contact schedules through the
-    # word-packed TCBF kernels and gates throughput on the same baseline.
+    # word-packed TCBF kernels and gates throughput on the same baseline,
+    # then diffs every deterministic column (all but `shards`, which
+    # follows BSUB_SHARDS) against the committed smoke CSV.
     BSUB_RESULTS_DIR="$SMOKE_DIR" ./target/release/scale --smoke --check
     test -s "$SMOKE_DIR/scale_smoke.csv" || {
         echo "missing smoke artifact: scale_smoke.csv" >&2
         exit 1
     }
+    if ! diff <(cut -d, -f1,2,4- "$SMOKE_DIR/scale_smoke.csv") \
+        <(cut -d, -f1,2,4- results/scale_smoke.csv); then
+        echo "scale smoke run diverged from the committed artifact" >&2
+        exit 1
+    fi
 fi
 
 if want scale-sharded; then

@@ -429,6 +429,21 @@ impl Tcbf {
         BloomFilter::from_parts(bits, self.hashes, self.hasher)
     }
 
+    /// The bits of [`Tcbf::to_bloom`] as `⌈m/64⌉` words, written into
+    /// `out` (cleared first) without allocating a filter: bit `i % 64`
+    /// of word `i / 64` is set iff counter `i` is non-zero. Bits past
+    /// `m` in the last word stay clear. Uninstrumented, like `to_bloom`.
+    pub fn ripped_words_into(&self, out: &mut Vec<u64>) {
+        let e = self.epoch;
+        out.clear();
+        out.extend(self.counters.chunks(64).map(|chunk| {
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0, |word, (i, &c)| word | (u64::from(c > e) << i))
+        }));
+    }
+
     /// Length of the counter vector (the paper's `m`).
     #[must_use]
     pub fn bit_len(&self) -> usize {
@@ -917,6 +932,25 @@ mod tests {
         let b = f.to_bloom();
         assert!(b.contains("x") && b.contains("y"));
         assert_eq!(b.set_bits(), f.set_bits());
+    }
+
+    #[test]
+    fn ripped_words_match_to_bloom() {
+        let mut words = vec![u64::MAX; 9];
+        for bits in [64, 100, 256, 257] {
+            let mut f = Tcbf::from_keys(bits, 4, 10, ["x", "y", "z"]);
+            let mut g = Tcbf::new(bits, 4, 3);
+            g.insert("w").unwrap();
+            f.a_merge(&g).unwrap();
+            f.decay(5); // only "w"'s private bits had counter 3
+            f.ripped_words_into(&mut words);
+            assert_eq!(words.len(), bits.div_ceil(64));
+            let bloom = f.to_bloom();
+            for i in 0..words.len() * 64 {
+                let set = words[i / 64] >> (i % 64) & 1 == 1;
+                assert_eq!(set, i < bits && bloom.bits().get(i), "m={bits} bit {i}");
+            }
+        }
     }
 
     #[test]

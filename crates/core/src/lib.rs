@@ -65,6 +65,7 @@
 pub mod broker;
 mod config;
 pub mod df;
+mod keys;
 mod node;
 mod protocol;
 pub mod snapshot;

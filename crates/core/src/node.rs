@@ -3,8 +3,8 @@
 use crate::broker::ElectionLog;
 use crate::config::{BsubConfig, DfMode};
 use crate::df::AdaptiveDf;
+use crate::keys::KeyId;
 use bsub_bloom::{Decayer, KeyHasher, Tcbf};
-use bsub_match::Probe;
 use bsub_sim::{Message, MessageId};
 use bsub_traces::{NodeId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -21,7 +21,7 @@ pub enum Role {
 }
 
 /// The hash configuration every B-SUB filter shares (Section IV-A):
-/// the one a message key's [`Probe`] is computed under.
+/// the one a message key's `Probe` is computed under.
 pub(crate) const NETWORK_HASHER: KeyHasher = KeyHasher::new();
 
 /// A message carried by a broker. The payload is shared (`Arc`) with
@@ -30,10 +30,11 @@ pub(crate) const NETWORK_HASHER: KeyHasher = KeyHasher::new();
 #[derive(Debug, Clone)]
 pub(crate) struct Carried {
     pub msg: Arc<Message>,
-    /// The key's digests, computed once when the message was published
-    /// and copied with every replica: matching a copy against a filter
-    /// never re-hashes its key. Derived state — snapshots recompute it.
-    pub probe: Probe,
+    /// The message key's id in the protocol's key table, assigned when
+    /// the message was published and copied with every replica:
+    /// matching a copy against a filter never re-hashes its key.
+    /// Derived state — snapshot import re-interns the key.
+    pub key: KeyId,
     /// Consumers this copy was already handed to (suppresses repeated
     /// transfers on later meetings; the metrics would dedup anyway,
     /// but re-sending would waste link budget and inflate the
@@ -46,8 +47,8 @@ pub(crate) struct Carried {
 #[derive(Debug, Clone)]
 pub(crate) struct Produced {
     pub msg: Arc<Message>,
-    /// The key's digests (see [`Carried::probe`]).
-    pub probe: Probe,
+    /// The message key's id (see [`Carried::key`]).
+    pub key: KeyId,
     /// Broker copies still allowed (starts at ℂ; Section V-D: "The
     /// message is removed from the producer's memory after its copy
     /// number reaches the limit").
@@ -57,22 +58,24 @@ pub(crate) struct Produced {
 }
 
 impl Carried {
-    /// A fresh copy of `msg`, handed to no consumer yet.
-    pub fn new(msg: Arc<Message>) -> Self {
+    /// A fresh copy of `msg`, whose key has id `key`, handed to no
+    /// consumer yet.
+    pub fn new(msg: Arc<Message>, key: KeyId) -> Self {
         Self {
-            probe: Probe::new(&NETWORK_HASHER, msg.key.as_bytes()),
             msg,
+            key,
             delivered_to: HashSet::new(),
         }
     }
 }
 
 impl Produced {
-    /// A new publication of `msg` with `copies_left` broker copies.
-    pub fn new(msg: Arc<Message>, copies_left: u32) -> Self {
+    /// A new publication of `msg`, whose key has id `key`, with
+    /// `copies_left` broker copies.
+    pub fn new(msg: Arc<Message>, key: KeyId, copies_left: u32) -> Self {
         Self {
-            probe: Probe::new(&NETWORK_HASHER, msg.key.as_bytes()),
             msg,
+            key,
             copies_left,
             delivered_to: HashSet::new(),
         }
@@ -431,8 +434,8 @@ mod tests {
             ttl: SimDuration::from_secs(100),
             producer: NodeId::new(0),
         });
-        n.store.push(Carried::new(msg.clone()));
-        n.published.push(Produced::new(msg.clone(), 3));
+        n.store.push(Carried::new(msg.clone(), 0));
+        n.published.push(Produced::new(msg.clone(), 0, 3));
         n.seen.insert(msg.id);
 
         n.reset_volatile(&cfg, SimTime::from_secs(60));
@@ -470,8 +473,8 @@ mod tests {
             ttl: SimDuration::from_secs(100),
             producer: NodeId::new(0),
         });
-        n.store.push(Carried::new(msg.clone()));
-        n.published.push(Produced::new(msg, 3));
+        n.store.push(Carried::new(msg.clone(), 0));
+        n.published.push(Produced::new(msg, 0, 3));
         n.prune(SimTime::from_secs(50));
         assert_eq!(n.store.len(), 1);
         n.prune(SimTime::from_secs(101));

@@ -42,14 +42,14 @@
 
 use crate::broker::ElectionAction;
 use crate::config::BsubConfig;
+use crate::keys::KeyTable;
 use crate::node::{Carried, NodeState, Produced, Role, NETWORK_HASHER};
 use bsub_bloom::wire::{self, CounterMode};
-use bsub_obs::{self as obs, Counter, Gauge};
+use bsub_obs::{self as obs, Counter, Gauge, TimeHist};
 use bsub_sim::{
     Link, MergeKind, Message, PreferenceValue, Protocol, SimCtx, SubscriptionTable, TraceEvent,
 };
 use bsub_traces::{ContactEvent, NodeId, SimTime};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Bytes of one identity beacon (id + role + degree).
@@ -111,6 +111,12 @@ fn corrupted_in_flight(
 pub struct BsubProtocol {
     config: BsubConfig,
     nodes: Vec<NodeState>,
+    /// Every message key seen, with its probe and position mask; store
+    /// entries refer to it by id.
+    keys: KeyTable,
+    /// Reused buffer for the bit words of the filter steps 5a–5c match
+    /// against (see [`bsub_bloom::Tcbf::ripped_words_into`]).
+    filter_words: Vec<u64>,
     /// Contacts seen while profiling — schedules the sampled
     /// occupancy walk. Metrics-only state: never read by the
     /// protocol logic, untouched when profiling is off.
@@ -136,6 +142,8 @@ impl BsubProtocol {
             }
         }
         Self {
+            keys: KeyTable::new(config.bits, config.hashes),
+            filter_words: Vec::new(),
             config,
             nodes,
             occupancy_probe: 0,
@@ -198,6 +206,12 @@ impl BsubProtocol {
     #[cfg(test)]
     pub(crate) fn nodes_mut(&mut self) -> &mut Vec<NodeState> {
         &mut self.nodes
+    }
+
+    /// Test seam for the snapshot codec: the key table.
+    #[cfg(test)]
+    pub(crate) fn keys_mut(&mut self) -> &mut KeyTable {
+        &mut self.keys
     }
 
     /// One [`TraceEvent::Snapshot`] of network-wide gauges: broker
@@ -444,18 +458,19 @@ impl BsubProtocol {
                 }
             }
         }
-        let dst_bloom = self.nodes[dst.index()].genuine.to_bloom();
-        debug_assert_eq!(dst_bloom.hasher(), NETWORK_HASHER);
+        let genuine = &self.nodes[dst.index()].genuine;
+        debug_assert_eq!(genuine.hasher(), NETWORK_HASHER);
+        genuine.ripped_words_into(&mut self.filter_words);
         let now = ctx.now();
 
         // 5a: direct producer → consumer (not counted as copies). The
         // predicates are pure, so the cheap ones run first: the Bloom
-        // test on the message's cached probe rejects almost every pair
-        // before any set lookup.
+        // test on the key's mask rejects almost every pair before any
+        // set lookup.
         let src_state = &mut self.nodes[src.index()];
         for produced in &mut src_state.published {
             obs::count(Counter::MatchChecked, 1);
-            if !produced.probe.hits_bloom(&dst_bloom)
+            if !self.keys.held_by(produced.key, &self.filter_words)
                 || produced.msg.is_expired(now)
                 || produced.msg.producer == dst
                 || produced.delivered_to.contains(&dst)
@@ -473,7 +488,7 @@ impl BsubProtocol {
         // 5c: relayed copies → consumer.
         for carried in &mut src_state.store {
             obs::count(Counter::MatchChecked, 1);
-            if !carried.probe.hits_bloom(&dst_bloom)
+            if !self.keys.held_by(carried.key, &self.filter_words)
                 || carried.msg.is_expired(now)
                 || carried.msg.producer == dst
                 || carried.delivered_to.contains(&dst)
@@ -531,17 +546,17 @@ impl BsubProtocol {
         }
         let now = ctx.now();
         let (producer_state, broker_state) = two(&mut self.nodes, producer.index(), broker.index());
-        let relay_bloom = broker_state
+        broker_state
             .relay
             .as_ref()
             .expect("broker has relay")
             .filter
-            .to_bloom();
+            .ripped_words_into(&mut self.filter_words);
         let mut budget_hit = false;
         for produced in &mut producer_state.published {
             obs::count(Counter::MatchChecked, 1);
             if produced.copies_left == 0
-                || !produced.probe.hits_bloom(&relay_bloom)
+                || !self.keys.held_by(produced.key, &self.filter_words)
                 || produced.msg.is_expired(now)
                 || broker_state.seen.contains(&produced.msg.id)
             {
@@ -560,11 +575,9 @@ impl BsubProtocol {
                 .truly_holds(&produced.msg.key);
             produced.copies_left -= 1;
             broker_state.seen.insert(produced.msg.id);
-            broker_state.store.push(Carried {
-                msg: Arc::clone(&produced.msg),
-                probe: produced.probe,
-                delivered_to: HashSet::new(),
-            });
+            broker_state
+                .store
+                .push(Carried::new(Arc::clone(&produced.msg), produced.key));
             ctx.record_injection(broker, &produced.msg, fp);
         }
         // "The message is removed from the producer's memory after its
@@ -694,14 +707,18 @@ impl BsubProtocol {
                 match self.config.forwarding {
                     crate::config::ForwardingPolicy::Preferential => {
                         let pref = dst_filter
-                            .preference_from_digests(src_filter, carried.probe.digests())
+                            .preference_from_digests(
+                                src_filter,
+                                self.keys.probe(carried.key).digests(),
+                            )
                             .expect("parameters match");
                         if pref.is_positive() {
                             candidates.push((i, pref));
                         }
                     }
                     crate::config::ForwardingPolicy::AnyMatch => {
-                        if dst_filter.min_counter_from_digests(carried.probe.digests()) > 0 {
+                        let digests = self.keys.probe(carried.key).digests();
+                        if dst_filter.min_counter_from_digests(digests) > 0 {
                             candidates.push((i, bsub_bloom::Preference::Relative(0)));
                         }
                     }
@@ -761,11 +778,12 @@ impl Protocol for BsubProtocol {
     }
 
     fn on_message(&mut self, _ctx: &mut SimCtx<'_>, msg: &Arc<Message>) {
+        let key = self.keys.intern(&msg.key);
         let state = &mut self.nodes[msg.producer.index()];
         state.seen.insert(msg.id);
         state
             .published
-            .push(Produced::new(Arc::clone(msg), self.config.copies));
+            .push(Produced::new(Arc::clone(msg), key, self.config.copies));
     }
 
     fn on_node_reset(&mut self, ctx: &mut SimCtx<'_>, node: NodeId) {
@@ -782,20 +800,23 @@ impl Protocol for BsubProtocol {
     }
 
     fn import_node(&mut self, node: NodeId, bytes: &[u8]) -> bool {
-        let Self { config, nodes, .. } = self;
-        let Some(state) = nodes.get_mut(node.index()) else {
+        let Some(state) = self.nodes.get_mut(node.index()) else {
             return false;
         };
-        crate::snapshot::decode_node_into(state, config, bytes)
+        crate::snapshot::decode_node_into(state, &mut self.keys, &self.config, bytes)
     }
 
     fn on_contact(&mut self, ctx: &mut SimCtx<'_>, contact: &ContactEvent, link: &mut Link) {
         let (a, b) = (contact.a, contact.b);
         let now = ctx.now();
 
-        // 1. Housekeeping.
-        self.housekeeping(ctx, a, now);
-        self.housekeeping(ctx, b, now);
+        // 1. Housekeeping. Each stage below is timed by one span per
+        // contact (one thread-local read when profiling is off).
+        {
+            let _span = obs::span(TimeHist::CoreHousekeepingNs);
+            self.housekeeping(ctx, a, now);
+            self.housekeeping(ctx, b, now);
+        }
 
         // Profiling: refresh the buffer-occupancy gauges on a sampled
         // schedule (first contact, then every
@@ -821,21 +842,28 @@ impl Protocol for BsubProtocol {
         }
 
         // 3. Election (may change roles for the rest of the contact).
-        self.election(ctx, now, a, b);
+        {
+            let _span = obs::span(TimeHist::CoreElectionNs);
+            self.election(ctx, now, a, b);
+        }
 
         // 4. Interest propagation (consumer → broker, both directions).
         let a_is_broker = self.nodes[a.index()].is_broker();
         let b_is_broker = self.nodes[b.index()].is_broker();
         // `propagate_interests(x, y)` sends x's filter to broker y, so
         // its `arrived` flag tells whether *y* can later serve x.
-        let (go, b_got_a) = self.propagate_interests(ctx, link, a, b);
-        if !go {
-            return;
-        }
-        let (go, a_got_b) = self.propagate_interests(ctx, link, b, a);
-        if !go {
-            return;
-        }
+        let (b_got_a, a_got_b) = {
+            let _span = obs::span(TimeHist::CorePropagateNs);
+            let (go, b_got_a) = self.propagate_interests(ctx, link, a, b);
+            if !go {
+                return;
+            }
+            let (go, a_got_b) = self.propagate_interests(ctx, link, b, a);
+            if !go {
+                return;
+            }
+            (b_got_a, a_got_b)
+        };
 
         // 5a + 5c: serve each side as a consumer. The genuine filter
         // already traveled (with counters) if the serving side is a
@@ -849,23 +877,32 @@ impl Protocol for BsubProtocol {
                 FilterChannel::Corrupted
             }
         };
-        if !self.serve_consumer(ctx, link, a, b, channel(a_is_broker, a_got_b)) {
-            return;
-        }
-        if !self.serve_consumer(ctx, link, b, a, channel(b_is_broker, b_got_a)) {
-            return;
+        {
+            let _span = obs::span(TimeHist::CoreServeNs);
+            if !self.serve_consumer(ctx, link, a, b, channel(a_is_broker, a_got_b)) {
+                return;
+            }
+            if !self.serve_consumer(ctx, link, b, a, channel(b_is_broker, b_got_a)) {
+                return;
+            }
         }
 
         // 5b: producers replicate to brokers.
-        if !self.replicate_to_broker(ctx, link, a, b) {
-            return;
-        }
-        if !self.replicate_to_broker(ctx, link, b, a) {
-            return;
+        {
+            let _span = obs::span(TimeHist::CoreReplicateNs);
+            if !self.replicate_to_broker(ctx, link, a, b) {
+                return;
+            }
+            if !self.replicate_to_broker(ctx, link, b, a) {
+                return;
+            }
         }
 
         // 5d: broker ↔ broker preferential handoff + M-merge.
-        let _ = self.broker_exchange(ctx, link, a, b);
+        {
+            let _span = obs::span(TimeHist::CoreExchangeNs);
+            let _ = self.broker_exchange(ctx, link, a, b);
+        }
 
         // Observability: one network-wide gauge sample per contact. The
         // O(n) walk happens inside the closure, so a NullRecorder run

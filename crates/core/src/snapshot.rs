@@ -23,20 +23,22 @@
 //! - The genuine filter is *not* shipped: it is a pure function of the
 //!   node's subscriptions (which every process knows) and never
 //!   changes, so the importer keeps its own copy.
-//! - Neither is a message's key probe: it is a pure function of the
-//!   key, recomputed for every decoded copy and publication.
+//! - Neither is a message's key id: import interns each decoded key
+//!   into the receiving protocol's key table, and only once the whole
+//!   snapshot has parsed, so a rejected snapshot adds no key.
 //! - Hash-ordered collections are canonically sorted on export, so
 //!   equal states encode to equal bytes.
 
 use crate::broker::ElectionLog;
 use crate::config::{BsubConfig, DfMode};
+use crate::keys::KeyTable;
 use crate::node::{Carried, NodeState, Produced, RelayState, Role};
 use bsub_bloom::wire::{self, CounterMode};
 use bsub_bloom::{Decayer, KeyHasher, Tcbf};
 use bsub_match::{IndexState, MatchIndex, MatchParams, SubscriberState};
 use bsub_obs::codec::{Reader, Writer};
 use bsub_sim::snapshot::{read_message, write_message, MESSAGE_MIN_LEN};
-use bsub_sim::MessageId;
+use bsub_sim::{Message, MessageId};
 use bsub_traces::{NodeId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -213,29 +215,56 @@ pub(crate) fn encode_node(state: &NodeState) -> Vec<u8> {
 }
 
 /// Overwrites everything in `state` except the genuine filter from a
-/// snapshot produced by [`encode_node`] under the same `config`. Returns `false` — leaving `state` untouched — on any
-/// malformed or config-incompatible input.
-pub(crate) fn decode_node_into(state: &mut NodeState, config: &BsubConfig, bytes: &[u8]) -> bool {
+/// snapshot produced by [`encode_node`] under the same `config`,
+/// interning its message keys into `keys`. Returns `false` — leaving
+/// `state` and `keys` untouched — on any malformed or
+/// config-incompatible input.
+pub(crate) fn decode_node_into(
+    state: &mut NodeState,
+    keys: &mut KeyTable,
+    config: &BsubConfig,
+    bytes: &[u8],
+) -> bool {
     let Some(parsed) = parse(config, bytes) else {
         return false;
     };
     state.role = parsed.role;
     state.election = parsed.election;
     state.relay = parsed.relay;
-    state.store = parsed.store;
-    state.published = parsed.published;
+    state.store = parsed
+        .store
+        .into_iter()
+        .map(|(msg, delivered_to)| Carried {
+            key: keys.intern(&msg.key),
+            msg,
+            delivered_to,
+        })
+        .collect();
+    state.published = parsed
+        .published
+        .into_iter()
+        .map(|(msg, copies_left, delivered_to)| Produced {
+            key: keys.intern(&msg.key),
+            msg,
+            copies_left,
+            delivered_to,
+        })
+        .collect();
     state.seen = parsed.seen;
     true
 }
 
 /// Everything [`decode_node_into`] replaces, parsed up-front so a
-/// malformed snapshot rejects without half-mutating the node.
+/// malformed snapshot rejects without half-mutating the node or its
+/// protocol's key table. Store entries are kept as their parts until
+/// then: a message, its copies left (publications only) and the
+/// consumers it was handed to.
 struct Parsed {
     role: Role,
     election: ElectionLog,
     relay: Option<RelayState>,
-    store: Vec<Carried>,
-    published: Vec<Produced>,
+    store: Vec<(Arc<Message>, HashSet<NodeId>)>,
+    published: Vec<(Arc<Message>, u32, HashSet<NodeId>)>,
     seen: HashSet<MessageId>,
 }
 
@@ -325,16 +354,15 @@ fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
 
     let mut store = Vec::new();
     for _ in 0..r.count(MESSAGE_MIN_LEN + 4)? {
-        let mut carried = Carried::new(Arc::new(read_message(&mut r)?));
-        carried.delivered_to = read_node_set(&mut r)?;
-        store.push(carried);
+        let msg = Arc::new(read_message(&mut r)?);
+        store.push((msg, read_node_set(&mut r)?));
     }
 
     let mut published = Vec::new();
     for _ in 0..r.count(MESSAGE_MIN_LEN + 4 + 4)? {
-        let mut produced = Produced::new(Arc::new(read_message(&mut r)?), r.u32()?);
-        produced.delivered_to = read_node_set(&mut r)?;
-        published.push(produced);
+        let msg = Arc::new(read_message(&mut r)?);
+        let copies_left = r.u32()?;
+        published.push((msg, copies_left, read_node_set(&mut r)?));
     }
 
     let mut seen = HashSet::new();
@@ -429,26 +457,27 @@ mod tests {
         assert_eq!(sibling.max_relay_counter(), bsub.max_relay_counter());
     }
 
-    /// A message's key probe is derived state the snapshot does not
-    /// carry: every imported copy and publication must probe exactly
-    /// like a fresh hash of its key, or deliveries would silently
+    /// A message's key id is derived state the snapshot does not carry:
+    /// every imported copy and publication must resolve to exactly the
+    /// probe of a fresh hash of its key, or deliveries would silently
     /// change after a restore.
     #[test]
-    fn imported_probes_equal_fresh_key_probes() {
+    fn imported_key_ids_resolve_to_fresh_key_probes() {
         let (mut bsub, subs) = worked_protocol();
         // Every publication of the run was replicated out; add a live
         // one so both stores travel.
-        bsub.nodes_mut()[2].published.push(Produced::new(
-            Arc::new(bsub_sim::Message {
-                id: MessageId::new(1 << 40),
-                key: "weather".into(),
-                size: 100,
-                created: bsub_traces::SimTime::ZERO,
-                ttl: SimDuration::from_days(1),
-                producer: NodeId::new(2),
-            }),
-            3,
-        ));
+        let weather = Arc::new(bsub_sim::Message {
+            id: MessageId::new(1 << 40),
+            key: "weather".into(),
+            size: 100,
+            created: bsub_traces::SimTime::ZERO,
+            ttl: SimDuration::from_days(1),
+            producer: NodeId::new(2),
+        });
+        let key = bsub.keys_mut().intern(&weather.key);
+        bsub.nodes_mut()[2]
+            .published
+            .push(Produced::new(weather, key, 3));
         let mut sibling = BsubProtocol::new(bsub.config().clone(), &subs);
         let fresh = |key: &str| bsub_match::Probe::new(&KeyHasher::default(), key.as_bytes());
         let (mut carried, mut produced) = (0, 0);
@@ -457,16 +486,48 @@ mod tests {
             let snap = bsub.export_node(node).expect("B-SUB exports");
             assert!(sibling.import_node(node, &snap), "import accepts");
             let state = &sibling.nodes_mut()[node.index()];
-            for c in &state.store {
-                assert_eq!(c.probe, fresh(&c.msg.key), "carried {}", c.msg.id);
-                carried += 1;
-            }
-            for p in &state.published {
-                assert_eq!(p.probe, fresh(&p.msg.key), "published {}", p.msg.id);
-                produced += 1;
+            let ids: Vec<_> = (state.store.iter().map(|c| (c.key, &c.msg)))
+                .chain(state.published.iter().map(|p| (p.key, &p.msg)))
+                .map(|(id, msg)| (id, Arc::clone(msg)))
+                .collect();
+            carried += state.store.len();
+            produced += state.published.len();
+            for (id, msg) in ids {
+                assert_eq!(sibling.keys_mut().probe(id), fresh(&msg.key), "{}", msg.id);
             }
         }
         assert!(carried > 0 && produced > 0, "both stores must travel");
+    }
+
+    /// Keys are interned only once a snapshot has parsed in full: a
+    /// rejected snapshot leaves the key table as it was.
+    #[test]
+    fn rejected_snapshot_interns_no_key() {
+        let (mut bsub, subs) = worked_protocol();
+        let novel = Arc::new(bsub_sim::Message {
+            id: MessageId::new(1 << 41),
+            key: "never-published".into(),
+            size: 100,
+            created: bsub_traces::SimTime::ZERO,
+            ttl: SimDuration::from_days(1),
+            producer: NodeId::new(4),
+        });
+        let key = bsub.keys_mut().intern(&novel.key);
+        let state = &mut bsub.nodes_mut()[4];
+        state.published.push(Produced::new(novel, key, 3));
+        let keys: HashSet<Arc<str>> = (state.store.iter().map(|c| &c.msg))
+            .chain(state.published.iter().map(|p| &p.msg))
+            .map(|msg| Arc::clone(&msg.key))
+            .collect();
+        let snap = bsub.export_node(NodeId::new(4)).unwrap();
+
+        let mut sibling = BsubProtocol::new(bsub.config().clone(), &subs);
+        for cut in [snap.len() - 1, snap.len() - 9] {
+            assert!(!sibling.import_node(NodeId::new(4), &snap[..cut]));
+            assert_eq!(sibling.keys_mut().len(), 0, "cut at {cut}");
+        }
+        assert!(sibling.import_node(NodeId::new(4), &snap));
+        assert_eq!(sibling.keys_mut().len(), keys.len());
     }
 
     /// The relay filter round-trips losslessly even when counters

@@ -288,6 +288,20 @@ pub enum TimeHist {
     DecodeNs,
     /// One full protocol contact handler.
     ContactNs,
+    /// B-SUB contact stage 1: expiry pruning and lazy relay decay of
+    /// both nodes (`bsub-core`).
+    CoreHousekeepingNs,
+    /// B-SUB contact stage 3: broker election.
+    CoreElectionNs,
+    /// B-SUB contact stage 4: genuine filters A-merged into broker
+    /// peers' relays.
+    CorePropagateNs,
+    /// B-SUB contact steps 5a + 5c: each side served as a consumer.
+    CoreServeNs,
+    /// B-SUB contact step 5b: producers replicate to broker peers.
+    CoreReplicateNs,
+    /// B-SUB contact step 5d: broker ↔ broker handoff and M-merge.
+    CoreExchangeNs,
     /// One networked contact exchange, dispatch to result, as seen by
     /// the cluster coordinator (`bsub-net`).
     NetExchangeNs,
@@ -343,13 +357,19 @@ pub enum TimeHist {
 
 impl TimeHist {
     /// Every timing histogram, in stable report order.
-    pub const ALL: [TimeHist; 28] = [
+    pub const ALL: [TimeHist; 34] = [
         TimeHist::MergeNs,
         TimeHist::DecayNs,
         TimeHist::PreferenceNs,
         TimeHist::EncodeNs,
         TimeHist::DecodeNs,
         TimeHist::ContactNs,
+        TimeHist::CoreHousekeepingNs,
+        TimeHist::CoreElectionNs,
+        TimeHist::CorePropagateNs,
+        TimeHist::CoreServeNs,
+        TimeHist::CoreReplicateNs,
+        TimeHist::CoreExchangeNs,
         TimeHist::NetExchangeNs,
         TimeHist::MatchBatchNs,
         TimeHist::NetFrameHelloNs,
@@ -384,6 +404,12 @@ impl TimeHist {
             TimeHist::EncodeNs => "wire_encode_ns",
             TimeHist::DecodeNs => "wire_decode_ns",
             TimeHist::ContactNs => "contact_ns",
+            TimeHist::CoreHousekeepingNs => "core_housekeeping_ns",
+            TimeHist::CoreElectionNs => "core_election_ns",
+            TimeHist::CorePropagateNs => "core_propagate_ns",
+            TimeHist::CoreServeNs => "core_serve_ns",
+            TimeHist::CoreReplicateNs => "core_replicate_ns",
+            TimeHist::CoreExchangeNs => "core_exchange_ns",
             TimeHist::NetExchangeNs => "net_exchange_ns",
             TimeHist::MatchBatchNs => "match_batch_ns",
             TimeHist::NetFrameHelloNs => "net_frame_hello_ns",
