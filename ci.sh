@@ -237,7 +237,10 @@ if want perf; then
     # Profiles the smoke sweep with the bsub-obs metrics layer attached
     # and gates on the committed BENCH_perf.json baseline: median-of-N on
     # the host-normalized CPU time and the deterministic byte counters.
-    BSUB_RESULTS_DIR="$SMOKE_DIR" ./target/release/perf --smoke --check
+    # The gate keys entries on (experiment, workers), and the committed
+    # perf_smoke entries ran on one worker: pin it, so every host
+    # compares like with like instead of at its own core count.
+    BSUB_WORKERS=1 BSUB_RESULTS_DIR="$SMOKE_DIR" ./target/release/perf --smoke --check
     for artifact in metrics_perf_smoke.json perf_perf_smoke.csv BENCH_perf.json; do
         test -s "$SMOKE_DIR/$artifact" || {
             echo "missing perf artifact: $artifact" >&2

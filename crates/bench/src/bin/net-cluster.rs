@@ -54,7 +54,7 @@ use bsub_net::{
     EndpointAddr, FrameKind, StatsServer,
 };
 use bsub_obs::{calibrate_ns, SharedReport};
-use bsub_sim::{ProtocolFactory, SimConfig, SimReport};
+use bsub_sim::{ProtocolFactory, SimReport};
 use bsub_traces::SimDuration;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -62,17 +62,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn spec_for(experiment: &Experiment, ttl: SimDuration, workers: u32) -> ClusterSpec {
-    ClusterSpec::new(
-        Arc::clone(&experiment.trace),
-        Arc::clone(&experiment.subscriptions),
-        Arc::clone(&experiment.schedule),
-        SimConfig {
-            ttl,
-            ..SimConfig::default()
-        },
-        MASTER_SEED,
-        workers,
-    )
+    ClusterSpec::new(experiment.sim(ttl), MASTER_SEED, workers)
 }
 
 fn factory_for(experiment: &Experiment, ttl: SimDuration, label: &str) -> Box<dyn ProtocolFactory> {
@@ -245,10 +235,11 @@ fn main() {
 
     for (label, kind) in smoke_protocols(&experiment, ttl) {
         let factory = experiment.factory(kind, ttl);
-        let serial = experiment
-            .sim(ttl)
-            .run_factory(factory.as_ref(), MASTER_SEED)
-            .0;
+        let mut spec = spec_for(&experiment, ttl, workers);
+        if let Some(cadence) = cadence {
+            spec = spec.with_stats_cadence(cadence);
+        }
+        let serial = spec.sim.run_factory(factory.as_ref(), spec.seed).0;
 
         let dir = dir_root.join(label);
         std::fs::create_dir_all(&dir).expect("create cluster socket dir");
@@ -274,10 +265,6 @@ fn main() {
             })
             .collect();
 
-        let mut spec = spec_for(&experiment, ttl, workers);
-        if let Some(cadence) = cadence {
-            spec = spec.with_stats_cadence(cadence);
-        }
         let outcome = match run_coordinator_with(&spec, factory.as_ref(), &dir, stats.clone()) {
             Ok(outcome) => outcome,
             Err(e) => {

@@ -10,8 +10,9 @@
 //! now does more work".
 //!
 //! The gate itself is [`check`]: median-of-N over the baseline entries
-//! for the same experiment, with a noise tolerance on the normalized
-//! CPU time and a tighter one on the deterministic byte counters.
+//! for the same experiment at the same worker count, with a noise
+//! tolerance on the normalized CPU time and a tighter one on the
+//! deterministic byte counters.
 //! Every binary that records perf entries goes through [`record`],
 //! which appends them and, under `--check`, gates them; `ci.sh` runs
 //! it through `perf --smoke --check` and the other smoke stages.
@@ -270,14 +271,18 @@ fn median(mut values: Vec<f64>) -> f64 {
 }
 
 /// Compares `current` against the baseline trajectory: median-of-N
-/// over the baseline entries with the same experiment name, on the
-/// host-normalized CPU time and the deterministic byte count.
+/// over the baseline entries with the same experiment name and worker
+/// count, on the host-normalized CPU time and the deterministic byte
+/// count. Entries at other worker counts never count: a 4-shard run
+/// sums time-sliced shard time that a 1-shard baseline does not have.
 ///
 /// # Errors
 ///
-/// Returns a diagnostic when either measure exceeds its tolerance. An
-/// experiment with no baseline entries passes vacuously (first runs
-/// establish the baseline, they cannot regress against it).
+/// Returns a diagnostic when either measure exceeds its tolerance, or
+/// when the experiment has baseline entries but none at this worker
+/// count (the diagnostic names the missing key). An experiment with no
+/// baseline entries at all passes (first runs establish the baseline,
+/// they cannot regress against it).
 pub fn check(
     baseline: &[PerfEntry],
     current: &PerfEntry,
@@ -285,9 +290,16 @@ pub fn check(
 ) -> Result<String, String> {
     let history: Vec<&PerfEntry> = baseline
         .iter()
-        .filter(|e| e.experiment == current.experiment)
+        .filter(|e| e.experiment == current.experiment && e.workers == current.workers)
         .collect();
     if history.is_empty() {
+        if baseline.iter().any(|e| e.experiment == current.experiment) {
+            return Err(format!(
+                "{0}: the baseline has entries for {0}, but none for \
+                 (experiment {0}, workers {1})",
+                current.experiment, current.workers,
+            ));
+        }
         return Ok(format!(
             "{}: no baseline entries, establishing baseline",
             current.experiment
@@ -469,6 +481,39 @@ mod tests {
         let fresh = entry("brand-new", 9999.0, 1_000_000, 1);
         let note = check(&baseline, &fresh, Tolerance::default()).expect("vacuous pass");
         assert!(note.contains("establishing baseline"));
+    }
+
+    /// Entries are keyed on (experiment, workers): a 4-worker run is
+    /// gated against the 4-worker entries alone, so a 2x slowdown
+    /// fails even when slower entries at another worker count would
+    /// have hidden it.
+    #[test]
+    fn worker_counts_are_gated_separately() {
+        let at = |workers: u64, cpu_ms: f64| PerfEntry {
+            workers,
+            ..entry("smoke", cpu_ms, 1_000_000, 1000)
+        };
+        let baseline = vec![at(1, 400.0), at(1, 410.0), at(4, 100.0), at(4, 104.0)];
+        assert!(check(&baseline, &at(4, 105.0), Tolerance::default()).is_ok());
+        let err = check(&baseline, &at(4, 200.0), Tolerance::default()).expect_err("2x fails");
+        assert!(err.contains("baseline entries [100.0, 104.0]"), "{err}");
+        assert!(check(&baseline, &at(1, 405.0), Tolerance::default()).is_ok());
+    }
+
+    /// An experiment with entries, but none at this worker count, fails
+    /// and names the missing key — it never passes vacuously.
+    #[test]
+    fn missing_worker_count_fails_naming_the_key() {
+        let baseline = vec![entry("smoke", 100.0, 1_000_000, 1000)];
+        let other = PerfEntry {
+            workers: 4,
+            ..entry("smoke", 100.0, 1_000_000, 1000)
+        };
+        let err = check(&baseline, &other, Tolerance::default()).expect_err("no key");
+        assert!(
+            err.contains("none for (experiment smoke, workers 4)"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -11,26 +11,37 @@
 //! `a` (the *executor*). The executor pulls a snapshot of any
 //! endpoint it does not own (`STATE_REQ` → `STATE_GRANT`, via
 //! [`Protocol::export_node`]/[`Protocol::import_node`]), runs the
-//! protocol's `on_contact` against its own instance, returns the
-//! post-exchange snapshots to their owners (`STATE_RET`, acknowledged
-//! toward the coordinator as `NODE_FREE`), and reports the exchange's
-//! costs and deliveries (`RESULT`). The coordinator keeps per-node
-//! busy flags so no node is in two exchanges at once, and replays
-//! results **in contact-index order** into one master
-//! [`MetricsCollector`] — which is why the final [`SimReport`] is not
-//! merely close to the serial simulator's, but equal to it (the
-//! `net-cluster` harness and CI diff the CSVs byte for byte).
+//! simulator's own contact step ([`Simulation::step_contact`]: churn
+//! resets, fault gating, link budget, `on_contact`) against its own
+//! instance, returns the post-exchange snapshots to their owners
+//! (`STATE_RET`, acknowledged toward the coordinator as `NODE_FREE`),
+//! and reports the exchange's costs and deliveries (`RESULT`). The
+//! coordinator keeps per-node busy flags so no node is in two
+//! exchanges at once, and replays results **in contact-index order**
+//! into one master [`MetricsCollector`] — which is why the final
+//! [`SimReport`] is not merely close to the serial simulator's, but
+//! equal to it (the `net-cluster` harness and CI diff the CSVs byte
+//! for byte).
+//!
+//! Faulted runs are reproduced exactly too. Every fault draw is
+//! stateless (keyed on the fault seed and the contact index, node or
+//! churn cell), so the executor repeats it from the shared
+//! [`Simulation`]. The one stateful input — which endpoints rejoin
+//! after downtime and must reset — comes from the coordinator, which
+//! walks its own [`FaultState`] in contact order and ships the two
+//! reset bits in the `DISPATCH` body.
 //!
 //! Publications use a **publish barrier**: before the first contact
 //! at or after a scheduled publication, the coordinator drains every
 //! in-flight exchange, broadcasts `ADVANCE`, and waits for
 //! `PUBLISH_OK` from every worker. Every worker applies every
-//! publication to its own instance (cheap, and it keeps globally
+//! publication to its own instance through
+//! [`Simulation::step_publish`] (cheap, and it keeps globally
 //! registered state such as PUSH's message registry dense), so a
 //! producer's authoritative owner always has the publication applied
 //! before the next exchange can touch it. Publication has no metric
 //! side effects on the workers; the coordinator accounts generated
-//! messages itself, exactly like the serial runner.
+//! messages through the same step, over a protocol that holds nothing.
 //!
 //! Lock discipline (the reason the distributed exchange cannot
 //! deadlock): a worker's executor thread acquires its protocol
@@ -46,11 +57,10 @@ use crate::transport::EndpointAddr;
 use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::{self as obs, Counter, ProfReport, SharedReport, TimeHist};
 use bsub_sim::{
-    GeneratedMessage, Link, Message, MessageId, MetricsCollector, NullRecorder, Protocol,
-    ProtocolFactory, Recorder, SimConfig, SimCtx, SimReport, Simulation, SubscriptionTable,
-    TraceEvent,
+    FaultState, Message, MetricsCollector, NullProtocol, NullRecorder, Protocol, ProtocolFactory,
+    Recorder, SimReport, Simulation, TraceEvent,
 };
-use bsub_traces::{ContactTrace, NodeId, SimDuration};
+use bsub_traces::{NodeId, SimDuration};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::Path;
@@ -81,20 +91,15 @@ pub fn peer_addr(dir: &Path, peer: PeerId) -> EndpointAddr {
     EndpointAddr::Unix(dir.join(format!("peer-{}.sock", peer.0)))
 }
 
-/// Everything a cluster run shares: the same inputs a [`Simulation`]
-/// holds, plus the seed and worker count. Every process derives its
-/// copy deterministically (same trace generator, same seeds), so
+/// Everything a cluster run shares: the [`Simulation`] it reproduces
+/// (trace, subscriptions, schedule, configuration and fault model),
+/// plus the protocol seed and the worker count. Every process derives
+/// its copy deterministically (same trace generator, same seeds), so
 /// nothing but protocol frames crosses the sockets.
 #[derive(Debug, Clone)]
 pub struct ClusterSpec {
-    /// The contact trace driving the run.
-    pub trace: Arc<ContactTrace>,
-    /// Ground-truth subscriptions.
-    pub subscriptions: Arc<SubscriptionTable>,
-    /// The publication schedule (sorted by time).
-    pub schedule: Arc<[GeneratedMessage]>,
-    /// Link rate and TTL.
-    pub config: SimConfig,
+    /// The run to reproduce; its serial report is the ground truth.
+    pub sim: Simulation,
     /// Seed handed to the protocol factory on every peer.
     pub seed: u64,
     /// Number of worker processes (≥ 1).
@@ -108,40 +113,16 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// Builds a spec over the same inputs a [`Simulation`] takes.
+    /// Builds a spec that runs `sim` on `workers` worker processes.
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is zero, the subscription table does not
-    /// match the trace, or the schedule is unsorted — the same
-    /// contracts [`Simulation::new`] enforces.
+    /// Panics if `workers` is zero.
     #[must_use]
-    pub fn new(
-        trace: impl Into<Arc<ContactTrace>>,
-        subscriptions: impl Into<Arc<SubscriptionTable>>,
-        schedule: impl Into<Arc<[GeneratedMessage]>>,
-        config: SimConfig,
-        seed: u64,
-        workers: u32,
-    ) -> Self {
-        let trace = trace.into();
-        let subscriptions = subscriptions.into();
-        let schedule = schedule.into();
+    pub fn new(sim: Simulation, seed: u64, workers: u32) -> Self {
         assert!(workers >= 1, "a cluster needs at least one worker");
-        assert_eq!(
-            subscriptions.node_count(),
-            trace.node_count(),
-            "subscription table does not match trace"
-        );
-        assert!(
-            schedule.windows(2).all(|w| w[0].at <= w[1].at),
-            "message schedule must be sorted by time"
-        );
         Self {
-            trace,
-            subscriptions,
-            schedule,
-            config,
+            sim,
             seed,
             workers,
             stats_cadence: None,
@@ -158,36 +139,10 @@ impl ClusterSpec {
         self
     }
 
-    /// The equivalent serial simulation (the ground truth the cluster
-    /// must reproduce exactly).
-    #[must_use]
-    pub fn simulation(&self) -> Simulation {
-        Simulation::new(
-            Arc::clone(&self.trace),
-            Arc::clone(&self.subscriptions),
-            Arc::clone(&self.schedule),
-            self.config.clone(),
-        )
-    }
-
     /// The worker that owns `node`'s authoritative state.
     #[must_use]
     pub fn node_owner(&self, node: NodeId) -> PeerId {
         PeerId(1 + (node.index() as u32 % self.workers))
-    }
-
-    /// Materializes schedule entry `index` exactly like the serial
-    /// runner: the message id *is* the schedule index.
-    fn message(&self, index: usize) -> Arc<Message> {
-        let spec = &self.schedule[index];
-        Arc::new(Message {
-            id: MessageId::new(index as u64),
-            key: Arc::clone(&spec.key),
-            size: spec.size,
-            created: spec.at,
-            ttl: self.config.ttl,
-            producer: spec.producer,
-        })
     }
 }
 
@@ -261,6 +216,22 @@ fn body_node_bytes(node: u32, bytes: &[u8]) -> Vec<u8> {
 fn read_node_bytes(body: &[u8]) -> io::Result<(u32, Vec<u8>)> {
     decode_body(body, "node snapshot", |r| {
         Some((r.u32()?, r.bytes()?.to_vec()))
+    })
+}
+
+/// A `DISPATCH` body: the contact index, then one flags byte holding
+/// the contact's resets (bit 0 endpoint `a`, bit 1 endpoint `b`).
+fn body_dispatch(index: u64, [a, b]: [bool; 2]) -> Vec<u8> {
+    let mut w = Writer::with_capacity(9);
+    w.u64(index);
+    w.u8(u8::from(a) | u8::from(b) << 1);
+    w.into_bytes()
+}
+
+fn read_dispatch(body: &[u8]) -> io::Result<(u64, [bool; 2])> {
+    decode_body(body, "dispatch", |r| {
+        let (index, flags) = (r.u64()?, r.u8()?);
+        (flags <= 0b11).then_some((index, [flags & 1 == 1, flags & 2 == 2]))
     })
 }
 
@@ -393,26 +364,6 @@ impl Recorder for DeliveryTap {
     }
 }
 
-/// Applies schedule entries `[from, to)` to `protocol` — the worker
-/// side of a publish barrier. Publication has no metric side effects
-/// (a publication's only possible delivery is a self-delivery, which
-/// the ledger classifies and drops identically on every instance), so
-/// a throwaway collector absorbs the context.
-fn apply_publishes(spec: &ClusterSpec, protocol: &mut dyn Protocol, from: usize, to: usize) {
-    for index in from..to {
-        let msg = spec.message(index);
-        let mut metrics = MetricsCollector::new();
-        let mut recorder = NullRecorder;
-        let mut ctx = SimCtx::for_exchange(
-            msg.created,
-            &spec.subscriptions,
-            &mut metrics,
-            &mut recorder,
-        );
-        protocol.on_message(&mut ctx, &msg);
-    }
-}
-
 // ---- worker -----------------------------------------------------------
 
 /// Runs worker `worker` (1-based, ≤ `spec.workers`) until the
@@ -457,14 +408,14 @@ pub fn run_worker(
     pm.await_connections(spec.workers as usize, ASSEMBLY)?;
 
     let protocol: Arc<Mutex<Box<dyn Protocol>>> = Arc::new(Mutex::new(factory.build(spec.seed)));
-    let (exec_tx, exec_rx) = mpsc::channel::<u64>();
+    let (exec_tx, exec_rx) = mpsc::channel::<(u64, [bool; 2])>();
     let (grant_tx, grant_rx) = mpsc::channel::<(u32, Vec<u8>)>();
     let executor = {
         let pm = Arc::clone(&pm);
         let protocol = Arc::clone(&protocol);
         let spec = spec.clone();
         thread::spawn(move || -> io::Result<()> {
-            while let Ok(index) = exec_rx.recv() {
+            while let Ok((index, resets)) = exec_rx.recv() {
                 // With the plane on, the contact runs under a profiler
                 // (the protocol's `obs::` instrumentation lights up as in
                 // the serial profiled runner) recorded into the sink
@@ -473,7 +424,7 @@ pub fn run_worker(
                 // no contact's profile.
                 let outcome = pm
                     .metrics()
-                    .profile(|| execute_contact(&spec, &pm, &protocol, &grant_rx, index))?;
+                    .profile(|| execute_contact(&spec, &pm, &protocol, &grant_rx, index, resets))?;
                 pm.send(
                     COORDINATOR,
                     Frame::new(FrameKind::ExchangeResult, outcome.encode()),
@@ -518,9 +469,9 @@ pub fn run_worker(
             last_frame = Instant::now();
             match frame.kind {
                 FrameKind::Dispatch => {
-                    let index = read_u64(&frame.body)?;
+                    let dispatch = read_dispatch(&frame.body)?;
                     exec_tx
-                        .send(index)
+                        .send(dispatch)
                         .map_err(|_| bad("executor thread is gone"))?;
                 }
                 FrameKind::StateReq => {
@@ -554,12 +505,23 @@ pub fn run_worker(
                 }
                 FrameKind::Advance => {
                     let count = read_u64(&frame.body)? as usize;
-                    if count > spec.schedule.len() || count < applied {
+                    if count > spec.sim.schedule().len() || count < applied {
                         return Err(bad("ADVANCE outside the schedule"));
                     }
                     {
+                        // A publication's only possible delivery is a
+                        // self-delivery, which every ledger drops alike:
+                        // the throwaway collector loses nothing.
                         let mut guard = protocol.lock().expect("protocol lock");
-                        apply_publishes(spec, &mut **guard, applied, count);
+                        let mut metrics = MetricsCollector::new();
+                        for index in applied..count {
+                            spec.sim.step_publish(
+                                index,
+                                &mut metrics,
+                                &mut **guard,
+                                &mut NullRecorder,
+                            );
+                        }
                     }
                     applied = count;
                     pm.send(
@@ -613,9 +575,11 @@ fn execute_contact(
     protocol: &Mutex<Box<dyn Protocol>>,
     grants: &mpsc::Receiver<(u32, Vec<u8>)>,
     index: u64,
+    resets: [bool; 2],
 ) -> io::Result<ExchangeOutcome> {
     let contact = *spec
-        .trace
+        .sim
+        .trace()
         .events()
         .get(index as usize)
         .ok_or_else(|| bad("dispatch index outside the trace"))?;
@@ -669,12 +633,8 @@ fn execute_contact(
         }
         let mut metrics = MetricsCollector::new();
         let mut tap = DeliveryTap::default();
-        let mut link = Link::for_contact(contact.duration(), spec.config.bytes_per_sec);
-        {
-            let mut ctx =
-                SimCtx::for_exchange(contact.start, &spec.subscriptions, &mut metrics, &mut tap);
-            instance.on_contact(&mut ctx, &contact, &mut link);
-        }
+        spec.sim
+            .step_contact(index as usize, resets, &mut metrics, instance, &mut tap);
         let mut returns = Vec::with_capacity(remotes.len());
         for &node in &remotes {
             let bytes = instance
@@ -794,7 +754,7 @@ impl Coordinator<'_> {
                 self.exchange_ns[outcome.index as usize] = ns;
                 // Endpoints the executor itself owns are free now;
                 // remotely owned ones stay busy until NODE_FREE.
-                let contact = self.spec.trace.events()[outcome.index as usize];
+                let contact = self.spec.sim.trace().events()[outcome.index as usize];
                 for node in [contact.a, contact.b] {
                     if self.spec.node_owner(node) == from {
                         self.free(node);
@@ -849,7 +809,7 @@ impl Coordinator<'_> {
     /// distributed run's report equal the serial one.
     fn replay_ready(&mut self) -> io::Result<()> {
         while let Some(outcome) = self.buffered.remove(&self.next_replay) {
-            let contact = self.spec.trace.events()[self.next_replay as usize];
+            let contact = self.spec.sim.trace().events()[self.next_replay as usize];
             self.metrics.on_contact();
             self.metrics.absorb_costs(&outcome.as_costs());
             for &(msg, node, genuine) in &outcome.deliveries {
@@ -876,7 +836,7 @@ impl Coordinator<'_> {
 
     /// The publish barrier: drain, broadcast `ADVANCE(target)`, await
     /// every worker's `PUBLISH_OK`, then account the publications in
-    /// the master ledger exactly like the serial runner.
+    /// the master ledger through the serial runner's own publish step.
     fn barrier(&mut self, target: usize) -> io::Result<()> {
         self.drain_inflight()?;
         self.acks = 0;
@@ -892,15 +852,12 @@ impl Coordinator<'_> {
         }
         self.barrier_target = None;
         for index in self.applied..target {
-            let entry = &self.spec.schedule[index];
-            let targets = self
-                .spec
-                .subscriptions
-                .subscribers_of(&entry.key)
-                .filter(|&n| n != entry.producer)
-                .count() as u64;
-            self.metrics.on_generated(targets);
-            let msg = self.spec.message(index);
+            let msg = self.spec.sim.step_publish(
+                index,
+                &mut self.metrics,
+                &mut NullProtocol,
+                &mut NullRecorder,
+            );
             self.messages.push(msg);
         }
         self.applied = target;
@@ -957,14 +914,16 @@ pub fn run_coordinator_with(
     }
     pm.await_connections(spec.workers as usize, ASSEMBLY)?;
 
-    let contacts = spec.trace.len();
+    let trace = spec.sim.trace();
+    let schedule = spec.sim.schedule();
+    let contacts = trace.len();
     let mut coord = Coordinator {
         spec,
         pm: Arc::clone(&pm),
         metrics: MetricsCollector::new(),
-        messages: Vec::with_capacity(spec.schedule.len()),
+        messages: Vec::with_capacity(schedule.len()),
         applied: 0,
-        busy: vec![false; spec.trace.node_count() as usize],
+        busy: vec![false; trace.node_count() as usize],
         busy_nodes: 0,
         pending: HashMap::new(),
         buffered: BTreeMap::new(),
@@ -978,12 +937,14 @@ pub fn run_coordinator_with(
         last_stats: Instant::now(),
     };
 
-    for index in 0..contacts {
-        let contact = spec.trace.events()[index];
+    // Churn resets are the one stateful fault input: walk them here,
+    // in contact order, exactly as the serial runner does.
+    let mut faults = FaultState::new(trace.node_count() as usize);
+    for (index, contact) in trace.iter().enumerate() {
         // Publications scheduled at or before this contact's start go
         // first (inclusive boundary, same as the serial runner).
         let mut due = coord.applied;
-        while due < spec.schedule.len() && spec.schedule[due].at <= contact.start {
+        while due < schedule.len() && schedule[due].at <= contact.start {
             due += 1;
         }
         if due > coord.applied {
@@ -998,6 +959,7 @@ pub fn run_coordinator_with(
                 coord.busy_nodes += 1;
             }
         }
+        let resets = faults.resets(spec.sim.faults(), contact);
         let executor = spec.node_owner(contact.a);
         coord.pending.insert(
             index as u64,
@@ -1009,14 +971,14 @@ pub fn run_coordinator_with(
         coord.last_progress = Instant::now();
         pm.send(
             executor,
-            Frame::new(FrameKind::Dispatch, body_u64(index as u64)),
+            Frame::new(FrameKind::Dispatch, body_dispatch(index as u64, resets)),
         )?;
     }
     coord.drain_inflight()?;
     // Trailing publications after the last contact (the serial
     // runner's final inclusive flush).
-    if coord.applied < spec.schedule.len() {
-        coord.barrier(spec.schedule.len())?;
+    if coord.applied < schedule.len() {
+        coord.barrier(schedule.len())?;
     }
     debug_assert_eq!(coord.next_replay as usize, contacts);
 
@@ -1103,6 +1065,33 @@ mod tests {
         assert!(ExchangeOutcome::decode(&lying).is_err());
     }
 
+    /// DESIGN.md §12.3: the contact index as u64 LE, then one flags
+    /// byte (bit 0 resets `contact.a`, bit 1 resets `contact.b`).
+    #[test]
+    fn dispatch_bytes_are_pinned() {
+        let both = [true, true];
+        assert_eq!(body_dispatch(0x0102, both), [2, 1, 0, 0, 0, 0, 0, 0, 0b11]);
+        assert_eq!(body_dispatch(7, [false; 2]), [7, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(body_dispatch(7, [true, false]), [7, 0, 0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(body_dispatch(7, [false, true]), [7, 0, 0, 0, 0, 0, 0, 0, 2]);
+        for resets in [[false; 2], [true, false], [false, true], both] {
+            assert_eq!(
+                read_dispatch(&body_dispatch(u64::MAX, resets)).unwrap(),
+                (u64::MAX, resets)
+            );
+        }
+        let invalid = |body: &[u8]| {
+            read_dispatch(body).map_err(|e| e.kind()).unwrap_err() == io::ErrorKind::InvalidData
+        };
+        assert!(invalid(&[2, 1, 0, 0, 0, 0, 0, 0, 0b11, 0]), "trailing byte");
+        assert!(invalid(&[2, 1, 0, 0, 0, 0, 0, 0]), "no flags byte");
+        assert!(invalid(&[2, 1, 0, 0]), "truncated index");
+        assert!(invalid(&[]), "empty body");
+        for bits in [0b100, 0b111, 0x80, 0xFF] {
+            assert!(invalid(&[2, 1, 0, 0, 0, 0, 0, 0, bits]), "flags {bits:#b}");
+        }
+    }
+
     #[test]
     fn truncated_bodies_are_rejected() {
         let outcome = ExchangeOutcome {
@@ -1174,15 +1163,14 @@ mod tests {
             .seed(3)
             .build();
         let nodes = trace.node_count();
-        let subs = SubscriptionTable::new(nodes);
-        let spec = ClusterSpec::new(
+        let subs = bsub_sim::SubscriptionTable::new(nodes);
+        let sim = Simulation::new(
             trace,
             subs,
-            Vec::<GeneratedMessage>::new(),
-            SimConfig::default(),
-            7,
-            3,
+            Vec::<bsub_sim::GeneratedMessage>::new(),
+            bsub_sim::SimConfig::default(),
         );
+        let spec = ClusterSpec::new(sim, 7, 3);
         for n in 0..nodes {
             let owner = spec.node_owner(NodeId::new(n));
             assert!((1..=3).contains(&owner.0), "owner in worker range");

@@ -11,7 +11,11 @@ use bsub_net::{
     StatsServer,
 };
 use bsub_obs::{Counter, SharedReport, TimeHist};
-use bsub_sim::{Protocol, ProtocolFactory, SimConfig, SubscriptionTable};
+use bsub_sim::fault::PPM;
+use bsub_sim::{
+    EventLog, FaultSpec, LossCause, Protocol, ProtocolFactory, SimConfig, Simulation,
+    SubscriptionTable, TraceEvent,
+};
 use bsub_traces::synthetic::SyntheticTrace;
 use bsub_traces::{NodeId, SimDuration};
 use bsub_workload::{interests, keys, WorkloadBuilder};
@@ -111,7 +115,7 @@ fn mid_exchange_drop_recovers_without_state_corruption() {
     // short serial simulation, then snapshot one node.
     let (spec, _nodes) = small_world(3);
     let factory = bsub_factory(&spec);
-    let (_report, protocol) = spec.simulation().run_factory(factory.as_ref(), spec.seed);
+    let (_report, protocol) = spec.sim.run_factory(factory.as_ref(), spec.seed);
     let snapshot = protocol
         .export_node(NodeId::new(0))
         .expect("bsub exports node state");
@@ -168,18 +172,16 @@ fn small_world(workers: u32) -> (ClusterSpec, u32) {
         ttl: SimDuration::from_mins(30),
         ..SimConfig::default()
     };
-    (
-        ClusterSpec::new(trace, subscriptions, schedule, config, seed, workers),
-        nodes,
-    )
+    let sim = Simulation::new(trace, subscriptions, schedule, config);
+    (ClusterSpec::new(sim, seed, workers), nodes)
 }
 
 fn bsub_factory(spec: &ClusterSpec) -> Box<dyn ProtocolFactory> {
     let config = BsubConfig::builder()
         .df(DfMode::Fixed(2.0))
-        .delay_limit(spec.config.ttl)
+        .delay_limit(spec.sim.config().ttl)
         .build();
-    let subscriptions = Arc::clone(&spec.subscriptions);
+    let subscriptions = Arc::clone(spec.sim.subscriptions());
     Box::new(move |_seed: u64| {
         Box::new(BsubProtocol::new(config.clone(), &subscriptions)) as Box<dyn Protocol>
     })
@@ -193,9 +195,22 @@ fn pull_factory(nodes: u32) -> Box<dyn ProtocolFactory> {
     Box::new(move |_seed: u64| Box::new(Pull::new(nodes)) as Box<dyn Protocol>)
 }
 
-fn assert_cluster_matches_serial(tag: &str, factory: &dyn ProtocolFactory, workers: u32) {
-    let (spec, _nodes) = small_world(workers);
-    let serial = spec.simulation().run_factory(factory, spec.seed).0;
+/// Runs `small_world(workers)` under `faults` on the cluster and on
+/// the serial simulator, asserts the two reports are equal, and hands
+/// back the serial run's event log.
+fn assert_cluster_matches_serial(
+    tag: &str,
+    factory: &dyn ProtocolFactory,
+    workers: u32,
+    faults: FaultSpec,
+) -> EventLog {
+    let (mut spec, _nodes) = small_world(workers);
+    spec.sim = spec.sim.with_faults(faults);
+    let mut log = EventLog::new();
+    let serial = spec
+        .sim
+        .run_factory_recorded(factory, spec.seed, &mut log)
+        .0;
 
     let dir = scratch_dir(tag);
     let workers_handles: Vec<_> = (1..=workers)
@@ -220,7 +235,8 @@ fn assert_cluster_matches_serial(tag: &str, factory: &dyn ProtocolFactory, worke
         outcome.report, serial,
         "cluster report equals the serial simulator ({tag})"
     );
-    assert_eq!(outcome.exchange_ns.len(), spec.trace.len());
+    assert_eq!(outcome.exchange_ns.len(), spec.sim.trace().len());
+    log
 }
 
 /// Joins the worker threads and unwraps the coordinator outcome. On
@@ -252,7 +268,7 @@ fn finish_cluster(
 /// Rebuilds the factory for a worker thread from the spec alone —
 /// what a worker process does from CLI args in `net-cluster`.
 fn clone_factory_handle(spec: &ClusterSpec, tag: &str) -> Box<dyn ProtocolFactory> {
-    let nodes = spec.trace.node_count();
+    let nodes = spec.sim.trace().node_count();
     if tag.contains("push") {
         push_factory(nodes)
     } else if tag.contains("pull") {
@@ -267,14 +283,14 @@ fn cluster_matches_serial_simulator_push() {
     let (spec, nodes) = small_world(2);
     let factory = push_factory(nodes);
     drop(spec);
-    assert_cluster_matches_serial("push", factory.as_ref(), 2);
+    let _ = assert_cluster_matches_serial("push", factory.as_ref(), 2, FaultSpec::none());
 }
 
 #[test]
 fn cluster_matches_serial_simulator_bsub() {
     let (spec, _nodes) = small_world(2);
     let factory = bsub_factory(&spec);
-    assert_cluster_matches_serial("bsub", factory.as_ref(), 2);
+    let _ = assert_cluster_matches_serial("bsub", factory.as_ref(), 2, FaultSpec::none());
 }
 
 #[test]
@@ -282,14 +298,14 @@ fn cluster_matches_serial_simulator_pull() {
     let (spec, nodes) = small_world(2);
     let factory = pull_factory(nodes);
     drop(spec);
-    assert_cluster_matches_serial("pull", factory.as_ref(), 2);
+    let _ = assert_cluster_matches_serial("pull", factory.as_ref(), 2, FaultSpec::none());
 }
 
 #[test]
 fn cluster_matches_serial_with_three_workers() {
     let (spec, _nodes) = small_world(3);
     let factory = bsub_factory(&spec);
-    assert_cluster_matches_serial("bsub-w3", factory.as_ref(), 3);
+    let _ = assert_cluster_matches_serial("bsub-w3", factory.as_ref(), 3, FaultSpec::none());
 }
 
 /// The live observability plane end to end: with a stats cadence on,
@@ -303,7 +319,7 @@ fn cluster_stats_plane_merges_and_serves_without_perturbing() {
     let (spec, _nodes) = small_world(workers);
     let spec = spec.with_stats_cadence(Duration::from_millis(50));
     let factory = bsub_factory(&spec);
-    let serial = spec.simulation().run_factory(factory.as_ref(), spec.seed).0;
+    let serial = spec.sim.run_factory(factory.as_ref(), spec.seed).0;
 
     let dir = scratch_dir("stats");
     let worker_handles: Vec<_> = (1..=workers)
@@ -341,8 +357,13 @@ fn cluster_stats_plane_merges_and_serves_without_perturbing() {
     assert!(!merged.is_empty(), "merged live report is non-empty");
     assert_eq!(
         merged.time_hist(TimeHist::NetExchangeNs).count(),
-        spec.trace.len() as u64,
+        spec.sim.trace().len() as u64,
         "one exchange-latency sample per contact"
+    );
+    assert_eq!(
+        merged.counter(Counter::Contacts),
+        spec.sim.trace().len() as u64,
+        "every contact ran the simulator's own contact step on a worker"
     );
     assert!(merged.counter(Counter::NetFramesSent) > 0);
     assert!(merged.counter(Counter::NetStatsFrames) > 0, "deltas merged");
@@ -357,4 +378,57 @@ fn cluster_stats_plane_merges_and_serves_without_perturbing() {
         merged,
         "endpoint slot equals the outcome's merged report"
     );
+}
+
+/// The cluster reproduces faulted runs exactly: each fault alone, on
+/// every protocol. Every cell also checks that its fault fired in the
+/// serial run, so none passes vacuously. Corruption damages control
+/// encodings, which only B-SUB sends, so it has B-SUB cells only.
+#[test]
+fn cluster_matches_serial_under_each_fault() {
+    let fault = FaultSpec::none().with_seed(23);
+    let loss = fault.clone().with_contact_loss(PPM / 5);
+    let truncation = fault.clone().with_truncation(PPM / 3);
+    let churn = fault.clone().with_churn(PPM / 4, SimDuration::from_mins(5));
+    let corruption = fault.with_corruption(PPM / 4);
+    let fired = |name: &str, event: &TraceEvent| match name {
+        "loss" => matches!(
+            event,
+            TraceEvent::ContactLost {
+                cause: LossCause::Radio,
+                ..
+            }
+        ),
+        "truncation" => matches!(event, TraceEvent::ContactTruncated { .. }),
+        "churn" => matches!(event, TraceEvent::NodeReset { .. }),
+        "corruption" => matches!(event, TraceEvent::ControlCorrupted { .. }),
+        other => unreachable!("unknown fault {other}"),
+    };
+
+    let (spec, nodes) = small_world(2);
+    let protocols: [(&str, Box<dyn ProtocolFactory>, u32); 4] = [
+        ("push", push_factory(nodes), 2),
+        ("bsub", bsub_factory(&spec), 2),
+        ("pull", pull_factory(nodes), 2),
+        ("bsub-w3", bsub_factory(&spec), 3),
+    ];
+    for (name, faults) in [
+        ("loss", &loss),
+        ("truncation", &truncation),
+        ("churn", &churn),
+        ("corruption", &corruption),
+    ] {
+        for (protocol, factory, workers) in &protocols {
+            if name == "corruption" && !protocol.starts_with("bsub") {
+                continue;
+            }
+            let tag = format!("{name}-{protocol}");
+            let log =
+                assert_cluster_matches_serial(&tag, factory.as_ref(), *workers, faults.clone());
+            assert!(
+                log.events().iter().any(|e| fired(name, e)),
+                "{tag}: the fault never fired in the serial run"
+            );
+        }
+    }
 }

@@ -27,7 +27,7 @@
 //! curves monotone by construction rather than by luck.
 
 use bsub_bloom::SplitMix64;
-use bsub_traces::{NodeId, SimDuration, SimTime};
+use bsub_traces::{ContactEvent, NodeId, SimDuration, SimTime};
 
 /// The fixed-point scale of fault probabilities: parts per million.
 /// A probability `p` is expressed as `(p * f64::from(PPM)) as u32`.
@@ -286,27 +286,32 @@ impl FaultCell {
     }
 }
 
-/// Per-run churn bookkeeping for every node, dense by node index.
+/// Per-run churn bookkeeping for every node, dense by node index: the
+/// one fault input that depends on the run's history. Walk it once per
+/// contact, in trace order, with [`FaultState::resets`].
 #[derive(Debug)]
-pub(crate) struct FaultState {
+pub struct FaultState {
     cells: Vec<FaultCell>,
 }
 
 impl FaultState {
-    pub(crate) fn new(nodes: usize) -> Self {
+    /// Bookkeeping for `nodes` nodes, none of them owing a reset.
+    #[must_use]
+    pub fn new(nodes: usize) -> Self {
         Self {
             cells: vec![FaultCell::default(); nodes],
         }
     }
 
-    /// See [`FaultCell::advance`].
-    pub(crate) fn advance(&mut self, spec: &FaultSpec, node: NodeId, at: SimTime) -> bool {
-        self.cells[node.index()].advance(spec, node, at)
-    }
-
-    /// Takes (and clears) the pending reset flag for `node`.
-    pub(crate) fn take_reset(&mut self, node: NodeId) -> bool {
-        std::mem::take(&mut self.cells[node.index()].pending_reset)
+    /// Advances `contact`'s endpoints to its start and takes the resets
+    /// they owe, `[a, b]`: an endpoint resets when it is up now and was
+    /// down since its last contact (a down one keeps its reset pending).
+    pub fn resets(&mut self, spec: &FaultSpec, contact: &ContactEvent) -> [bool; 2] {
+        [contact.a, contact.b].map(|node| {
+            let cell = &mut self.cells[node.index()];
+            let down = cell.advance(spec, node, contact.start);
+            !down && std::mem::take(&mut cell.pending_reset)
+        })
     }
 }
 
@@ -433,23 +438,24 @@ mod tests {
             })
             .expect("some seed produces the pattern");
         let node = NodeId::new(0);
-        let mut state = FaultState::new(1);
+        let take = |cell: &mut FaultCell| std::mem::take(&mut cell.pending_reset);
+        let mut state = FaultCell::default();
 
         assert!(!state.advance(&spec, node, SimTime::from_secs(10)));
-        assert!(!state.take_reset(node), "no downtime yet");
+        assert!(!take(&mut state), "no downtime yet");
 
         // Contact while down: lost, no reset yet.
         assert!(state.advance(&spec, node, SimTime::from_secs(3600 + 10)));
         // First contact back up: the downtime is noticed exactly once.
         assert!(!state.advance(&spec, node, SimTime::from_secs(2 * 3600 + 10)));
-        assert!(state.take_reset(node));
-        assert!(!state.take_reset(node), "reset fires once");
+        assert!(take(&mut state));
+        assert!(!take(&mut state), "reset fires once");
 
         // Downtime is also detected when no contact happened during it.
-        let mut skip = FaultState::new(1);
+        let mut skip = FaultCell::default();
         assert!(!skip.advance(&spec, node, SimTime::from_secs(10)));
         assert!(!skip.advance(&spec, node, SimTime::from_secs(2 * 3600 + 10)));
-        assert!(skip.take_reset(node), "cell 1 downtime seen in the scan");
+        assert!(take(&mut skip), "cell 1 downtime seen in the scan");
     }
 
     #[test]

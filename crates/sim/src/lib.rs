@@ -60,7 +60,7 @@ mod runner;
 pub mod snapshot;
 mod subscriptions;
 
-pub use crate::fault::{FaultSpec, WireCorruption};
+pub use crate::fault::{FaultSpec, FaultState, WireCorruption};
 pub use crate::link::Link;
 pub use crate::message::{Message, MessageId};
 pub use crate::metrics::{DeliveryOutcome, MetricsCollector, SimReport};

@@ -65,12 +65,6 @@ impl Link {
     pub fn budget(&self) -> u64 {
         self.budget
     }
-
-    /// Whether the budget is exhausted.
-    #[must_use]
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
 }
 
 #[cfg(test)]
@@ -94,14 +88,14 @@ mod tests {
         assert!(!l.try_transfer(41), "over budget refused");
         assert_eq!(l.used(), 60, "failed transfer does not debit");
         assert!(l.try_transfer(40));
-        assert!(l.is_exhausted());
+        assert_eq!(l.remaining(), 0);
     }
 
     #[test]
     fn zero_byte_transfer_always_fits() {
         let mut l = Link::with_budget(0);
         assert!(l.try_transfer(0));
-        assert!(l.is_exhausted());
+        assert_eq!(l.remaining(), 0);
         assert!(!l.try_transfer(1));
     }
 
@@ -115,7 +109,7 @@ mod tests {
     fn zero_rate_link_has_no_budget() {
         let mut l = Link::for_contact(SimDuration::from_hours(5), 0);
         assert_eq!(l.budget(), 0);
-        assert!(l.is_exhausted());
+        assert_eq!(l.remaining(), 0);
         assert!(!l.try_transfer(1));
         assert!(l.try_transfer(0));
     }
@@ -125,7 +119,6 @@ mod tests {
         let mut l = Link::with_budget(100);
         assert!(l.try_transfer(30));
         assert!(l.try_transfer(70), "exact remainder must fit");
-        assert!(l.is_exhausted());
         assert_eq!(l.remaining(), 0);
         assert!(!l.try_transfer(1));
         assert_eq!(l.used(), 100);
@@ -137,7 +130,7 @@ mod tests {
         assert_eq!(l.budget(), u64::MAX);
         let mut l = Link::with_budget(u64::MAX);
         assert!(l.try_transfer(u64::MAX));
-        assert!(l.is_exhausted());
+        assert_eq!(l.remaining(), 0);
     }
 
     #[test]

@@ -64,24 +64,6 @@ impl<'a> SimCtx<'a> {
         self.corruption = Some(CorruptionDraws { rng, ppm });
     }
 
-    /// Builds a context for a single protocol exchange driven from
-    /// *outside* the simulation runner — the seam the networked
-    /// runtime (`bsub-net`) uses to execute one contact against a
-    /// protocol instance it hosts.
-    ///
-    /// Identical to the runner's internal context except that no fault
-    /// stream is attached ([`SimCtx::draw_corruption`] always answers
-    /// `None`); real sockets surface their own failures.
-    #[must_use]
-    pub fn for_exchange(
-        now: SimTime,
-        subscriptions: &'a SubscriptionTable,
-        metrics: &'a mut MetricsCollector,
-        recorder: &'a mut dyn Recorder,
-    ) -> Self {
-        Self::new(now, subscriptions, metrics, recorder)
-    }
-
     /// Draws the fate of one in-flight control-plane encoding:
     /// `Some(damage)` if fault injection corrupts this transmission.
     ///

@@ -1,5 +1,15 @@
 //! The simulation runner: merges the contact trace with the message
 //! schedule and drives a [`Protocol`] through both.
+//!
+//! A run is made of two steps, and they are the only code that
+//! publishes a message or runs a contact: [`Simulation::step_publish`]
+//! and [`Simulation::step_contact`]. The serial replay interleaves them
+//! in time order; the networked cluster (`bsub-net`) calls the same
+//! steps on the worker that holds the state, so a faulted run is
+//! reproduced there exactly too. The one fault input that depends on
+//! the run's history — which endpoints reset after churn — comes from
+//! [`FaultState::resets`] walking the trace in order and is passed to
+//! the contact step; every other fault is a stateless draw.
 
 use crate::fault::{FaultSpec, FaultState, PPM};
 use crate::link::Link;
@@ -9,7 +19,7 @@ use crate::protocols::{Protocol, ProtocolFactory, SimCtx};
 use crate::record::{LossCause, NullRecorder, Recorder, TraceEvent};
 use crate::subscriptions::SubscriptionTable;
 use bsub_obs::{self as obs, Counter, SizeHist, TimeHist};
-use bsub_traces::{ContactEvent, ContactTrace, NodeId, SimDuration, SimTime};
+use bsub_traces::{ContactTrace, NodeId, SimDuration, SimTime};
 use std::sync::Arc;
 
 /// Global simulation parameters.
@@ -173,26 +183,14 @@ impl Simulation {
         recorder: &mut dyn Recorder,
     ) -> SimReport {
         let mut metrics = MetricsCollector::new();
-        let mut next_id = 0u64;
-        let mut schedule = self.schedule.iter().peekable();
-
+        let mut published = 0;
         let mut publish_until = |until: SimTime,
-                                 inclusive: bool,
                                  metrics: &mut MetricsCollector,
                                  protocol: &mut dyn Protocol,
                                  recorder: &mut dyn Recorder| {
-            while let Some(next) = schedule.peek() {
-                let due = if inclusive {
-                    next.at <= until
-                } else {
-                    next.at < until
-                };
-                if !due {
-                    break;
-                }
-                let spec = schedule.next().expect("peeked");
-                step_publish(self, spec, next_id, metrics, protocol, recorder);
-                next_id += 1;
+            while published < self.schedule.len() && self.schedule[published].at <= until {
+                self.step_publish(published, metrics, protocol, recorder);
+                published += 1;
             }
         };
 
@@ -203,29 +201,183 @@ impl Simulation {
         let mut fault_state = FaultState::new(self.trace.node_count() as usize);
 
         for (index, contact) in self.trace.iter().enumerate() {
-            publish_until(contact.start, true, &mut metrics, protocol, recorder);
-            step_contact(
-                self,
-                index as u64,
-                contact,
-                faulted,
-                &mut fault_state,
-                &mut metrics,
-                protocol,
-                recorder,
-            );
+            publish_until(contact.start, &mut metrics, protocol, recorder);
+            let resets = if faulted {
+                fault_state.resets(&self.faults, contact)
+            } else {
+                [false; 2]
+            };
+            self.step_contact(index, resets, &mut metrics, protocol, recorder);
         }
         // Messages published after the last contact still count as
         // generated (they can never be delivered).
         publish_until(
             SimTime::from_millis(u64::MAX),
-            true,
             &mut metrics,
             protocol,
             recorder,
         );
 
         metrics.finish(protocol.name())
+    }
+
+    /// Publishes schedule entry `index`: builds the message (its id is
+    /// the schedule index), accounts it as generated in `metrics`, and
+    /// hands it to `protocol`. Returns the message.
+    ///
+    /// Together with [`Simulation::step_contact`] this is the whole of
+    /// a run: [`Simulation::run_recorded`] interleaves the two steps in
+    /// time order, and the networked runtime (`bsub-net`) calls the
+    /// same steps one at a time on the process that owns the state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is outside the schedule.
+    pub fn step_publish(
+        &self,
+        index: usize,
+        metrics: &mut MetricsCollector,
+        protocol: &mut dyn Protocol,
+        recorder: &mut dyn Recorder,
+    ) -> Arc<Message> {
+        let spec = &self.schedule[index];
+        // One allocation per publication; every protocol store afterwards
+        // shares this payload.
+        let msg = Arc::new(Message {
+            id: MessageId::new(index as u64),
+            key: Arc::clone(&spec.key),
+            size: spec.size,
+            created: spec.at,
+            ttl: self.config.ttl,
+            producer: spec.producer,
+        });
+        let targets = self
+            .subscriptions
+            .subscribers_of(&msg.key)
+            .filter(|&n| n != msg.producer)
+            .count() as u64;
+        metrics.on_generated(targets);
+        let mut ctx = SimCtx::new(spec.at, &self.subscriptions, metrics, recorder);
+        ctx.emit(|| TraceEvent::Published {
+            at: spec.at,
+            msg: msg.id,
+            producer: msg.producer,
+            key: Arc::clone(&msg.key),
+            size: msg.size,
+            targets,
+        });
+        protocol.on_message(&mut ctx, &msg);
+        msg
+    }
+
+    /// Runs trace contact `index`: churn resets, fault gating, the
+    /// link budget, and the protocol's `on_contact`.
+    ///
+    /// `resets` says whether `[a, b]` rejoin after downtime, as
+    /// [`FaultState::resets`] computes it walking the trace in order
+    /// (all `false` without churn). Every other fault decision is drawn
+    /// here from the run's [`FaultSpec`] and `index`, so any process
+    /// holding the same `Simulation` runs the contact the same way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is outside the trace.
+    pub fn step_contact(
+        &self,
+        index: usize,
+        resets: [bool; 2],
+        metrics: &mut MetricsCollector,
+        protocol: &mut dyn Protocol,
+        recorder: &mut dyn Recorder,
+    ) {
+        let contact = &self.trace.events()[index];
+        let index = index as u64;
+        let faulted = !self.faults.is_none();
+        metrics.on_contact();
+        obs::count(Counter::Contacts, 1);
+
+        if faulted {
+            // Churn: a node back up after downtime resets first (rejoin
+            // precedes any exchange of this contact).
+            for (node, reset) in [contact.a, contact.b].into_iter().zip(resets) {
+                if reset {
+                    obs::count(Counter::NodeReset, 1);
+                    let mut ctx =
+                        SimCtx::new(contact.start, &self.subscriptions, metrics, recorder);
+                    protocol.on_node_reset(&mut ctx, node);
+                    ctx.emit(|| TraceEvent::NodeReset {
+                        at: contact.start,
+                        node,
+                    });
+                }
+            }
+            let cell = self.faults.churn_cell(contact.start);
+            let lost_cause = if self.faults.node_down(contact.a, cell)
+                || self.faults.node_down(contact.b, cell)
+            {
+                Some(LossCause::Churn)
+            } else if self.faults.loses_contact(index) {
+                Some(LossCause::Radio)
+            } else {
+                None
+            };
+            if let Some(cause) = lost_cause {
+                obs::count(Counter::FaultContactLost, 1);
+                if recorder.is_active() {
+                    recorder.record(&TraceEvent::ContactLost {
+                        at: contact.start,
+                        a: contact.a,
+                        b: contact.b,
+                        cause,
+                    });
+                }
+                return;
+            }
+        }
+
+        let mut link = Link::for_contact(contact.duration(), self.config.bytes_per_sec);
+        if faulted {
+            if let Some(keep) = self.faults.truncates_contact(index) {
+                obs::count(Counter::FaultTruncated, 1);
+                let original = link.budget();
+                let cut = (u128::from(original) * u128::from(keep) / u128::from(PPM)) as u64;
+                link = Link::with_budget(cut);
+                if recorder.is_active() {
+                    recorder.record(&TraceEvent::ContactTruncated {
+                        at: contact.start,
+                        a: contact.a,
+                        b: contact.b,
+                        budget: cut,
+                        original,
+                    });
+                }
+            }
+        }
+
+        let mut ctx = SimCtx::new(contact.start, &self.subscriptions, metrics, recorder);
+        if faulted && self.faults.corruption_ppm() > 0 {
+            ctx.attach_corruption(
+                self.faults.corruption_stream(index),
+                self.faults.corruption_ppm(),
+            );
+        }
+        ctx.emit(|| TraceEvent::ContactBegin {
+            at: contact.start,
+            a: contact.a,
+            b: contact.b,
+            budget: link.budget(),
+        });
+        {
+            let _span = obs::span(TimeHist::ContactNs);
+            protocol.on_contact(&mut ctx, contact, &mut link);
+        }
+        obs::observe(SizeHist::ContactBytes, link.used());
+        ctx.emit(|| TraceEvent::ContactEnd {
+            at: contact.start,
+            a: contact.a,
+            b: contact.b,
+            used: link.used(),
+        });
     }
 
     /// Builds a fresh protocol from `factory` (passing `seed` through)
@@ -256,145 +408,6 @@ impl Simulation {
         let report = self.run_recorded(&mut *protocol, recorder);
         (report, protocol)
     }
-}
-
-/// One publication step of the driver sequence: builds the message
-/// (`id` is the serial publication counter — in schedule order it is
-/// simply the schedule index), accounts it as generated, and hands it
-/// to the protocol.
-fn step_publish(
-    sim: &Simulation,
-    spec: &GeneratedMessage,
-    id: u64,
-    metrics: &mut MetricsCollector,
-    protocol: &mut dyn Protocol,
-    recorder: &mut dyn Recorder,
-) {
-    // One allocation per publication; every protocol store afterwards
-    // shares this payload.
-    let msg = Arc::new(Message {
-        id: MessageId::new(id),
-        key: Arc::clone(&spec.key),
-        size: spec.size,
-        created: spec.at,
-        ttl: sim.config.ttl,
-        producer: spec.producer,
-    });
-    let targets = sim
-        .subscriptions
-        .subscribers_of(&msg.key)
-        .filter(|&n| n != msg.producer)
-        .count() as u64;
-    metrics.on_generated(targets);
-    let mut ctx = SimCtx::new(spec.at, &sim.subscriptions, metrics, recorder);
-    ctx.emit(|| TraceEvent::Published {
-        at: spec.at,
-        msg: msg.id,
-        producer: msg.producer,
-        key: Arc::clone(&msg.key),
-        size: msg.size,
-        targets,
-    });
-    protocol.on_message(&mut ctx, &msg);
-}
-
-/// One contact step of the driver sequence: fault gating, link budget,
-/// and the protocol's `on_contact`.
-#[allow(clippy::too_many_arguments)]
-fn step_contact(
-    sim: &Simulation,
-    index: u64,
-    contact: &ContactEvent,
-    faulted: bool,
-    fault: &mut FaultState,
-    metrics: &mut MetricsCollector,
-    protocol: &mut dyn Protocol,
-    recorder: &mut dyn Recorder,
-) {
-    metrics.on_contact();
-    obs::count(Counter::Contacts, 1);
-
-    if faulted {
-        // Churn: advance both endpoints through their downtime
-        // cells; a node back up after downtime resets first
-        // (rejoin precedes any exchange of this contact).
-        let a_down = fault.advance(&sim.faults, contact.a, contact.start);
-        let b_down = fault.advance(&sim.faults, contact.b, contact.start);
-        for (node, down) in [(contact.a, a_down), (contact.b, b_down)] {
-            if !down && fault.take_reset(node) {
-                obs::count(Counter::NodeReset, 1);
-                let mut ctx = SimCtx::new(contact.start, &sim.subscriptions, metrics, recorder);
-                protocol.on_node_reset(&mut ctx, node);
-                ctx.emit(|| TraceEvent::NodeReset {
-                    at: contact.start,
-                    node,
-                });
-            }
-        }
-        let lost_cause = if a_down || b_down {
-            Some(LossCause::Churn)
-        } else if sim.faults.loses_contact(index) {
-            Some(LossCause::Radio)
-        } else {
-            None
-        };
-        if let Some(cause) = lost_cause {
-            obs::count(Counter::FaultContactLost, 1);
-            if recorder.is_active() {
-                recorder.record(&TraceEvent::ContactLost {
-                    at: contact.start,
-                    a: contact.a,
-                    b: contact.b,
-                    cause,
-                });
-            }
-            return;
-        }
-    }
-
-    let mut link = Link::for_contact(contact.duration(), sim.config.bytes_per_sec);
-    if faulted {
-        if let Some(keep) = sim.faults.truncates_contact(index) {
-            obs::count(Counter::FaultTruncated, 1);
-            let original = link.budget();
-            let cut = (u128::from(original) * u128::from(keep) / u128::from(PPM)) as u64;
-            link = Link::with_budget(cut);
-            if recorder.is_active() {
-                recorder.record(&TraceEvent::ContactTruncated {
-                    at: contact.start,
-                    a: contact.a,
-                    b: contact.b,
-                    budget: cut,
-                    original,
-                });
-            }
-        }
-    }
-
-    let mut ctx = SimCtx::new(contact.start, &sim.subscriptions, metrics, recorder);
-    if faulted && sim.faults.corruption_ppm() > 0 {
-        ctx.attach_corruption(
-            sim.faults.corruption_stream(index),
-            sim.faults.corruption_ppm(),
-        );
-    }
-    ctx.emit(|| TraceEvent::ContactBegin {
-        at: contact.start,
-        a: contact.a,
-        b: contact.b,
-        budget: link.budget(),
-    });
-    {
-        let _span = obs::span(TimeHist::ContactNs);
-        protocol.on_contact(&mut ctx, contact, &mut link);
-    }
-    obs::observe(SizeHist::ContactBytes, link.used());
-    ctx.emit(|| TraceEvent::ContactEnd {
-        at: contact.start,
-        a: contact.a,
-        b: contact.b,
-        used: link.used(),
-    });
 }
 
 #[cfg(test)]
