@@ -566,20 +566,25 @@ fn flush_publishes(
     obs::count(Counter::BrokerPublishes, pending.len() as u64);
     for ((publisher, body), matched) in pending.drain(..).zip(set.matches) {
         obs::count(Counter::BrokerDeliveries, matched.len() as u64);
-        for &subscriber in &matched {
-            let deliver = DeliverBody {
-                seq: body.seq,
-                sent_ns: body.sent_ns,
-                publisher,
-                key: body.key.clone(),
-            };
-            // A subscriber that disconnected mid-flight is not an
-            // error; its index entry outlives the socket until an
-            // unsubscribe or deadline reaps it.
-            let _ = peers.send(
-                PeerId(subscriber as u32),
-                Frame::new(FrameKind::Deliver, deliver.encode()),
-            );
+        let deliver = DeliverBody {
+            seq: body.seq,
+            sent_ns: body.sent_ns,
+            publisher,
+            key: body.key,
+        };
+        if !matched.is_empty() {
+            // Every subscriber receives the same bytes: encode once
+            // per publish and clone the finished body per delivery.
+            let bytes = deliver.encode();
+            for &subscriber in &matched {
+                // A subscriber that disconnected mid-flight is not an
+                // error; its index entry outlives the socket until an
+                // unsubscribe or deadline reaps it.
+                let _ = peers.send(
+                    PeerId(subscriber as u32),
+                    Frame::new(FrameKind::Deliver, bytes.clone()),
+                );
+            }
         }
         if record {
             journal
@@ -587,8 +592,8 @@ fn flush_publishes(
                 .expect("journal lock")
                 .push(BrokerOp::Publish {
                     client: publisher,
-                    seq: body.seq,
-                    key: body.key,
+                    seq: deliver.seq,
+                    key: deliver.key,
                     delivered: matched,
                 });
         }

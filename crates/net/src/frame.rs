@@ -25,7 +25,7 @@
 
 use bsub_bloom::wire::crc16;
 use bsub_obs::{SizeHist, TimeHist};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Fixed size of the frame header in bytes.
 pub const HEADER_LEN: usize = 8;
@@ -228,21 +228,52 @@ impl Frame {
         header
     }
 
-    /// Writes the frame to `w` (header, then body) and flushes.
+    /// Appends the frame's encoding (header, then body) to `out`: the
+    /// bytes [`Frame::write_to`] puts on the wire. The caller keeps the
+    /// body within [`MAX_BODY_LEN`]; the peer layer only coalesces
+    /// frames far smaller than that.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.header());
+        out.extend_from_slice(&self.body);
+    }
+
+    /// Writes the frame to `w` and flushes. Header and body go out in
+    /// one vectored write where `w` supports it (sockets do), so the
+    /// body is never copied and a frame costs one syscall.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; rejects bodies over [`MAX_BODY_LEN`]
     /// with [`io::ErrorKind::InvalidInput`] before writing anything.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        self.write_after(&[], w)
+    }
+
+    /// Writes `prefix` (frames already encoded by
+    /// [`Frame::encode_into`]), then this frame, in one vectored write
+    /// that copies neither, and flushes. Errors as [`Frame::write_to`].
+    pub(crate) fn write_after(&self, prefix: &[u8], w: &mut impl Write) -> io::Result<()> {
         if self.body.len() > MAX_BODY_LEN as usize {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "frame body exceeds MAX_BODY_LEN",
             ));
         }
-        w.write_all(&self.header())?;
-        w.write_all(&self.body)?;
+        let header = self.header();
+        let mut parts = [
+            IoSlice::new(prefix),
+            IoSlice::new(&header),
+            IoSlice::new(&self.body),
+        ];
+        let mut parts = &mut parts[..];
+        while !parts.is_empty() {
+            match w.write_vectored(parts) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         w.flush()
     }
 
@@ -409,6 +440,94 @@ mod tests {
         bytes[2..6].copy_from_slice(&MAX_BODY_LEN.to_le_bytes());
         let err = Frame::read_from(&mut bytes.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A reader that hands out 1–7 bytes per call, cycling through
+    /// those sizes, so frame boundaries land at every offset of the
+    /// buffered reader's refills.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = (1 + self.calls % 7).min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every kind, an empty body, and a body larger than the socket
+    /// reader's buffer, back to back.
+    fn mixed_frames() -> Vec<Frame> {
+        let capacity = crate::peer::frame_reader(io::empty()).capacity();
+        let mut frames: Vec<Frame> = FrameKind::ALL
+            .iter()
+            .map(|&kind| Frame::new(kind, vec![kind.byte(); 3 * kind.byte() as usize]))
+            .collect();
+        frames.insert(3, Frame::new(FrameKind::Done, Vec::new()));
+        let big = (0..capacity + 1000).map(|i| (i % 251) as u8).collect();
+        frames.insert(7, Frame::new(FrameKind::StateGrant, big));
+        frames
+    }
+
+    fn concat(frames: &[Frame]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for frame in frames {
+            frame.encode_into(&mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn encode_into_matches_write_to() {
+        for frame in mixed_frames() {
+            let mut out = vec![0xEE];
+            frame.encode_into(&mut out);
+            assert_eq!(out[1..], encode(&frame));
+        }
+    }
+
+    /// A coalesced stream, read through the socket reader in 1–7 byte
+    /// pieces, decodes to exactly the frames written, then a clean EOF.
+    #[test]
+    fn coalesced_stream_decodes_through_the_buffered_reader() {
+        let frames = mixed_frames();
+        let bytes = concat(&frames);
+        let mut reader = crate::peer::frame_reader(Trickle {
+            bytes: &bytes,
+            calls: 0,
+        });
+        for frame in &frames {
+            assert_eq!(&Frame::read_from(&mut reader).unwrap(), frame);
+        }
+        let err = Frame::read_from(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A flipped CRC bit in frame `k` of a coalesced stream yields
+    /// frames `0..k`, then `InvalidData`: the reader never skips ahead.
+    #[test]
+    fn crc_flip_mid_stream_stops_the_reader() {
+        let frames = mixed_frames();
+        let clean = concat(&frames);
+        for k in 0..frames.len() {
+            let offset: usize = frames[..k].iter().map(Frame::encoded_len).sum();
+            let mut bytes = clean.clone();
+            bytes[offset + 6] ^= 0x01;
+            let mut reader = crate::peer::frame_reader(Trickle {
+                bytes: &bytes,
+                calls: 0,
+            });
+            for frame in &frames[..k] {
+                assert_eq!(&Frame::read_from(&mut reader).unwrap(), frame);
+            }
+            let err = Frame::read_from(&mut reader).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "frame {k}");
+        }
     }
 
     #[test]

@@ -36,9 +36,16 @@
 //! **Backpressure.** Each connection's outbound path is a bounded
 //! queue drained by a dedicated writer thread; [`PeerManager::send`]
 //! blocks when the queue is full, so a slow peer throttles its
-//! producers instead of growing an unbounded buffer. Inbound frames
-//! from all peers funnel into one channel read via
-//! [`PeerManager::recv_timeout`].
+//! producers instead of growing an unbounded buffer. The writer drains
+//! in batches: it encodes every frame already queued into one reused
+//! buffer, up to an 8 KiB cap, and writes the batch with one socket
+//! write. A frame whose body alone exceeds the cap ends the batch and
+//! goes out from its own `Vec`, behind the buffered frames in the same
+//! vectored write, never copied. The reader
+//! thread reads through an 8 KiB buffer, so one `read` serves many
+//! frames; the handshake reads the raw socket, so nothing past the
+//! confirmation HELLO is buffered. Inbound frames from all peers
+//! funnel into one channel read via [`PeerManager::recv_timeout`].
 //!
 //! **Reset semantics.** Frame streams never resynchronize: any read
 //! error (CRC mismatch, unknown kind, EOF mid-frame) closes the
@@ -50,10 +57,10 @@ use crate::frame::{frame_size_hist, frame_time_hist, Frame, FrameKind, HEADER_LE
 use crate::trace::{self, NetEvent, NetTrace, TraceSlot};
 use crate::transport::{EndpointAddr, Listener, Stream};
 use bsub_obs::codec::{Reader, Writer};
-use bsub_obs::{Counter, SharedReport};
+use bsub_obs::{Counter, SharedReport, SizeHist};
 use std::collections::HashMap;
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
@@ -95,6 +102,16 @@ pub enum ConnState {
 /// Outbound queue depth per connection; a full queue blocks
 /// [`PeerManager::send`] (backpressure).
 const QUEUE_DEPTH: usize = 64;
+
+/// Byte cap on one coalesced socket write. The writer thread encodes
+/// queued frames into one reused buffer until the queue is empty or the
+/// buffer reaches this size; a frame whose body alone exceeds it is
+/// written from its own `Vec` behind the buffer, never copied.
+const WRITE_BATCH_BYTES: usize = 8 * 1024;
+
+/// Capacity of each connection's buffered frame reader: one `read`
+/// returns as many queued frames as fit.
+const READ_BUF_BYTES: usize = 8 * 1024;
 
 /// Read timeout for the first two legs of the HELLO handshake.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
@@ -615,11 +632,20 @@ fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -
     Ok(true)
 }
 
-fn reader_loop(shared: &Arc<Shared>, mut stream: Stream, peer: PeerId, epoch: u64) {
+/// The reader thread's view of a socket: a buffered reader, so one
+/// `read` serves many frames and a frame's header and body come from
+/// one `read`. The handshake reads the raw stream, so nothing past the
+/// confirmation HELLO is ever buffered and lost.
+pub(crate) fn frame_reader<R: Read>(inner: R) -> BufReader<R> {
+    BufReader::with_capacity(READ_BUF_BYTES, inner)
+}
+
+fn reader_loop(shared: &Arc<Shared>, stream: Stream, peer: PeerId, epoch: u64) {
+    let mut reader = frame_reader(stream);
     // Reset semantics: any read error — CRC mismatch, EOF mid-frame,
     // socket teardown — ends the connection; the stream is never
     // resynchronized.
-    while let Ok(frame) = Frame::read_from(&mut stream) {
+    while let Ok(frame) = Frame::read_from(&mut reader) {
         let bytes = (HEADER_LEN + frame.body.len()) as u64;
         shared.metrics.record(|r| {
             r.add_counter(Counter::NetFramesRecv, 1);
@@ -643,28 +669,67 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: Stream, peer: PeerId, epoch: u6
     }
 }
 
+/// The writer thread's reusable drain state.
+#[derive(Default)]
+struct Outbox {
+    /// Encoded frames awaiting the drain's one write.
+    buf: Vec<u8>,
+    /// Kind and encoded size of each frame the last drain wrote, in
+    /// queue order.
+    sent: Vec<(FrameKind, u64)>,
+}
+
+impl Outbox {
+    /// Writes `first` and whatever is queued behind it with one socket
+    /// write. Frames are encoded into `buf` until the queue is empty or
+    /// `buf` reaches [`WRITE_BATCH_BYTES`]. A frame whose body exceeds
+    /// the cap ends the drain without being copied: it goes out from
+    /// its own `Vec`, behind the buffered bytes, in the same vectored
+    /// write. So queue order holds and the buffer stays bounded.
+    fn drain(&mut self, w: &mut impl Write, first: Frame, rx: &Receiver<Frame>) -> io::Result<()> {
+        self.buf.clear();
+        self.sent.clear();
+        let mut next = Some(first);
+        while let Some(frame) = next {
+            self.sent.push((frame.kind, frame.encoded_len() as u64));
+            if frame.body.len() > WRITE_BATCH_BYTES {
+                return frame.write_after(&self.buf, w);
+            }
+            frame.encode_into(&mut self.buf);
+            next = if self.buf.len() < WRITE_BATCH_BYTES {
+                rx.try_recv().ok()
+            } else {
+                None
+            };
+        }
+        w.write_all(&self.buf)
+    }
+}
+
 fn writer_loop(shared: &Arc<Shared>, mut stream: Stream, rx: &Receiver<Frame>) {
-    while let Ok(frame) = rx.recv() {
+    let mut outbox = Outbox::default();
+    while let Ok(first) = rx.recv() {
         // The clock is read only when the sink is armed, keeping the
         // unobserved hot path free of syscalls.
         let started = shared.metrics.is_enabled().then(Instant::now);
-        let kind = frame.kind;
-        let bytes = frame.encoded_len() as u64;
-        if frame.write_to(&mut stream).is_err() {
+        if outbox.drain(&mut stream, first, rx).is_err() {
             return; // reader notices the dead socket and retires it
         }
         let write_ns = started.map(|started| started.elapsed().as_nanos() as u64);
         shared.metrics.record(|r| {
-            if let Some(ns) = write_ns {
-                // Per-kind wall clock from dequeue to completed write,
-                // and per-kind encoded size. Sizes are recorded on the
-                // send side only so a cluster-wide merge counts each
-                // frame exactly once.
-                r.record_time(frame_time_hist(kind), ns);
-                r.record_size(frame_size_hist(kind), bytes);
+            // Every frame of a drain records the drain's wall clock,
+            // first dequeue to completed write, under its own kind.
+            // Sizes are recorded on the send side only, so a
+            // cluster-wide merge counts each frame exactly once.
+            for &(kind, bytes) in &outbox.sent {
+                if let Some(ns) = write_ns {
+                    r.record_time(frame_time_hist(kind), ns);
+                    r.record_size(frame_size_hist(kind), bytes);
+                }
+                r.add_counter(Counter::NetFramesSent, 1);
+                r.add_counter(Counter::NetBytesSent, bytes);
             }
-            r.add_counter(Counter::NetFramesSent, 1);
-            r.add_counter(Counter::NetBytesSent, bytes);
+            r.record_size(SizeHist::NetFramesPerWrite, outbox.sent.len() as u64);
         });
     }
     // Queue closed (drain): everything queued has been written.
@@ -862,22 +927,155 @@ mod tests {
         assert!(b.metrics().snapshot().is_empty());
     }
 
+    /// A `Write` that keeps every byte and, for each write call, the
+    /// address and length of every slice it was handed.
+    #[derive(Default)]
+    struct Recorder {
+        bytes: Vec<u8>,
+        calls: Vec<Vec<(usize, usize)>>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[io::IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            let mut call = Vec::new();
+            for buf in bufs {
+                call.push((buf.as_ptr() as usize, buf.len()));
+                self.bytes.extend_from_slice(buf);
+            }
+            self.calls.push(call);
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn write_to_bytes(frames: &[Frame]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for frame in frames {
+            frame.write_to(&mut out).unwrap();
+        }
+        out
+    }
+
+    /// Queues `frames` on a fresh outbound queue and drains it to the
+    /// end, as the writer thread would; returns the frames each drain
+    /// wrote, and asserts that each drain was one write call.
+    fn drain_all(frames: &[Frame], w: &mut Recorder, outbox: &mut Outbox) -> Vec<usize> {
+        let (tx, rx) = mpsc::sync_channel(frames.len());
+        for frame in frames {
+            tx.send(frame.clone()).unwrap();
+        }
+        drop(tx);
+        let mut drains = Vec::new();
+        while let Ok(first) = rx.recv() {
+            outbox.drain(w, first, &rx).unwrap();
+            drains.push(outbox.sent.len());
+            assert_eq!(w.calls.len(), drains.len(), "one write per drain");
+        }
+        drains
+    }
+
+    /// Queued small frames leave in one write whose bytes are the
+    /// concatenation of their `write_to` encodings; a queue longer
+    /// than the byte cap splits at the cap, in order.
+    #[test]
+    fn drain_coalesces_queued_frames_into_one_write() {
+        let frames: Vec<Frame> = (0..20u8)
+            .map(|i| Frame::new(FrameKind::ALL[usize::from(i) % 15], vec![i; usize::from(i)]))
+            .collect();
+        let (mut w, mut outbox) = (Recorder::default(), Outbox::default());
+        assert_eq!(drain_all(&frames, &mut w, &mut outbox), [20]);
+        assert_eq!(w.bytes, write_to_bytes(&frames));
+        let sent: Vec<(FrameKind, u64)> = frames
+            .iter()
+            .map(|f| (f.kind, f.encoded_len() as u64))
+            .collect();
+        assert_eq!(outbox.sent, sent);
+
+        // 1008-byte frames: the 9th crosses the 8 KiB cap and ends a
+        // drain; 64 frames take 8 writes.
+        let frames = vec![Frame::new(FrameKind::Deliver, vec![5; 1000]); 64];
+        let (mut w, mut outbox) = (Recorder::default(), Outbox::default());
+        let drains = drain_all(&frames, &mut w, &mut outbox);
+        assert_eq!(drains, [9, 9, 9, 9, 9, 9, 9, 1]);
+        assert_eq!(w.bytes, write_to_bytes(&frames));
+        assert!(outbox.buf.capacity() < 2 * WRITE_BATCH_BYTES);
+    }
+
+    /// A frame whose body exceeds the cap keeps its place in the
+    /// order and ends its drain: it goes out behind the buffered frames
+    /// in the same write, from its own `Vec`, never copied into the
+    /// buffer.
+    #[test]
+    fn oversized_frame_keeps_its_place_and_is_not_copied() {
+        let big = Frame::new(FrameKind::StateGrant, vec![9; WRITE_BATCH_BYTES + 1]);
+        let frames = vec![
+            Frame::new(FrameKind::Dispatch, vec![1; 8]),
+            Frame::new(FrameKind::StateReq, vec![2; 4]),
+            big.clone(),
+            Frame::new(FrameKind::NodeFree, vec![3; 4]),
+            Frame::new(FrameKind::Done, Vec::new()),
+        ];
+        let (tx, rx) = mpsc::sync_channel(frames.len());
+        let mut big_body = (0, 0);
+        for frame in frames.iter().cloned() {
+            if frame.kind == FrameKind::StateGrant {
+                big_body = (frame.body.as_ptr() as usize, frame.body.len());
+            }
+            tx.send(frame).unwrap();
+        }
+        drop(tx);
+        let (mut w, mut outbox) = (Recorder::default(), Outbox::default());
+        let mut drains = Vec::new();
+        while let Ok(first) = rx.recv() {
+            outbox.drain(&mut w, first, &rx).unwrap();
+            drains.push(outbox.sent.len());
+            assert!(
+                outbox.buf.capacity() < big.body.len(),
+                "big body never buffered"
+            );
+        }
+        assert_eq!(drains, [3, 2]);
+        assert_eq!(w.bytes, write_to_bytes(&frames));
+        // The first write hands the socket the big frame's own body.
+        assert_eq!(w.calls.len(), 2);
+        assert!(w.calls[0].contains(&big_body), "{:?}", w.calls[0]);
+    }
+
     #[test]
     fn drain_flushes_then_closes() {
         let (a, b, _a_addr, b_addr) = pair("drain");
         a.connect(PeerId(1), &b_addr).unwrap();
-        a.send(PeerId(1), Frame::new(FrameKind::Done, Vec::new()))
+        // More than three queues' worth: `send` blocks on the full
+        // queue while the writer drains it.
+        for i in 0..200u64 {
+            a.send(
+                PeerId(1),
+                Frame::new(FrameKind::Dispatch, i.to_le_bytes().to_vec()),
+            )
             .unwrap();
+        }
         a.drain(PeerId(1));
         assert!(matches!(
             a.state(PeerId(1)),
             ConnState::Draining | ConnState::Closed
         ));
-        // The queued frame still arrives before the EOF.
-        let (_, frame) = b
-            .recv_timeout(Duration::from_secs(5))
-            .expect("drained frame");
-        assert_eq!(frame.kind, FrameKind::Done);
+        // Every queued frame still arrives, in order, before the EOF.
+        for i in 0..200u64 {
+            let (_, frame) = b
+                .recv_timeout(Duration::from_secs(5))
+                .expect("drained frame");
+            assert_eq!(
+                frame,
+                Frame::new(FrameKind::Dispatch, i.to_le_bytes().to_vec())
+            );
+        }
         // B's reader sees the clean EOF and retires the connection.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while b.state(PeerId(0)) != ConnState::Closed {
@@ -885,5 +1083,6 @@ mod tests {
             thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(b.connection_count(), 0);
+        assert!(b.recv_timeout(Duration::from_millis(10)).is_none());
     }
 }

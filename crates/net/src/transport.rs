@@ -8,7 +8,7 @@
 //! socket is inconvenient.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -90,7 +90,7 @@ impl Listener {
 
     /// Accepts one pending connection, or `None` when nothing is
     /// waiting. The returned stream is switched back to blocking
-    /// mode.
+    /// mode, with `TCP_NODELAY` set on TCP (see [`Stream::connect`]).
     ///
     /// # Errors
     ///
@@ -103,6 +103,7 @@ impl Listener {
         match accepted {
             Ok(stream) => {
                 stream.set_nonblocking(false)?;
+                stream.set_nodelay()?;
                 Ok(Some(stream))
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
@@ -121,17 +122,22 @@ pub enum Stream {
 }
 
 impl Stream {
-    /// Connects to `addr` (blocking).
+    /// Connects to `addr` (blocking). TCP connections set
+    /// `TCP_NODELAY`: the peer layer already coalesces whatever is
+    /// queued into one write, so a frame must not also wait behind
+    /// Nagle for the peer's delayed ACK.
     ///
     /// # Errors
     ///
     /// Propagates connection failures (e.g. the peer is not yet
     /// listening — the peer layer retries with backoff).
     pub fn connect(addr: &EndpointAddr) -> io::Result<Self> {
-        match addr {
-            EndpointAddr::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
-            EndpointAddr::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-        }
+        let stream = match addr {
+            EndpointAddr::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr)?),
+            EndpointAddr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+        };
+        stream.set_nodelay()?;
+        Ok(stream)
     }
 
     /// Clones the handle (reader and writer threads each own one).
@@ -163,6 +169,15 @@ impl Stream {
         match self {
             Stream::Tcp(s) => s.set_nonblocking(nonblocking),
             Stream::Unix(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+
+    /// Sets `TCP_NODELAY` on a TCP stream; Unix-domain sockets have no
+    /// Nagle delay.
+    fn set_nodelay(&self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nodelay(true),
+            Stream::Unix(_) => Ok(()),
         }
     }
 
@@ -199,6 +214,13 @@ impl Write for Stream {
         match self {
             Stream::Tcp(s) => s.write(buf),
             Stream::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            Stream::Unix(s) => s.write_vectored(bufs),
         }
     }
 
@@ -258,6 +280,12 @@ mod tests {
                 break s;
             }
         };
+        for stream in [&client, &server] {
+            match stream {
+                Stream::Tcp(s) => assert!(s.nodelay().unwrap(), "TCP_NODELAY is set"),
+                Stream::Unix(_) => panic!("connected over TCP"),
+            }
+        }
         let frame = Frame::new(FrameKind::PublishOk, 9u64.to_le_bytes().to_vec());
         frame.write_to(&mut server).unwrap();
         assert_eq!(Frame::read_from(&mut client).unwrap(), frame);

@@ -71,15 +71,19 @@ fn broker_bodies_are_pinned() {
 }
 
 /// The taxonomy has 34 timing histograms: the six B-SUB contact-stage
-/// spans follow `contact_ns`. These bytes are the 28-histogram
-/// encoding (2015 bytes, digest 12_188_529_752_364_692_876) with six
-/// empty 33-byte histograms inserted before `net_exchange_ns` and the
-/// header's time-histogram count raised from 28 to 34.
+/// spans follow `contact_ns`. It has 21 size histograms:
+/// `net_frames_per_write` follows `net_frame_deliver_bytes`. These
+/// bytes are the 28-timing, 20-size encoding (2015 bytes, digest
+/// 12_188_529_752_364_692_876) with six empty 33-byte histograms
+/// inserted before `net_exchange_ns`, one more before
+/// `broker_batch_ops`, and the header's counts raised from 28 to 34
+/// and from 20 to 21. (The 34-timing, 20-size encoding was 2213
+/// bytes, digest 10_891_222_113_517_974_330.)
 #[test]
 fn prof_report_is_pinned() {
     assert_eq!(
         pin(&support::sample_report().encode()),
-        (2213, 10_891_222_113_517_974_330)
+        (2246, 3_416_249_484_286_823_491)
     );
 }
 

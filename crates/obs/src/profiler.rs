@@ -483,6 +483,11 @@ pub enum SizeHist {
     NetFramePublishBytes,
     /// Encoded size of each `DELIVER` frame written.
     NetFrameDeliverBytes,
+    /// Frames carried by each socket write of a connection's writer
+    /// thread (`bsub-net`): how many queued frames one write coalesced.
+    /// A count, not bytes, and timing-dependent like
+    /// [`SizeHist::BrokerBatchOps`].
+    NetFramesPerWrite,
     /// Operations (subscribes + unsubscribes + publishes) applied per
     /// broker service-loop batch (`bsub-net` broker).
     BrokerBatchOps,
@@ -490,7 +495,7 @@ pub enum SizeHist {
 
 impl SizeHist {
     /// Every size histogram, in stable report order.
-    pub const ALL: [SizeHist; 20] = [
+    pub const ALL: [SizeHist; 21] = [
         SizeHist::EncodedFilterBytes,
         SizeHist::ContactBytes,
         SizeHist::MatchBatchEvents,
@@ -510,6 +515,7 @@ impl SizeHist {
         SizeHist::NetFrameUnsubscribeBytes,
         SizeHist::NetFramePublishBytes,
         SizeHist::NetFrameDeliverBytes,
+        SizeHist::NetFramesPerWrite,
         SizeHist::BrokerBatchOps,
     ];
 
@@ -536,6 +542,7 @@ impl SizeHist {
             SizeHist::NetFrameUnsubscribeBytes => "net_frame_unsubscribe_bytes",
             SizeHist::NetFramePublishBytes => "net_frame_publish_bytes",
             SizeHist::NetFrameDeliverBytes => "net_frame_deliver_bytes",
+            SizeHist::NetFramesPerWrite => "net_frames_per_write",
             SizeHist::BrokerBatchOps => "broker_batch_ops",
         }
     }
