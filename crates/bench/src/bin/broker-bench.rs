@@ -189,6 +189,7 @@ fn main() {
         worker_main(&args);
     }
     let check = args.iter().any(|a| a == "--check");
+    let started = perf::CpuTimes::now();
     // `--smoke` is the only load shape today; accept and ignore it so
     // the ci.sh invocation reads like the other smoke gates.
     let workers = numeric(&args, "--workers", 2);
@@ -363,7 +364,7 @@ fn main() {
         forwardings: total_publishes,
         delivered: total_deliveries,
     };
-    perf::record(&[entry], check);
+    perf::record(&[entry], check, started);
     println!(
         "broker-bench: {total_publishes} publishes → {total_deliveries} deliveries at {qps:.0}/s"
     );

@@ -240,6 +240,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let check = args.iter().any(|a| a == "--check");
+    let started = perf::CpuTimes::now();
     let prof = args.iter().any(|a| a == "--prof");
 
     let (name, cells) = if smoke {
@@ -368,5 +369,5 @@ fn main() {
         forwardings: outcomes.iter().map(|o| o.tier_probes).sum(),
         delivered: outcomes.iter().map(|o| o.matched).sum(),
     };
-    perf::record(&[entry], check);
+    perf::record(&[entry], check, started);
 }

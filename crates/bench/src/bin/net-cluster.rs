@@ -196,6 +196,7 @@ fn main() {
         }
     }
     let check = args.iter().any(|a| a == "--check");
+    let started = perf::CpuTimes::now();
     let workers: u32 = arg_value(&args, "--workers")
         .map(|v| v.parse().expect("numeric --workers"))
         .unwrap_or(2);
@@ -399,6 +400,6 @@ fn main() {
         forwardings: sum_forwardings,
         delivered: sum_delivered,
     };
-    perf::record(&[entry], check);
+    perf::record(&[entry], check, started);
     println!("net-cluster: all protocols reproduced the serial simulator exactly");
 }

@@ -24,6 +24,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let check = args.iter().any(|a| a == "--check");
+    let started = perf::CpuTimes::now();
 
     let specs: Vec<SweepSpec> = if smoke {
         vec![experiments::perf_smoke_spec()]
@@ -54,5 +55,5 @@ fn main() {
         write_run_walls(&outcome);
         entries.push(PerfEntry::from_outcome(&outcome));
     }
-    perf::record(&entries, check);
+    perf::record(&entries, check, started);
 }

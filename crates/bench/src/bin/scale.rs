@@ -566,6 +566,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let check = args.iter().any(|a| a == "--check");
+    let started = perf::CpuTimes::now();
     let prof = args.iter().any(|a| a == "--prof");
     let shards = parse_shards(&args);
 
@@ -704,5 +705,5 @@ fn main() {
         .chain(sweep_entries)
         .chain(phase_entries)
         .collect();
-    perf::record(&entries, check);
+    perf::record(&entries, check, started);
 }

@@ -130,7 +130,11 @@ pub fn write_events(name: &str, log: &EventLog) {
 /// regression gate compares against).
 pub fn record_perf(outcome: &SweepOutcome) {
     write_run_walls(outcome);
-    crate::perf::record(&[crate::perf::PerfEntry::from_outcome(outcome)], false);
+    crate::perf::record(
+        &[crate::perf::PerfEntry::from_outcome(outcome)],
+        false,
+        crate::perf::CpuTimes::now(),
+    );
 }
 
 /// Writes `perf_<name>.csv`: the wall clock of every run of a sweep.

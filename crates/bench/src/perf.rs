@@ -191,23 +191,27 @@ fn baseline_path() -> PathBuf {
 /// Appends `entries` to the results trajectory and, when `gate` is set
 /// (a binary's `--check` flag), [`check`]s each one against the
 /// baseline at [`Tolerance::from_env`]. Every entry is checked and
-/// reported; the process exits with status 1 if any failed.
-pub fn record(entries: &[PerfEntry], gate: bool) {
+/// reported, with the host's CPU steal since `started` (the binary's
+/// start) on each line, so a failure caused by a contended host can be
+/// told apart from a regression. The process exits with status 1 if any
+/// entry failed.
+pub fn record(entries: &[PerfEntry], gate: bool, started: CpuTimes) {
     let trajectory = results_dir().join("BENCH_perf.json");
     append(&trajectory, entries);
     println!("[appended {}]", trajectory.display());
     if !gate {
         return;
     }
+    let steal = started.steal_since();
     let path = baseline_path();
     let baseline = load(&path);
     let tolerance = Tolerance::from_env();
     let mut failures = 0usize;
     for entry in entries {
         match check(&baseline, entry, tolerance) {
-            Ok(note) => println!("[perf check] {note}"),
+            Ok(note) => println!("[perf check] {note}; {steal}"),
             Err(err) => {
-                eprintln!("[perf check FAILED] {err}");
+                eprintln!("[perf check FAILED] {err}; {steal}");
                 failures += 1;
             }
         }
@@ -216,6 +220,53 @@ pub fn record(entries: &[PerfEntry], gate: bool) {
         eprintln!("{failures} perf regression(s) against {}", path.display());
         std::process::exit(1);
     }
+}
+
+/// The host's cumulative CPU time from the first line of `/proc/stat`,
+/// in clock ticks: the total and the part of it that was steal (time a
+/// hypervisor gave this host's virtual CPUs to someone else). Holds
+/// nothing where `/proc/stat` is absent or unreadable.
+#[derive(Debug, Clone, Copy)]
+pub struct CpuTimes(Option<(u64, u64)>);
+
+impl CpuTimes {
+    /// Reads the host's CPU times now.
+    #[must_use]
+    pub fn now() -> Self {
+        Self(
+            fs::read_to_string("/proc/stat")
+                .ok()
+                .and_then(|stat| parse_cpu_times(&stat)),
+        )
+    }
+
+    /// The share of host CPU time since `self` that was steal, as
+    /// `steal 1.2%`, or `steal n/a` when it cannot be read.
+    #[must_use]
+    pub fn steal_since(self) -> String {
+        match (self.0, Self::now().0) {
+            (Some((total0, steal0)), Some((total1, steal1))) if total1 > total0 => format!(
+                "steal {:.1}%",
+                100.0 * steal1.saturating_sub(steal0) as f64 / (total1 - total0) as f64
+            ),
+            _ => "steal n/a".into(),
+        }
+    }
+}
+
+/// `(total, steal)` from the aggregate `cpu` line: user, nice, system,
+/// idle, iowait, irq, softirq, steal. The guest fields that may follow
+/// are already counted in user and nice.
+fn parse_cpu_times(stat: &str) -> Option<(u64, u64)> {
+    let fields: Vec<u64> = stat
+        .lines()
+        .next()?
+        .strip_prefix("cpu ")?
+        .split_whitespace()
+        .take(8)
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    Some((fields.iter().sum(), *fields.get(7)?))
 }
 
 /// Noise tolerances for the regression gate, as multipliers on the
@@ -395,6 +446,15 @@ mod tests {
         assert_eq!(loaded[0].experiment, "a");
         assert_eq!(loaded[1].experiment, "b");
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cpu_times_read_the_aggregate_line() {
+        let stat = "cpu  100 5 20 800 10 0 5 60 7 0\ncpu0 1 2 3 4 5 6 7 8 9 10\n";
+        assert_eq!(parse_cpu_times(stat), Some((1000, 60)));
+        assert_eq!(parse_cpu_times("cpu  1 2 3\n"), None, "no steal field");
+        assert_eq!(parse_cpu_times("intr 5\n"), None);
+        assert_eq!(CpuTimes(None).steal_since(), "steal n/a");
     }
 
     #[test]

@@ -1,40 +1,43 @@
 //! The live broker service: a `bsub_match::MatchIndex` served over
 //! the peer state machine (DESIGN.md §16).
 //!
-//! PR 8's matching index answers batch queries in-process; this module
-//! puts it behind real sockets. A [`BrokerNode`] binds a
-//! [`PeerManager`], and a single **service thread** owns the index and
-//! runs the drain → expire → apply cycle:
+//! The broker's decisions live in one pure type, [`BrokerCore`]: the
+//! match index plus a coarse deadline wheel, with no sockets and no
+//! clock of its own. [`BrokerCore::apply`] takes the broker time and a
+//! batch of client inputs ([`BrokerOp`]) and returns the [`Effects`]:
+//! the subscribers the wheel evicted and the recipients of each
+//! publish. The same inputs always give the same effects, so serving,
+//! journal replay and the socket-free tests share one apply path.
 //!
-//! 1. **Drain.** Inbound `SUBSCRIBE` / `UNSUBSCRIBE` / `PUBLISH`
-//!    frames are pulled from the per-peer inbound queues into one
-//!    batch (first frame blocking up to the poll slice, the rest
-//!    opportunistically, capped at 256 ops).
-//! 2. **Expire.** Subscriptions carry *real-clock* deadlines — the
-//!    sim's epoch decay replaced by wall time. A coarse monotonic
-//!    [`ClockWheel`] buckets deadlines at [`BrokerConfig::tick`]
-//!    granularity; each cycle pops only the buckets strictly below the
-//!    current tick (so popped entries are definitely due — expiry lags
-//!    a deadline by at most one tick) and hands the ids to
-//!    [`MatchIndex::expire_candidates`], which re-checks the *current*
-//!    deadline so a stale bucket entry left behind by a resubscribe
-//!    never evicts the fresh subscription.
-//! 3. **Apply.** Ops are applied in arrival order. Consecutive
-//!    publishes accumulate into a run and are matched through **one**
-//!    [`MatchIndex::match_events`] call — the batch path the index was
-//!    built for — flushed whenever a subscribe/unsubscribe arrives (so
-//!    ordering semantics stay exactly sequential) and at batch end.
-//!    Matched publications fan out as `DELIVER` frames on the
-//!    existing bounded outbound queues: a slow subscriber exerts
-//!    backpressure on the service loop, never an unbounded buffer.
+//! A [`BrokerNode`] binds a [`PeerManager`] and runs one **service
+//! thread** through read → apply → send:
 //!
-//! Exactness is anchored by the **op journal**: when
-//! [`BrokerConfig::journal`] is set, the broker records the exact
-//! order in which it applied subscribes, unsubscribes, publishes, and
-//! wheel expiries. Replaying that journal through the in-process
-//! [`bsub_match::ReferenceMatcher`] must reproduce the broker's
-//! deliveries *exactly* — Bloom false positives included — which is
-//! what `tests/broker.rs` asserts over seeded concurrent clients.
+//! 1. **Read.** Inbound `SUBSCRIBE` / `UNSUBSCRIBE` / `PUBLISH` frames
+//!    are decoded into one batch of ops (the first frame blocking up
+//!    to the poll slice, the rest opportunistically, capped at 256).
+//! 2. **Apply.** When ops arrived or a wheel bucket is due, the thread
+//!    locks the core and calls [`BrokerCore::apply`]. It first evicts
+//!    the subscribers whose wheel bucket came due, then applies the ops
+//!    in arrival order. Consecutive publishes are matched through
+//!    **one** [`MatchIndex::match_events`] call, flushed at every
+//!    subscribe or unsubscribe, so batching never reorders ops.
+//! 3. **Send.** With the lock released, each matched publish is
+//!    encoded once and fanned out as `DELIVER` frames on the bounded
+//!    outbound queues. A slow subscriber can block this send, but never
+//!    while the core is locked.
+//!
+//! Subscriptions carry *real-clock* deadlines — the simulator's epoch
+//! decay replaced by wall time. The wheel holds at most one entry per
+//! subscriber: a TTL resubscribe moves it, and an unsubscribe or an
+//! open-ended resubscribe removes it, so no client stream can grow it.
+//!
+//! Exactness is anchored by the **journal of inputs**: when
+//! [`BrokerConfig::journal`] is set, the broker records each `apply`
+//! call's `(now_ms, ops)` in order. Replaying that journal through a
+//! fresh [`BrokerCore`] reproduces the broker's effects, which
+//! `tests/broker.rs` checks against [`bsub_match::ReferenceMatcher`]
+//! (Bloom false positives included) and against what every socket
+//! client actually received.
 //!
 //! Everything here is `std`-only: blocking sockets, one service
 //! thread, no async runtime.
@@ -45,7 +48,7 @@ use crate::transport::EndpointAddr;
 use bsub_match::{Event, IndexState, MatchIndex, MatchParams};
 use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::{self as obs, Counter, SizeHist, TimeHist};
-use std::collections::BTreeMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -201,112 +204,206 @@ impl DeliverBody {
     }
 }
 
-/// A coarse monotonic timer wheel over subscription deadlines.
+/// A coarse monotonic timer wheel over subscription deadlines, holding
+/// at most one pending entry per subscriber.
 ///
 /// Deadlines (broker-monotonic milliseconds) are bucketed at `tick_ms`
 /// granularity: bucket `b` holds every deadline in
 /// `[b·tick, (b+1)·tick)`. [`ClockWheel::pop_due`] drains only buckets
 /// **strictly below** `now / tick`, so every popped entry's deadline
-/// is `< ⌊now/tick⌋·tick ≤ now` — definitely due, at the cost of
-/// expiry lagging a deadline by at most one tick (that lag is the
-/// documented coarseness of the wheel, DESIGN.md §16.3).
-///
-/// Entries are never *removed* on resubscribe — the wheel is
-/// append-only between pops, and stale entries are rendered harmless
-/// by [`MatchIndex::expire_candidates`] re-checking live deadlines.
+/// is `< ⌊now/tick⌋·tick ≤ now` — definitely due.
 #[derive(Debug)]
-pub struct ClockWheel {
+struct ClockWheel {
     tick_ms: u64,
-    buckets: BTreeMap<u64, Vec<u64>>,
+    /// Pending `(bucket, id)` pairs, in pop order.
+    pending: BTreeSet<(u64, u64)>,
+    /// The bucket of each pending id.
+    bucket_of: HashMap<u64, u64>,
 }
 
 impl ClockWheel {
     /// An empty wheel with `tick_ms` bucket granularity (minimum 1).
-    #[must_use]
-    pub fn new(tick_ms: u64) -> Self {
+    fn new(tick_ms: u64) -> Self {
         Self {
             tick_ms: tick_ms.max(1),
-            buckets: BTreeMap::new(),
+            pending: BTreeSet::new(),
+            bucket_of: HashMap::new(),
         }
     }
 
-    /// Schedules `id` for expiry at `deadline_ms`.
-    pub fn schedule(&mut self, id: u64, deadline_ms: u64) {
-        self.buckets
-            .entry(deadline_ms / self.tick_ms)
-            .or_default()
-            .push(id);
+    /// Schedules `id` for expiry at `deadline_ms`, replacing its
+    /// pending entry if it has one.
+    fn schedule(&mut self, id: u64, deadline_ms: u64) {
+        self.cancel(id);
+        let bucket = deadline_ms / self.tick_ms;
+        self.pending.insert((bucket, id));
+        self.bucket_of.insert(id, bucket);
+    }
+
+    /// Drops `id`'s pending entry, if any.
+    fn cancel(&mut self, id: u64) {
+        if let Some(bucket) = self.bucket_of.remove(&id) {
+            self.pending.remove(&(bucket, id));
+        }
+    }
+
+    /// Whether some bucket lies strictly below the current tick.
+    fn is_due(&self, now_ms: u64) -> bool {
+        self.pending
+            .first()
+            .is_some_and(|&(bucket, _)| bucket < now_ms / self.tick_ms)
     }
 
     /// Drains every id whose bucket lies strictly below the current
     /// tick — all of them provably at or past their deadline.
-    #[must_use]
-    pub fn pop_due(&mut self, now_ms: u64) -> Vec<u64> {
-        let current = now_ms / self.tick_ms;
+    fn pop_due(&mut self, now_ms: u64) -> Vec<u64> {
         let mut due = Vec::new();
-        while let Some((&bucket, _)) = self.buckets.first_key_value() {
-            if bucket >= current {
-                break;
-            }
-            let mut ids = self.buckets.remove(&bucket).expect("bucket exists");
-            due.append(&mut ids);
+        while self.is_due(now_ms) {
+            let (_, id) = self.pending.pop_first().expect("a due entry");
+            self.bucket_of.remove(&id);
+            due.push(id);
         }
         due
     }
 
-    /// Pending (possibly stale) entries across all buckets.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
-    }
-
-    /// Whether no entry is pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+    /// Pending entries: one per subscriber with a deadline.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.pending.len()
     }
 }
 
-/// One operation the broker applied, in application order — the
-/// journal [`BrokerNode::journal`] exposes for differential replay.
+/// One client input to the broker, in arrival order: what
+/// [`BrokerCore::apply`] consumes and what the journal records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BrokerOp {
-    /// A `SUBSCRIBE` was applied for `client` at `at_ms`.
-    Subscribe {
-        /// The subscribing peer.
-        client: u32,
-        /// TTL carried on the frame (0 = none).
-        ttl_ms: u64,
-        /// The subscribed keys.
-        keys: Vec<String>,
-        /// Broker-monotonic application time.
-        at_ms: u64,
-    },
-    /// An `UNSUBSCRIBE` was applied for `client`.
-    Unsubscribe {
-        /// The unsubscribing peer.
-        client: u32,
-    },
-    /// A `PUBLISH` was matched; `delivered` holds the subscriber ids
-    /// the broker enqueued `DELIVER` frames toward (ascending).
-    Publish {
-        /// The publishing peer.
-        client: u32,
-        /// The publisher's sequence id.
-        seq: u64,
-        /// The event key.
-        key: String,
-        /// Matched subscriber ids, ascending.
-        delivered: Vec<u64>,
-    },
-    /// The clock wheel evicted `clients` at `at_ms` (only ids actually
-    /// removed by [`MatchIndex::expire_candidates`]).
-    Expire {
-        /// Evicted subscriber ids, in eviction order.
-        clients: Vec<u64>,
-        /// Broker-monotonic application time.
-        at_ms: u64,
-    },
+    /// A `SUBSCRIBE` from the client with this peer id; it replaces
+    /// the client's previous subscription.
+    Subscribe(u32, SubscribeBody),
+    /// An `UNSUBSCRIBE` from the client with this peer id.
+    Unsubscribe(u32),
+    /// A `PUBLISH` from the client with this peer id.
+    Publish(u32, PublishBody),
+}
+
+/// What one [`BrokerCore::apply`] call decided.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Effects {
+    /// One entry per publish, in arrival order: the `DELIVER` body and
+    /// the matched subscriber ids, ascending (empty when none matched).
+    pub delivered: Vec<(DeliverBody, Vec<u64>)>,
+    /// Subscribers the wheel evicted before the ops were applied, in
+    /// eviction order.
+    pub evicted: Vec<u64>,
+}
+
+/// The broker's state and its one apply path: the match index and the
+/// deadline wheel, with no sockets and no clock of its own.
+#[derive(Debug)]
+pub struct BrokerCore {
+    index: MatchIndex,
+    wheel: ClockWheel,
+}
+
+impl BrokerCore {
+    /// An empty core with index geometry `params` and a `tick_ms` wheel
+    /// tick (minimum 1).
+    #[must_use]
+    pub fn new(params: MatchParams, tick_ms: u64) -> Self {
+        Self {
+            index: MatchIndex::new(params),
+            wheel: ClockWheel::new(tick_ms),
+        }
+    }
+
+    /// The match index, read-only.
+    #[must_use]
+    pub fn index(&self) -> &MatchIndex {
+        &self.index
+    }
+
+    /// Whether an `apply` at `now_ms` would find a wheel bucket due.
+    #[must_use]
+    pub fn has_due(&self, now_ms: u64) -> bool {
+        self.wheel.is_due(now_ms)
+    }
+
+    /// Applies `ops` at broker time `now_ms`.
+    ///
+    /// A subscription with `ttl_ms > 0` gets the deadline
+    /// `now_ms + ttl_ms` and is evicted by the first `apply` whose
+    /// `now_ms / tick` exceeds `(deadline + tick) / tick`: more than one
+    /// tick and at most two after its deadline. The evictions happen
+    /// first; the ops then apply in arrival order, each run of
+    /// consecutive publishes matched by one `match_events` call.
+    pub fn apply(&mut self, now_ms: u64, ops: Vec<BrokerOp>) -> Effects {
+        let started = Instant::now();
+        let op_count = ops.len() as u64;
+        let mut effects = Effects::default();
+        for id in self.wheel.pop_due(now_ms) {
+            if self.index.expire_candidates(&[id], now_ms) == 1 {
+                effects.evicted.push(id);
+            }
+        }
+        if !effects.evicted.is_empty() {
+            obs::count(Counter::BrokerExpired, effects.evicted.len() as u64);
+        }
+
+        let mut ops = ops.into_iter().peekable();
+        while let Some(op) = ops.next() {
+            match op {
+                BrokerOp::Publish(client, body) => {
+                    // This publish starts a run that ends at the next
+                    // subscribe or unsubscribe; one `match_events` call
+                    // matches the whole run.
+                    let mut run = vec![(client, body)];
+                    while let Some(BrokerOp::Publish(client, body)) =
+                        ops.next_if(|op| matches!(op, BrokerOp::Publish(..)))
+                    {
+                        run.push((client, body));
+                    }
+                    let events: Vec<Event> = run.iter().map(|(_, b)| Event::new(&*b.key)).collect();
+                    let set = self.index.match_events(&events);
+                    obs::count(Counter::BrokerPublishes, run.len() as u64);
+                    for ((publisher, body), matched) in run.into_iter().zip(set.matches) {
+                        obs::count(Counter::BrokerDeliveries, matched.len() as u64);
+                        let deliver = DeliverBody {
+                            seq: body.seq,
+                            sent_ns: body.sent_ns,
+                            publisher,
+                            key: body.key,
+                        };
+                        effects.delivered.push((deliver, matched));
+                    }
+                }
+                BrokerOp::Subscribe(client, body) => {
+                    obs::count(Counter::BrokerSubscribes, 1);
+                    let id = u64::from(client);
+                    if body.ttl_ms == 0 {
+                        self.index.subscribe(id, &body.keys);
+                        self.wheel.cancel(id);
+                    } else {
+                        let deadline = now_ms.saturating_add(body.ttl_ms);
+                        self.index.subscribe_until(id, &body.keys, deadline);
+                        self.wheel
+                            .schedule(id, deadline.saturating_add(self.wheel.tick_ms));
+                    }
+                }
+                BrokerOp::Unsubscribe(client) => {
+                    let id = u64::from(client);
+                    self.wheel.cancel(id);
+                    if self.index.purge(id) {
+                        obs::count(Counter::BrokerUnsubscribes, 1);
+                    }
+                }
+            }
+        }
+
+        obs::count(Counter::BrokerBatches, 1);
+        obs::observe(SizeHist::BrokerBatchOps, op_count);
+        obs::observe_ns(TimeHist::BrokerBatchNs, started.elapsed().as_nanos() as u64);
+        effects
+    }
 }
 
 /// Most ops drained into one service-loop batch.
@@ -324,10 +421,11 @@ pub struct BrokerConfig {
     pub peer: PeerConfig,
     /// Geometry and policy of the owned [`MatchIndex`].
     pub params: MatchParams,
-    /// Clock-wheel tick: expiry may lag a deadline by at most this.
+    /// Clock-wheel tick: expiry lags a deadline by more than one tick
+    /// and at most two.
     pub tick: Duration,
-    /// Record the op journal for differential replay (tests only —
-    /// the journal grows without bound).
+    /// Record the journal of inputs for replay (tests only — the
+    /// journal grows without bound).
     pub journal: bool,
 }
 
@@ -345,13 +443,24 @@ impl BrokerConfig {
     }
 }
 
+/// Every `apply` call's `(now_ms, ops)`, in order.
+type Journal = Vec<(u64, Vec<BrokerOp>)>;
+
+/// The core and its journal, behind the one mutex the service thread
+/// applies under.
+#[derive(Debug)]
+struct Served {
+    core: BrokerCore,
+    /// `Some` when [`BrokerConfig::journal`] is set.
+    journal: Option<Journal>,
+}
+
 /// A live broker: a bound [`PeerManager`] plus the service thread that
-/// owns the match index. See the module docs for the service cycle.
+/// drives the [`BrokerCore`]. See the module docs for the service cycle.
 #[derive(Debug)]
 pub struct BrokerNode {
     peers: Arc<PeerManager>,
-    index: Arc<Mutex<MatchIndex>>,
-    journal: Arc<Mutex<Vec<BrokerOp>>>,
+    served: Arc<Mutex<Served>>,
     stop: Arc<AtomicBool>,
     service: Option<JoinHandle<()>>,
 }
@@ -364,23 +473,27 @@ impl BrokerNode {
     /// Propagates bind failures.
     pub fn serve(config: BrokerConfig) -> io::Result<Self> {
         let peers = PeerManager::bind(config.peer.clone())?;
-        let index = Arc::new(Mutex::new(MatchIndex::new(config.params)));
-        let journal = Arc::new(Mutex::new(Vec::new()));
+        let served = Arc::new(Mutex::new(Served {
+            core: BrokerCore::new(config.params, config.tick.as_millis() as u64),
+            journal: config.journal.then(Vec::new),
+        }));
         let stop = Arc::new(AtomicBool::new(false));
         let service = {
             let peers = Arc::clone(&peers);
-            let index = Arc::clone(&index);
-            let journal = Arc::clone(&journal);
+            let served = Arc::clone(&served);
             let stop = Arc::clone(&stop);
-            thread::spawn(move || service_loop(&config, &peers, &index, &journal, &stop))
+            thread::spawn(move || service_loop(&peers, &served, &stop))
         };
         Ok(Self {
             peers,
-            index,
-            journal,
+            served,
             stop,
             service: Some(service),
         })
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Served> {
+        self.served.lock().expect("core lock")
     }
 
     /// The broker's peer manager (for metrics, state, shutdown).
@@ -392,21 +505,23 @@ impl BrokerNode {
     /// Live subscriber count of the owned index.
     #[must_use]
     pub fn live_count(&self) -> usize {
-        self.index.lock().expect("index lock").live_count()
+        self.lock().core.index().live_count()
     }
 
     /// Exports the live index state (checkpointing — see
     /// `bsub_core::snapshot::encode_match_index` for the byte codec).
     #[must_use]
     pub fn export_index(&self) -> IndexState {
-        self.index.lock().expect("index lock").export_state()
+        self.lock().core.index().export_state()
     }
 
-    /// The op journal recorded so far (empty unless
-    /// [`BrokerConfig::journal`] was set).
+    /// The journal of inputs recorded so far: each `apply` call's
+    /// `(now_ms, ops)`, in order (empty unless [`BrokerConfig::journal`]
+    /// was set). Replaying it through a fresh [`BrokerCore`] with the
+    /// same params and tick reproduces every effect.
     #[must_use]
-    pub fn journal(&self) -> Vec<BrokerOp> {
-        self.journal.lock().expect("journal lock").clone()
+    pub fn journal(&self) -> Journal {
+        self.lock().journal.clone().unwrap_or_default()
     }
 
     /// Stops the service thread (after it finishes its current cycle)
@@ -426,28 +541,13 @@ impl Drop for BrokerNode {
     }
 }
 
-/// One drained client op awaiting application.
-enum PendingOp {
-    Subscribe(u32, SubscribeBody),
-    Unsubscribe(u32),
-    Publish(u32, PublishBody),
-}
-
-fn service_loop(
-    config: &BrokerConfig,
-    peers: &Arc<PeerManager>,
-    index: &Arc<Mutex<MatchIndex>>,
-    journal: &Arc<Mutex<Vec<BrokerOp>>>,
-    stop: &AtomicBool,
-) {
+fn service_loop(peers: &PeerManager, served: &Mutex<Served>, stop: &AtomicBool) {
     // The clock subscription deadlines are measured against.
     let started = Instant::now();
-    let mut wheel = ClockWheel::new(config.tick.as_millis().max(1) as u64);
-    let tick_ms = config.tick.as_millis().max(1) as u64;
     while !stop.load(Ordering::SeqCst) {
-        // Drain one batch: block briefly for the first op, then sweep
+        // Read one batch: block briefly for the first op, then sweep
         // whatever else is already queued.
-        let mut ops: Vec<PendingOp> = Vec::new();
+        let mut ops: Vec<BrokerOp> = Vec::new();
         if let Some(op) = next_op(peers, POLL) {
             ops.push(op);
             while ops.len() < BATCH_MAX {
@@ -459,124 +559,29 @@ fn service_loop(
         }
 
         let now_ms = started.elapsed().as_millis() as u64;
-        let due = wheel.pop_due(now_ms);
-        if !due.is_empty() || !ops.is_empty() {
+        let effects = {
+            let mut served = served.lock().expect("core lock");
+            if ops.is_empty() && !served.core.has_due(now_ms) {
+                continue;
+            }
+            if let Some(journal) = &mut served.journal {
+                journal.push((now_ms, ops.clone()));
+            }
             // The index's own `match_*` instrumentation is thread-local:
-            // while the peer plane's sink is armed, the batch runs under
+            // while the peer plane's sink is armed, the apply runs under
             // a profiler whose report lands in that sink, so a stats
             // scrape sees broker and socket metrics in one report.
-            peers.metrics().profile(|| {
-                let batch_started = Instant::now();
-                let op_count = ops.len() as u64;
-                let mut idx = index.lock().expect("index lock");
-
-                if !due.is_empty() {
-                    let evicted: Vec<u64> = due
-                        .iter()
-                        .copied()
-                        .filter(|&id| idx.expire_candidates(&[id], now_ms) == 1)
-                        .collect();
-                    if !evicted.is_empty() {
-                        obs::count(Counter::BrokerExpired, evicted.len() as u64);
-                        if config.journal {
-                            journal
-                                .lock()
-                                .expect("journal lock")
-                                .push(BrokerOp::Expire {
-                                    clients: evicted,
-                                    at_ms: now_ms,
-                                });
-                        }
-                    }
-                }
-
-                // Apply in arrival order; consecutive publishes accumulate
-                // into one match_events run, flushed at every boundary.
-                let mut pending: Vec<(u32, PublishBody)> = Vec::new();
-                for op in ops {
-                    match op {
-                        PendingOp::Subscribe(client, body) => {
-                            flush_publishes(&idx, peers, journal, config.journal, &mut pending);
-                            obs::count(Counter::BrokerSubscribes, 1);
-                            if body.ttl_ms == 0 {
-                                idx.subscribe(u64::from(client), &body.keys);
-                            } else {
-                                let deadline = now_ms.saturating_add(body.ttl_ms);
-                                idx.subscribe_until(u64::from(client), &body.keys, deadline);
-                                // Round the deadline *up* to a bucket whose
-                                // pop time is past it (pop_due only drains
-                                // buckets strictly below the current tick).
-                                wheel.schedule(u64::from(client), deadline.saturating_add(tick_ms));
-                            }
-                            if config.journal {
-                                journal
-                                    .lock()
-                                    .expect("journal lock")
-                                    .push(BrokerOp::Subscribe {
-                                        client,
-                                        ttl_ms: body.ttl_ms,
-                                        keys: body.keys,
-                                        at_ms: now_ms,
-                                    });
-                            }
-                        }
-                        PendingOp::Unsubscribe(client) => {
-                            flush_publishes(&idx, peers, journal, config.journal, &mut pending);
-                            if idx.purge(u64::from(client)) {
-                                obs::count(Counter::BrokerUnsubscribes, 1);
-                                if config.journal {
-                                    journal
-                                        .lock()
-                                        .expect("journal lock")
-                                        .push(BrokerOp::Unsubscribe { client });
-                                }
-                            }
-                        }
-                        PendingOp::Publish(client, body) => pending.push((client, body)),
-                    }
-                }
-                flush_publishes(&idx, peers, journal, config.journal, &mut pending);
-                drop(idx);
-
-                obs::count(Counter::BrokerBatches, 1);
-                obs::observe(SizeHist::BrokerBatchOps, op_count);
-                obs::observe_ns(
-                    TimeHist::BrokerBatchNs,
-                    batch_started.elapsed().as_nanos() as u64,
-                );
-            });
-        }
-    }
-}
-
-/// Matches the accumulated publish run through one `match_events` call
-/// and fans the results out as `DELIVER` frames.
-fn flush_publishes(
-    idx: &MatchIndex,
-    peers: &Arc<PeerManager>,
-    journal: &Arc<Mutex<Vec<BrokerOp>>>,
-    record: bool,
-    pending: &mut Vec<(u32, PublishBody)>,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let events: Vec<Event> = pending.iter().map(|(_, b)| Event::new(&*b.key)).collect();
-    let set = idx.match_events(&events);
-    obs::count(Counter::BrokerPublishes, pending.len() as u64);
-    for ((publisher, body), matched) in pending.drain(..).zip(set.matches) {
-        obs::count(Counter::BrokerDeliveries, matched.len() as u64);
-        let deliver = DeliverBody {
-            seq: body.seq,
-            sent_ns: body.sent_ns,
-            publisher,
-            key: body.key,
+            peers.metrics().profile(|| served.core.apply(now_ms, ops))
         };
-        if !matched.is_empty() {
-            // Every subscriber receives the same bytes: encode once
-            // per publish and clone the finished body per delivery.
+
+        for (deliver, matched) in effects.delivered {
+            if matched.is_empty() {
+                continue;
+            }
+            // Every subscriber receives the same bytes: encode once per
+            // publish and clone the finished body per delivery.
             let bytes = deliver.encode();
-            for &subscriber in &matched {
+            for subscriber in matched {
                 // A subscriber that disconnected mid-flight is not an
                 // error; its index entry outlives the socket until an
                 // unsubscribe or deadline reaps it.
@@ -586,32 +591,21 @@ fn flush_publishes(
                 );
             }
         }
-        if record {
-            journal
-                .lock()
-                .expect("journal lock")
-                .push(BrokerOp::Publish {
-                    client: publisher,
-                    seq: deliver.seq,
-                    key: deliver.key,
-                    delivered: matched,
-                });
-        }
     }
 }
 
 /// Pulls the next *service-plane* frame; malformed bodies and
 /// cluster-plane kinds are dropped (a broker serves clients, not a
 /// simulation cluster).
-fn next_op(peers: &Arc<PeerManager>, timeout: Duration) -> Option<PendingOp> {
+fn next_op(peers: &PeerManager, timeout: Duration) -> Option<BrokerOp> {
     let (from, frame) = peers.recv_timeout(timeout)?;
     match frame.kind {
         FrameKind::Subscribe => {
-            SubscribeBody::decode(&frame.body).map(|body| PendingOp::Subscribe(from.0, body))
+            SubscribeBody::decode(&frame.body).map(|body| BrokerOp::Subscribe(from.0, body))
         }
-        FrameKind::Unsubscribe if frame.body.is_empty() => Some(PendingOp::Unsubscribe(from.0)),
+        FrameKind::Unsubscribe if frame.body.is_empty() => Some(BrokerOp::Unsubscribe(from.0)),
         FrameKind::Publish => {
-            PublishBody::decode(&frame.body).map(|body| PendingOp::Publish(from.0, body))
+            PublishBody::decode(&frame.body).map(|body| BrokerOp::Publish(from.0, body))
         }
         _ => None,
     }
@@ -807,7 +801,7 @@ mod tests {
         assert_eq!(wheel.pop_due(210), vec![2]);
         assert_eq!(wheel.len(), 1);
         assert_eq!(wheel.pop_due(10_000), vec![3]);
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.len(), 0);
     }
 
     #[test]
@@ -820,5 +814,32 @@ mod tests {
         for id in wheel.pop_due(now) {
             assert!(id * 7 % 997 < now, "popped {id} before its deadline");
         }
+    }
+
+    /// A hostile client resubscribing with a deadline that never comes
+    /// due (`ttl_ms = u64::MAX` saturates) cannot grow the wheel: each
+    /// resubscribe moves the client's one entry.
+    #[test]
+    fn wheel_holds_one_entry_per_subscriber() {
+        let mut core = BrokerCore::new(MatchParams::default(), 100);
+        let subscribe = |ttl_ms| {
+            vec![BrokerOp::Subscribe(
+                7,
+                SubscribeBody {
+                    ttl_ms,
+                    keys: vec!["news".into()],
+                },
+            )]
+        };
+        for now in 0..10_000 {
+            core.apply(now, subscribe(u64::MAX));
+        }
+        assert_eq!(core.wheel.len(), 1);
+        assert_eq!(core.index().live_count(), 1);
+        core.apply(10_000, subscribe(0));
+        assert_eq!(core.wheel.len(), 0, "an open-ended resubscribe cancels");
+        core.apply(10_001, subscribe(50));
+        core.apply(10_002, vec![BrokerOp::Unsubscribe(7)]);
+        assert_eq!(core.wheel.len(), 0, "an unsubscribe cancels");
     }
 }

@@ -32,12 +32,12 @@
 //!   serves a `bsub_obs::SharedReport` — the coordinator's merged
 //!   cluster report, or a broker's own sink — as Prometheus text and
 //!   JSON (DESIGN.md §15).
-//! - [`broker`] — the live broker service (DESIGN.md §16): a
-//!   [`BrokerNode`] owns a `bsub_match::MatchIndex` behind the peer
-//!   state machine, serving `SUBSCRIBE`/`UNSUBSCRIBE`/`PUBLISH`
-//!   streams with real-clock deadline expiry (a coarse [`ClockWheel`])
-//!   and batched matching, fanning `DELIVER` frames out on the
-//!   backpressured outbound queues.
+//! - [`broker`] — the live broker service (DESIGN.md §16): a pure
+//!   [`BrokerCore`] (a `bsub_match::MatchIndex` plus a deadline wheel)
+//!   decides, and a [`BrokerNode`] serves it behind the peer state
+//!   machine, reading `SUBSCRIBE`/`UNSUBSCRIBE`/`PUBLISH` streams,
+//!   applying them with batched matching and real-clock expiry, and
+//!   fanning `DELIVER` frames out on the backpressured outbound queues.
 //!
 //! # Run a loopback cluster
 //!
@@ -66,8 +66,8 @@ pub mod transport;
 
 pub use backoff::Backoff;
 pub use broker::{
-    unix_ns, BrokerClient, BrokerConfig, BrokerNode, BrokerOp, ClockWheel, DeliverBody, Delivery,
-    PublishBody, SubscribeBody,
+    unix_ns, BrokerClient, BrokerConfig, BrokerCore, BrokerNode, BrokerOp, DeliverBody, Delivery,
+    Effects, PublishBody, SubscribeBody,
 };
 /// The peer plane's metrics sink, under the name the repository
 /// benchmark (`perfbench/`, frozen until its next change) imports.

@@ -1,29 +1,33 @@
-//! Differential proof for the networked broker: deliveries over real
-//! sockets ≡ an in-process [`ReferenceMatcher`] replay.
+//! Differential proof for the broker: its one apply path,
+//! [`BrokerCore::apply`], against independent models — in process and
+//! over real sockets.
 //!
-//! Concurrent client workers drive seeded subscribe / unsubscribe /
-//! publish interleavings at a [`BrokerNode`] over Unix-domain sockets.
-//! The broker journals the exact order it applied the ops in; the test
-//! then replays that journal through the reference scan and demands:
+//! The model is the reference scan ([`ReferenceMatcher`]) for matching
+//! and a flat `(id, deadline)` list for eviction. Two layers use it:
 //!
-//! 1. **Decision equality** — every journaled publish's delivered set
-//!    equals the reference's match for the same op prefix (the
-//!    matching index behind sockets is still exactly the reference,
-//!    Bloom false positives included — the geometry is chosen small
-//!    enough to produce them).
-//! 2. **Delivery fidelity** — every `DELIVER` frame each client
-//!    actually received equals, in order, what the journal says was
-//!    enqueued toward it (the socket plane loses and reorders
-//!    nothing).
+//! 1. **Socket-free.** Ten thousand seeded interleavings of subscribe,
+//!    TTL subscribe, unsubscribe, publish and tick drive a fresh
+//!    [`BrokerCore`], and every call's effects must equal the model's —
+//!    Bloom false positives included (the geometry is chosen small
+//!    enough to produce them). Boundary cases of the deadline rule get
+//!    their own tests.
+//! 2. **Over sockets.** Concurrent client workers drive seeded
+//!    interleavings at a [`BrokerNode`] over Unix-domain sockets. The
+//!    broker journals its inputs; replaying them through a fresh core
+//!    must equal the model on every publish (**decision equality**),
+//!    and every `DELIVER` frame each client actually received must
+//!    equal, in order, what the replay sent it (**delivery fidelity**:
+//!    the socket plane loses and reorders nothing).
 //!
-//! Three seeds, each driving three concurrent workers, give three
-//! seeded multi-worker interleavings; wall-clock deadline expiry,
-//! the live-index snapshot seam and live stats serving get their own
-//! scenarios.
+//! Wall-clock deadline expiry, the live-index snapshot seam and live
+//! stats serving get their own scenarios.
 
 use bsub_bloom::SplitMix64;
 use bsub_match::{Event, MatchParams, ReferenceMatcher};
-use bsub_net::broker::{BrokerClient, BrokerConfig, BrokerNode, BrokerOp};
+use bsub_net::broker::{
+    BrokerClient, BrokerConfig, BrokerCore, BrokerNode, BrokerOp, DeliverBody, Effects,
+    PublishBody, SubscribeBody,
+};
 use bsub_net::{scrape, EndpointAddr, PeerConfig, PeerId, StatsServer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,8 +43,9 @@ fn scratch_addr(tag: &str) -> EndpointAddr {
     )
 }
 
-/// Small geometry: 128 bits across a 20-key pool forces member-level
-/// Bloom false positives, which both sides must agree on.
+/// Small geometry: 128 bits, so the socket-free interleavings over the
+/// [`wide_key`] pool produce member-level Bloom false positives, which
+/// both sides must agree on.
 fn fp_params() -> MatchParams {
     MatchParams {
         member_bits: 128,
@@ -55,6 +60,340 @@ const OPS_PER_WORKER: usize = 50;
 
 fn key(i: u64) -> String {
     format!("topic-{}", i % KEY_POOL)
+}
+
+/// What [`BrokerCore::apply`] must decide, computed without the match
+/// index or the clock wheel.
+struct Model {
+    reference: ReferenceMatcher,
+    /// `(id, deadline)` of every live subscription that has one.
+    deadlines: Vec<(u64, u64)>,
+    /// Every live subscription's keys, to tell false positives apart.
+    keys: BTreeMap<u64, Vec<String>>,
+    tick: u64,
+    /// Deliveries to a subscriber that holds none of the event's keys.
+    false_positives: u64,
+}
+
+impl Model {
+    fn new(params: &MatchParams, tick: u64) -> Self {
+        Self {
+            reference: ReferenceMatcher::from_params(params),
+            deadlines: Vec::new(),
+            keys: BTreeMap::new(),
+            tick,
+            false_positives: 0,
+        }
+    }
+
+    /// The deadline rule: a subscription is evicted by the first call
+    /// whose `now / tick` exceeds `(deadline + tick) / tick`.
+    fn due(&self, now: u64, deadline: u64) -> bool {
+        now / self.tick > deadline.saturating_add(self.tick) / self.tick
+    }
+
+    fn forget(&mut self, id: u64) {
+        self.deadlines.retain(|&(d_id, _)| d_id != id);
+        self.keys.remove(&id);
+    }
+
+    /// The effects of `apply(now, ops)`, evictions in ascending id
+    /// order.
+    fn apply(&mut self, now: u64, ops: &[BrokerOp]) -> Effects {
+        let mut effects = Effects::default();
+        let mut due: Vec<u64> = self
+            .deadlines
+            .iter()
+            .filter(|&&(_, deadline)| self.due(now, deadline))
+            .map(|&(id, _)| id)
+            .collect();
+        due.sort_unstable();
+        for id in due {
+            assert!(self.reference.unsubscribe(id), "model evicts unknown {id}");
+            self.forget(id);
+            effects.evicted.push(id);
+        }
+        for op in ops {
+            match op {
+                BrokerOp::Subscribe(client, body) => {
+                    let id = u64::from(*client);
+                    self.forget(id);
+                    if body.ttl_ms > 0 {
+                        self.deadlines.push((id, now.saturating_add(body.ttl_ms)));
+                    }
+                    self.keys.insert(id, body.keys.clone());
+                    self.reference.subscribe(id, &body.keys);
+                }
+                BrokerOp::Unsubscribe(client) => {
+                    let id = u64::from(*client);
+                    self.forget(id);
+                    self.reference.unsubscribe(id);
+                }
+                BrokerOp::Publish(client, body) => {
+                    let matched = self
+                        .reference
+                        .match_events(&[Event::new(body.key.clone())])
+                        .matches
+                        .remove(0);
+                    self.false_positives += matched
+                        .iter()
+                        .filter(|id| !self.keys[id].contains(&body.key))
+                        .count() as u64;
+                    let deliver = DeliverBody {
+                        seq: body.seq,
+                        sent_ns: body.sent_ns,
+                        publisher: *client,
+                        key: body.key.clone(),
+                    };
+                    effects.delivered.push((deliver, matched));
+                }
+            }
+        }
+        effects
+    }
+}
+
+/// Applies one call to both the core and the model and demands equal
+/// effects (evictions compared as sets).
+fn apply_checked(
+    core: &mut BrokerCore,
+    model: &mut Model,
+    now: u64,
+    ops: Vec<BrokerOp>,
+    context: &str,
+) -> Effects {
+    let want = model.apply(now, &ops);
+    let mut got = core.apply(now, ops);
+    got.evicted.sort_unstable();
+    assert_eq!(
+        got, want,
+        "{context}: apply at {now} diverged from the model"
+    );
+    got
+}
+
+/// Replays a journal of inputs through a fresh core, checking every
+/// call against the model, and returns each call's effects.
+fn replay(
+    journal: &[(u64, Vec<BrokerOp>)],
+    params: &MatchParams,
+    tick: u64,
+    seed: u64,
+) -> Vec<Effects> {
+    let mut core = BrokerCore::new(*params, tick);
+    let mut model = Model::new(params, tick);
+    journal
+        .iter()
+        .enumerate()
+        .map(|(at, (now, ops))| {
+            let context = format!("seed {seed} journal entry {at}");
+            apply_checked(&mut core, &mut model, *now, ops.clone(), &context)
+        })
+        .collect()
+}
+
+fn subscribe(client: u32, ttl_ms: u64, keys: &[&str]) -> BrokerOp {
+    BrokerOp::Subscribe(
+        client,
+        SubscribeBody {
+            ttl_ms,
+            keys: keys.iter().map(|k| (*k).to_string()).collect(),
+        },
+    )
+}
+
+fn publish(client: u32, seq: u64, key: &str) -> BrokerOp {
+    BrokerOp::Publish(
+        client,
+        PublishBody {
+            seq,
+            sent_ns: seq * 10,
+            key: key.to_string(),
+        },
+    )
+}
+
+/// A key from a pool wide enough that `fp_params` produces Bloom false
+/// positives: no subscription of up to three keys from the 20-key pool
+/// of [`key`] makes any other pool key match.
+fn wide_key(rng: &mut SplitMix64) -> String {
+    format!("topic-{}", rng.below(400))
+}
+
+/// One seeded interleaving: a wheel tick, then a run of `apply` calls,
+/// each a batch of up to four ops (or none: a pure tick) with `now`
+/// advancing by seeded steps of zero to three ticks.
+fn interleaving(seed: u64) -> (u64, Vec<(u64, Vec<BrokerOp>)>) {
+    let mut rng = SplitMix64::new(seed);
+    let tick = [1, 3, 10, 100][rng.below_usize(4)];
+    let mut now = rng.below(5 * tick);
+    let mut seq = 0u64;
+    let calls = (0..4 + rng.below(20))
+        .map(|_| {
+            now += rng.below(3 * tick + 1);
+            let ops = (0..rng.below(5))
+                .map(|_| {
+                    let client = 1 + rng.below(5) as u32;
+                    match rng.below(10) {
+                        0 | 1 => {
+                            let keys: Vec<String> =
+                                (0..1 + rng.below(4)).map(|_| wide_key(&mut rng)).collect();
+                            let ttl_ms = match rng.below(8) {
+                                0..=2 => 0,
+                                3 => u64::MAX,
+                                // Deadlines on and around tick boundaries.
+                                4 => tick * (1 + rng.below(3)) - now % tick,
+                                _ => 1 + rng.below(4 * tick),
+                            };
+                            BrokerOp::Subscribe(client, SubscribeBody { ttl_ms, keys })
+                        }
+                        2 => BrokerOp::Unsubscribe(client),
+                        _ => {
+                            seq += 1;
+                            BrokerOp::Publish(
+                                client,
+                                PublishBody {
+                                    seq,
+                                    sent_ns: rng.next_u64(),
+                                    key: wide_key(&mut rng),
+                                },
+                            )
+                        }
+                    }
+                })
+                .collect();
+            (now, ops)
+        })
+        .collect();
+    (tick, calls)
+}
+
+/// Ten thousand seeded interleavings, no sockets: every delivery equals
+/// the reference scan on the same op prefix and every eviction equals
+/// the flat deadline model. Both Bloom false positives and evictions
+/// must actually occur, or the test proves nothing.
+#[test]
+fn core_matches_models_across_seeded_interleavings() {
+    let params = fp_params();
+    let (mut evictions, mut false_positives, mut publishes) = (0u64, 0u64, 0u64);
+    for seed in 0..10_000u64 {
+        let (tick, calls) = interleaving(seed);
+        let mut core = BrokerCore::new(params, tick);
+        let mut model = Model::new(&params, tick);
+        for (at, (now, ops)) in calls.into_iter().enumerate() {
+            let context = format!("seed {seed} call {at} (tick {tick})");
+            let effects = apply_checked(&mut core, &mut model, now, ops, &context);
+            evictions += effects.evicted.len() as u64;
+            publishes += effects.delivered.len() as u64;
+        }
+        false_positives += model.false_positives;
+    }
+    assert!(publishes > 10_000, "{publishes} publishes");
+    assert!(evictions > 1_000, "{evictions} evictions");
+    assert!(false_positives > 100, "{false_positives} false positives");
+}
+
+/// A deadline exactly on a tick boundary: deadline 20 at tick 10 is
+/// evicted by the first call at `now >= 40`, not before.
+#[test]
+fn deadline_on_a_tick_boundary() {
+    let params = fp_params();
+    let mut core = BrokerCore::new(params, 10);
+    let mut model = Model::new(&params, 10);
+    apply_checked(
+        &mut core,
+        &mut model,
+        0,
+        vec![subscribe(1, 20, &["a"])],
+        "subscribe",
+    );
+    assert!(!core.has_due(39));
+    let kept = apply_checked(&mut core, &mut model, 39, vec![publish(2, 1, "a")], "at 39");
+    assert_eq!(kept.delivered[0].1, vec![1]);
+    assert!(core.has_due(40));
+    let gone = apply_checked(&mut core, &mut model, 40, vec![publish(2, 2, "a")], "at 40");
+    assert_eq!(gone.evicted, vec![1]);
+    assert!(gone.delivered[0].1.is_empty());
+    assert!(!core.has_due(u64::MAX), "the wheel is empty");
+}
+
+/// A resubscribe moves the deadline: a shorter TTL evicts earlier, a
+/// longer one later, and none never.
+#[test]
+fn resubscribe_with_shorter_longer_and_no_ttl() {
+    let params = fp_params();
+    // (second TTL, first call that evicts); tick 10, first TTL 100 at
+    // time 0 (deadline 100), second subscribe at time 5.
+    for (ttl, evicted_at) in [(15, 40), (300, 320), (0, u64::MAX)] {
+        let mut core = BrokerCore::new(params, 10);
+        let mut model = Model::new(&params, 10);
+        let context = format!("resubscribe ttl {ttl}");
+        apply_checked(
+            &mut core,
+            &mut model,
+            0,
+            vec![subscribe(1, 100, &["a"])],
+            &context,
+        );
+        apply_checked(
+            &mut core,
+            &mut model,
+            5,
+            vec![subscribe(1, ttl, &["a"])],
+            &context,
+        );
+        for now in (10..=400).step_by(5) {
+            let effects = apply_checked(&mut core, &mut model, now, Vec::new(), &context);
+            let want: &[u64] = if now == evicted_at { &[1] } else { &[] };
+            assert_eq!(effects.evicted, want, "{context}: at {now}");
+        }
+        assert_eq!(
+            core.index().live_count(),
+            usize::from(ttl == 0),
+            "{context}"
+        );
+    }
+}
+
+/// Unsubscribe then resubscribe before the old bucket pops: the old
+/// deadline must not evict the new subscription.
+#[test]
+fn unsubscribe_then_resubscribe_before_the_old_bucket_pops() {
+    let params = fp_params();
+    for ttl in [0, 500] {
+        let mut core = BrokerCore::new(params, 10);
+        let mut model = Model::new(&params, 10);
+        let context = format!("resubscribe ttl {ttl}");
+        apply_checked(
+            &mut core,
+            &mut model,
+            0,
+            vec![subscribe(1, 20, &["a"])],
+            &context,
+        );
+        let ops = vec![BrokerOp::Unsubscribe(1), subscribe(1, ttl, &["a"])];
+        apply_checked(&mut core, &mut model, 5, ops, &context);
+        let effects = apply_checked(
+            &mut core,
+            &mut model,
+            100,
+            vec![publish(2, 1, "a")],
+            &context,
+        );
+        assert!(effects.evicted.is_empty(), "{context}");
+        assert_eq!(effects.delivered[0].1, vec![1], "{context}");
+    }
+}
+
+/// Counts the subscribes and publishes in a journal of inputs.
+fn journal_counts(journal: &[(u64, Vec<BrokerOp>)]) -> (u64, u64) {
+    let ops = journal.iter().flat_map(|(_, ops)| ops);
+    let subs = ops
+        .clone()
+        .filter(|op| matches!(op, BrokerOp::Subscribe(..)))
+        .count() as u64;
+    let pubs = ops.filter(|op| matches!(op, BrokerOp::Publish(..))).count() as u64;
+    (subs, pubs)
 }
 
 /// One worker's seeded op script against a shared broker. Returns
@@ -97,73 +436,7 @@ fn drive_client(client: &BrokerClient, seed: u64) -> (u64, u64) {
     (subs, pubs)
 }
 
-fn journal_counts(journal: &[BrokerOp]) -> (u64, u64) {
-    let subs = journal
-        .iter()
-        .filter(|op| matches!(op, BrokerOp::Subscribe { .. }))
-        .count() as u64;
-    let pubs = journal
-        .iter()
-        .filter(|op| matches!(op, BrokerOp::Publish { .. }))
-        .count() as u64;
-    (subs, pubs)
-}
-
-/// Replays `journal` through the reference matcher, asserting decision
-/// equality per publish and returning each subscriber's expected
-/// delivery list in enqueue order.
-fn replay(
-    journal: &[BrokerOp],
-    params: &MatchParams,
-    seed: u64,
-) -> BTreeMap<u64, Vec<(u32, u64, String)>> {
-    let mut reference = ReferenceMatcher::from_params(params);
-    let mut expected: BTreeMap<u64, Vec<(u32, u64, String)>> = BTreeMap::new();
-    for (at, op) in journal.iter().enumerate() {
-        match op {
-            BrokerOp::Subscribe { client, keys, .. } => {
-                reference.subscribe(u64::from(*client), keys);
-            }
-            BrokerOp::Unsubscribe { client } => {
-                assert!(
-                    reference.unsubscribe(u64::from(*client)),
-                    "seed {seed} op {at}: broker journaled an unsubscribe \
-                     for a client the reference thinks is gone"
-                );
-            }
-            BrokerOp::Expire { clients, .. } => {
-                for id in clients {
-                    assert!(
-                        reference.unsubscribe(*id),
-                        "seed {seed} op {at}: broker expired unknown id {id}"
-                    );
-                }
-            }
-            BrokerOp::Publish {
-                client,
-                seq,
-                key,
-                delivered,
-            } => {
-                let oracle = reference.match_events(&[Event::new(key.clone())]);
-                assert_eq!(
-                    &oracle.matches[0], delivered,
-                    "seed {seed} op {at}: broker delivery set for {key} (seq {seq}) \
-                     diverged from the reference replay"
-                );
-                for &subscriber in delivered {
-                    expected
-                        .entry(subscriber)
-                        .or_default()
-                        .push((*client, *seq, key.clone()));
-                }
-            }
-        }
-    }
-    expected
-}
-
-/// The tentpole: three seeded interleavings, three concurrent workers
+/// Three seeded interleavings over sockets, three concurrent workers
 /// each, decision equality and delivery fidelity on every one.
 #[test]
 fn networked_broker_matches_reference_across_seeded_interleavings() {
@@ -222,11 +495,23 @@ fn networked_broker_matches_reference_across_seeded_interleavings() {
             thread::sleep(Duration::from_millis(5));
         };
 
-        // Layer 1: the broker's decisions equal the reference replay.
-        let expected = replay(&journal, &params, seed);
+        // Layer 1: replaying the broker's inputs through a fresh core
+        // equals the reference on every publish.
+        let mut expected: BTreeMap<u64, Vec<(u32, u64, String)>> = BTreeMap::new();
+        for effects in replay(&journal, &params, 100, seed) {
+            for (deliver, matched) in effects.delivered {
+                for subscriber in matched {
+                    expected.entry(subscriber).or_default().push((
+                        deliver.publisher,
+                        deliver.seq,
+                        deliver.key.clone(),
+                    ));
+                }
+            }
+        }
 
-        // Layer 2: each client received exactly the journaled
-        // deliveries, in enqueue order.
+        // Layer 2: each client received exactly the replay's
+        // deliveries, in order.
         for client in &clients {
             let want = expected
                 .get(&u64::from(client.local().0))
@@ -330,13 +615,12 @@ fn deadline_expiry_and_resubscribe_safety_over_the_wire() {
             .is_none(),
         "post-deadline publish must not deliver"
     );
+    let journal = broker.journal();
     assert!(
-        broker
-            .journal()
+        replay(&journal, &MatchParams::default(), 20, 5)
             .iter()
-            .any(|op| matches!(op, BrokerOp::Expire { clients, .. } if clients == &vec![1])),
-        "the eviction must be journaled: {:?}",
-        broker.journal()
+            .any(|effects| effects.evicted == [1]),
+        "the replayed journal must show the eviction: {journal:?}"
     );
 
     // Phase 3: a short TTL immediately replaced by an open-ended
