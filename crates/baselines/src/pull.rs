@@ -3,9 +3,8 @@
 use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::{self as obs, Gauge};
 use bsub_sim::snapshot::{read_message, write_message, MESSAGE_MIN_LEN};
-use bsub_sim::{Link, Message, MessageId, Protocol, SimCtx, TraceEvent};
+use bsub_sim::{Link, Message, MessageId, MessageIdSet, Protocol, SimCtx, TraceEvent};
 use bsub_traces::{ContactEvent, NodeId, SimTime};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The PULL baseline: on a contact, each node announces its own
@@ -30,7 +29,7 @@ struct NodeState {
     /// Payloads are shared with the simulator's registry.
     published: Vec<Arc<Message>>,
     /// Message ids this node already pulled (suppresses re-transfer).
-    collected: HashSet<MessageId>,
+    collected: MessageIdSet,
 }
 
 impl Pull {

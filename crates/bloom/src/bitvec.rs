@@ -114,8 +114,8 @@ impl BitVec {
     }
 
     /// Whether every set bit of `self` is also set in `other`.
-    #[must_use]
-    pub fn is_subset_of(&self, other: &Self) -> bool {
+    #[cfg(test)]
+    fn is_subset_of(&self, other: &Self) -> bool {
         self.len == other.len
             && self
                 .words

@@ -471,8 +471,8 @@ impl PackedTcbf {
     /// The packed words with the pending epoch folded in — a valid
     /// epoch-free source for [`PackedTcbf::a_merge_words`] (e.g. when
     /// building a genuine-filter arena).
-    #[must_use]
-    pub fn materialized_words(&self) -> Vec<u64> {
+    #[cfg(test)]
+    fn materialized_words(&self) -> Vec<u64> {
         let e = self.epoch;
         self.words.iter().map(|&w| word_sat_sub(w, e)).collect()
     }

@@ -319,17 +319,11 @@ impl Tcbf {
 
     /// The materialized (epoch-adjusted) counter at bit `idx`.
     ///
-    /// This is the batch-matching read path: a caller that derived a
-    /// key's positions once (via [`crate::KeyHasher::digests`]) probes
-    /// counters directly instead of re-hashing the key per filter.
-    /// Uninstrumented, exactly like [`BloomFilter::contains`] — batch
-    /// probing must not perturb the metrics of the per-key query path.
-    ///
     /// # Panics
     ///
     /// Panics if `idx >= self.bit_len()`.
-    #[must_use]
-    pub fn counter_at(&self, idx: usize) -> u32 {
+    #[cfg(test)]
+    fn counter_at(&self, idx: usize) -> u32 {
         self.counters[idx].saturating_sub(self.epoch)
     }
 

@@ -79,15 +79,6 @@ impl WirePayload {
             WirePayload::Bloom(_) => None,
         }
     }
-
-    /// Extracts a plain Bloom filter, ripping counters if present.
-    #[must_use]
-    pub fn into_bloom(self) -> BloomFilter {
-        match self {
-            WirePayload::Tcbf(t) => t.to_bloom(),
-            WirePayload::Bloom(b) => b,
-        }
-    }
 }
 
 const TAG_FULL: u8 = 0;

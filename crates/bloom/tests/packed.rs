@@ -500,8 +500,8 @@ fn sparse_a_merge_matches_dense_under_epoch_skew() {
         sparse.a_merge_sparse(&source.sparse_words());
 
         assert_eq!(
-            dense.materialized_words(),
-            sparse.materialized_words(),
+            dense.counter_values(),
+            sparse.counter_values(),
             "case {case}: dense and sparse A-merge diverged"
         );
         // Subsequent uniform decay keeps them in agreement too.
@@ -509,8 +509,8 @@ fn sparse_a_merge_matches_dense_under_epoch_skew() {
         dense.decay(d);
         sparse.decay(d);
         assert_eq!(
-            dense.materialized_words(),
-            sparse.materialized_words(),
+            dense.counter_values(),
+            sparse.counter_values(),
             "case {case}: divergence after post-merge decay"
         );
     }

@@ -7,7 +7,7 @@
 //! exactly.
 
 use bsub_bloom::rng::SplitMix64;
-use bsub_bloom::wire::{self, CounterMode};
+use bsub_bloom::wire::{self, CounterMode, WirePayload};
 use bsub_bloom::{math, BloomFilter, Tcbf};
 
 const CASES: u64 = 128;
@@ -63,8 +63,9 @@ fn bloom_merge_is_superset() {
         let b = BloomFilter::from_keys(512, 4, right.iter());
         let mut merged = a.clone();
         merged.merge(&b).unwrap();
-        assert!(a.bits().is_subset_of(merged.bits()));
-        assert!(b.bits().is_subset_of(merged.bits()));
+        for side in [&a, &b] {
+            assert!(side.bits().iter_ones().all(|i| merged.bits().get(i)));
+        }
         for k in left.iter().chain(&right) {
             assert!(merged.contains(k));
         }
@@ -220,7 +221,9 @@ fn wire_ripped_roundtrip() {
         let keys = rand_keys(rng, 0, 50);
         let f = Tcbf::from_keys(512, 4, 10, keys.iter());
         let bytes = wire::encode(&f, CounterMode::Ripped).unwrap();
-        let bloom = wire::decode(&bytes).unwrap().into_bloom();
+        let Ok(WirePayload::Bloom(bloom)) = wire::decode(&bytes) else {
+            panic!("a ripped encoding decodes to a Bloom filter");
+        };
         assert_eq!(bloom.set_bits(), f.set_bits());
         for k in &keys {
             assert!(bloom.contains(k));

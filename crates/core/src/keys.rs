@@ -6,11 +6,13 @@
 //! sees it (publication or snapshot import) and keeps, per key id, the
 //! key's [`Probe`] (step 5d's preferential query needs the digests)
 //! and a `⌈m/64⌉`-word mask of exactly its `k` Kirsch–Mitzenmacher
-//! positions. Store entries carry the id, and a membership test is one
-//! branch-free reduction of the mask against the filter's bit words
-//! ([`Tcbf::ripped_words_into`]) — the same answer as
-//! [`Tcbf::contains`] and its Bloom false positives, without a `% m`
-//! per position or a materialized `BloomFilter`.
+//! positions. A membership test is one branch-free reduction of the
+//! mask against the filter's bit words ([`Tcbf::ripped_words_into`]) —
+//! the same answer as [`Tcbf::contains`] and its Bloom false positives,
+//! without a `% m` per position or a materialized `BloomFilter`. The
+//! answer depends only on the key, so a store scan runs that test once
+//! per interned key ([`KeyTable::held_set`]) and then tests each entry's
+//! id with one bit.
 
 use crate::node::NETWORK_HASHER;
 use bsub_match::Probe;
@@ -78,13 +80,33 @@ impl KeyTable {
     /// Whether every position of key `id` is set in `filter`, a
     /// filter's [`Tcbf::ripped_words_into`] words: exactly
     /// [`Tcbf::contains`] for the key, uninstrumented.
-    pub fn held_by(&self, id: KeyId, filter: &[u64]) -> bool {
+    fn held_by(&self, id: KeyId, filter: &[u64]) -> bool {
         let at = id as usize * self.words;
         self.masks[at..at + self.words]
             .iter()
             .zip(filter)
             .fold(0, |missing, (m, f)| missing | (m & !f))
             == 0
+    }
+
+    /// The keys `filter` holds, as a `⌈keys/64⌉`-word bitset over key
+    /// ids written into `set`: [`KeyTable::held_by`] run once per
+    /// interned key, so a store scan tests each entry with one
+    /// [`KeyTable::is_held`] bit test instead of one mask reduction per
+    /// buffered copy.
+    pub fn held_set(&self, filter: &[u64], set: &mut Vec<u64>) {
+        set.clear();
+        set.resize(self.probes.len().div_ceil(64), 0);
+        for id in 0..self.probes.len() {
+            if self.held_by(id as KeyId, filter) {
+                set[id / 64] |= 1 << (id % 64);
+            }
+        }
+    }
+
+    /// Whether key `id` is in a [`KeyTable::held_set`] bitset.
+    pub fn is_held(set: &[u64], id: KeyId) -> bool {
+        set[id as usize / 64] >> (id % 64) & 1 == 1
     }
 
     /// Number of interned keys.
@@ -119,6 +141,7 @@ mod tests {
     ) -> usize {
         filter.ripped_words_into(words);
         let mut held = 0;
+        let mut keys = Vec::new();
         for _ in 0..200 {
             let k = key(rng);
             let id = table.intern(&k);
@@ -131,7 +154,23 @@ mod tests {
                 filter.hash_count()
             );
             held += usize::from(contains);
+            keys.push(k);
         }
+        // The bitset over every interned key (more than 64 of them, so
+        // several words) agrees with `contains` bit for bit.
+        let mut set = vec![u64::MAX; 9];
+        table.held_set(words, &mut set);
+        assert!(table.len() > 64);
+        assert_eq!(set.len(), table.len().div_ceil(64), "stale words cleared");
+        for k in &keys {
+            let id = table.intern(k);
+            assert_eq!(KeyTable::is_held(&set, id), filter.contains(k.as_bytes()));
+        }
+        let bits = set.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let expected = (0..table.len())
+            .filter(|&id| table.held_by(id as KeyId, words))
+            .count();
+        assert_eq!(bits, expected, "no bit past the last key");
         held
     }
 

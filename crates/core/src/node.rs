@@ -5,9 +5,9 @@ use crate::config::{BsubConfig, DfMode};
 use crate::df::AdaptiveDf;
 use crate::keys::KeyId;
 use bsub_bloom::{Decayer, KeyHasher, Tcbf};
-use bsub_sim::{Message, MessageId};
+use bsub_sim::{Message, MessageIdSet};
 use bsub_traces::{NodeId, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// A node's current role in the two-tier B-SUB structure.
@@ -24,6 +24,43 @@ pub enum Role {
 /// the one a message key's `Probe` is computed under.
 pub(crate) const NETWORK_HASHER: KeyHasher = KeyHasher::new();
 
+/// The consumers one message copy was handed to: a sorted, duplicate-free
+/// `Vec`. A copy reaches a handful of consumers, so a binary search
+/// beats hashing, and the set costs one pointer triple in its entry.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct NodeSet(Vec<NodeId>);
+
+impl NodeSet {
+    /// The set of `ids`, given in any order and with repeats: one sort
+    /// and one dedup, never an insertion per element.
+    pub fn from_unsorted(mut ids: Vec<NodeId>) -> Self {
+        ids.sort_unstable();
+        ids.dedup();
+        Self(ids)
+    }
+
+    /// Whether `node` is in the set.
+    pub fn contains(&self, node: NodeId) -> bool {
+        self.0.binary_search(&node).is_ok()
+    }
+
+    /// Adds `node`; returns whether it was absent.
+    pub fn insert(&mut self, node: NodeId) -> bool {
+        match self.0.binary_search(&node) {
+            Ok(_) => false,
+            Err(at) => {
+                self.0.insert(at, node);
+                true
+            }
+        }
+    }
+
+    /// The members in ascending order.
+    pub fn as_slice(&self) -> &[NodeId] {
+        &self.0
+    }
+}
+
 /// A message carried by a broker. The payload is shared (`Arc`) with
 /// the producer's store and the simulator — moving a message between
 /// stores never copies it.
@@ -39,7 +76,7 @@ pub(crate) struct Carried {
     /// transfers on later meetings; the metrics would dedup anyway,
     /// but re-sending would waste link budget and inflate the
     /// forwarding count).
-    pub delivered_to: HashSet<NodeId>,
+    pub delivered_to: NodeSet,
 }
 
 /// A message in its producer's memory (payload shared, see
@@ -54,7 +91,7 @@ pub(crate) struct Produced {
     /// number reaches the limit").
     pub copies_left: u32,
     /// Consumers served directly (direct deliveries are not copies).
-    pub delivered_to: HashSet<NodeId>,
+    pub delivered_to: NodeSet,
 }
 
 impl Carried {
@@ -64,7 +101,7 @@ impl Carried {
         Self {
             msg,
             key,
-            delivered_to: HashSet::new(),
+            delivered_to: NodeSet::default(),
         }
     }
 }
@@ -77,7 +114,7 @@ impl Produced {
             msg,
             key,
             copies_left,
-            delivered_to: HashSet::new(),
+            delivered_to: NodeSet::default(),
         }
     }
 }
@@ -235,7 +272,7 @@ pub(crate) struct NodeState {
     pub published: Vec<Produced>,
     /// Every message id this node has held in any role (prevents
     /// copy ping-pong between brokers).
-    pub seen: HashSet<MessageId>,
+    pub seen: MessageIdSet,
 }
 
 impl NodeState {
@@ -253,7 +290,7 @@ impl NodeState {
             relay: None,
             store: Vec::new(),
             published: Vec::new(),
-            seen: HashSet::new(),
+            seen: MessageIdSet::default(),
         }
     }
 
@@ -307,8 +344,47 @@ impl NodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsub_bloom::SplitMix64;
+    use bsub_sim::MessageId;
     use bsub_traces::SimDuration;
+    use std::collections::HashSet;
     use std::sync::Arc;
+
+    /// Seeded inserts, lookups and bulk builds against a `HashSet`
+    /// model: same answers, and the members stay sorted and unique.
+    #[test]
+    fn node_set_matches_a_hash_set_model() {
+        let mut rng = SplitMix64::new(0x6e6f_6465);
+        for round in 0..200 {
+            let universe = 1 + rng.below(64) as u32;
+            let mut set = NodeSet::default();
+            let mut model = HashSet::new();
+            for _ in 0..rng.below(96) {
+                let node = NodeId::new(rng.below(u64::from(universe)) as u32);
+                assert_eq!(set.insert(node), model.insert(node), "round {round}");
+            }
+            for i in 0..universe + 2 {
+                let node = NodeId::new(i);
+                assert_eq!(set.contains(node), model.contains(&node), "round {round}");
+            }
+            let mut sorted: Vec<NodeId> = model.iter().copied().collect();
+            sorted.sort_unstable();
+            assert_eq!(set.as_slice(), sorted.as_slice(), "round {round}");
+
+            // Any order, any repeats: the bulk build is the same set.
+            let mut shuffled: Vec<NodeId> = sorted.iter().chain(&sorted).copied().collect();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            assert_eq!(NodeSet::from_unsorted(shuffled), set, "round {round}");
+        }
+    }
+
+    #[test]
+    fn store_entries_are_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Carried>(), 40);
+        assert_eq!(std::mem::size_of::<Produced>(), 40);
+    }
 
     fn config() -> BsubConfig {
         BsubConfig::builder().df(DfMode::Fixed(1.0)).build()

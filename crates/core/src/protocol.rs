@@ -117,6 +117,9 @@ pub struct BsubProtocol {
     /// Reused buffer for the bit words of the filter steps 5a–5c match
     /// against (see [`bsub_bloom::Tcbf::ripped_words_into`]).
     filter_words: Vec<u64>,
+    /// Reused buffer for the keys that filter holds, one bit per key id
+    /// (see [`KeyTable::held_set`]).
+    held_keys: Vec<u64>,
     /// Contacts seen while profiling — schedules the sampled
     /// occupancy walk. Metrics-only state: never read by the
     /// protocol logic, untouched when profiling is off.
@@ -144,6 +147,7 @@ impl BsubProtocol {
         Self {
             keys: KeyTable::new(config.bits, config.hashes),
             filter_words: Vec::new(),
+            held_keys: Vec::new(),
             config,
             nodes,
             occupancy_probe: 0,
@@ -461,48 +465,43 @@ impl BsubProtocol {
         let genuine = &self.nodes[dst.index()].genuine;
         debug_assert_eq!(genuine.hasher(), NETWORK_HASHER);
         genuine.ripped_words_into(&mut self.filter_words);
+        self.keys.held_set(&self.filter_words, &mut self.held_keys);
         let now = ctx.now();
 
-        // 5a: direct producer → consumer (not counted as copies). The
-        // predicates are pure, so the cheap ones run first: the Bloom
-        // test on the key's mask rejects almost every pair before any
-        // set lookup.
+        // 5a: direct producer → consumer (not counted as copies), then
+        // 5c: relayed copies → consumer. The predicates are pure, so
+        // the cheap ones run first: one bit of the held-key set rejects
+        // almost every entry before any set lookup.
         let src_state = &mut self.nodes[src.index()];
-        for produced in &mut src_state.published {
-            obs::count(Counter::MatchChecked, 1);
-            if !self.keys.held_by(produced.key, &self.filter_words)
-                || produced.msg.is_expired(now)
-                || produced.msg.producer == dst
-                || produced.delivered_to.contains(&dst)
+        let published = src_state
+            .published
+            .iter_mut()
+            .map(|p| (&p.msg, p.key, &mut p.delivered_to));
+        let carried = src_state
+            .store
+            .iter_mut()
+            .map(|c| (&c.msg, c.key, &mut c.delivered_to));
+        let mut checked = 0;
+        let mut served = true;
+        for (msg, key, delivered_to) in published.chain(carried) {
+            checked += 1;
+            if !KeyTable::is_held(&self.held_keys, key)
+                || msg.is_expired(now)
+                || msg.producer == dst
+                || delivered_to.contains(dst)
             {
                 continue;
             }
-            if !ctx.transfer_message(link, &produced.msg) {
-                return false;
+            if !ctx.transfer_message(link, msg) {
+                served = false;
+                break;
             }
             obs::count(Counter::MatchHit, 1);
-            produced.delivered_to.insert(dst);
-            let _ = ctx.deliver(dst, &produced.msg);
+            delivered_to.insert(dst);
+            let _ = ctx.deliver(dst, msg);
         }
-
-        // 5c: relayed copies → consumer.
-        for carried in &mut src_state.store {
-            obs::count(Counter::MatchChecked, 1);
-            if !self.keys.held_by(carried.key, &self.filter_words)
-                || carried.msg.is_expired(now)
-                || carried.msg.producer == dst
-                || carried.delivered_to.contains(&dst)
-            {
-                continue;
-            }
-            if !ctx.transfer_message(link, &carried.msg) {
-                return false;
-            }
-            obs::count(Counter::MatchHit, 1);
-            carried.delivered_to.insert(dst);
-            let _ = ctx.deliver(dst, &carried.msg);
-        }
-        true
+        obs::count(Counter::MatchChecked, checked);
+        served
     }
 
     /// Step 5b: `producer` replicates matching publications to
@@ -552,11 +551,13 @@ impl BsubProtocol {
             .expect("broker has relay")
             .filter
             .ripped_words_into(&mut self.filter_words);
+        self.keys.held_set(&self.filter_words, &mut self.held_keys);
         let mut budget_hit = false;
+        let mut checked = 0;
         for produced in &mut producer_state.published {
-            obs::count(Counter::MatchChecked, 1);
+            checked += 1;
             if produced.copies_left == 0
-                || !self.keys.held_by(produced.key, &self.filter_words)
+                || !KeyTable::is_held(&self.held_keys, produced.key)
                 || produced.msg.is_expired(now)
                 || broker_state.seen.contains(&produced.msg.id)
             {
@@ -580,6 +581,7 @@ impl BsubProtocol {
                 .push(Carried::new(Arc::clone(&produced.msg), produced.key));
             ctx.record_injection(broker, &produced.msg, fp);
         }
+        obs::count(Counter::MatchChecked, checked);
         // "The message is removed from the producer's memory after its
         // copy number reaches the limit."
         producer_state.published.retain(|p| p.copies_left > 0);
@@ -1241,6 +1243,63 @@ mod tests {
         assert_eq!(report.delivered, 0);
         assert_eq!(report.forwardings, 0);
         assert!(report.total_bytes() <= 10);
+    }
+
+    /// Link budgets that run out part-way through a store scan: steps
+    /// 5a–5c count `MatchChecked` once per scan, early returns
+    /// included, so the counts equal one count per entry visited. The
+    /// pinned values are those of a per-entry count.
+    #[test]
+    fn budget_limited_contacts_keep_match_counts() {
+        let trace = ContactTrace::new(
+            "budget",
+            3,
+            vec![
+                contact(2, 1, 100, 101),
+                contact(0, 1, 200, 201),
+                contact(0, 2, 300, 301),
+                contact(1, 2, 400, 401),
+            ],
+        )
+        .unwrap();
+        let mut subs = SubscriptionTable::new(3);
+        subs.subscribe(NodeId::new(2), "news");
+        subs.subscribe(NodeId::new(1), "sports");
+        let keys = [
+            "news", "sports", "news", "weather", "news", "sports", "news",
+        ];
+        let sched: Vec<_> = (10..).zip(keys).map(|(t, k)| message(t, 0, k)).collect();
+        let counts: Vec<(u64, u64, u64)> = (0..=700)
+            .step_by(100)
+            .map(|bytes_per_sec| {
+                let sim_cfg = SimConfig {
+                    bytes_per_sec,
+                    ..SimConfig::default()
+                };
+                let sim = Simulation::new(trace.clone(), subs.clone(), sched.clone(), sim_cfg);
+                let mut bsub = BsubProtocol::new(config(), &subs);
+                obs::start();
+                let report = sim.run(&mut bsub);
+                let prof = obs::finish();
+                (
+                    prof.counter(Counter::MatchChecked),
+                    prof.counter(Counter::MatchHit),
+                    report.delivered,
+                )
+            })
+            .collect();
+        // (checked, hit, delivered) per budget of 0–700 bytes/s.
+        let pinned = [
+            (0, 0, 0),
+            (3, 0, 0),
+            (9, 2, 2),
+            (19, 4, 4),
+            (21, 5, 5),
+            (23, 6, 6),
+            (28, 8, 6),
+            (30, 10, 6),
+        ];
+        assert_eq!(counts, pinned);
     }
 
     #[test]

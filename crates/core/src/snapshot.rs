@@ -32,15 +32,15 @@
 use crate::broker::ElectionLog;
 use crate::config::{BsubConfig, DfMode};
 use crate::keys::KeyTable;
-use crate::node::{Carried, NodeState, Produced, RelayState, Role};
+use crate::node::{Carried, NodeSet, NodeState, Produced, RelayState, Role};
 use bsub_bloom::wire::{self, CounterMode};
 use bsub_bloom::{Decayer, KeyHasher, Tcbf};
 use bsub_match::{IndexState, MatchIndex, MatchParams, SubscriberState};
 use bsub_obs::codec::{Reader, Writer};
 use bsub_sim::snapshot::{read_message, write_message, MESSAGE_MIN_LEN};
-use bsub_sim::{Message, MessageId};
+use bsub_sim::{Message, MessageId, MessageIdSet};
 use bsub_traces::{NodeId, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Snapshot format version; bump on any layout change.
@@ -263,9 +263,9 @@ struct Parsed {
     role: Role,
     election: ElectionLog,
     relay: Option<RelayState>,
-    store: Vec<(Arc<Message>, HashSet<NodeId>)>,
-    published: Vec<(Arc<Message>, u32, HashSet<NodeId>)>,
-    seen: HashSet<MessageId>,
+    store: Vec<(Arc<Message>, NodeSet)>,
+    published: Vec<(Arc<Message>, u32, NodeSet)>,
+    seen: MessageIdSet,
 }
 
 fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
@@ -365,7 +365,7 @@ fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
         published.push((msg, copies_left, read_node_set(&mut r)?));
     }
 
-    let mut seen = HashSet::new();
+    let mut seen = MessageIdSet::default();
     for _ in 0..r.count(8)? {
         seen.insert(MessageId::new(r.u64()?));
     }
@@ -386,21 +386,21 @@ fn is_rate(v: f64) -> bool {
     v.is_finite() && v >= 0.0
 }
 
-fn write_node_set(w: &mut Writer, set: &HashSet<NodeId>) {
-    let mut ids: Vec<u32> = set.iter().map(|n| n.index() as u32).collect();
-    ids.sort_unstable();
-    w.u32(ids.len() as u32);
-    for id in ids {
-        w.u32(id);
+fn write_node_set(w: &mut Writer, set: &NodeSet) {
+    w.u32(set.as_slice().len() as u32);
+    for node in set.as_slice() {
+        w.u32(node.index() as u32);
     }
 }
 
-fn read_node_set(r: &mut Reader<'_>) -> Option<HashSet<NodeId>> {
-    let mut set = HashSet::new();
-    for _ in 0..r.count(4)? {
-        set.insert(NodeId::new(r.u32()?));
-    }
-    Some(set)
+/// Reads a node set written in any order, repeats included: the ids are
+/// collected first and sorted once, so a hostile count costs one sort,
+/// not an insertion per id.
+fn read_node_set(r: &mut Reader<'_>) -> Option<NodeSet> {
+    let ids = (0..r.count(4)?)
+        .map(|_| r.u32().map(NodeId::new))
+        .collect::<Option<_>>()?;
+    Some(NodeSet::from_unsorted(ids))
 }
 
 #[cfg(test)]
@@ -410,6 +410,7 @@ mod tests {
     use bsub_sim::{GeneratedMessage, Protocol as _, SimConfig, Simulation, SubscriptionTable};
     use bsub_traces::synthetic::SyntheticTrace;
     use bsub_traces::SimDuration;
+    use std::collections::HashSet;
 
     /// Runs a dense little network long enough to exercise every state
     /// component: elections, relays with decay + adaptation, carried
@@ -528,6 +529,61 @@ mod tests {
         }
         assert!(sibling.import_node(NodeId::new(4), &snap));
         assert_eq!(sibling.keys_mut().len(), keys.len());
+    }
+
+    /// A user node's snapshot with one carried copy handed to
+    /// `carried_to` and one publication handed to `produced_to`, each
+    /// set written in the given order.
+    fn raw_node(msg: &bsub_sim::Message, carried_to: &[u32], produced_to: &[u32]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u8(VERSION);
+        w.u8(0); // user
+        w.u32(0); // election log
+        w.flag(false); // no relay
+        for (copies, to) in [(None, carried_to), (Some(2), produced_to)] {
+            w.u32(1); // one entry in the store, then in the publications
+            write_message(&mut w, msg);
+            if let Some(c) = copies {
+                w.u32(c);
+            }
+            w.u32(to.len() as u32);
+            for &id in to {
+                w.u32(id);
+            }
+        }
+        w.u32(0); // seen
+        w.into_bytes()
+    }
+
+    /// Delivered-to sets decode from any order, repeats included, to
+    /// the sorted set: the same membership and the canonical bytes.
+    #[test]
+    fn unsorted_and_repeated_node_ids_decode_to_the_canonical_set() {
+        let subs = SubscriptionTable::new(16);
+        let mut bsub = BsubProtocol::new(BsubConfig::default(), &subs);
+        let msg = bsub_sim::Message {
+            id: MessageId::new(5),
+            key: "news".into(),
+            size: 100,
+            created: bsub_traces::SimTime::ZERO,
+            ttl: SimDuration::from_days(1),
+            producer: NodeId::new(0),
+        };
+        let canonical = raw_node(&msg, &[1, 4, 9], &[2, 3]);
+        let hostile = raw_node(&msg, &[9, 1, 4, 9, 1], &[3, 2, 3, 3]);
+        let node = NodeId::new(0);
+        for bytes in [&canonical, &hostile] {
+            assert!(bsub.import_node(node, bytes));
+            assert_eq!(bsub.export_node(node).unwrap(), canonical);
+            let state = &bsub.nodes_mut()[0];
+            let carried = &state.store[0].delivered_to;
+            let produced = &state.published[0].delivered_to;
+            for i in 0..12 {
+                let id = NodeId::new(i);
+                assert_eq!(carried.contains(id), [1, 4, 9].contains(&i));
+                assert_eq!(produced.contains(id), [2, 3].contains(&i));
+            }
+        }
     }
 
     /// The relay filter round-trips losslessly even when counters

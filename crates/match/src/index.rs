@@ -295,8 +295,8 @@ impl MatchIndex {
     }
 
     /// Whether `id` is currently subscribed.
-    #[must_use]
-    pub fn is_subscribed(&self, id: u64) -> bool {
+    #[cfg(test)]
+    fn is_subscribed(&self, id: u64) -> bool {
         self.subs.contains_key(&id)
     }
 

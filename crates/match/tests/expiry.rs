@@ -89,8 +89,8 @@ fn deadline_expiry_equals_epoch_decay_on_aligned_clocks() {
             );
             for id in 0..12u64 {
                 assert_eq!(
-                    by_deadline.is_subscribed(id),
-                    by_decay.is_subscribed(id),
+                    by_deadline.strength(id).is_some(),
+                    by_decay.strength(id).is_some(),
                     "seed {seed} step {t}: membership of {id} diverged"
                 );
             }
@@ -160,7 +160,7 @@ fn expire_candidates_is_resubscribe_safe() {
     let mut idx = MatchIndex::new(params());
     idx.subscribe_until(7, &["alpha"], 10);
     assert_eq!(idx.expire_candidates(&[7], 5), 0, "not yet due");
-    assert!(idx.is_subscribed(7));
+    assert!(idx.strength(7).is_some());
 
     // Replace the subscription: deadline moves to 100.
     idx.subscribe_until(7, &["alpha", "beta"], 100);
@@ -169,17 +169,17 @@ fn expire_candidates_is_resubscribe_safe() {
         0,
         "stale wheel entry for the old deadline must not evict"
     );
-    assert!(idx.is_subscribed(7));
+    assert!(idx.strength(7).is_some());
     assert_eq!(idx.deadline(7), Some(100));
 
     // A replacement *without* a deadline is immortal to the wheel.
     idx.subscribe(7, &["alpha"]);
     assert_eq!(idx.expire_candidates(&[7], u64::MAX), 0);
-    assert!(idx.is_subscribed(7));
+    assert!(idx.strength(7).is_some());
 
     idx.subscribe_until(7, &["alpha"], 40);
     assert_eq!(idx.expire_candidates(&[7], 40), 1, "due at the deadline");
-    assert!(!idx.is_subscribed(7));
+    assert!(idx.strength(7).is_none());
     assert_eq!(idx.expire_candidates(&[7], 40), 0, "already gone");
     assert_eq!(idx.expire_candidates(&[99], u64::MAX), 0, "unknown id");
 }

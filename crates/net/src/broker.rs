@@ -332,8 +332,8 @@ impl BrokerCore {
     ///
     /// A subscription with `ttl_ms > 0` gets the deadline
     /// `now_ms + ttl_ms` and is evicted by the first `apply` whose
-    /// `now_ms / tick` exceeds `(deadline + tick) / tick`: more than one
-    /// tick and at most two after its deadline. The evictions happen
+    /// `now_ms / tick` exceeds `deadline / tick`: after its deadline
+    /// and at most one tick later. The evictions happen
     /// first; the ops then apply in arrival order, each run of
     /// consecutive publishes matched by one `match_events` call.
     pub fn apply(&mut self, now_ms: u64, ops: Vec<BrokerOp>) -> Effects {
@@ -385,8 +385,7 @@ impl BrokerCore {
                     } else {
                         let deadline = now_ms.saturating_add(body.ttl_ms);
                         self.index.subscribe_until(id, &body.keys, deadline);
-                        self.wheel
-                            .schedule(id, deadline.saturating_add(self.wheel.tick_ms));
+                        self.wheel.schedule(id, deadline);
                     }
                 }
                 BrokerOp::Unsubscribe(client) => {
@@ -421,8 +420,7 @@ pub struct BrokerConfig {
     pub peer: PeerConfig,
     /// Geometry and policy of the owned [`MatchIndex`].
     pub params: MatchParams,
-    /// Clock-wheel tick: expiry lags a deadline by more than one tick
-    /// and at most two.
+    /// Clock-wheel tick: expiry lags a deadline by at most one tick.
     pub tick: Duration,
     /// Record the journal of inputs for replay (tests only — the
     /// journal grows without bound).

@@ -261,7 +261,7 @@ pub fn scrape(addr: &EndpointAddr, path: &str) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsub_obs::SharedReport;
+    use bsub_obs::{self as obs, SharedReport};
 
     fn sample_sink() -> Arc<SharedReport> {
         let sink = Arc::new(SharedReport::new());
@@ -276,14 +276,14 @@ mod tests {
     }
 
     fn sample_report() -> ProfReport {
-        let mut r = ProfReport::default();
-        r.add_counter(Counter::NetFramesSent, 12);
-        r.add_counter(Counter::NetStatsFrames, 2);
-        r.raise_gauge(Gauge::BufferMsgs, 17);
-        r.record_time(TimeHist::NetExchangeNs, 1_500);
-        r.record_time(TimeHist::NetExchangeNs, 900);
-        r.record_size(SizeHist::NetFrameStatsBytes, 256);
-        r
+        obs::start();
+        obs::count(Counter::NetFramesSent, 12);
+        obs::count(Counter::NetStatsFrames, 2);
+        obs::gauge_set(Gauge::BufferMsgs, 17);
+        obs::observe_ns(TimeHist::NetExchangeNs, 1_500);
+        obs::observe_ns(TimeHist::NetExchangeNs, 900);
+        obs::observe(SizeHist::NetFrameStatsBytes, 256);
+        obs::finish()
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!    interleavings at a [`BrokerNode`] over Unix-domain sockets. The
 //!    broker journals its inputs; replaying them through a fresh core
 //!    must equal the model on every publish (**decision equality**),
+//!    Bloom false positives included (a guard demands some),
 //!    and every `DELIVER` frame each client actually received must
 //!    equal, in order, what the replay sent it (**delivery fidelity**:
 //!    the socket plane loses and reorders nothing).
@@ -54,6 +55,19 @@ fn fp_params() -> MatchParams {
     }
 }
 
+/// The socket differential's geometry: 32 bits and one hash, so
+/// subscriptions of up to three keys from the 20-key pool of [`key`]
+/// make other pool keys match falsely: 2,223 of the 26,600 (subscription
+/// of one to three pool keys, other pool key) probes, about one in
+/// twelve. At [`fp_params`] that pool yields none.
+fn socket_params() -> MatchParams {
+    MatchParams {
+        member_bits: 32,
+        member_hashes: 1,
+        initial: 8,
+    }
+}
+
 const KEY_POOL: u64 = 20;
 const WORKERS: u32 = 3;
 const OPS_PER_WORKER: usize = 50;
@@ -87,9 +101,9 @@ impl Model {
     }
 
     /// The deadline rule: a subscription is evicted by the first call
-    /// whose `now / tick` exceeds `(deadline + tick) / tick`.
+    /// whose `now / tick` exceeds `deadline / tick`.
     fn due(&self, now: u64, deadline: u64) -> bool {
-        now / self.tick > deadline.saturating_add(self.tick) / self.tick
+        now / self.tick > deadline / self.tick
     }
 
     fn forget(&mut self, id: u64) {
@@ -173,23 +187,25 @@ fn apply_checked(
 }
 
 /// Replays a journal of inputs through a fresh core, checking every
-/// call against the model, and returns each call's effects.
+/// call against the model; returns each call's effects and the Bloom
+/// false positives among the deliveries.
 fn replay(
     journal: &[(u64, Vec<BrokerOp>)],
     params: &MatchParams,
     tick: u64,
     seed: u64,
-) -> Vec<Effects> {
+) -> (Vec<Effects>, u64) {
     let mut core = BrokerCore::new(*params, tick);
     let mut model = Model::new(params, tick);
-    journal
+    let effects = journal
         .iter()
         .enumerate()
         .map(|(at, (now, ops))| {
             let context = format!("seed {seed} journal entry {at}");
             apply_checked(&mut core, &mut model, *now, ops.clone(), &context)
         })
-        .collect()
+        .collect();
+    (effects, model.false_positives)
 }
 
 fn subscribe(client: u32, ttl_ms: u64, keys: &[&str]) -> BrokerOp {
@@ -215,7 +231,7 @@ fn publish(client: u32, seq: u64, key: &str) -> BrokerOp {
 
 /// A key from a pool wide enough that `fp_params` produces Bloom false
 /// positives: no subscription of up to three keys from the 20-key pool
-/// of [`key`] makes any other pool key match.
+/// of [`key`] makes any other pool key match at that geometry.
 fn wide_key(rng: &mut SplitMix64) -> String {
     format!("topic-{}", rng.below(400))
 }
@@ -293,28 +309,39 @@ fn core_matches_models_across_seeded_interleavings() {
     assert!(false_positives > 100, "{false_positives} false positives");
 }
 
-/// A deadline exactly on a tick boundary: deadline 20 at tick 10 is
-/// evicted by the first call at `now >= 40`, not before.
+/// A deadline exactly on a tick boundary, and one inside a tick: at
+/// tick 10, deadlines 20 and 25 are both evicted by the first call at
+/// `now >= 30`, not before — after the deadline, within one tick.
 #[test]
 fn deadline_on_a_tick_boundary() {
     let params = fp_params();
-    let mut core = BrokerCore::new(params, 10);
-    let mut model = Model::new(&params, 10);
-    apply_checked(
-        &mut core,
-        &mut model,
-        0,
-        vec![subscribe(1, 20, &["a"])],
-        "subscribe",
-    );
-    assert!(!core.has_due(39));
-    let kept = apply_checked(&mut core, &mut model, 39, vec![publish(2, 1, "a")], "at 39");
-    assert_eq!(kept.delivered[0].1, vec![1]);
-    assert!(core.has_due(40));
-    let gone = apply_checked(&mut core, &mut model, 40, vec![publish(2, 2, "a")], "at 40");
-    assert_eq!(gone.evicted, vec![1]);
-    assert!(gone.delivered[0].1.is_empty());
-    assert!(!core.has_due(u64::MAX), "the wheel is empty");
+    for deadline in [20, 25] {
+        let context = format!("deadline {deadline}");
+        let mut core = BrokerCore::new(params, 10);
+        let mut model = Model::new(&params, 10);
+        let sub = vec![subscribe(1, deadline, &["a"])];
+        apply_checked(&mut core, &mut model, 0, sub, &context);
+        assert!(!core.has_due(29), "{context}");
+        let kept = apply_checked(
+            &mut core,
+            &mut model,
+            29,
+            vec![publish(2, 1, "a")],
+            &context,
+        );
+        assert_eq!(kept.delivered[0].1, vec![1], "{context}");
+        assert!(core.has_due(30), "{context}");
+        let gone = apply_checked(
+            &mut core,
+            &mut model,
+            30,
+            vec![publish(2, 2, "a")],
+            &context,
+        );
+        assert_eq!(gone.evicted, vec![1], "{context}");
+        assert!(gone.delivered[0].1.is_empty(), "{context}");
+        assert!(!core.has_due(u64::MAX), "{context}: the wheel is empty");
+    }
 }
 
 /// A resubscribe moves the deadline: a shorter TTL evicts earlier, a
@@ -324,7 +351,7 @@ fn resubscribe_with_shorter_longer_and_no_ttl() {
     let params = fp_params();
     // (second TTL, first call that evicts); tick 10, first TTL 100 at
     // time 0 (deadline 100), second subscribe at time 5.
-    for (ttl, evicted_at) in [(15, 40), (300, 320), (0, u64::MAX)] {
+    for (ttl, evicted_at) in [(15, 30), (300, 310), (0, u64::MAX)] {
         let mut core = BrokerCore::new(params, 10);
         let mut model = Model::new(&params, 10);
         let context = format!("resubscribe ttl {ttl}");
@@ -437,11 +464,14 @@ fn drive_client(client: &BrokerClient, seed: u64) -> (u64, u64) {
 }
 
 /// Three seeded interleavings over sockets, three concurrent workers
-/// each, decision equality and delivery fidelity on every one.
+/// each, decision equality and delivery fidelity on every one. Bloom
+/// false positives must actually cross the sockets, or the test proves
+/// exact matches only.
 #[test]
 fn networked_broker_matches_reference_across_seeded_interleavings() {
+    let mut false_positives = 0;
     for seed in [11u64, 29, 63] {
-        let params = fp_params();
+        let params = socket_params();
         let broker_id = PeerId(1000);
         let broker_addr = scratch_addr(&format!("diff{seed}"));
         let mut config = BrokerConfig::new(broker_id, broker_addr.clone(), seed);
@@ -498,7 +528,9 @@ fn networked_broker_matches_reference_across_seeded_interleavings() {
         // Layer 1: replaying the broker's inputs through a fresh core
         // equals the reference on every publish.
         let mut expected: BTreeMap<u64, Vec<(u32, u64, String)>> = BTreeMap::new();
-        for effects in replay(&journal, &params, 100, seed) {
+        let (replayed, seen) = replay(&journal, &params, 100, seed);
+        false_positives += seen;
+        for effects in replayed {
             for (deliver, matched) in effects.delivered {
                 for subscriber in matched {
                     expected.entry(subscriber).or_default().push((
@@ -551,6 +583,10 @@ fn networked_broker_matches_reference_across_seeded_interleavings() {
 
         broker.shutdown();
     }
+    assert!(
+        false_positives > 0,
+        "no Bloom false positive crossed the sockets — the test lost coverage"
+    );
 }
 
 /// Wall-clock deadline expiry over the wire: a TTL'd subscription
@@ -598,7 +634,7 @@ fn deadline_expiry_and_resubscribe_safety_over_the_wire() {
     assert_eq!(delivery.body.seq, 1);
     assert_eq!(delivery.body.publisher, 2);
 
-    // Phase 2: let the deadline and at least two wheel ticks pass; the
+    // Phase 2: let the deadline and a wheel tick pass; the
     // wheel must have reaped the subscription without any frame
     // arriving to prod the service loop.
     let reaped = Instant::now() + Duration::from_secs(10);
@@ -618,6 +654,7 @@ fn deadline_expiry_and_resubscribe_safety_over_the_wire() {
     let journal = broker.journal();
     assert!(
         replay(&journal, &MatchParams::default(), 20, 5)
+            .0
             .iter()
             .any(|effects| effects.evicted == [1]),
         "the replayed journal must show the eviction: {journal:?}"

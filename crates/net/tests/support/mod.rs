@@ -16,15 +16,15 @@ pub const NODES: u32 = 12;
 /// A report with counters, a gauge, and samples in both histogram
 /// families (including an empty bucket gap and a huge sample).
 pub fn sample_report() -> ProfReport {
-    let mut report = ProfReport::default();
-    report.add_counter(Counter::NetFramesSent, 12);
-    report.add_counter(Counter::ControlBytes, 9001);
-    report.raise_gauge(Gauge::BufferMsgs, 17);
+    bsub_obs::start();
+    bsub_obs::count(Counter::NetFramesSent, 12);
+    bsub_obs::count(Counter::ControlBytes, 9001);
+    bsub_obs::gauge_set(Gauge::BufferMsgs, 17);
     for ns in [0, 7, 12_345, 1 << 33] {
-        report.record_time(TimeHist::NetExchangeNs, ns);
+        bsub_obs::observe_ns(TimeHist::NetExchangeNs, ns);
     }
-    report.record_size(SizeHist::NetFrameStatsBytes, 512);
-    report
+    bsub_obs::observe(SizeHist::NetFrameStatsBytes, 512);
+    bsub_obs::finish()
 }
 
 /// A match index with deadline and plain subscriptions, decay in

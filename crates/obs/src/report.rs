@@ -110,7 +110,8 @@ impl ProfReport {
     }
 
     /// Raises a gauge's high-water mark to at least `level`.
-    pub fn raise_gauge(&mut self, g: Gauge, level: u64) {
+    #[cfg(test)]
+    fn raise_gauge(&mut self, g: Gauge, level: u64) {
         let slot = &mut self.gauges[g as usize];
         *slot = (*slot).max(level);
     }

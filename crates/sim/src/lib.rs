@@ -62,7 +62,7 @@ mod subscriptions;
 
 pub use crate::fault::{FaultSpec, FaultState, WireCorruption};
 pub use crate::link::Link;
-pub use crate::message::{Message, MessageId};
+pub use crate::message::{Message, MessageId, MessageIdHasher, MessageIdSet};
 pub use crate::metrics::{DeliveryOutcome, MetricsCollector, SimReport};
 pub use crate::protocols::{NullProtocol, Protocol, ProtocolFactory, SimCtx};
 pub use crate::record::{

@@ -6,6 +6,8 @@
 //! TTL, counted from creation (Section V-D).
 
 use bsub_traces::{NodeId, SimDuration, SimTime};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Globally unique message identifier, assigned by the simulation
@@ -23,6 +25,39 @@ impl MessageId {
     /// The raw id value.
     #[must_use]
     pub const fn raw(self) -> u64 {
+        self.0
+    }
+}
+
+/// A set of message ids under [`MessageIdHasher`]: the one id-set type
+/// of every protocol and of the metrics ledger. Iteration order is
+/// unspecified, so whatever is exported from one is sorted first.
+pub type MessageIdSet = HashSet<MessageId, BuildHasherDefault<MessageIdHasher>>;
+
+/// A deterministic hasher for [`MessageId`]s: one Fibonacci multiply
+/// of the raw id. Ids are dense generation-order counters, not
+/// attacker-chosen, so SipHash's flooding resistance buys nothing here.
+/// The odd multiplier is a bijection on every low-bit window, so dense
+/// ids spread over the table's buckets, and the high bits the table
+/// uses for its tags are well mixed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MessageIdHasher(u64);
+
+/// 2^64 / φ, rounded to odd.
+const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for MessageIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIBONACCI);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(FIBONACCI);
+    }
+
+    fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -116,6 +151,24 @@ mod tests {
         let c = m.clone();
         assert!(Arc::ptr_eq(&m.key, &c.key));
         assert_eq!(m, c);
+    }
+
+    #[test]
+    fn id_hasher_is_one_multiply_and_spreads_dense_ids() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<MessageIdHasher>::default();
+        assert_eq!(build.hash_one(MessageId::new(1)), FIBONACCI);
+        assert_eq!(build.hash_one(MessageId::new(0)), 0);
+        // Dense ids land in distinct low-bit buckets.
+        let buckets: HashSet<u64> = (0..1024)
+            .map(|i| build.hash_one(MessageId::new(i)) & 1023)
+            .collect();
+        assert_eq!(buckets.len(), 1024);
+
+        let mut set = MessageIdSet::default();
+        assert!(set.insert(MessageId::new(7)));
+        assert!(!set.insert(MessageId::new(7)));
+        assert!(set.contains(&MessageId::new(7)) && !set.contains(&MessageId::new(8)));
     }
 
     #[test]

