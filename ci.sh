@@ -10,7 +10,7 @@
 #   ./ci.sh --stage NAME   build, then only the named stage — the
 #                          local loop for debugging one smoke gate.
 #                          Names: test, fmt, clippy, doc, codec, sink,
-#                          perfbench-build, dynamics, degradation,
+#                          ids, perfbench-build, dynamics, degradation,
 #                          perf, scale, scale-sharded, matching,
 #                          net-cluster, broker-bench
 #
@@ -22,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES="test fmt clippy doc codec sink perfbench-build dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
+STAGES="test fmt clippy doc codec sink ids perfbench-build dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
 QUICK=0
 STAGE_FILTER=""
 while [ $# -gt 0 ]; do
@@ -186,6 +186,21 @@ if want sink; then
     if [ -n "$SINK_HITS" ]; then
         echo "a Mutex<ProfReport> sink outside bsub_obs::SharedReport:" >&2
         echo "$SINK_HITS" >&2
+        exit 1
+    fi
+fi
+
+if want ids; then
+    stage "ids (one message-id set: bsub_sim::MessageIdSet)"
+    # Message ids are dense counters, and MessageIdSet is the paged
+    # bitset over them (DESIGN.md §10); a HashSet of ids elsewhere
+    # would re-grow the per-probe hashing it replaced. Test code (from
+    # a file's first column-0 #[cfg(test)] on) is exempt.
+    IDS_HITS="$(find crates/*/src src -name '*.rs' ! -path crates/sim/src/message.rs \
+        -exec awk '/^#\[cfg\(test\)\]/ { nextfile } /HashSet<(bsub_sim::)?MessageId/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+    if [ -n "$IDS_HITS" ]; then
+        echo "a HashSet of message ids outside bsub_sim::MessageIdSet:" >&2
+        echo "$IDS_HITS" >&2
         exit 1
     fi
 fi

@@ -67,7 +67,7 @@ impl Pull {
     ) {
         // The consumer announces its interests as raw strings (plus
         // 2-byte length prefixes), the control cost PULL pays.
-        let interests: Vec<_> = ctx.subscriptions().interests_of(consumer).to_vec();
+        let interests = ctx.subscriptions().interests_of(consumer);
         if interests.is_empty() {
             return;
         }

@@ -80,7 +80,7 @@ use bsub_obs::{self as obs, Counter, TimeHist};
 /// assert!(!relay.contains("NewMoon"));
 /// # Ok::<(), bsub_bloom::Error>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tcbf {
     /// Stored counters, *before* the pending epoch is subtracted.
     counters: Vec<u32>,
@@ -93,6 +93,27 @@ pub struct Tcbf {
     initial: u32,
     hasher: KeyHasher,
     merged: bool,
+}
+
+impl Clone for Tcbf {
+    fn clone(&self) -> Self {
+        Self {
+            counters: self.counters.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s counter
+    /// allocation: a filter snapshotted once per contact costs a copy,
+    /// not an allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.counters.clone_from(&source.counters);
+        self.epoch = source.epoch;
+        self.hashes = source.hashes;
+        self.initial = source.initial;
+        self.hasher = source.hasher;
+        self.merged = source.merged;
+    }
 }
 
 /// Equality is on *materialized* counters: a filter decayed lazily and
@@ -712,6 +733,25 @@ mod tests {
 
     fn tcbf() -> Tcbf {
         Tcbf::new(256, 4, 10)
+    }
+
+    /// `clone_from` copies every field, decay epoch and merged flag
+    /// included, into the target's existing counter allocation.
+    #[test]
+    fn clone_from_copies_state_and_reuses_the_allocation() {
+        let mut source = tcbf();
+        source.insert("k0").unwrap();
+        source.a_merge(&tcbf()).unwrap();
+        source.decay(3);
+        let mut target = Tcbf::new(256, 2, 50);
+        target.insert("k1").unwrap();
+        let buffer = target.counters.as_ptr();
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!(target.counters, source.counters);
+        assert_eq!(target.epoch, source.epoch);
+        assert_eq!(target.counters.as_ptr(), buffer, "no reallocation");
+        assert_eq!(target.clone(), source);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! The contact pipeline's key table: every distinct message key,
-//! hashed once per protocol instance.
+//! The contact pipeline's key table: every distinct message and
+//! subscription key, hashed once per protocol instance.
 //!
 //! Steps 5a–5c test every buffered message against a counter-ripped
 //! filter. A [`KeyTable`] interns each key the first time the protocol
-//! sees it (publication or snapshot import) and keeps, per key id, the
-//! key's [`Probe`] (step 5d's preferential query needs the digests)
-//! and a `⌈m/64⌉`-word mask of exactly its `k` Kirsch–Mitzenmacher
-//! positions. A membership test is one branch-free reduction of the
+//! sees it (subscription at construction, publication or snapshot
+//! import) and keeps, per key id, the key's name (relay shadows are
+//! indexed by id and exported by name), its [`Probe`] (step 5d's
+//! preferential query needs the digests) and a `⌈m/64⌉`-word mask of
+//! exactly its `k` Kirsch–Mitzenmacher positions. A membership test is one branch-free reduction of the
 //! mask against the filter's bit words ([`Tcbf::ripped_words_into`]) —
 //! the same answer as [`Tcbf::contains`] and its Bloom false positives,
 //! without a `% m` per position or a materialized `BloomFilter`. The
@@ -25,7 +26,7 @@ use bsub_bloom::Tcbf;
 /// A key's index in its [`KeyTable`].
 pub(crate) type KeyId = u32;
 
-/// Every distinct message key a protocol instance has seen, with its
+/// Every distinct key a protocol instance has seen, with its name,
 /// probe and position mask. Keys are never removed: the table is
 /// derived state bounded by the key universe (38 keys in the paper's
 /// workload).
@@ -36,6 +37,8 @@ pub(crate) struct KeyTable {
     /// Mask words per key, `⌈bits/64⌉`.
     words: usize,
     ids: HashMap<Arc<str>, KeyId>,
+    /// The key of each id, in id order.
+    names: Vec<Arc<str>>,
     probes: Vec<Probe>,
     /// `words` mask words per key, in id order.
     masks: Vec<u64>,
@@ -50,6 +53,7 @@ impl KeyTable {
             hashes,
             words: bits.div_ceil(64),
             ids: HashMap::new(),
+            names: Vec::new(),
             probes: Vec::new(),
             masks: Vec::new(),
         }
@@ -68,8 +72,14 @@ impl KeyTable {
             self.masks[at + pos / 64] |= 1 << (pos % 64);
         }
         self.probes.push(probe);
+        self.names.push(Arc::clone(key));
         self.ids.insert(Arc::clone(key), id);
         id
+    }
+
+    /// The key of id `id`.
+    pub fn name(&self, id: KeyId) -> &Arc<str> {
+        &self.names[id as usize]
     }
 
     /// The probe of key `id`.

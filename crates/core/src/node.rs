@@ -7,7 +7,7 @@ use crate::keys::KeyId;
 use bsub_bloom::{Decayer, KeyHasher, Tcbf};
 use bsub_sim::{Message, MessageIdSet};
 use bsub_traces::{NodeId, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A node's current role in the two-tier B-SUB structure.
@@ -23,6 +23,9 @@ pub enum Role {
 /// The hash configuration every B-SUB filter shares (Section IV-A):
 /// the one a message key's `Probe` is computed under.
 pub(crate) const NETWORK_HASHER: KeyHasher = KeyHasher::new();
+
+/// The expiry bound of empty stores: later than any message's expiry.
+const NEVER: SimTime = SimTime::from_millis(u64::MAX);
 
 /// The consumers one message copy was handed to: a sorted, duplicate-free
 /// `Vec`. A copy reaches a handful of consumers, so a binary search
@@ -132,13 +135,14 @@ pub(crate) struct RelayState {
     pub contact_log: VecDeque<SimTime>,
     /// Eq. 4/5 adaptation state (present in Auto mode).
     pub adaptive: Option<AdaptiveDf>,
-    /// Ground-truth mirror of the relay filter: an exact key → counter
-    /// map maintained with the same A-merge / M-merge / decay
-    /// semantics as the TCBF. A real node could not have this (it
-    /// would defeat the point of the filter); it exists only so the
-    /// metrics can label a relay injection as a pure Bloom false
-    /// positive (Fig. 9(d)).
-    pub shadow: HashMap<Arc<str>, u32>,
+    /// Ground-truth mirror of the relay filter: an exact counter per
+    /// key id of the protocol's key table (0 means absent; ids past
+    /// the end are absent too), maintained with the same A-merge /
+    /// M-merge / decay semantics as the TCBF. A real node could not
+    /// have this (it would defeat the point of the filter); it exists
+    /// only so the metrics can label a relay injection as a pure Bloom
+    /// false positive (Fig. 9(d)).
+    pub shadow: Vec<u32>,
 }
 
 impl RelayState {
@@ -163,7 +167,7 @@ impl RelayState {
             last_decay: now,
             contact_log: VecDeque::new(),
             adaptive,
-            shadow: HashMap::new(),
+            shadow: Vec::new(),
         }
     }
 
@@ -178,64 +182,66 @@ impl RelayState {
         let amount = self.decayer.advance(minutes);
         if amount > 0 {
             self.filter.decay(amount);
-            self.shadow.retain(|_, c| {
+            for c in &mut self.shadow {
                 *c = c.saturating_sub(amount);
-                *c > 0
-            });
+            }
         }
         self.last_decay = now;
         amount
     }
 
     /// A-merges a consumer's genuine filter (and mirrors it in the
-    /// shadow: each interest key gains the consumer's counter value).
-    pub fn absorb_genuine(&mut self, genuine: &Tcbf, interests: &[Arc<str>], counter: u32) {
+    /// shadow: each interest key id gains the consumer's counter
+    /// value).
+    pub fn absorb_genuine(&mut self, genuine: &Tcbf, interests: &[KeyId], counter: u32) {
         self.filter
             .a_merge(genuine)
             .expect("network-wide filter parameters match");
-        for key in interests {
-            let c = self.shadow.entry(Arc::clone(key)).or_insert(0);
+        for &key in interests {
+            let c = self.shadow_mut(key);
             *c = c.saturating_add(counter);
         }
+    }
+
+    /// The shadow counter of key `key`, grown to hold it.
+    pub fn shadow_mut(&mut self, key: KeyId) -> &mut u32 {
+        let at = key as usize;
+        if at >= self.shadow.len() {
+            self.shadow.resize(at + 1, 0);
+        }
+        &mut self.shadow[at]
     }
 
     /// Combines a peer broker's relay filter (and shadow snapshot)
     /// into this one, under the configured merge rule. The paper uses
     /// [`MergeRule::Maximum`]; [`MergeRule::Additive`] exists to
     /// demonstrate the bogus-counter loop of Fig. 6.
-    pub fn absorb_relay(
-        &mut self,
-        filter: &Tcbf,
-        shadow: &HashMap<Arc<str>, u32>,
-        rule: crate::config::MergeRule,
-    ) {
+    pub fn absorb_relay(&mut self, filter: &Tcbf, shadow: &[u32], rule: crate::config::MergeRule) {
+        if self.shadow.len() < shadow.len() {
+            self.shadow.resize(shadow.len(), 0);
+        }
+        let mine = self.shadow.iter_mut().zip(shadow);
         match rule {
             crate::config::MergeRule::Maximum => {
                 self.filter
                     .m_merge(filter)
                     .expect("network-wide filter parameters match");
-                for (key, &c) in shadow {
-                    let mine = self.shadow.entry(Arc::clone(key)).or_insert(0);
-                    *mine = (*mine).max(c);
-                }
+                mine.for_each(|(m, &c)| *m = (*m).max(c));
             }
             crate::config::MergeRule::Additive => {
                 self.filter
                     .a_merge(filter)
                     .expect("network-wide filter parameters match");
-                for (key, &c) in shadow {
-                    let mine = self.shadow.entry(Arc::clone(key)).or_insert(0);
-                    *mine = mine.saturating_add(c);
-                }
+                mine.for_each(|(m, &c)| *m = m.saturating_add(c));
             }
         }
     }
 
-    /// Whether the relay *truly* holds `key` (ground truth — a
+    /// Whether the relay *truly* holds key `key` (ground truth — a
     /// filter-positive key absent here is a Bloom false positive).
     #[must_use]
-    pub fn truly_holds(&self, key: &str) -> bool {
-        self.shadow.contains_key(key)
+    pub fn truly_holds(&self, key: KeyId) -> bool {
+        self.shadow.get(key as usize).is_some_and(|&c| c > 0)
     }
 
     /// Records a consumer contact for ℕ tracking and, in Auto mode,
@@ -267,9 +273,16 @@ pub(crate) struct NodeState {
     /// Messages carried as a broker. Survives demotion: a demoted
     /// broker still hands its cargo to interested consumers it meets
     /// directly, it just stops accepting new interests and messages.
+    /// Entries are added only through [`NodeState::carry`].
     pub store: Vec<Carried>,
     /// Messages this node produced and still replicates/serves.
+    /// Entries are added only through [`NodeState::publish`].
     pub published: Vec<Produced>,
+    /// A lower bound on the expiry of every entry in `store` and
+    /// `published`: [`NodeState::prune`] walks the stores only once
+    /// `now` passes it. Insertions lower it; removals only raise the
+    /// true minimum, so they leave it as it is.
+    pub next_expiry: SimTime,
     /// Every message id this node has held in any role (prevents
     /// copy ping-pong between brokers).
     pub seen: MessageIdSet,
@@ -290,6 +303,7 @@ impl NodeState {
             relay: None,
             store: Vec::new(),
             published: Vec::new(),
+            next_expiry: NEVER,
             seen: MessageIdSet::default(),
         }
     }
@@ -323,6 +337,7 @@ impl NodeState {
     pub fn reset_volatile(&mut self, config: &BsubConfig, now: SimTime) {
         self.store.clear();
         self.published.clear();
+        self.next_expiry = NEVER;
         self.seen.clear();
         self.relay = if self.role == Role::Broker {
             Some(RelayState::new(config, now))
@@ -331,12 +346,38 @@ impl NodeState {
         };
     }
 
+    /// Adds a carried copy to the store.
+    pub fn carry(&mut self, copy: Carried) {
+        self.next_expiry = self.next_expiry.min(copy.msg.expiry());
+        self.store.push(copy);
+    }
+
+    /// Adds a publication.
+    pub fn publish(&mut self, produced: Produced) {
+        self.next_expiry = self.next_expiry.min(produced.msg.expiry());
+        self.published.push(produced);
+    }
+
     /// Drops expired messages from both stores; returns how many
-    /// copies were dropped.
+    /// copies were dropped. Nothing has expired while `now` is at or
+    /// before [`NodeState::next_expiry`], so only a call past it walks
+    /// the stores, and that walk recomputes the bound.
     pub fn prune(&mut self, now: SimTime) -> u64 {
+        if now <= self.next_expiry {
+            return 0;
+        }
         let before = self.store.len() + self.published.len();
-        self.store.retain(|c| !c.msg.is_expired(now));
-        self.published.retain(|p| !p.msg.is_expired(now));
+        let mut next = NEVER;
+        let mut live = |msg: &Message| {
+            let expiry = msg.expiry();
+            if now <= expiry {
+                next = next.min(expiry);
+            }
+            now <= expiry
+        };
+        self.store.retain(|c| live(&c.msg));
+        self.published.retain(|p| live(&p.msg));
+        self.next_expiry = next;
         (before - self.store.len() - self.published.len()) as u64
     }
 }
@@ -510,8 +551,8 @@ mod tests {
             ttl: SimDuration::from_secs(100),
             producer: NodeId::new(0),
         });
-        n.store.push(Carried::new(msg.clone(), 0));
-        n.published.push(Produced::new(msg.clone(), 0, 3));
+        n.carry(Carried::new(msg.clone(), 0));
+        n.publish(Produced::new(msg.clone(), 0, 3));
         n.seen.insert(msg.id);
 
         n.reset_volatile(&cfg, SimTime::from_secs(60));
@@ -537,6 +578,75 @@ mod tests {
         assert_eq!(n.role, Role::User);
     }
 
+    /// Seeded `carry` / `publish` / `swap_remove` / `prune` sequences:
+    /// the watermarked prune drops exactly what an eager `retain` on a
+    /// model of both stores drops, and the bound never passes the
+    /// earliest live expiry.
+    #[test]
+    fn watermarked_prune_matches_eager_retain() {
+        let cfg = config();
+        let mut rng = SplitMix64::new(0x7072_756e);
+        let ids = |v: &[Arc<Message>]| v.iter().map(|m| m.id).collect::<Vec<_>>();
+        for round in 0..300 {
+            let mut n = NodeState::new(&cfg, &interests(&["k"]));
+            let (mut store, mut published): (Vec<Arc<Message>>, Vec<Arc<Message>>) =
+                (vec![], vec![]);
+            let mut now = 0u64;
+            for step in 0..rng.below(200) {
+                match rng.below(6) {
+                    0 | 1 => {
+                        let created = now.saturating_sub(rng.below(50));
+                        let msg = Arc::new(Message {
+                            id: MessageId::new(step),
+                            key: "k".into(),
+                            size: 10,
+                            created: SimTime::from_secs(created),
+                            ttl: SimDuration::from_secs(rng.below(100)),
+                            producer: NodeId::new(0),
+                        });
+                        if rng.next_bool() {
+                            n.carry(Carried::new(Arc::clone(&msg), 0));
+                            store.push(msg);
+                        } else {
+                            n.publish(Produced::new(Arc::clone(&msg), 0, 3));
+                            published.push(msg);
+                        }
+                    }
+                    2 if !store.is_empty() => {
+                        let at = rng.below(store.len() as u64) as usize;
+                        n.store.swap_remove(at);
+                        store.swap_remove(at);
+                    }
+                    3 if !published.is_empty() => {
+                        let at = rng.below(published.len() as u64) as usize;
+                        n.published.swap_remove(at);
+                        published.swap_remove(at);
+                    }
+                    _ => {
+                        // Mostly forward in time, sometimes back.
+                        now = if rng.below(8) == 0 {
+                            now.saturating_sub(rng.below(60))
+                        } else {
+                            now + rng.below(40)
+                        };
+                        let at = SimTime::from_secs(now);
+                        let before = store.len() + published.len();
+                        store.retain(|m| !m.is_expired(at));
+                        published.retain(|m| !m.is_expired(at));
+                        let dropped = (before - store.len() - published.len()) as u64;
+                        assert_eq!(n.prune(at), dropped, "round {round} step {step}");
+                    }
+                }
+                let stored: Vec<_> = n.store.iter().map(|c| Arc::clone(&c.msg)).collect();
+                let produced: Vec<_> = n.published.iter().map(|p| Arc::clone(&p.msg)).collect();
+                assert_eq!(ids(&stored), ids(&store), "round {round} step {step}");
+                assert_eq!(ids(&produced), ids(&published), "round {round} step {step}");
+                let earliest = store.iter().chain(&published).map(|m| m.expiry()).min();
+                assert!(earliest.is_none_or(|e| n.next_expiry <= e), "round {round}");
+            }
+        }
+    }
+
     #[test]
     fn prune_drops_expired() {
         let cfg = config();
@@ -549,8 +659,8 @@ mod tests {
             ttl: SimDuration::from_secs(100),
             producer: NodeId::new(0),
         });
-        n.store.push(Carried::new(msg.clone(), 0));
-        n.published.push(Produced::new(msg, 0, 3));
+        n.carry(Carried::new(msg.clone(), 0));
+        n.publish(Produced::new(msg, 0, 3));
         n.prune(SimTime::from_secs(50));
         assert_eq!(n.store.len(), 1);
         n.prune(SimTime::from_secs(101));

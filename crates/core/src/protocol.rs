@@ -42,7 +42,7 @@
 
 use crate::broker::ElectionAction;
 use crate::config::BsubConfig;
-use crate::keys::KeyTable;
+use crate::keys::{KeyId, KeyTable};
 use crate::node::{Carried, NodeState, Produced, Role, NETWORK_HASHER};
 use bsub_bloom::wire::{self, CounterMode};
 use bsub_obs::{self as obs, Counter, Gauge, TimeHist};
@@ -111,15 +111,23 @@ fn corrupted_in_flight(
 pub struct BsubProtocol {
     config: BsubConfig,
     nodes: Vec<NodeState>,
-    /// Every message key seen, with its probe and position mask; store
-    /// entries refer to it by id.
+    /// Every message and subscription key seen, with its probe and
+    /// position mask; store entries and relay shadows refer to it by id.
     keys: KeyTable,
+    /// Each node's own subscriptions as key ids, interned once at
+    /// construction (subscriptions never change during a run).
+    interests: Vec<Vec<KeyId>>,
     /// Reused buffer for the bit words of the filter steps 5a–5c match
     /// against (see [`bsub_bloom::Tcbf::ripped_words_into`]).
     filter_words: Vec<u64>,
     /// Reused buffer for the keys that filter holds, one bit per key id
     /// (see [`KeyTable::held_set`]).
     held_keys: Vec<u64>,
+    /// Reused copy of one broker's pre-merge relay filter and shadow
+    /// in step 5d: when both brokers merge, the second merge must read
+    /// the state the first one overwrote.
+    premerge_filter: bsub_bloom::Tcbf,
+    premerge_shadow: Vec<u32>,
     /// Contacts seen while profiling — schedules the sampled
     /// occupancy walk. Metrics-only state: never read by the
     /// protocol logic, untouched when profiling is off.
@@ -144,10 +152,25 @@ impl BsubProtocol {
                 nodes[idx].promote(&config, SimTime::ZERO);
             }
         }
+        let mut keys = KeyTable::new(config.bits, config.hashes);
+        let interests = (0..n)
+            .map(|i| {
+                let node = NodeId::new(i);
+                let own = subscriptions.interests_of(node);
+                own.iter().map(|key| keys.intern(key)).collect()
+            })
+            .collect();
         Self {
-            keys: KeyTable::new(config.bits, config.hashes),
+            keys,
+            interests,
             filter_words: Vec::new(),
             held_keys: Vec::new(),
+            premerge_filter: bsub_bloom::Tcbf::new(
+                config.bits,
+                config.hashes,
+                config.initial_counter,
+            ),
+            premerge_shadow: Vec::new(),
             config,
             nodes,
             occupancy_probe: 0,
@@ -399,13 +422,12 @@ impl BsubProtocol {
         ) {
             return (true, false);
         }
-        let interests = ctx.subscriptions().interests_of(consumer).to_vec();
         let now = ctx.now();
         let (consumer_state, broker_state) = two(&mut self.nodes, consumer.index(), broker.index());
         let relay = broker_state.relay.as_mut().expect("broker has relay");
         relay.absorb_genuine(
             &consumer_state.genuine,
-            &interests,
+            &self.interests[consumer.index()],
             self.config.initial_counter,
         );
         relay.on_consumer_contact(now, &self.config);
@@ -471,7 +493,8 @@ impl BsubProtocol {
         // 5a: direct producer → consumer (not counted as copies), then
         // 5c: relayed copies → consumer. The predicates are pure, so
         // the cheap ones run first: one bit of the held-key set rejects
-        // almost every entry before any set lookup.
+        // almost every entry before any set lookup. Housekeeping pruned
+        // both stores at `now`, so no entry has expired.
         let src_state = &mut self.nodes[src.index()];
         let published = src_state
             .published
@@ -485,8 +508,8 @@ impl BsubProtocol {
         let mut served = true;
         for (msg, key, delivered_to) in published.chain(carried) {
             checked += 1;
+            debug_assert!(!msg.is_expired(now), "{} expired in a pruned store", msg.id);
             if !KeyTable::is_held(&self.held_keys, key)
-                || msg.is_expired(now)
                 || msg.producer == dst
                 || delivered_to.contains(dst)
             {
@@ -556,9 +579,13 @@ impl BsubProtocol {
         let mut checked = 0;
         for produced in &mut producer_state.published {
             checked += 1;
+            debug_assert!(
+                !produced.msg.is_expired(now),
+                "{} expired in a pruned store",
+                produced.msg.id
+            );
             if produced.copies_left == 0
                 || !KeyTable::is_held(&self.held_keys, produced.key)
-                || produced.msg.is_expired(now)
                 || broker_state.seen.contains(&produced.msg.id)
             {
                 continue;
@@ -573,12 +600,10 @@ impl BsubProtocol {
                 .relay
                 .as_ref()
                 .expect("broker")
-                .truly_holds(&produced.msg.key);
+                .truly_holds(produced.key);
             produced.copies_left -= 1;
             broker_state.seen.insert(produced.msg.id);
-            broker_state
-                .store
-                .push(Carried::new(Arc::clone(&produced.msg), produced.key));
+            broker_state.carry(Carried::new(Arc::clone(&produced.msg), produced.key));
             ctx.record_injection(broker, &produced.msg, fp);
         }
         obs::count(Counter::MatchChecked, checked);
@@ -614,32 +639,28 @@ impl BsubProtocol {
             return false;
         }
 
-        // Snapshot the pre-merge filters (and shadows): forwarding
-        // decisions use them, and both directions must see the same
-        // state.
-        let relay_a = self.nodes[a.index()].relay.as_ref().expect("broker");
-        let relay_b = self.nodes[b.index()].relay.as_ref().expect("broker");
-        let filter_a = relay_a.filter.clone();
-        let filter_b = relay_b.filter.clone();
-        let shadow_a = relay_a.shadow.clone();
-        let shadow_b = relay_b.shadow.clone();
-
         // Each direction's filter transmission can be corrupted
         // independently; a side that received a damaged filter neither
         // hands off (it can't score preferences) nor merges.
-        let a_received_b = !corrupted_in_flight(ctx, a, &filter_b, CounterMode::Full, cost_b);
-        let b_received_a = !corrupted_in_flight(ctx, b, &filter_a, CounterMode::Full, cost_a);
+        let filter = |node: NodeId| {
+            &self.nodes[node.index()]
+                .relay
+                .as_ref()
+                .expect("broker")
+                .filter
+        };
+        let a_received_b = !corrupted_in_flight(ctx, a, filter(b), CounterMode::Full, cost_b);
+        let b_received_a = !corrupted_in_flight(ctx, b, filter(a), CounterMode::Full, cost_a);
 
+        // Handoffs read both relay filters in place: neither changes
+        // before the merge, so both directions see the same state.
         let mut ok = true;
-        for (src, dst, src_filter, dst_filter, received) in [
-            (a, b, &filter_a, &filter_b, a_received_b),
-            (b, a, &filter_b, &filter_a, b_received_a),
-        ] {
+        for (src, dst, received) in [(a, b, a_received_b), (b, a, b_received_a)] {
             // `src` needs `dst`'s filter to score the handoff.
             if !received {
                 continue;
             }
-            if !self.handoff(ctx, link, src, dst, src_filter, dst_filter) {
+            if !self.handoff(ctx, link, src, dst) {
                 ok = false;
                 break;
             }
@@ -655,18 +676,29 @@ impl BsubProtocol {
         };
         let now = ctx.now();
         let (state_a, state_b) = two(&mut self.nodes, a.index(), b.index());
+        let relay_a = state_a.relay.as_mut().expect("broker");
+        let relay_b = state_b.relay.as_mut().expect("broker");
+        if a_received_b && b_received_a {
+            // `b` merges `a`'s pre-merge state, which `a`'s merge
+            // overwrites first.
+            self.premerge_filter.clone_from(&relay_a.filter);
+            self.premerge_shadow.clone_from(&relay_a.shadow);
+        }
         if a_received_b {
-            let relay_a = state_a.relay.as_mut().expect("broker");
-            relay_a.absorb_relay(&filter_b, &shadow_b, rule);
+            relay_a.absorb_relay(&relay_b.filter, &relay_b.shadow, rule);
         }
         if b_received_a {
-            let relay_b = state_b.relay.as_mut().expect("broker");
-            relay_b.absorb_relay(&filter_a, &shadow_a, rule);
+            let (filter, shadow) = if a_received_b {
+                (&self.premerge_filter, &self.premerge_shadow)
+            } else {
+                (&relay_a.filter, &relay_a.shadow)
+            };
+            relay_b.absorb_relay(filter, shadow, rule);
         }
         // Fill ratios are O(m) walks; compute them inside the closures
         // so only recording runs pay them.
         if a_received_b {
-            let relay_a = state_a.relay.as_ref().expect("broker");
+            let relay_a = &*relay_a;
             ctx.emit(|| TraceEvent::FilterMerge {
                 at: now,
                 node: a,
@@ -675,7 +707,7 @@ impl BsubProtocol {
             });
         }
         if b_received_a {
-            let relay_b = state_b.relay.as_ref().expect("broker");
+            let relay_b = &*relay_b;
             ctx.emit(|| TraceEvent::FilterMerge {
                 at: now,
                 node: b,
@@ -687,23 +719,23 @@ impl BsubProtocol {
     }
 
     /// Moves the positive-preference messages of `src` to `dst`,
-    /// best-preference first.
-    fn handoff(
-        &mut self,
-        ctx: &mut SimCtx<'_>,
-        link: &mut Link,
-        src: NodeId,
-        dst: NodeId,
-        src_filter: &bsub_bloom::Tcbf,
-        dst_filter: &bsub_bloom::Tcbf,
-    ) -> bool {
+    /// best-preference first, scored against both brokers' relay
+    /// filters as they stand.
+    fn handoff(&mut self, ctx: &mut SimCtx<'_>, link: &mut Link, src: NodeId, dst: NodeId) -> bool {
         let now = ctx.now();
         let mut candidates: Vec<(usize, bsub_bloom::Preference)> = Vec::new();
         {
             let src_state = &self.nodes[src.index()];
             let dst_state = &self.nodes[dst.index()];
+            let src_filter = &src_state.relay.as_ref().expect("broker").filter;
+            let dst_filter = &dst_state.relay.as_ref().expect("broker").filter;
             for (i, carried) in src_state.store.iter().enumerate() {
-                if carried.msg.is_expired(now) || dst_state.seen.contains(&carried.msg.id) {
+                debug_assert!(
+                    !carried.msg.is_expired(now),
+                    "{} expired in a pruned store",
+                    carried.msg.id
+                );
+                if dst_state.seen.contains(&carried.msg.id) {
                     continue;
                 }
                 match self.config.forwarding {
@@ -768,7 +800,7 @@ impl BsubProtocol {
             let carried = self.nodes[src.index()].store.swap_remove(idx);
             let dst_state = &mut self.nodes[dst.index()];
             dst_state.seen.insert(carried.msg.id);
-            dst_state.store.push(carried);
+            dst_state.carry(carried);
         }
         ok
     }
@@ -783,9 +815,7 @@ impl Protocol for BsubProtocol {
         let key = self.keys.intern(&msg.key);
         let state = &mut self.nodes[msg.producer.index()];
         state.seen.insert(msg.id);
-        state
-            .published
-            .push(Produced::new(Arc::clone(msg), key, self.config.copies));
+        state.publish(Produced::new(Arc::clone(msg), key, self.config.copies));
     }
 
     fn on_node_reset(&mut self, ctx: &mut SimCtx<'_>, node: NodeId) {
@@ -798,7 +828,7 @@ impl Protocol for BsubProtocol {
     /// the `snapshot` module for the format and exactness contract.
     fn export_node(&self, node: NodeId) -> Option<Vec<u8>> {
         let state = self.nodes.get(node.index())?;
-        Some(crate::snapshot::encode_node(state))
+        Some(crate::snapshot::encode_node(state, &self.keys))
     }
 
     fn import_node(&mut self, node: NodeId, bytes: &[u8]) -> bool {

@@ -23,15 +23,17 @@
 //! - The genuine filter is *not* shipped: it is a pure function of the
 //!   node's subscriptions (which every process knows) and never
 //!   changes, so the importer keeps its own copy.
-//! - Neither is a message's key id: import interns each decoded key
-//!   into the receiving protocol's key table, and only once the whole
-//!   snapshot has parsed, so a rejected snapshot adds no key.
-//! - Hash-ordered collections are canonically sorted on export, so
-//!   equal states encode to equal bytes.
+//! - Neither is any key id: messages and the relay shadow travel by
+//!   key name, and import interns each decoded key into the receiving
+//!   protocol's key table, only once the whole snapshot has parsed, so
+//!   a rejected snapshot adds no key.
+//! - Unordered collections are canonically sorted on export, so equal
+//!   states encode to equal bytes; the shadow decodes only in that
+//!   form (keys strictly ascending, no zero counter).
 
 use crate::broker::ElectionLog;
 use crate::config::{BsubConfig, DfMode};
-use crate::keys::KeyTable;
+use crate::keys::{KeyId, KeyTable};
 use crate::node::{Carried, NodeSet, NodeState, Produced, RelayState, Role};
 use bsub_bloom::wire::{self, CounterMode};
 use bsub_bloom::{Decayer, KeyHasher, Tcbf};
@@ -40,7 +42,7 @@ use bsub_obs::codec::{Reader, Writer};
 use bsub_sim::snapshot::{read_message, write_message, MESSAGE_MIN_LEN};
 use bsub_sim::{Message, MessageId, MessageIdSet};
 use bsub_traces::{NodeId, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Snapshot format version; bump on any layout change.
@@ -134,8 +136,9 @@ pub fn decode_match_index(bytes: &[u8]) -> Option<MatchIndex> {
     })
 }
 
-/// Encodes `state` into a self-contained byte snapshot.
-pub(crate) fn encode_node(state: &NodeState) -> Vec<u8> {
+/// Encodes `state` into a self-contained byte snapshot; `keys` names
+/// the key ids of its relay shadow.
+pub(crate) fn encode_node(state: &NodeState, keys: &KeyTable) -> Vec<u8> {
     let mut w = Writer::new();
     w.u8(VERSION);
     w.u8(match state.role {
@@ -177,8 +180,12 @@ pub(crate) fn encode_node(state: &NodeState) -> Vec<u8> {
                     w.f64(a.current());
                 }
             }
-            let mut shadow: Vec<(&Arc<str>, u32)> =
-                relay.shadow.iter().map(|(k, &c)| (k, c)).collect();
+            // The keys the relay truly holds, by name in ascending
+            // order.
+            let mut shadow: Vec<(&Arc<str>, u32)> = (relay.shadow.iter().enumerate())
+                .filter(|&(_, &c)| c > 0)
+                .map(|(id, &c)| (keys.name(id as KeyId), c))
+                .collect();
             shadow.sort_by(|a, b| a.0.cmp(b.0));
             w.u32(shadow.len() as u32);
             for (key, c) in shadow {
@@ -230,7 +237,12 @@ pub(crate) fn decode_node_into(
     };
     state.role = parsed.role;
     state.election = parsed.election;
-    state.relay = parsed.relay;
+    state.relay = parsed.relay.map(|(mut relay, shadow)| {
+        for (key, c) in shadow {
+            *relay.shadow_mut(keys.intern(&key)) = c;
+        }
+        relay
+    });
     state.store = parsed
         .store
         .into_iter()
@@ -250,6 +262,9 @@ pub(crate) fn decode_node_into(
             delivered_to,
         })
         .collect();
+    // The expiry bound of the imported stores is unknown: the first
+    // prune walks them and recomputes it.
+    state.next_expiry = SimTime::ZERO;
     state.seen = parsed.seen;
     true
 }
@@ -258,15 +273,19 @@ pub(crate) fn decode_node_into(
 /// malformed snapshot rejects without half-mutating the node or its
 /// protocol's key table. Store entries are kept as their parts until
 /// then: a message, its copies left (publications only) and the
-/// consumers it was handed to.
+/// consumers it was handed to; so is the relay shadow, as a
+/// [`NamedShadow`] beside a relay whose shadow is empty.
 struct Parsed {
     role: Role,
     election: ElectionLog,
-    relay: Option<RelayState>,
+    relay: Option<(RelayState, NamedShadow)>,
     store: Vec<(Arc<Message>, NodeSet)>,
     published: Vec<(Arc<Message>, u32, NodeSet)>,
     seen: MessageIdSet,
 }
+
+/// A relay shadow's nonzero counters by key name, in ascending order.
+type NamedShadow = Vec<(Arc<str>, u32)>;
 
 fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
     let mut r = Reader::new(bytes);
@@ -334,20 +353,24 @@ fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
         } else {
             None
         };
-        let mut shadow = HashMap::new();
+        let mut shadow = NamedShadow::new();
         for _ in 0..r.count(4 + 4)? {
-            let key: Arc<str> = Arc::from(r.str()?);
+            let key = r.str()?;
             let c = r.u32()?;
-            shadow.insert(key, c);
+            if c == 0 || shadow.last().is_some_and(|(last, _)| **last >= *key) {
+                return None; // the encoder writes held keys in ascending order
+            }
+            shadow.push((Arc::from(key), c));
         }
-        Some(RelayState {
+        let relay = RelayState {
             filter,
             decayer,
             last_decay,
             contact_log,
             adaptive,
-            shadow,
-        })
+            shadow: Vec::new(),
+        };
+        Some((relay, shadow))
     } else {
         None
     };
@@ -476,9 +499,7 @@ mod tests {
             producer: NodeId::new(2),
         });
         let key = bsub.keys_mut().intern(&weather.key);
-        bsub.nodes_mut()[2]
-            .published
-            .push(Produced::new(weather, key, 3));
+        bsub.nodes_mut()[2].publish(Produced::new(weather, key, 3));
         let mut sibling = BsubProtocol::new(bsub.config().clone(), &subs);
         let fresh = |key: &str| bsub_match::Probe::new(&KeyHasher::default(), key.as_bytes());
         let (mut carried, mut produced) = (0, 0);
@@ -501,7 +522,8 @@ mod tests {
     }
 
     /// Keys are interned only once a snapshot has parsed in full: a
-    /// rejected snapshot leaves the key table as it was.
+    /// rejected snapshot leaves the key table as it was (holding the
+    /// subscriptions the protocol interned at construction).
     #[test]
     fn rejected_snapshot_interns_no_key() {
         let (mut bsub, subs) = worked_protocol();
@@ -515,20 +537,83 @@ mod tests {
         });
         let key = bsub.keys_mut().intern(&novel.key);
         let state = &mut bsub.nodes_mut()[4];
-        state.published.push(Produced::new(novel, key, 3));
+        state.publish(Produced::new(novel, key, 3));
         let keys: HashSet<Arc<str>> = (state.store.iter().map(|c| &c.msg))
             .chain(state.published.iter().map(|p| &p.msg))
             .map(|msg| Arc::clone(&msg.key))
+            .chain((0..16).flat_map(|i| subs.interests_of(NodeId::new(i)).to_vec()))
             .collect();
         let snap = bsub.export_node(NodeId::new(4)).unwrap();
 
         let mut sibling = BsubProtocol::new(bsub.config().clone(), &subs);
+        let interned = sibling.keys_mut().len();
         for cut in [snap.len() - 1, snap.len() - 9] {
             assert!(!sibling.import_node(NodeId::new(4), &snap[..cut]));
-            assert_eq!(sibling.keys_mut().len(), 0, "cut at {cut}");
+            assert_eq!(sibling.keys_mut().len(), interned, "cut at {cut}");
         }
         assert!(sibling.import_node(NodeId::new(4), &snap));
         assert_eq!(sibling.keys_mut().len(), keys.len());
+    }
+
+    /// Node 0's snapshot as a broker whose relay truly holds `k1`, `k2`
+    /// and `k3` (counters 3, 7 and 1), from a protocol that interned
+    /// the keys in that order.
+    fn shadow_snapshot() -> Vec<u8> {
+        let mut subs = SubscriptionTable::new(2);
+        for key in ["k1", "k2", "k3"] {
+            subs.subscribe(NodeId::new(1), key);
+        }
+        let config = BsubConfig::default();
+        let mut bsub = BsubProtocol::new(config.clone(), &subs);
+        let ids = ["k1", "k2", "k3"].map(|k| bsub.keys_mut().intern(&Arc::from(k)));
+        let state = &mut bsub.nodes_mut()[0];
+        state.promote(&config, bsub_traces::SimTime::ZERO);
+        let relay = state.relay.as_mut().unwrap();
+        for (id, c) in ids.into_iter().zip([3, 7, 1]) {
+            *relay.shadow_mut(id) = c;
+        }
+        bsub.export_node(NodeId::new(0)).unwrap()
+    }
+
+    /// The shadow travels by key name: a protocol that interned the
+    /// keys in another order imports the same ground truth and
+    /// re-exports the same bytes. An entry whose counter is 0, or keys
+    /// that are not strictly ascending, are not what the encoder
+    /// writes and are refused.
+    #[test]
+    fn shadow_decodes_only_in_canonical_form() {
+        let snap = shadow_snapshot();
+        let node = NodeId::new(0);
+        let mut subs = SubscriptionTable::new(2);
+        for key in ["k3", "zz", "k2"] {
+            subs.subscribe(NodeId::new(1), key);
+        }
+        let mut sibling = BsubProtocol::new(BsubConfig::default(), &subs);
+        assert!(sibling.import_node(node, &snap));
+        assert_eq!(sibling.export_node(node).unwrap(), snap);
+        for (key, held) in [("k1", true), ("k2", true), ("k3", true), ("zz", false)] {
+            let id = sibling.keys_mut().intern(&Arc::from(key));
+            let relay = sibling.nodes_mut()[0].relay.as_ref().unwrap();
+            assert_eq!(relay.truly_holds(id), held, "{key}");
+        }
+
+        // Each entry is a 4-byte length, the 2-byte name, a counter.
+        let entry = |name: &[u8]| {
+            let pattern = [&[2, 0, 0, 0], name].concat();
+            snap.windows(6).rposition(|w| w == pattern).expect("entry")
+        };
+        let (k1, k2) = (entry(b"k1"), entry(b"k2"));
+        let mut zero = snap.clone();
+        zero[k2 + 6..k2 + 10].fill(0);
+        let mut swapped = snap.clone();
+        swapped[k1 + 4..k1 + 6].copy_from_slice(b"k2");
+        swapped[k2 + 4..k2 + 6].copy_from_slice(b"k1");
+        let mut repeated = snap.clone();
+        repeated[k2 + 4..k2 + 6].copy_from_slice(b"k1");
+        for (name, bytes) in [("zero", zero), ("swapped", swapped), ("repeated", repeated)] {
+            assert!(!sibling.import_node(node, &bytes), "{name}");
+            assert_eq!(sibling.export_node(node).unwrap(), snap, "{name} mutated");
+        }
     }
 
     /// A user node's snapshot with one carried copy handed to

@@ -28,8 +28,10 @@ mod support;
 use bsub_bloom::wire::{self, crc16, CounterMode, WirePayload};
 use bsub_bloom::{SplitMix64, Tcbf};
 use bsub_core::snapshot::{decode_match_index, encode_match_index};
+use bsub_core::{BsubConfig, BsubProtocol};
 use bsub_net::broker::{DeliverBody, PublishBody, SubscribeBody};
 use bsub_net::{Frame, FrameKind, HEADER_LEN};
+use bsub_obs::codec::Writer;
 use bsub_obs::ProfReport;
 use bsub_sim::Protocol;
 use bsub_traces::NodeId;
@@ -339,11 +341,15 @@ fn match_index_target() -> Target {
     })
 }
 
-/// `import_node` into node 0 of `sink`; an accepted snapshot must
-/// survive export → import → export unchanged.
-fn import_target<P: Protocol + 'static>(name: &'static str, source: &P, mut sink: P) -> Target {
+/// `import_node` into node 0 of `sink`, seeded with `seeds`; an
+/// accepted snapshot must survive export → import → export unchanged.
+fn import_target<P: Protocol + 'static>(
+    name: &'static str,
+    seeds: Vec<Vec<u8>>,
+    mut sink: P,
+) -> Target {
     let node = NodeId::new(0);
-    Target::new(name, support::snapshots(source), move |input| {
+    Target::new(name, seeds, move |input| {
         if !watched(input, || sink.import_node(node, input)) {
             return false;
         }
@@ -352,6 +358,28 @@ fn import_target<P: Protocol + 'static>(name: &'static str, source: &P, mut sink
         assert_eq!(sink.export_node(node).unwrap(), once, "{name} fixed point");
         true
     })
+}
+
+/// A user node's B-SUB snapshot with `count` seen ids far apart, so each
+/// takes a page of its own in the id set, plus the largest ids: the
+/// pages an import allocates stay within the bound per input byte.
+fn sparse_seen_snapshot(count: u64) -> Vec<u8> {
+    let (_, subs) = support::worked_simulation();
+    let fresh = BsubProtocol::new(BsubConfig::default(), &subs);
+    let mut snap = fresh.export_node(NodeId::new(0)).expect("exports");
+    let empty_seen = snap.split_off(snap.len() - 4);
+    assert_eq!(empty_seen, [0; 4], "the seen ids end the snapshot");
+    let ids: Vec<u64> = (0..count)
+        .map(|i| i << 30)
+        .chain([1 << 41, u64::MAX - 512, u64::MAX])
+        .collect();
+    let mut w = Writer::new();
+    w.u32(ids.len() as u32);
+    for id in ids {
+        w.u64(id);
+    }
+    snap.extend(w.into_bytes());
+    snap
 }
 
 fn targets() -> Vec<Target> {
@@ -408,17 +436,22 @@ fn targets() -> Vec<Target> {
         match_index_target(),
         import_target(
             "B-SUB import_node",
-            &support::worked_bsub(),
+            support::snapshots(&support::worked_bsub()),
+            support::worked_bsub(),
+        ),
+        import_target(
+            "B-SUB import_node, sparse seen ids",
+            vec![sparse_seen_snapshot(256)],
             support::worked_bsub(),
         ),
         import_target(
             "PUSH import_node",
-            &support::worked_push(),
+            support::snapshots(&support::worked_push()),
             support::worked_push(),
         ),
         import_target(
             "PULL import_node",
-            &support::worked_pull(),
+            support::snapshots(&support::worked_pull()),
             support::worked_pull(),
         ),
     ]
@@ -426,6 +459,12 @@ fn targets() -> Vec<Target> {
 
 #[test]
 fn every_decoder_survives_seeded_mutations() {
+    // One sparse snapshot large enough that its id pages, not the
+    // bound's 1 MiB slack, decide whether the import fits.
+    let sparse = sparse_seen_snapshot(20_000);
+    let mut sink = support::worked_bsub();
+    assert!(watched(&sparse, || sink.import_node(NodeId::new(0), &sparse)));
+
     for (t, mut target) in targets().into_iter().enumerate() {
         let name = target.name;
         let mut rng = SplitMix64::new(0xC0DE_C000 + t as u64);

@@ -6,7 +6,7 @@
 //! TTL, counted from creation (Section V-D).
 
 use bsub_traces::{NodeId, SimDuration, SimTime};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -29,17 +29,105 @@ impl MessageId {
     }
 }
 
-/// A set of message ids under [`MessageIdHasher`]: the one id-set type
-/// of every protocol and of the metrics ledger. Iteration order is
+/// A set of message ids: the one id-set type of every protocol and of
+/// the metrics ledger.
+///
+/// Ids are dense generation-order counters, so the set is an exact
+/// paged bitset: each page holds the bits of 512 consecutive ids in
+/// `[u64; 8]`, one cache line, and pages sit in a map keyed by
+/// `id >> 9` under [`MessageIdHasher`]. A probe is one hash of the page
+/// number and one bit test, with no false positives. Sparse ids cost
+/// one page each, a bounded amount per id. Iteration order is
 /// unspecified, so whatever is exported from one is sorted first.
-pub type MessageIdSet = HashSet<MessageId, BuildHasherDefault<MessageIdHasher>>;
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MessageIdSet {
+    pages: HashMap<u64, [u64; 8], BuildHasherDefault<MessageIdHasher>>,
+    len: usize,
+}
 
-/// A deterministic hasher for [`MessageId`]s: one Fibonacci multiply
-/// of the raw id. Ids are dense generation-order counters, not
-/// attacker-chosen, so SipHash's flooding resistance buys nothing here.
-/// The odd multiplier is a bijection on every low-bit window, so dense
-/// ids spread over the table's buckets, and the high bits the table
-/// uses for its tags are well mixed.
+/// Ids per [`MessageIdSet`] page, as a shift: 512.
+const PAGE_SHIFT: u32 = 9;
+
+impl MessageIdSet {
+    /// The page number, word index and bit mask of `id`.
+    fn slot(id: MessageId) -> (u64, usize, u64) {
+        (
+            id.0 >> PAGE_SHIFT,
+            (id.0 >> 6 & 7) as usize,
+            1 << (id.0 & 63),
+        )
+    }
+
+    /// Adds `id`; returns whether it was absent.
+    pub fn insert(&mut self, id: MessageId) -> bool {
+        let (page, word, bit) = Self::slot(id);
+        let word = &mut self.pages.entry(page).or_insert([0; 8])[word];
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    /// Whether `id` is in the set.
+    #[must_use]
+    pub fn contains(&self, id: &MessageId) -> bool {
+        let (page, word, bit) = Self::slot(*id);
+        self.pages.get(&page).is_some_and(|p| p[word] & bit != 0)
+    }
+
+    /// Number of ids in the set.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the set is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Removes every id, keeping the page map's capacity.
+    pub fn clear(&mut self) {
+        self.pages.clear();
+        self.len = 0;
+    }
+
+    /// The ids, in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = MessageId> + '_ {
+        self.pages.iter().flat_map(|(&page, words)| {
+            (0..8u64).flat_map(move |w| {
+                let base = page << PAGE_SHIFT | w << 6;
+                let mut bits = words[w as usize];
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let bit = u64::from(bits.trailing_zeros());
+                        bits &= bits - 1;
+                        MessageId(base | bit)
+                    })
+                })
+            })
+        })
+    }
+}
+
+impl FromIterator<MessageId> for MessageIdSet {
+    fn from_iter<I: IntoIterator<Item = MessageId>>(ids: I) -> Self {
+        let mut set = Self::default();
+        for id in ids {
+            set.insert(id);
+        }
+        set
+    }
+}
+
+/// A deterministic hasher for [`MessageId`]s and the page numbers of a
+/// [`MessageIdSet`]: one Fibonacci multiply of the raw value. Ids are
+/// dense generation-order counters, not attacker-chosen, so SipHash's
+/// flooding resistance buys nothing here. The odd multiplier is a
+/// bijection on every low-bit window, so dense values spread over the
+/// table's buckets, and the high bits the table uses for its tags are
+/// well mixed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MessageIdHasher(u64);
 
@@ -112,6 +200,8 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsub_bloom::SplitMix64;
+    use std::collections::HashSet;
 
     fn msg(created_secs: u64, ttl_secs: u64) -> Message {
         Message {
@@ -169,6 +259,64 @@ mod tests {
         assert!(set.insert(MessageId::new(7)));
         assert!(!set.insert(MessageId::new(7)));
         assert!(set.contains(&MessageId::new(7)) && !set.contains(&MessageId::new(8)));
+    }
+
+    /// Seeded inserts, lookups and clears against a `HashSet` model,
+    /// over dense ids, sparse ones far apart (a page each) and the
+    /// largest: same answers, same length, same members.
+    #[test]
+    fn id_set_matches_a_hash_set_model() {
+        let mut rng = SplitMix64::new(0x6964_7365);
+        let sparse = [
+            1 << 41,
+            (1 << 41) + 511,
+            (1 << 41) + 512,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for round in 0..100 {
+            let mut set = MessageIdSet::default();
+            let mut model = HashSet::new();
+            for step in 0..rng.below(3000) {
+                let raw = match rng.below(8) {
+                    0 => sparse[rng.below(sparse.len() as u64) as usize],
+                    1 => rng.next_u64(),
+                    _ => rng.below(2048),
+                };
+                let id = MessageId::new(raw);
+                if rng.below(1000) == 0 {
+                    set.clear();
+                    model.clear();
+                }
+                assert_eq!(
+                    set.insert(id),
+                    model.insert(id),
+                    "round {round} step {step}"
+                );
+                assert_eq!(set.len(), model.len());
+                assert_eq!(set.is_empty(), model.is_empty());
+            }
+            for raw in (0..2100).chain(sparse).chain([1 << 40, (1 << 41) + 1]) {
+                let id = MessageId::new(raw);
+                assert_eq!(
+                    set.contains(&id),
+                    model.contains(&id),
+                    "round {round} id {raw}"
+                );
+            }
+            let mut members: Vec<MessageId> = set.iter().collect();
+            let mut expected: Vec<MessageId> = model.iter().copied().collect();
+            members.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(members, expected, "round {round}");
+            assert_eq!(members.iter().copied().collect::<MessageIdSet>(), set);
+        }
+        let mut set: MessageIdSet = [MessageId::new(3), MessageId::new(u64::MAX)]
+            .into_iter()
+            .collect();
+        set.clear();
+        assert!(set.is_empty() && set.iter().next().is_none());
+        assert_eq!(set, MessageIdSet::default());
     }
 
     #[test]

@@ -101,9 +101,11 @@ impl<'a> SimCtx<'a> {
     ///
     /// Protocols may consult it only for a node's *own* interests (a
     /// consumer knows what it subscribed to); routing state must be
-    /// carried in filters or other protocol messages.
+    /// carried in filters or other protocol messages. The borrow is the
+    /// run's, not the context's, so a node's interests stay readable
+    /// across the context's `&mut` calls.
     #[must_use]
-    pub fn subscriptions(&self) -> &SubscriptionTable {
+    pub fn subscriptions(&self) -> &'a SubscriptionTable {
         self.subscriptions
     }
 
