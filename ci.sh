@@ -10,9 +10,9 @@
 #   ./ci.sh --stage NAME   build, then only the named stage — the
 #                          local loop for debugging one smoke gate.
 #                          Names: test, fmt, clippy, doc, codec, sink,
-#                          ids, perfbench-build, dynamics, degradation,
-#                          perf, scale, scale-sharded, matching,
-#                          net-cluster, broker-bench
+#                          ids, genuine, perfbench-build, dynamics,
+#                          degradation, perf, scale, scale-sharded,
+#                          matching, net-cluster, broker-bench
 #
 # Smoke artifacts go to BSUB_SMOKE_DIR when set (hosted CI sets it to
 # upload them), otherwise to a scratch directory removed on exit.
@@ -22,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES="test fmt clippy doc codec sink ids perfbench-build dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
+STAGES="test fmt clippy doc codec sink ids genuine perfbench-build dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
 QUICK=0
 STAGE_FILTER=""
 while [ $# -gt 0 ]; do
@@ -201,6 +201,23 @@ if want ids; then
     if [ -n "$IDS_HITS" ]; then
         echo "a HashSet of message ids outside bsub_sim::MessageIdSet:" >&2
         echo "$IDS_HITS" >&2
+        exit 1
+    fi
+fi
+
+if want genuine; then
+    stage "genuine (one genuine-filter view: built once per node)"
+    # A consumer's genuine filter never changes during a run, so its
+    # ripped words, set-bit count and held keys are computed once, in
+    # bsub-core's GenuineView (DESIGN.md §10); ripping or counting a
+    # genuine filter again on the contact path would re-grow the
+    # per-contact walks it replaced. Test code (from a file's first
+    # column-0 #[cfg(test)] on) is exempt.
+    GENUINE_HITS="$(find crates/core/src -name '*.rs' \
+        -exec awk '/^#\[cfg\(test\)\]/ { nextfile } /genuine\.(ripped_words_into|set_bits)\(/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+    if [ -n "$GENUINE_HITS" ]; then
+        echo "a genuine filter ripped or counted outside its GenuineView:" >&2
+        echo "$GENUINE_HITS" >&2
         exit 1
     fi
 fi

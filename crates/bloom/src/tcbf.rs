@@ -987,6 +987,49 @@ mod tests {
         }
     }
 
+    /// A ripped bit is exactly a counter above the epoch, which is what
+    /// `set_bits` counts: the popcount of the ripped words prices a
+    /// ripped filter without a second walk.
+    #[test]
+    fn set_bits_is_the_popcount_of_the_ripped_words() {
+        let mut words = Vec::new();
+        let mut ripped_ones = |f: &Tcbf| {
+            f.ripped_words_into(&mut words);
+            words.iter().map(|w| w.count_ones() as usize).sum::<usize>()
+        };
+        for bits in [64, 100, 256, 257] {
+            let keys = |prefix: &'static str| (0..8).map(move |i| format!("{prefix}{i}"));
+            let fresh = Tcbf::from_keys(bits, 4, 10, keys("a"));
+            assert!(fresh.set_bits() > 0);
+            assert_eq!(ripped_ones(&fresh), fresh.set_bits(), "fresh, m={bits}");
+
+            let mut decayed = fresh.clone();
+            decayed.decay(4);
+            assert_eq!(ripped_ones(&decayed), decayed.set_bits(), "m={bits}");
+
+            let mut a_merged = Tcbf::new(bits, 4, 10);
+            a_merged.a_merge(&fresh).unwrap();
+            a_merged
+                .a_merge(&Tcbf::from_keys(bits, 4, 3, keys("b")))
+                .unwrap();
+            assert_eq!(ripped_ones(&a_merged), a_merged.set_bits(), "m={bits}");
+            let before = a_merged.set_bits();
+            a_merged.decay(5); // the "b" keys' private bits drop out
+            assert!(a_merged.set_bits() < before, "m={bits}");
+            assert_eq!(ripped_ones(&a_merged), a_merged.set_bits(), "m={bits}");
+
+            let mut m_merged = decayed.clone();
+            let mut peer = Tcbf::from_keys(bits, 4, 7, keys("c"));
+            peer.decay(2);
+            m_merged.m_merge(&peer).unwrap();
+            assert_eq!(ripped_ones(&m_merged), m_merged.set_bits(), "m={bits}");
+            m_merged.decay(6);
+            assert_eq!(ripped_ones(&m_merged), m_merged.set_bits(), "m={bits}");
+            m_merged.decay(u32::MAX);
+            assert_eq!((ripped_ones(&m_merged), m_merged.set_bits()), (0, 0));
+        }
+    }
+
     #[test]
     fn merge_param_mismatch() {
         let mut a = Tcbf::new(256, 4, 10);

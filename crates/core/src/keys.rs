@@ -7,21 +7,26 @@
 //! import) and keeps, per key id, the key's name (relay shadows are
 //! indexed by id and exported by name), its [`Probe`] (step 5d's
 //! preferential query needs the digests) and a `⌈m/64⌉`-word mask of
-//! exactly its `k` Kirsch–Mitzenmacher positions. A membership test is one branch-free reduction of the
-//! mask against the filter's bit words ([`Tcbf::ripped_words_into`]) —
-//! the same answer as [`Tcbf::contains`] and its Bloom false positives,
-//! without a `% m` per position or a materialized `BloomFilter`. The
-//! answer depends only on the key, so a store scan runs that test once
-//! per interned key ([`KeyTable::held_set`]) and then tests each entry's
-//! id with one bit.
+//! exactly its `k` Kirsch–Mitzenmacher positions. A membership test is
+//! one branch-free reduction of the mask against the filter's bit words
+//! ([`Tcbf::ripped_words_into`]) — the same answer as [`Tcbf::contains`]
+//! and its Bloom false positives, without a `% m` per position or a
+//! materialized `BloomFilter`. The answer depends only on the key, so a
+//! store scan runs that test once per interned key
+//! ([`KeyTable::held_set`]) and then tests each entry's id with one bit.
+//!
+//! Ids are dense and never reused, so a held set over ids `0..n` stays
+//! right when the table grows: [`KeyTable::held_set`] extends it over
+//! the new ids only. A consumer's genuine filter never changes during a
+//! run, so its [`GenuineView`] — ripped words, set-bit count and held
+//! set — is built once, and steps 4–5c only extend its held set when a
+//! publication or snapshot import interned a novel key.
 
 use crate::node::NETWORK_HASHER;
+use bsub_bloom::Tcbf;
 use bsub_match::Probe;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-#[cfg(doc)]
-use bsub_bloom::Tcbf;
 
 /// A key's index in its [`KeyTable`].
 pub(crate) type KeyId = u32;
@@ -100,14 +105,15 @@ impl KeyTable {
     }
 
     /// The keys `filter` holds, as a `⌈keys/64⌉`-word bitset over key
-    /// ids written into `set`: [`KeyTable::held_by`] run once per
-    /// interned key, so a store scan tests each entry with one
-    /// [`KeyTable::is_held`] bit test instead of one mask reduction per
-    /// buffered copy.
-    pub fn held_set(&self, filter: &[u64], set: &mut Vec<u64>) {
-        set.clear();
-        set.resize(self.probes.len().div_ceil(64), 0);
-        for id in 0..self.probes.len() {
+    /// ids: extends `set`, that bitset over ids `0..from`, to every
+    /// interned key by running [`KeyTable::held_by`] once per new id
+    /// (`from = 0` rebuilds it), so a store scan tests each entry with
+    /// one [`KeyTable::is_held`] bit test instead of one mask reduction
+    /// per buffered copy.
+    pub fn held_set(&self, filter: &[u64], set: &mut Vec<u64>, from: usize) {
+        set.truncate(from.div_ceil(64));
+        set.resize(self.len().div_ceil(64), 0);
+        for id in from..self.len() {
             if self.held_by(id as KeyId, filter) {
                 set[id / 64] |= 1 << (id % 64);
             }
@@ -120,16 +126,76 @@ impl KeyTable {
     }
 
     /// Number of interned keys.
-    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.probes.len()
+    }
+}
+
+/// Number of set bits in `words`: a ripped filter's
+/// [`Tcbf::set_bits`], without a second walk over its counters.
+pub(crate) fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// A consumer's genuine filter as steps 4–5c read it: its ripped words,
+/// their set-bit count (the filter's wire size) and the keys it holds.
+/// The filter never changes during a run, so all three are computed
+/// once; only the held set grows, over the ids the [`KeyTable`] interned
+/// since it was last read.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct GenuineView {
+    words: Vec<u64>,
+    set_bits: usize,
+    /// The held set over ids `0..upto`.
+    held: Vec<u64>,
+    upto: usize,
+}
+
+impl GenuineView {
+    /// The view of genuine filter `filter` over every key interned in
+    /// `keys`.
+    pub fn new(filter: &Tcbf, keys: &KeyTable) -> Self {
+        let mut words = Vec::new();
+        filter.ripped_words_into(&mut words);
+        let mut view = Self {
+            set_bits: popcount(&words),
+            words,
+            held: Vec::new(),
+            upto: 0,
+        };
+        view.extend(keys);
+        view
+    }
+
+    /// The genuine filter's [`Tcbf::set_bits`].
+    pub fn set_bits(&self) -> usize {
+        self.set_bits
+    }
+
+    /// Extends the held set over the keys `keys` interned since the
+    /// last call.
+    pub fn extend(&mut self, keys: &KeyTable) {
+        keys.held_set(&self.words, &mut self.held, self.upto);
+        self.upto = keys.len();
+    }
+
+    /// The genuine filter's [`KeyTable::held_set`] as of the last
+    /// [`GenuineView::extend`].
+    pub fn held(&self) -> &[u64] {
+        &self.held
+    }
+
+    /// How many key ids the held set covers.
+    #[cfg(test)]
+    pub fn upto(&self) -> usize {
+        self.upto
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsub_bloom::{SplitMix64, Tcbf};
+    use bsub_bloom::SplitMix64;
 
     fn key(rng: &mut SplitMix64) -> Arc<str> {
         Arc::from(format!("key-{}", rng.below(1 << 20)))
@@ -169,7 +235,7 @@ mod tests {
         // The bitset over every interned key (more than 64 of them, so
         // several words) agrees with `contains` bit for bit.
         let mut set = vec![u64::MAX; 9];
-        table.held_set(words, &mut set);
+        table.held_set(words, &mut set, 0);
         assert!(table.len() > 64);
         assert_eq!(set.len(), table.len().div_ceil(64), "stale words cleared");
         for k in &keys {
@@ -181,6 +247,16 @@ mod tests {
             .filter(|&id| table.held_by(id as KeyId, words))
             .count();
         assert_eq!(bits, expected, "no bit past the last key");
+        // Extending the held set over ids `0..from` (what it was before
+        // the later keys were interned) gives the rebuilt set.
+        for from in [1, 63, 64, 65, table.len() / 2, table.len()] {
+            let mut prefix = set[..from.div_ceil(64)].to_vec();
+            if from % 64 != 0 {
+                prefix[from / 64] &= (1 << (from % 64)) - 1;
+            }
+            table.held_set(words, &mut prefix, from);
+            assert_eq!(prefix, set, "extended from {from}");
+        }
         held
     }
 

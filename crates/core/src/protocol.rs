@@ -42,7 +42,7 @@
 
 use crate::broker::ElectionAction;
 use crate::config::BsubConfig;
-use crate::keys::{KeyId, KeyTable};
+use crate::keys::{popcount, GenuineView, KeyId, KeyTable};
 use crate::node::{Carried, NodeState, Produced, Role, NETWORK_HASHER};
 use bsub_bloom::wire::{self, CounterMode};
 use bsub_obs::{self as obs, Counter, Gauge, TimeHist};
@@ -117,8 +117,11 @@ pub struct BsubProtocol {
     /// Each node's own subscriptions as key ids, interned once at
     /// construction (subscriptions never change during a run).
     interests: Vec<Vec<KeyId>>,
-    /// Reused buffer for the bit words of the filter steps 5a–5c match
-    /// against (see [`bsub_bloom::Tcbf::ripped_words_into`]).
+    /// Each node's genuine filter as steps 4–5c read it, built once at
+    /// construction (the filter never changes during a run).
+    genuine_views: Vec<GenuineView>,
+    /// Reused buffer for the bit words of the relay filter step 5b
+    /// matches against (see [`bsub_bloom::Tcbf::ripped_words_into`]).
     filter_words: Vec<u64>,
     /// Reused buffer for the keys that filter holds, one bit per key id
     /// (see [`KeyTable::held_set`]).
@@ -160,9 +163,14 @@ impl BsubProtocol {
                 own.iter().map(|key| keys.intern(key)).collect()
             })
             .collect();
+        let genuine_views = nodes
+            .iter()
+            .map(|node| GenuineView::new(&node.genuine, &keys))
+            .collect();
         Self {
             keys,
             interests,
+            genuine_views,
             filter_words: Vec::new(),
             held_keys: Vec::new(),
             premerge_filter: bsub_bloom::Tcbf::new(
@@ -385,7 +393,7 @@ impl BsubProtocol {
             CounterMode::Ripped
         };
         wire::encoded_len(
-            self.nodes[node.index()].genuine.set_bits(),
+            self.genuine_views[node.index()].set_bits(),
             self.config.bits,
             mode,
         ) as u64
@@ -486,8 +494,10 @@ impl BsubProtocol {
         }
         let genuine = &self.nodes[dst.index()].genuine;
         debug_assert_eq!(genuine.hasher(), NETWORK_HASHER);
-        genuine.ripped_words_into(&mut self.filter_words);
-        self.keys.held_set(&self.filter_words, &mut self.held_keys);
+        let view = &mut self.genuine_views[dst.index()];
+        view.extend(&self.keys);
+        debug_assert_eq!(*view, GenuineView::new(genuine, &self.keys));
+        let held_keys = view.held();
         let now = ctx.now();
 
         // 5a: direct producer → consumer (not counted as copies), then
@@ -509,7 +519,7 @@ impl BsubProtocol {
         for (msg, key, delivered_to) in published.chain(carried) {
             checked += 1;
             debug_assert!(!msg.is_expired(now), "{} expired in a pruned store", msg.id);
-            if !KeyTable::is_held(&self.held_keys, key)
+            if !KeyTable::is_held(held_keys, key)
                 || msg.producer == dst
                 || delivered_to.contains(dst)
             {
@@ -544,37 +554,28 @@ impl BsubProtocol {
         if self.nodes[producer.index()].published.is_empty() {
             return true;
         }
-        let relay_bits = self.nodes[broker.index()]
+        // The ripped words both price the transfer (their popcount is
+        // the filter's `set_bits`) and select the messages.
+        let relay_filter = &self.nodes[broker.index()]
             .relay
             .as_ref()
             .expect("broker has relay")
-            .filter
-            .set_bits();
+            .filter;
+        relay_filter.ripped_words_into(&mut self.filter_words);
+        let relay_bits = popcount(&self.filter_words);
         let bytes = wire::encoded_len(relay_bits, self.config.bits, CounterMode::Ripped) as u64;
         if !ctx.send_control(link, bytes) {
             return false;
         }
-        {
-            let relay_filter = &self.nodes[broker.index()]
-                .relay
-                .as_ref()
-                .expect("broker has relay")
-                .filter;
-            if corrupted_in_flight(ctx, producer, relay_filter, CounterMode::Ripped, bytes) {
-                // The producer can't see the broker's interests this
-                // contact; no replication, but the contact continues.
-                return true;
-            }
+        if corrupted_in_flight(ctx, producer, relay_filter, CounterMode::Ripped, bytes) {
+            // The producer can't see the broker's interests this
+            // contact; no replication, but the contact continues.
+            return true;
         }
         let now = ctx.now();
         let (producer_state, broker_state) = two(&mut self.nodes, producer.index(), broker.index());
-        broker_state
-            .relay
-            .as_ref()
-            .expect("broker has relay")
-            .filter
-            .ripped_words_into(&mut self.filter_words);
-        self.keys.held_set(&self.filter_words, &mut self.held_keys);
+        self.keys
+            .held_set(&self.filter_words, &mut self.held_keys, 0);
         let mut budget_hit = false;
         let mut checked = 0;
         for produced in &mut producer_state.published {
@@ -1376,6 +1377,152 @@ mod tests {
             frac > 0.05 && frac < 0.95,
             "election should stabilize between extremes, got {frac}"
         );
+    }
+
+    /// Checks every node's cached genuine view against a fresh rip of
+    /// its genuine filter: the set-bit count and the held set over the
+    /// ids the view covers as it stands (as `serve_consumer` last
+    /// extended it). With `extend`, every view is then extended over
+    /// the keys interned since and checked whole. Returns how many held
+    /// keys have ids of `constructed` or more (interned after
+    /// construction).
+    fn check_genuine_views(bsub: &mut BsubProtocol, constructed: usize, extend: bool) -> usize {
+        let BsubProtocol {
+            nodes,
+            keys,
+            genuine_views,
+            ..
+        } = bsub;
+        let (mut words, mut fresh) = (Vec::new(), Vec::new());
+        let mut novel = 0;
+        for (i, (node, view)) in nodes.iter().zip(genuine_views).enumerate() {
+            node.genuine.ripped_words_into(&mut words);
+            keys.held_set(&words, &mut fresh, 0);
+            assert_eq!(view.set_bits(), node.genuine.set_bits(), "node {i}");
+            assert!(view.upto() <= keys.len());
+            for id in 0..view.upto() as KeyId {
+                assert_eq!(
+                    KeyTable::is_held(view.held(), id),
+                    KeyTable::is_held(&fresh, id),
+                    "node {i} key {id} before extending"
+                );
+            }
+            if extend {
+                view.extend(keys);
+                assert_eq!(view.held(), &fresh[..], "node {i} extended");
+            }
+            novel += (constructed..keys.len())
+                .filter(|&id| KeyTable::is_held(&fresh, id as KeyId))
+                .count();
+        }
+        novel
+    }
+
+    /// One seeded run that interleaves publications of novel keys,
+    /// snapshot imports that intern more of them, and contacts,
+    /// checking every genuine view after each step (see
+    /// [`check_genuine_views`]; `extend` as there). Returns the report,
+    /// every node's final snapshot and the most novel keys the genuine
+    /// filters held.
+    fn interleaved_run(extend: bool) -> (bsub_sim::SimReport, Vec<Vec<u8>>, usize) {
+        use bsub_bloom::SplitMix64;
+        use bsub_sim::{MessageId, MetricsCollector, NullRecorder};
+        use bsub_traces::synthetic::SyntheticTrace;
+        let mut rng = SplitMix64::new(0x7669_6577);
+        let n = 12;
+        let trace = SyntheticTrace::new("views", n, SimDuration::from_hours(12), 600)
+            .seed(5)
+            .build();
+        let pool: Vec<String> = (0..16).map(|k| format!("topic-{k}")).collect();
+        let mut subs = SubscriptionTable::new(n);
+        for i in 0..n {
+            for _ in 0..8 {
+                subs.subscribe(NodeId::new(i), pool[rng.below_usize(pool.len())].as_str());
+            }
+        }
+        let horizon = trace.events().last().expect("contacts").start.as_secs();
+        let mut times: Vec<u64> = (0..150).map(|_| rng.below(horizon)).collect();
+        times.sort_unstable();
+        let sched: Vec<GeneratedMessage> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| {
+                let producer = rng.below(u64::from(n)) as u32;
+                if rng.below(2) == 0 {
+                    message(at, producer, &pool[rng.below_usize(pool.len())])
+                } else {
+                    message(at, producer, &format!("novel-{i}"))
+                }
+            })
+            .collect();
+        let cfg = BsubConfig::builder()
+            .bits(64)
+            .hashes(2)
+            .df(DfMode::Fixed(0.01))
+            .build();
+        let sim = Simulation::new(trace, subs.clone(), sched, SimConfig::default());
+        let mut bsub = BsubProtocol::new(cfg.clone(), &subs);
+        let mut donor = BsubProtocol::new(cfg, &subs);
+        let constructed = bsub.keys.len();
+        let check = |bsub: &mut BsubProtocol, novel: &mut usize| {
+            *novel = (*novel).max(check_genuine_views(bsub, constructed, extend));
+        };
+        let (mut metrics, mut recorder) = (MetricsCollector::new(), NullRecorder);
+        let (mut published, mut imported, mut novel) = (0, 0u64, 0);
+        for (index, contact) in sim.trace().iter().enumerate() {
+            while published < sim.schedule().len() && sim.schedule()[published].at <= contact.start
+            {
+                let _ = sim.step_publish(published, &mut metrics, &mut bsub, &mut recorder);
+                published += 1;
+                check(&mut bsub, &mut novel);
+            }
+            if rng.below(8) == 0 {
+                // A snapshot whose publications carry keys this
+                // protocol has never seen: importing it interns them.
+                let node = NodeId::new(rng.below(u64::from(n)) as u32);
+                for _ in 0..3 {
+                    let msg = Arc::new(Message {
+                        id: MessageId::new((1 << 40) + imported),
+                        key: format!("imported-{imported}").into(),
+                        size: 100,
+                        created: contact.start,
+                        ttl: SimDuration::from_hours(20),
+                        producer: node,
+                    });
+                    imported += 1;
+                    let key = donor.keys.intern(&msg.key);
+                    donor.nodes[node.index()].publish(Produced::new(msg, key, 3));
+                }
+                let snap = donor.export_node(node).expect("B-SUB exports");
+                assert!(bsub.import_node(node, &snap), "import accepts");
+                check(&mut bsub, &mut novel);
+            }
+            sim.step_contact(index, [false; 2], &mut metrics, &mut bsub, &mut recorder);
+            check(&mut bsub, &mut novel);
+        }
+        assert_eq!(published, sim.schedule().len(), "every message published");
+        assert!(imported > 0, "snapshots interned keys");
+        let snapshots = (0..n)
+            .map(|i| bsub.export_node(NodeId::new(i)).expect("B-SUB exports"))
+            .collect();
+        (metrics.finish("B-SUB"), snapshots, novel)
+    }
+
+    /// The per-node genuine views stay equal to a fresh rip while
+    /// publications and snapshot imports intern novel keys between
+    /// contacts: in a run where only `serve_consumer` extends them, and
+    /// in one where every step is followed by extending them all. Both
+    /// runs end the same. Dense genuine filters (8 keys in 64 bits, 2
+    /// hashes) make novel keys Bloom false positives, so extension sets
+    /// bits.
+    #[test]
+    fn genuine_views_track_novel_keys() {
+        let (report, snapshots, novel) = interleaved_run(false);
+        assert!(novel > 0, "no novel key was held by a genuine filter");
+        assert!(report.delivered > 0, "the run served");
+        let (eager, eager_snapshots, _) = interleaved_run(true);
+        assert_eq!(report, eager, "serves extend the views they read");
+        assert_eq!(snapshots, eager_snapshots);
     }
 
     #[test]
