@@ -12,7 +12,13 @@
 #                          Names: test, fmt, clippy, doc, codec, sink,
 #                          ids, genuine, perfbench-build, dynamics,
 #                          degradation, perf, scale, scale-sharded,
-#                          matching, net-cluster, broker-bench
+#                          matching, net-cluster, broker-bench,
+#                          net-stress
+#
+# net-stress runs only when named: it repeats the bsub-net tests ten
+# times pinned to one CPU (taskset -c 0), where lost wakeups and
+# ordering bugs that parallelism hides can show. Hosted CI runs it as a
+# job of its own. It builds nothing in release.
 #
 # Smoke artifacts go to BSUB_SMOKE_DIR when set (hosted CI sets it to
 # upload them), otherwise to a scratch directory removed on exit.
@@ -22,7 +28,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES="test fmt clippy doc codec sink ids genuine perfbench-build dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
+STAGES="test fmt clippy doc codec sink ids genuine perfbench-build dynamics degradation perf scale scale-sharded matching net-cluster broker-bench net-stress"
 QUICK=0
 STAGE_FILTER=""
 while [ $# -gt 0 ]; do
@@ -91,6 +97,17 @@ timing_summary() {
     done
     printf '%4ss  total\n' "$SECONDS"
 }
+
+if [ "$STAGE_FILTER" = net-stress ]; then
+    stage "net-stress (bsub-net tests on one CPU, 10 times)"
+    for i in $(seq 1 10); do
+        echo "-- single-cpu iteration $i --"
+        taskset -c 0 cargo test -p bsub-net -- -q
+    done
+    timing_summary
+    echo "CI OK (net-stress)"
+    exit 0
+fi
 
 stage "build (cargo build --release --workspace)"
 # --workspace: a plain root build only covers the umbrella package and

@@ -15,6 +15,8 @@
 //! 1. **Read.** Inbound `SUBSCRIBE` / `UNSUBSCRIBE` / `PUBLISH` frames
 //!    are decoded into one batch of ops (the first frame blocking up
 //!    to the poll slice, the rest opportunistically, capped at 256).
+//!    The peer layer's notice that a client's connection closed reads
+//!    as that client's unsubscribe, so a vanished subscriber is purged.
 //! 2. **Apply.** When ops arrived or a wheel bucket is due, the thread
 //!    locks the core and calls [`BrokerCore::apply`]. It first evicts
 //!    the subscribers whose wheel bucket came due, then applies the ops
@@ -280,7 +282,8 @@ pub enum BrokerOp {
     /// A `SUBSCRIBE` from the client with this peer id; it replaces
     /// the client's previous subscription.
     Subscribe(u32, SubscribeBody),
-    /// An `UNSUBSCRIBE` from the client with this peer id.
+    /// An `UNSUBSCRIBE` from the client with this peer id, or the close
+    /// of that client's connection.
     Unsubscribe(u32),
     /// A `PUBLISH` from the client with this peer id.
     Publish(u32, PublishBody),
@@ -581,8 +584,8 @@ fn service_loop(peers: &PeerManager, served: &Mutex<Served>, stop: &AtomicBool) 
             let bytes = deliver.encode();
             for subscriber in matched {
                 // A subscriber that disconnected mid-flight is not an
-                // error; its index entry outlives the socket until an
-                // unsubscribe or deadline reaps it.
+                // error; the close notice queued behind its last frame
+                // purges it.
                 let _ = peers.send(
                     PeerId(subscriber as u32),
                     Frame::new(FrameKind::Deliver, bytes.clone()),
@@ -594,9 +597,12 @@ fn service_loop(peers: &PeerManager, served: &Mutex<Served>, stop: &AtomicBool) 
 
 /// Pulls the next *service-plane* frame; malformed bodies and
 /// cluster-plane kinds are dropped (a broker serves clients, not a
-/// simulation cluster).
+/// simulation cluster). A close notice unsubscribes the client.
 fn next_op(peers: &PeerManager, timeout: Duration) -> Option<BrokerOp> {
-    let (from, frame) = peers.recv_timeout(timeout)?;
+    let (from, frame) = peers.recv_any(timeout)?;
+    let Some(frame) = frame else {
+        return Some(BrokerOp::Unsubscribe(from.0));
+    };
     match frame.kind {
         FrameKind::Subscribe => {
             SubscribeBody::decode(&frame.body).map(|body| BrokerOp::Subscribe(from.0, body))
@@ -706,7 +712,7 @@ impl BrokerClient {
     }
 
     /// Receives the next delivery, waiting at most `timeout`. Frames
-    /// of any other kind are discarded.
+    /// of any other kind and close notices are discarded.
     #[must_use]
     pub fn recv_delivery(&self, timeout: Duration) -> Option<Delivery> {
         let deadline = Instant::now() + timeout;
@@ -715,8 +721,8 @@ impl BrokerClient {
             if now >= deadline {
                 return None;
             }
-            let (_, frame) = self.peers.recv_timeout(deadline - now)?;
-            if frame.kind == FrameKind::Deliver {
+            let (_, frame) = self.peers.recv_any(deadline - now)?;
+            if let Some(frame) = frame.filter(|f| f.kind == FrameKind::Deliver) {
                 if let Some(body) = DeliverBody::decode(&frame.body) {
                     return Some(Delivery {
                         body,

@@ -20,7 +20,8 @@
 //!   machine (idle → dialing/accepting → established → draining →
 //!   closed), lower-peer-wins dial-race resolution, bounded outbound
 //!   queues for backpressure, and per-connection reader/writer
-//!   threads built on blocking std sockets.
+//!   threads built on blocking std sockets. Its decisions live in one
+//!   pure `PeerCore`, with no sockets, threads or clock.
 //! - [`cluster`] — a multi-process loopback cluster that re-runs the
 //!   serial simulator's event loop across OS processes, shipping node
 //!   state via the protocols' snapshot seams. Its final report is
@@ -60,6 +61,7 @@ pub mod broker;
 pub mod cluster;
 pub mod frame;
 pub mod peer;
+mod peer_core;
 pub mod stats;
 pub mod trace;
 pub mod transport;

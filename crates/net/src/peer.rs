@@ -11,41 +11,27 @@
 //!                           └→ Closed   (error / displaced by a race)
 //! ```
 //!
-//! **Handshake.** Three HELLO frames: the dialer announces itself,
-//! the acceptor replies, and the dialer confirms. The acceptor only
-//! installs the connection after reading the confirmation, so a
-//! dialer whose reply read timed out (and who will therefore retry on
-//! a fresh socket) never leaves a half-installed ghost behind on the
-//! acceptor — on a loaded single-core host that ghost used to win the
-//! duplicate-dial tiebreak against the retry and wedge the link. The
-//! first two legs are guarded by the handshake timeout; the
-//! confirmation read is not (an abandoning dialer closes the socket,
-//! which aborts the read with EOF), because timing it out would drop
-//! a socket the dialer already considers established.
+//! Every decision of that state machine lives in one pure `PeerCore`
+//! behind one mutex: the dial-race tie-break (*the connection dialed by
+//! the lower peer id wins*, DESIGN.md §12.2), the epoch-guarded retire,
+//! drain and shutdown. This module is its shell: the accept, dial,
+//! reader and writer threads do the I/O, call the core under that lock,
+//! and tear down what it returns. A dial-race loser is counted under
+//! the `net_race_lost` metric.
 //!
-//! **Dial races.** Two peers that dial each other simultaneously
-//! create two sockets for one logical link. Both sides resolve the
-//! conflict with the same local rule — *the connection dialed by the
-//! lower peer id wins* — so they converge on one surviving socket
-//! without exchanging another byte (DESIGN.md §12.2). The loser is
-//! torn down and counted under the `net_race_lost` metric. A
-//! duplicate dial from the *same* direction is not a race: the remote
-//! only re-dials after abandoning its previous socket, so the
-//! newcomer always replaces the incumbent.
+//! **Handshake.** Three HELLO frames: the dialer announces itself,
+//! the acceptor replies, and the dialer confirms. Neither side installs
+//! the connection before the confirmation (the reason is at the
+//! acceptor's confirmation read).
 //!
 //! **Backpressure.** Each connection's outbound path is a bounded
 //! queue drained by a dedicated writer thread; [`PeerManager::send`]
 //! blocks when the queue is full, so a slow peer throttles its
-//! producers instead of growing an unbounded buffer. The writer drains
-//! in batches: it encodes every frame already queued into one reused
-//! buffer, up to an 8 KiB cap, and writes the batch with one socket
-//! write. A frame whose body alone exceeds the cap ends the batch and
-//! goes out from its own `Vec`, behind the buffered frames in the same
-//! vectored write, never copied. The reader
-//! thread reads through an 8 KiB buffer, so one `read` serves many
-//! frames; the handshake reads the raw socket, so nothing past the
-//! confirmation HELLO is buffered. Inbound frames from all peers
-//! funnel into one channel read via [`PeerManager::recv_timeout`].
+//! producers instead of growing an unbounded buffer. The writer
+//! coalesces queued frames into one socket write, and the reader reads
+//! through an 8 KiB buffer. Inbound frames from all peers funnel into
+//! one channel read via [`PeerManager::recv_any`], where a close
+//! notice follows an installed connection's last frame.
 //!
 //! **Reset semantics.** Frame streams never resynchronize: any read
 //! error (CRC mismatch, unknown kind, EOF mid-frame) closes the
@@ -54,16 +40,16 @@
 
 use crate::backoff::Backoff;
 use crate::frame::{frame_size_hist, frame_time_hist, Frame, FrameKind, HEADER_LEN};
+use crate::peer_core::PeerCore;
 use crate::trace::{self, NetEvent, NetTrace, TraceSlot};
 use crate::transport::{EndpointAddr, Listener, Stream};
 use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::{Counter, SharedReport, SizeHist};
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufReader, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -138,31 +124,24 @@ impl PeerConfig {
     }
 }
 
-/// One live connection's bookkeeping. The `stream` handle exists to
+/// One installed connection's handle. The `stream` handle exists to
 /// tear the socket down; the reader and writer threads own clones.
 struct Conn {
     tx: SyncSender<Frame>,
     stream: Stream,
-    dialer: PeerId,
-    epoch: u64,
 }
 
 struct Shared {
     local: PeerId,
-    conns: Mutex<HashMap<PeerId, Conn>>,
-    /// Signalled on every `conns` mutation (install, displacement,
-    /// retirement, drain, shutdown) so waiters like
-    /// [`PeerManager::await_connections`] never have to poll on a
-    /// fixed sleep — the fix for the 1-vCPU assembly flake.
+    core: Mutex<PeerCore<Conn>>,
+    /// Signalled on every change to the installed connections (install,
+    /// displacement, retirement, drain, shutdown) so waiters like
+    /// [`PeerManager::await_connections`] never poll on a fixed sleep.
     conns_changed: Condvar,
-    /// The last lifecycle state of each peer *without* an installed
-    /// connection. `conns` alone decides `Established`: a handshake
-    /// that loses a race to an installed connection has overwritten
-    /// this entry and never restores it.
-    states: Mutex<HashMap<PeerId, ConnState>>,
-    inbound: Sender<(PeerId, Frame)>,
+    /// Every peer's frames; `None` is the notice that the peer's
+    /// installed connection closed.
+    inbound: Sender<(PeerId, Option<Frame>)>,
     shutdown: AtomicBool,
-    epochs: AtomicU64,
     /// Cross-thread metrics sink (socket threads have no thread-local
     /// profiler); disabled unless armed via [`PeerManager::metrics`].
     metrics: SharedReport,
@@ -171,8 +150,8 @@ struct Shared {
 }
 
 impl Shared {
-    fn set_state(&self, peer: PeerId, state: ConnState) {
-        self.states.lock().expect("states lock").insert(peer, state);
+    fn core(&self) -> MutexGuard<'_, PeerCore<Conn>> {
+        self.core.lock().expect("peer core lock")
     }
 
     fn trace(&self, event: NetEvent) {
@@ -188,7 +167,7 @@ impl Shared {
 /// module docs for the lifecycle, race, and backpressure rules.
 pub struct PeerManager {
     shared: Arc<Shared>,
-    inbound_rx: Mutex<Receiver<(PeerId, Frame)>>,
+    inbound_rx: Mutex<Receiver<(PeerId, Option<Frame>)>>,
     config: PeerConfig,
 }
 
@@ -213,12 +192,10 @@ impl PeerManager {
         let (inbound_tx, inbound_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             local: config.local,
-            conns: Mutex::new(HashMap::new()),
+            core: Mutex::new(PeerCore::new()),
             conns_changed: Condvar::new(),
-            states: Mutex::new(HashMap::new()),
             inbound: inbound_tx,
             shutdown: AtomicBool::new(false),
-            epochs: AtomicU64::new(0),
             metrics: SharedReport::new(),
             trace: TraceSlot::new(),
         });
@@ -254,28 +231,13 @@ impl PeerManager {
     /// The lifecycle state of the connection toward `peer`.
     #[must_use]
     pub fn state(&self, peer: PeerId) -> ConnState {
-        if self
-            .shared
-            .conns
-            .lock()
-            .expect("conns lock")
-            .contains_key(&peer)
-        {
-            return ConnState::Established;
-        }
-        *self
-            .shared
-            .states
-            .lock()
-            .expect("states lock")
-            .get(&peer)
-            .unwrap_or(&ConnState::Idle)
+        self.shared.core().state(peer)
     }
 
     /// The number of live connections.
     #[must_use]
     pub fn connection_count(&self) -> usize {
-        self.shared.conns.lock().expect("conns lock").len()
+        self.shared.core().connection_count()
     }
 
     /// Dials `peer` at `addr` until a connection is established (in
@@ -300,18 +262,15 @@ impl PeerManager {
                     "peer manager is shut down",
                 ));
             }
-            if self.state(peer) == ConnState::Established {
-                return Ok(());
+            if !self.shared.core().begin(peer, ConnState::Dialing) {
+                return Ok(()); // already established
             }
-            self.shared.set_state(peer, ConnState::Dialing);
             self.shared.trace(NetEvent::Dial { peer, attempt });
             match self.dial_once(peer, addr) {
                 Ok(()) => return Ok(()),
                 Err(_) => {
                     self.shared.count(Counter::NetRetries);
-                    if self.state(peer) == ConnState::Dialing {
-                        self.shared.set_state(peer, ConnState::Idle);
-                    }
+                    self.shared.core().abandon(peer, ConnState::Dialing);
                     let delay = backoff.next_delay();
                     self.shared.trace(NetEvent::Retry {
                         peer,
@@ -347,8 +306,7 @@ impl PeerManager {
         // Either this socket was installed or an existing (or
         // race-winning) connection already serves the peer — both
         // mean "connected".
-        install(&self.shared, peer, stream, self.config.local)?;
-        Ok(())
+        install(&self.shared, peer, stream, self.config.local)
     }
 
     /// Queues `frame` for `peer`. Blocks while the peer's bounded
@@ -360,10 +318,7 @@ impl PeerManager {
     /// [`io::ErrorKind::BrokenPipe`] if the connection died while the
     /// frame was queued.
     pub fn send(&self, peer: PeerId, frame: Frame) -> io::Result<()> {
-        let tx = {
-            let conns = self.shared.conns.lock().expect("conns lock");
-            conns.get(&peer).map(|c| c.tx.clone())
-        };
+        let tx = self.shared.core().conn(peer).map(|c| c.tx.clone());
         let tx = tx.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::NotConnected,
@@ -394,9 +349,22 @@ impl PeerManager {
     }
 
     /// Receives the next inbound frame from any peer, waiting at most
-    /// `timeout`. `None` on timeout.
+    /// `timeout`. `None` on timeout, or when the next item is a close
+    /// notice, which this consumes ([`PeerManager::recv_any`] returns
+    /// it).
     #[must_use]
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(PeerId, Frame)> {
+        let (peer, frame) = self.recv_any(timeout)?;
+        frame.map(|frame| (peer, frame))
+    }
+
+    /// Receives the next inbound item from any peer, waiting at most
+    /// `timeout`: a frame, or `None` for the notice that the peer's
+    /// installed connection closed. The notice follows every frame that
+    /// connection delivered and precedes every frame of a later one.
+    /// `None` on timeout.
+    #[must_use]
+    pub fn recv_any(&self, timeout: Duration) -> Option<(PeerId, Option<Frame>)> {
         self.inbound_rx
             .lock()
             .expect("inbound lock")
@@ -407,11 +375,10 @@ impl PeerManager {
     /// Waits until `count` connections are live.
     ///
     /// Readiness-driven: the waiter parks on a condvar that every
-    /// `conns` mutation signals, so assembly needs no polling interval
-    /// — on a 1-vCPU host the old fixed 5 ms sleep could starve the
-    /// handshake threads it was waiting for. A bounded wait slice
-    /// remains as a backstop; each slice that expires without progress
-    /// is counted under `net_poll_starved`.
+    /// install or removal signals, so assembly needs no polling interval
+    /// that could starve the handshake threads on a 1-vCPU host. A
+    /// bounded wait slice remains as a backstop; each slice that expires
+    /// without progress is counted under `net_poll_starved`.
     ///
     /// # Errors
     ///
@@ -419,24 +386,24 @@ impl PeerManager {
     /// within `timeout`.
     pub fn await_connections(&self, count: usize, timeout: Duration) -> io::Result<()> {
         let deadline = Instant::now() + timeout;
-        let mut conns = self.shared.conns.lock().expect("conns lock");
-        while conns.len() < count {
+        let mut core = self.shared.core();
+        while core.connection_count() < count {
             let now = Instant::now();
+            let before = core.connection_count();
             if now >= deadline {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
-                    format!("{} of {count} peers connected before timeout", conns.len()),
+                    format!("{before} of {count} peers connected before timeout"),
                 ));
             }
-            let before = conns.len();
             let slice = (deadline - now).min(Duration::from_secs(1));
             let (guard, wait) = self
                 .shared
                 .conns_changed
-                .wait_timeout(conns, slice)
-                .expect("conns lock");
-            conns = guard;
-            if wait.timed_out() && conns.len() <= before {
+                .wait_timeout(core, slice)
+                .expect("peer core lock");
+            core = guard;
+            if wait.timed_out() && core.connection_count() <= before {
                 self.shared.count(Counter::NetPollStarved);
             }
         }
@@ -445,18 +412,14 @@ impl PeerManager {
 
     /// Starts a graceful drain toward `peer`: the outbound queue is
     /// closed and flushed by the writer, then the write side shuts
-    /// down; the peer observes a clean EOF after the last frame.
+    /// down; the peer observes a clean EOF after the last frame. The
+    /// state reads `Draining` until the peer closes its end, then
+    /// `Closed`.
     pub fn drain(&self, peer: PeerId) {
-        let removed = {
-            let mut conns = self.shared.conns.lock().expect("conns lock");
-            let removed = conns.remove(&peer);
+        // Dropping the Conn drops its SyncSender; the writer thread
+        // drains the queue, then half-closes the socket.
+        if self.shared.core().drain(peer).is_some() {
             self.shared.conns_changed.notify_all();
-            removed
-        };
-        if removed.is_some() {
-            // Dropping the Conn drops its SyncSender; the writer
-            // thread drains the queue, then half-closes the socket.
-            self.shared.set_state(peer, ConnState::Draining);
             self.shared.trace(NetEvent::Drain { peer });
         }
     }
@@ -465,15 +428,10 @@ impl PeerManager {
     /// Idempotent; also invoked on drop.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        let conns: Vec<(PeerId, Conn)> = {
-            let mut guard = self.shared.conns.lock().expect("conns lock");
-            let drained = guard.drain().collect();
-            self.shared.conns_changed.notify_all();
-            drained
-        };
+        let conns = self.shared.core().shutdown();
+        self.shared.conns_changed.notify_all();
         for (peer, conn) in conns {
             conn.stream.shutdown_both();
-            self.shared.set_state(peer, ConnState::Closed);
             self.shared.trace(NetEvent::Closed { peer });
         }
     }
@@ -536,7 +494,7 @@ fn accept_handshake(shared: &Arc<Shared>, mut stream: Stream) {
     let outcome = (|| -> io::Result<()> {
         stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         let remote = decode_hello(&Frame::read_from(&mut stream)?)?;
-        shared.set_state(remote, ConnState::Accepting);
+        shared.core().begin(remote, ConnState::Accepting);
         accepting = Some(remote);
         hello(shared.local).write_to(&mut stream)?;
         // Wait for the dialer's confirmation before installing: a
@@ -557,66 +515,33 @@ fn accept_handshake(shared: &Arc<Shared>, mut stream: Stream) {
                 "handshake confirmation names a different peer",
             ));
         }
-        stream.set_read_timeout(None)?;
         // An accepted connection was dialed by the remote peer.
-        install(shared, remote, stream, remote)?;
-        Ok(())
+        install(shared, remote, stream, remote)
     })();
-    // A failed handshake installed nothing. Forget the peer it named,
-    // unless a later handshake has moved that peer on since: otherwise
-    // every abandoned handshake (or spoofed id) would leave an
-    // `Accepting` entry behind for good.
+    // A failed handshake installed nothing: otherwise every abandoned
+    // handshake (or spoofed id) would leave an `Accepting` entry behind.
     if let (Err(_), Some(remote)) = (outcome, accepting) {
-        let mut states = shared.states.lock().expect("states lock");
-        if states.get(&remote) == Some(&ConnState::Accepting) {
-            states.remove(&remote);
-        }
+        shared.core().abandon(remote, ConnState::Accepting);
     }
 }
 
-/// Installs a freshly handshaken connection, resolving a dial race if
-/// a connection to `peer` already exists: the socket dialed by the
-/// lower peer id survives, the other is torn down (both sides apply
-/// the same rule and converge without coordination).
-fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -> io::Result<bool> {
+/// Installs a freshly handshaken connection; the core resolves a dial
+/// race against an installed one, and the loser's socket is torn down.
+fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -> io::Result<()> {
     let reader_stream = stream.try_clone()?;
     let writer_stream = stream.try_clone()?;
-    let mut conns = shared.conns.lock().expect("conns lock");
-    if let Some(existing) = conns.get(&peer) {
-        if existing.dialer < dialer {
-            // The established connection wins: it was dialed by the
-            // lower id. Discard the newcomer.
-            shared.count(Counter::NetRaceLost);
-            shared.trace(NetEvent::RaceLost { peer });
-            drop(conns);
-            stream.shutdown_both();
-            return Ok(false);
-        }
-        // The newcomer wins: either it was dialed by the lower id
-        // (cross race), or this is a duplicate dial of the same
-        // direction — the remote only re-dials after abandoning its
-        // previous socket, so the incumbent is dead. Displace it; its
-        // reader observes the teardown and exits without touching the
-        // new entry (epoch check).
-        shared.count(Counter::NetRaceLost);
-        shared.trace(NetEvent::Displaced { peer });
-        if let Some(old) = conns.remove(&peer) {
-            old.stream.shutdown_both();
-        }
-    }
-    let epoch = shared.epochs.fetch_add(1, Ordering::SeqCst) + 1;
     let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
-    conns.insert(
-        peer,
-        Conn {
-            tx,
-            stream,
-            dialer,
-            epoch,
-        },
-    );
+    let (epoch, loser) = shared.core().install(peer, dialer, Conn { tx, stream });
+    if let Some(loser) = loser {
+        loser.stream.shutdown_both();
+        shared.count(Counter::NetRaceLost);
+        shared.trace(match epoch {
+            Some(_) => NetEvent::Displaced { peer },
+            None => NetEvent::RaceLost { peer },
+        });
+    }
+    let Some(epoch) = epoch else { return Ok(()) };
     shared.conns_changed.notify_all();
-    drop(conns);
     shared.trace(NetEvent::HandshakeOk {
         peer,
         dialer: dialer == shared.local,
@@ -629,7 +554,7 @@ fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -
         let shared = Arc::clone(shared);
         thread::spawn(move || writer_loop(&shared, writer_stream, &rx));
     }
-    Ok(true)
+    Ok(())
 }
 
 /// The reader thread's view of a socket: a buffered reader, so one
@@ -651,22 +576,23 @@ fn reader_loop(shared: &Arc<Shared>, stream: Stream, peer: PeerId, epoch: u64) {
             r.add_counter(Counter::NetFramesRecv, 1);
             r.add_counter(Counter::NetBytesRecv, bytes);
         });
-        if shared.inbound.send((peer, frame)).is_err() {
+        if shared.inbound.send((peer, Some(frame))).is_err() {
             break;
         }
     }
-    let mut conns = shared.conns.lock().expect("conns lock");
-    // Only retire the entry if it is still ours; if a dial race
-    // displaced this connection, the winner's entry stays untouched.
-    if conns.get(&peer).is_some_and(|c| c.epoch == epoch) {
-        if let Some(conn) = conns.remove(&peer) {
-            conn.stream.shutdown_both();
-        }
+    let mut core = shared.core();
+    let Some(retired) = core.retire(peer, epoch) else {
+        return; // displaced or closed already: the slot stays as it is
+    };
+    if let Some(conn) = retired {
+        conn.stream.shutdown_both();
+        // Queued under the lock that retired the slot, so the frames of
+        // a connection installed later always follow the notice.
+        let _ = shared.inbound.send((peer, None));
         shared.conns_changed.notify_all();
-        drop(conns);
-        shared.set_state(peer, ConnState::Closed);
-        shared.trace(NetEvent::Closed { peer });
     }
+    drop(core);
+    shared.trace(NetEvent::Closed { peer });
 }
 
 /// The writer thread's reusable drain state.
@@ -854,6 +780,43 @@ mod tests {
             }
         }
         assert_eq!(a.connection_count(), 0);
+    }
+
+    /// A closed connection's notice comes before the frames of the
+    /// peer's next connection: `recv_any` returns it, and
+    /// `recv_timeout` consumes it as a `None`.
+    #[test]
+    fn close_notice_precedes_a_reconnects_frames() {
+        let (first, b, _a_addr, b_addr) = pair("notice");
+        first.connect(PeerId(1), &b_addr).unwrap();
+        let mut gone = first;
+        for round in 1..=2u8 {
+            gone.shutdown();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while b.state(PeerId(0)) != ConnState::Closed {
+                assert!(Instant::now() < deadline, "B never saw the close");
+                thread::sleep(Duration::from_millis(5));
+            }
+            let back = PeerManager::bind(PeerConfig::new(
+                PeerId(0),
+                scratch_addr(&format!("notice{round}")),
+                7,
+            ))
+            .unwrap();
+            back.connect(PeerId(1), &b_addr).unwrap();
+            back.send(PeerId(1), Frame::new(FrameKind::Dispatch, vec![round]))
+                .unwrap();
+            let wait = Duration::from_secs(5);
+            let frame = if round == 1 {
+                assert!(matches!(b.recv_any(wait), Some((PeerId(0), None))));
+                b.recv_any(wait).and_then(|(_, frame)| frame)
+            } else {
+                assert!(b.recv_timeout(wait).is_none(), "the notice comes first");
+                b.recv_timeout(wait).map(|(_, frame)| frame)
+            };
+            assert_eq!(frame.expect("the new connection's frame").body, [round]);
+            gone = back;
+        }
     }
 
     #[test]
@@ -1076,13 +1039,26 @@ mod tests {
                 Frame::new(FrameKind::Dispatch, i.to_le_bytes().to_vec())
             );
         }
-        // B's reader sees the clean EOF and retires the connection.
+        // B's reader sees the clean EOF and retires the connection;
+        // B's teardown then ends A's reader, and A reaches `Closed`.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while b.state(PeerId(0)) != ConnState::Closed {
-            assert!(std::time::Instant::now() < deadline, "peer retires on EOF");
+        while b.state(PeerId(0)) != ConnState::Closed || a.state(PeerId(1)) != ConnState::Closed {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "both ends close after a drain: A {:?}, B {:?}",
+                a.state(PeerId(1)),
+                b.state(PeerId(0))
+            );
             thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(b.connection_count(), 0);
+        // B's close notice follows the last frame; A retired no
+        // installed connection, so it queues none.
+        assert!(matches!(
+            b.recv_any(Duration::ZERO),
+            Some((PeerId(0), None))
+        ));
         assert!(b.recv_timeout(Duration::from_millis(10)).is_none());
+        assert!(a.recv_any(Duration::ZERO).is_none());
     }
 }

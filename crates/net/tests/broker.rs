@@ -800,3 +800,114 @@ fn broker_sink_serves_live_stats() {
     drop(server);
     broker.shutdown();
 }
+
+/// Waits until the broker's index holds `want` live subscribers.
+fn wait_live(broker: &BrokerNode, want: usize, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while broker.live_count() != want {
+        assert!(
+            Instant::now() < deadline,
+            "{what}: {} live, want {want}",
+            broker.live_count()
+        );
+        thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A subscriber that vanishes without unsubscribing is purged once its
+/// connection closes, although `ttl_ms = 0` gives it no deadline. A
+/// client that reconnects under the same id and resubscribes keeps its
+/// subscription, and the healthy subscriber's deliveries still equal
+/// the replay of the journal, where the close is an unsubscribe.
+#[test]
+fn vanished_subscriber_is_purged_when_its_connection_closes() {
+    let broker_id = PeerId(5000);
+    let broker_addr = scratch_addr("vanish");
+    let mut config = BrokerConfig::new(broker_id, broker_addr.clone(), 13);
+    config.journal = true;
+    let mut broker = BrokerNode::serve(config).expect("broker binds");
+    let connect = |id: u32, tag: &str| {
+        BrokerClient::connect(
+            PeerConfig::new(PeerId(id), scratch_addr(tag), 13),
+            broker_id,
+            &broker_addr,
+        )
+        .expect("client connects")
+    };
+    let healthy = connect(1, "vanish-healthy");
+    let vanishing = connect(2, "vanish-gone");
+    let publisher = connect(3, "vanish-pub");
+    healthy.subscribe(&["news"], None).expect("subscribe");
+    vanishing.subscribe(&["news"], None).expect("subscribe");
+    wait_live(&broker, 2, "both subscriptions applied");
+    publisher.publish(1, "news").expect("publish");
+    let delivery = vanishing
+        .recv_delivery(Duration::from_secs(5))
+        .expect("the subscriber receives before it vanishes");
+    assert_eq!(delivery.body.seq, 1);
+
+    // No unsubscribe and no deadline: only the close can purge it.
+    vanishing.manager().shutdown();
+    drop(vanishing);
+    wait_live(&broker, 1, "the vanished subscriber is purged");
+    publisher.publish(2, "news").expect("publish");
+
+    let back = connect(2, "vanish-back");
+    back.subscribe(&["news"], None).expect("resubscribe");
+    wait_live(&broker, 2, "the reconnected subscription applied");
+    publisher.publish(3, "news").expect("publish");
+    let delivery = back
+        .recv_delivery(Duration::from_secs(5))
+        .expect("the reconnected subscriber receives");
+    assert_eq!(delivery.body.seq, 3);
+    assert_eq!(
+        broker.live_count(),
+        2,
+        "the reconnect keeps its subscription"
+    );
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let journal = loop {
+        let journal = broker.journal();
+        if journal_counts(&journal).1 == 3 {
+            break journal;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the publishes were never applied"
+        );
+        thread::sleep(Duration::from_millis(2));
+    };
+    let closes = journal
+        .iter()
+        .flat_map(|(_, ops)| ops)
+        .filter(|op| **op == BrokerOp::Unsubscribe(2))
+        .count();
+    assert_eq!(closes, 1, "the close is journaled once: {journal:?}");
+    let (replayed, _) = replay(&journal, &MatchParams::default(), 100, 13);
+    let want: Vec<u64> = replayed
+        .iter()
+        .flat_map(|effects| &effects.delivered)
+        .filter(|(_, matched)| matched.contains(&1))
+        .map(|(deliver, _)| deliver.seq)
+        .collect();
+    assert_eq!(want, [1, 2, 3]);
+    let got: Vec<u64> = want
+        .iter()
+        .map(|_| {
+            healthy
+                .recv_delivery(Duration::from_secs(5))
+                .expect("the healthy subscriber receives the replay's deliveries")
+                .body
+                .seq
+        })
+        .collect();
+    assert_eq!(got, want);
+    assert!(healthy.recv_delivery(Duration::from_millis(100)).is_none());
+
+    for client in [&healthy, &back, &publisher] {
+        client.manager().shutdown();
+    }
+    wait_live(&broker, 0, "every client left");
+    broker.shutdown();
+}
