@@ -431,6 +431,32 @@ mod tests {
         );
     }
 
+    /// The exact bytes of one `BENCH_perf.json` line: key order, the
+    /// three-decimal rounding and the `.0` of an integral float.
+    #[test]
+    fn entry_line_is_pinned() {
+        let e = PerfEntry {
+            experiment: "fig7".into(),
+            workers: 1,
+            runs: 12,
+            total_ms: 2500.0,
+            cpu_ms: 1234.5678,
+            speedup: 0.493_827,
+            calib_ns: 8_000_000,
+            bytes: 42_000,
+            forwardings: 100,
+            delivered: 50,
+        };
+        assert_eq!(
+            e.to_json(),
+            concat!(
+                r#"{"experiment":"fig7","workers":1,"runs":12,"total_ms":2500.0,"#,
+                r#""cpu_ms":1234.568,"speedup":0.494,"calib_ns":8000000,"bytes":42000,"#,
+                r#""forwardings":100,"delivered":50}"#,
+            )
+        );
+    }
+
     #[test]
     fn trajectory_file_stays_a_valid_array() {
         let dir = std::env::temp_dir().join("bsub-perf-test");

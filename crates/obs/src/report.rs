@@ -473,6 +473,43 @@ mod tests {
         assert!(m.to_json().contains("\"bsub\":{"));
     }
 
+    /// A report that fills all four sections, two entries in some.
+    fn four_section_report() -> ProfReport {
+        let mut r = ProfReport::default();
+        r.add_counter(Counter::Contacts, 3);
+        r.add_counter(Counter::DataBytes, 1024);
+        r.raise_gauge(Gauge::BufferMsgs, 17);
+        r.record_time(TimeHist::MergeNs, 100);
+        r.record_time(TimeHist::MergeNs, 3000);
+        r.record_size(SizeHist::ContactBytes, 512);
+        r
+    }
+
+    /// The exact bytes `metrics_*.json` and `/metrics.json` carry: key
+    /// order, separators and every histogram field.
+    #[test]
+    fn json_bytes_are_pinned() {
+        let r = four_section_report();
+        let want = concat!(
+            r#"{"counters":{"contacts":3,"data_bytes":1024},"#,
+            r#""gauges":{"buffer_msgs_hwm":17},"#,
+            r#""time_ns":{"tcbf_merge_ns":{"count":2,"sum":3100,"min":100,"p50":127,"p90":3000,"p99":3000,"max":3000}},"#,
+            r#""size_bytes":{"contact_bytes":{"count":1,"sum":512,"min":512,"p50":512,"p90":512,"p99":512,"max":512}}}"#,
+        );
+        assert_eq!(r.to_json(), want);
+
+        let mut m = MetricsReport::new();
+        m.add("push", &report_with(Counter::ControlBytes, 2));
+        m.add("bsub", &r);
+        let push = r#"{"counters":{"control_bytes":2},"gauges":{},"time_ns":{},"size_bytes":{}}"#;
+        assert_eq!(m.to_json(), format!(r#"{{"bsub":{want},"push":{push}}}"#));
+        assert_eq!(MetricsReport::new().to_json(), "{}");
+        assert_eq!(
+            ProfReport::default().to_json(),
+            r#"{"counters":{},"gauges":{},"time_ns":{},"size_bytes":{}}"#
+        );
+    }
+
     #[test]
     fn render_table_mentions_recorded_metrics() {
         profiler::start();

@@ -821,13 +821,15 @@ mod tests {
             targets: 2,
         });
         log.record(&delivered(60, true));
-        let jsonl = log.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains(r#""ev":"published""#));
-        assert!(lines[0].contains(r#""t_ms":1500"#));
-        assert!(lines[0].contains(r#""key":"weather/\"severe\"""#));
-        assert!(lines[1].contains(r#""genuine":true"#));
+        assert_eq!(
+            log.to_jsonl(),
+            concat!(
+                r#"{"ev":"published","t_ms":1500,"msg":0,"producer":3,"key":"weather/\"severe\"","size":140,"targets":2}"#,
+                "\n",
+                r#"{"ev":"delivered","t_ms":60000,"msg":1,"node":2,"genuine":true}"#,
+                "\n",
+            )
+        );
         assert_eq!(log.events().len(), 2);
     }
 
@@ -917,7 +919,7 @@ mod tests {
                 at: t,
                 brokers: 2,
                 buffered: 9,
-                relay_fill: 0.5,
+                relay_fill: 1.0,
                 relay_fpr: 0.0625,
                 max_counter: 3,
             },
@@ -947,11 +949,33 @@ mod tests {
                 bytes: 40,
             },
         ];
-        for e in &events {
-            let json = e.to_json();
-            assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-            assert!(json.contains(r#""ev":""#), "{json}");
-            assert!(json.contains(r#""t_ms":10000"#), "{json}");
+        // The exact bytes of every line, as the event log writes them:
+        // field order, separators and float formatting are all part of
+        // the `events_*.jsonl` artifact.
+        let expected = [
+            r#"{"ev":"published","t_ms":10000,"msg":7,"producer":1,"key":"k","size":1,"targets":0}"#,
+            r#"{"ev":"contact_begin","t_ms":10000,"a":1,"b":2,"budget":10}"#,
+            r#"{"ev":"contact_end","t_ms":10000,"a":1,"b":2,"used":5}"#,
+            r#"{"ev":"forwarded","t_ms":10000,"msg":7,"bytes":100}"#,
+            r#"{"ev":"forwarding_decision","t_ms":10000,"from":1,"to":2,"msg":7,"pref":3,"pref_kind":"absolute"}"#,
+            r#"{"ev":"forwarding_decision","t_ms":10000,"from":1,"to":2,"msg":7,"pref":null}"#,
+            r#"{"ev":"delivered","t_ms":10000,"msg":1,"node":2,"genuine":false}"#,
+            r#"{"ev":"injected","t_ms":10000,"msg":7,"broker":1,"false_positive":true}"#,
+            r#"{"ev":"expired","t_ms":10000,"node":1,"count":4}"#,
+            r#"{"ev":"filter_merge","t_ms":10000,"node":1,"kind":"relay_max","fill":0.25}"#,
+            r#"{"ev":"filter_decay","t_ms":10000,"node":1,"amount":1,"fill":0.125}"#,
+            r#"{"ev":"promoted","t_ms":10000,"node":1,"peer":2}"#,
+            r#"{"ev":"demoted","t_ms":10000,"node":1,"peer":2}"#,
+            r#"{"ev":"snapshot","t_ms":10000,"brokers":2,"buffered":9,"relay_fill":1.0,"relay_fpr":0.0625,"max_counter":3}"#,
+            r#"{"ev":"contact_lost","t_ms":10000,"a":1,"b":2,"cause":"radio"}"#,
+            r#"{"ev":"contact_lost","t_ms":10000,"a":1,"b":2,"cause":"churn"}"#,
+            r#"{"ev":"contact_truncated","t_ms":10000,"a":1,"b":2,"budget":12,"original":120}"#,
+            r#"{"ev":"node_reset","t_ms":10000,"node":1}"#,
+            r#"{"ev":"control_corrupted","t_ms":10000,"node":1,"bytes":40}"#,
+        ];
+        assert_eq!(events.len(), expected.len());
+        for (e, want) in events.iter().zip(expected) {
+            assert_eq!(e.to_json(), want);
             assert_eq!(e.at(), t);
         }
     }
