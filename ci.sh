@@ -10,7 +10,7 @@
 #   ./ci.sh --stage NAME   build, then only the named stage — the
 #                          local loop for debugging one smoke gate.
 #                          Names: test, fmt, clippy, doc, codec, sink,
-#                          ids, genuine, perfbench-build, dynamics,
+#                          ids, genuine, json, perfbench-build, dynamics,
 #                          degradation, perf, scale, scale-sharded,
 #                          matching, net-cluster, broker-bench,
 #                          net-stress
@@ -28,7 +28,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES="test fmt clippy doc codec sink ids genuine perfbench-build dynamics degradation perf scale scale-sharded matching net-cluster broker-bench net-stress"
+STAGES="test fmt clippy doc codec sink ids genuine json perfbench-build dynamics degradation perf scale scale-sharded matching net-cluster broker-bench net-stress"
 QUICK=0
 STAGE_FILTER=""
 while [ $# -gt 0 ]; do
@@ -235,6 +235,23 @@ if want genuine; then
     if [ -n "$GENUINE_HITS" ]; then
         echo "a genuine filter ripped or counted outside its GenuineView:" >&2
         echo "$GENUINE_HITS" >&2
+        exit 1
+    fi
+fi
+
+if want json; then
+    stage "json (one JSON writer and reader: bsub_obs::json)"
+    # Every JSON byte is written by bsub_obs::json::Object and read by
+    # bsub_obs::json::Fields (DESIGN.md §7, §9); a JSON object literal
+    # anywhere else — a "{\"…\":" or r#"{"…":"# string, braces doubled
+    # for format! or not — would re-grow a second writer, and the
+    # deleted NetTrace event log must not come back. Test code (from a
+    # file's first column-0 #[cfg(test)] on) is exempt.
+    JSON_HITS="$(find crates/*/src src -name '*.rs' ! -path crates/obs/src/json.rs \
+        -exec awk '/^#\[cfg\(test\)\]/ { nextfile } /"\{\{?\\"|r#"\{\{?"|NetTrace|attach_trace/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+    if [ -n "$JSON_HITS" ]; then
+        echo "a JSON object literal or net trace outside bsub_obs::json:" >&2
+        echo "$JSON_HITS" >&2
         exit 1
     fi
 fi

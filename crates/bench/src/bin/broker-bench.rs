@@ -31,6 +31,7 @@
 //! `HOST:PORT` or `unix:PATH`). `--worker --dir D --peer N
 //! --workers W --publishes P --keys K` is the internal client mode.
 
+use bsub_bench::cli::{arg_value, numeric, percentile_us, stats_addr};
 use bsub_bench::output::{render_table, write_csv};
 use bsub_bench::perf::{self, PerfEntry};
 use bsub_net::{
@@ -57,45 +58,8 @@ fn topic(i: u64) -> String {
     format!("bench-{i}")
 }
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn numeric(args: &[String], key: &str, default: u64) -> u64 {
-    arg_value(args, key).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("{key} requires a non-negative integer, got {v}");
-            std::process::exit(2);
-        })
-    })
-}
-
-/// Parses a stats endpoint address: `unix:PATH` or a TCP `HOST:PORT`.
-fn parse_stats_addr(raw: &str) -> EndpointAddr {
-    if let Some(path) = raw.strip_prefix("unix:") {
-        return EndpointAddr::Unix(PathBuf::from(path));
-    }
-    match raw.parse() {
-        Ok(sock) => EndpointAddr::Tcp(sock),
-        Err(_) => {
-            eprintln!("--stats-addr wants HOST:PORT or unix:PATH, got {raw}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn broker_addr(dir: &Path) -> EndpointAddr {
     EndpointAddr::Unix(dir.join("broker.sock"))
-}
-
-fn percentile_us(sorted_ns: &[u64], pct: usize) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = (sorted_ns.len() - 1) * pct / 100;
-    sorted_ns[rank] as f64 / 1e3
 }
 
 fn worker_main(args: &[String]) -> ! {
@@ -213,9 +177,10 @@ fn main() {
     // below come from it.
     let server = arg_value(&args, "--stats-addr").map(|raw| {
         let peers = Arc::clone(broker.manager());
-        let server =
-            StatsServer::serve(&parse_stats_addr(&raw), move || peers.metrics().snapshot())
-                .expect("bind stats endpoint");
+        let server = StatsServer::serve(&stats_addr("--stats-addr", &raw), move || {
+            peers.metrics().snapshot()
+        })
+        .expect("bind stats endpoint");
         println!(
             "[stats endpoint {} — /metrics, /metrics.json]",
             server.local_addr()

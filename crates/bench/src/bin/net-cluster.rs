@@ -45,13 +45,14 @@
 //! P --dir D --peer N --workers W` is the internal worker-process
 //! mode.
 
+use bsub_bench::cli::{arg_value, numeric, percentile_us, stats_addr};
 use bsub_bench::experiments::{smoke_environment, smoke_protocols};
 use bsub_bench::output::{render_table, results_dir, write_csv};
 use bsub_bench::perf::{self, PerfEntry};
 use bsub_bench::{Experiment, MASTER_SEED};
 use bsub_net::{
     frame_time_hist, render_prometheus, run_coordinator_with, run_worker, scrape, ClusterSpec,
-    EndpointAddr, FrameKind, StatsServer,
+    FrameKind, StatsServer,
 };
 use bsub_obs::{calibrate_ns, SharedReport};
 use bsub_sim::{ProtocolFactory, SimReport};
@@ -108,48 +109,11 @@ fn report_row(report: &SimReport) -> Vec<String> {
     ]
 }
 
-fn percentile_us(sorted_ns: &[u64], pct: usize) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = (sorted_ns.len() - 1) * pct / 100;
-    sorted_ns[rank] as f64 / 1e3
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 /// STATS delta cadence from `--stats-cadence-ms` (default 100 ms);
 /// `0` switches the whole stats plane off.
 fn stats_cadence(args: &[String]) -> Option<Duration> {
-    let ms: u64 = match arg_value(args, "--stats-cadence-ms") {
-        Some(raw) => match raw.parse() {
-            Ok(ms) => ms,
-            Err(_) => {
-                eprintln!("--stats-cadence-ms requires a non-negative integer");
-                std::process::exit(2);
-            }
-        },
-        None => 100,
-    };
+    let ms = numeric(args, "--stats-cadence-ms", 100);
     (ms > 0).then(|| Duration::from_millis(ms))
-}
-
-/// Parses a stats endpoint address: `unix:PATH` or a TCP `HOST:PORT`.
-fn parse_stats_addr(raw: &str) -> EndpointAddr {
-    if let Some(path) = raw.strip_prefix("unix:") {
-        return EndpointAddr::Unix(PathBuf::from(path));
-    }
-    match raw.parse() {
-        Ok(sock) => EndpointAddr::Tcp(sock),
-        Err(_) => {
-            eprintln!("--stats-addr/--scrape want HOST:PORT or unix:PATH, got {raw}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn worker_main(args: &[String]) -> ! {
@@ -184,7 +148,7 @@ fn main() {
         worker_main(&args);
     }
     if let Some(raw) = arg_value(&args, "--scrape") {
-        match scrape(&parse_stats_addr(&raw), "/metrics") {
+        match scrape(&stats_addr("--scrape", &raw), "/metrics") {
             Ok(text) => {
                 print!("{text}");
                 std::process::exit(0);
@@ -197,9 +161,7 @@ fn main() {
     }
     let check = args.iter().any(|a| a == "--check");
     let started = perf::CpuTimes::now();
-    let workers: u32 = arg_value(&args, "--workers")
-        .map(|v| v.parse().expect("numeric --workers"))
-        .unwrap_or(2);
+    let workers = u32::try_from(numeric(&args, "--workers", 2)).expect("--workers fits in u32");
     // `--smoke` is the only cluster size today; accept and ignore it
     // so the ci.sh invocation reads like the other smoke gates.
     let cadence = stats_cadence(&args);
@@ -212,8 +174,9 @@ fn main() {
     let server = stats.as_ref().map(|stats| {
         let bind = arg_value(&args, "--stats-addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
         let stats = Arc::clone(stats);
-        let server = StatsServer::serve(&parse_stats_addr(&bind), move || stats.snapshot())
-            .expect("bind stats endpoint");
+        let server =
+            StatsServer::serve(&stats_addr("--stats-addr", &bind), move || stats.snapshot())
+                .expect("bind stats endpoint");
         println!(
             "[stats endpoint {} — /metrics, /metrics.json]",
             server.local_addr()

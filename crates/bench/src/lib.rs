@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod cli;
 pub mod engine;
 pub mod experiments;
 pub mod microbench;

@@ -2,8 +2,9 @@
 //!
 //! Every sweep appends one [`PerfEntry`] to `results/BENCH_perf.json`
 //! — a JSON array holding the repo's performance history, one entry
-//! object per line so diffs stay reviewable and the file can be parsed
-//! without a JSON dependency. Entries carry both wall-clock timings
+//! object per line so diffs stay reviewable. Entries are written and
+//! read back with `bsub_obs::json`, and a line [`load`] cannot read is
+//! an error, never dropped. Entries carry both wall-clock timings
 //! (normalized across hosts via [`calibrate_ns`]) and the sweep's
 //! deterministic work sums (bytes moved, forwardings, deliveries), so
 //! the comparator can tell "the machine is slow today" from "the code
@@ -20,7 +21,7 @@
 use crate::engine::SweepOutcome;
 use crate::output::results_dir;
 use bsub_obs::calibrate_ns;
-use bsub_obs::json::{json_f64, json_string};
+use bsub_obs::json::{Fields, Object};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -97,43 +98,38 @@ impl PerfEntry {
     /// Renders the entry as a single-line JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"experiment\":{},\"workers\":{},\"runs\":{},\"total_ms\":{},\
-             \"cpu_ms\":{},\"speedup\":{},\"calib_ns\":{},\"bytes\":{},\
-             \"forwardings\":{},\"delivered\":{}}}",
-            json_string(&self.experiment),
-            self.workers,
-            self.runs,
-            json_f64(round3(self.total_ms)),
-            json_f64(round3(self.cpu_ms)),
-            json_f64(round3(self.speedup)),
-            self.calib_ns,
-            self.bytes,
-            self.forwardings,
-            self.delivered,
-        )
+        let mut o = Object::new();
+        o.str("experiment", &self.experiment)
+            .u64("workers", self.workers)
+            .u64("runs", self.runs)
+            .f64("total_ms", round3(self.total_ms))
+            .f64("cpu_ms", round3(self.cpu_ms))
+            .f64("speedup", round3(self.speedup))
+            .u64("calib_ns", self.calib_ns)
+            .u64("bytes", self.bytes)
+            .u64("forwardings", self.forwardings)
+            .u64("delivered", self.delivered);
+        o.finish()
     }
 
-    /// Parses one entry line written by [`Self::to_json`]. Returns `None`
-    /// for lines that are not entry objects (the array brackets) or
-    /// that miss a field.
-    #[must_use]
-    pub fn parse(line: &str) -> Option<Self> {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return None;
-        }
-        Some(Self {
-            experiment: field_str(line, "experiment")?,
-            workers: field(line, "workers")?.parse().ok()?,
-            runs: field(line, "runs")?.parse().ok()?,
-            total_ms: field(line, "total_ms")?.parse().ok()?,
-            cpu_ms: field(line, "cpu_ms")?.parse().ok()?,
-            speedup: field(line, "speedup")?.parse().ok()?,
-            calib_ns: field(line, "calib_ns")?.parse().ok()?,
-            bytes: field(line, "bytes")?.parse().ok()?,
-            forwardings: field(line, "forwardings")?.parse().ok()?,
-            delivered: field(line, "delivered")?.parse().ok()?,
+    /// Parses one entry object written by [`Self::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// When `text` is not a flat JSON object holding every field.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let f = Fields::parse(text)?;
+        Ok(Self {
+            experiment: f.str("experiment")?,
+            workers: f.num("workers")?,
+            runs: f.num("runs")?,
+            total_ms: f.num("total_ms")?,
+            cpu_ms: f.num("cpu_ms")?,
+            speedup: f.num("speedup")?,
+            calib_ns: f.num("calib_ns")?,
+            bytes: f.num("bytes")?,
+            forwardings: f.num("forwardings")?,
+            delivered: f.num("delivered")?,
         })
     }
 }
@@ -142,41 +138,49 @@ fn round3(v: f64) -> f64 {
     (v * 1e3).round() / 1e3
 }
 
-/// The raw text of the value following `"name":`, up to the next
-/// comma or closing brace (string values keep their quotes; the file
-/// format never puts `,` or `}` inside strings — experiment names are
-/// identifiers).
-fn field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+/// Loads every entry of a `BENCH_perf.json` trajectory: a `[` line,
+/// one entry object per line (comma-terminated but the last), and a
+/// `]` line.
+///
+/// # Errors
+///
+/// Names the file, and the line when one is neither a bracket nor an
+/// entry, when the file cannot be read or holds such a line.
+pub fn load(path: &Path) -> Result<Vec<PerfEntry>, String> {
+    let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let lines = text.lines().map(str::trim).enumerate();
+    let entries = lines.filter(|(_, line)| !matches!(*line, "[" | "]"));
+    entries
+        .map(|(i, line)| {
+            PerfEntry::from_json(line.strip_suffix(',').unwrap_or(line))
+                .map_err(|e| format!("{}: line {}: {e}", path.display(), i + 1))
+        })
+        .collect()
 }
 
-fn field_str(line: &str, name: &str) -> Option<String> {
-    let raw = field(line, name)?;
-    Some(raw.trim_matches('"').to_string())
-}
-
-/// Loads every entry from a `BENCH_perf.json` trajectory. A missing
-/// file is an empty trajectory; malformed lines are skipped.
-#[must_use]
-pub fn load(path: &Path) -> Vec<PerfEntry> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    text.lines().filter_map(PerfEntry::parse).collect()
+/// Renders a trajectory the way [`load`] reads it.
+fn render_trajectory(entries: &[PerfEntry]) -> String {
+    let body: Vec<String> = entries.iter().map(PerfEntry::to_json).collect();
+    let end = if body.is_empty() { "]" } else { "\n]" };
+    format!("[\n{}{end}\n", body.join(",\n"))
 }
 
 /// Appends `entries` to the trajectory at `path`, keeping the file a
-/// valid JSON array with one entry object per line.
-pub fn append(path: &Path, entries: &[PerfEntry]) {
-    let mut all = load(path);
+/// valid JSON array with one entry object per line. A missing file
+/// starts a new trajectory.
+///
+/// # Errors
+///
+/// When an existing file cannot be read or holds a line [`load`]
+/// rejects (it is left as it was), or the write fails.
+pub fn append(path: &Path, entries: &[PerfEntry]) -> Result<(), String> {
+    let mut all = path
+        .exists()
+        .then(|| load(path))
+        .transpose()?
+        .unwrap_or_default();
     all.extend_from_slice(entries);
-    let body: Vec<String> = all.iter().map(PerfEntry::to_json).collect();
-    let text = format!("[\n{}\n]\n", body.join(",\n"));
-    fs::write(path, text).expect("write perf trajectory");
+    fs::write(path, render_trajectory(&all)).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// The trajectory `--check` gates against: `BSUB_PERF_BASELINE`, or
@@ -193,18 +197,25 @@ fn baseline_path() -> PathBuf {
 /// baseline at [`Tolerance::from_env`]. Every entry is checked and
 /// reported, with the host's CPU steal since `started` (the binary's
 /// start) on each line, so a failure caused by a contended host can be
-/// told apart from a regression. The process exits with status 1 if any
-/// entry failed.
+/// told apart from a regression. The process exits with status 1 if the
+/// trajectory cannot be appended to, if the gate finds no readable
+/// baseline, or if any entry failed.
 pub fn record(entries: &[PerfEntry], gate: bool, started: CpuTimes) {
     let trajectory = results_dir().join("BENCH_perf.json");
-    append(&trajectory, entries);
+    if let Err(err) = append(&trajectory, entries) {
+        eprintln!("cannot append to the perf trajectory: {err}");
+        std::process::exit(1);
+    }
     println!("[appended {}]", trajectory.display());
     if !gate {
         return;
     }
     let steal = started.steal_since();
     let path = baseline_path();
-    let baseline = load(&path);
+    let baseline = load(&path).unwrap_or_else(|err| {
+        eprintln!("[perf check FAILED] no usable baseline: {err}; {steal}");
+        std::process::exit(1);
+    });
     let tolerance = Tolerance::from_env();
     let mut failures = 0usize;
     for entry in entries {
@@ -421,7 +432,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let e = entry("fig7", 1234.5678, 8_000_000, 42_000);
-        let parsed = PerfEntry::parse(&e.to_json()).expect("parses");
+        let parsed = PerfEntry::from_json(&e.to_json()).expect("parses");
         assert_eq!(parsed.experiment, "fig7");
         assert_eq!(parsed.calib_ns, 8_000_000);
         assert_eq!(parsed.bytes, 42_000);
@@ -457,21 +468,72 @@ mod tests {
         );
     }
 
-    #[test]
-    fn trajectory_file_stays_a_valid_array() {
+    /// A fresh trajectory file under the system temp directory.
+    fn scratch_trajectory(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("bsub-perf-test");
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_perf.json");
+        let path = dir.join(name);
         let _ = fs::remove_file(&path);
-        append(&path, &[entry("a", 10.0, 1_000_000, 5)]);
-        append(&path, &[entry("b", 20.0, 1_000_000, 6)]);
+        path
+    }
+
+    /// Appending to a trajectory that does not exist yet starts one.
+    #[test]
+    fn trajectory_file_stays_a_valid_array() {
+        let path = scratch_trajectory("BENCH_perf.json");
+        append(&path, &[entry("a", 10.0, 1_000_000, 5)]).unwrap();
+        append(&path, &[entry("b", 20.0, 1_000_000, 6)]).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.starts_with("[\n") && text.ends_with("\n]\n"));
-        let loaded = load(&path);
+        let loaded = load(&path).unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[0].experiment, "a");
         assert_eq!(loaded[1].experiment, "b");
         let _ = fs::remove_file(&path);
+    }
+
+    /// `--check` without a baseline file fails instead of passing every
+    /// entry as a first run.
+    #[test]
+    fn missing_baseline_is_an_error() {
+        let path = scratch_trajectory("missing.json");
+        let err = load(&path).expect_err("no file");
+        assert!(err.contains("missing.json"), "{err}");
+    }
+
+    /// A line that is neither a bracket nor an entry fails the load,
+    /// names its line, and stops `append` from rewriting the file
+    /// without it.
+    #[test]
+    fn malformed_line_is_an_error_and_never_dropped() {
+        let path = scratch_trajectory("malformed.json");
+        let good = entry("a", 10.0, 1_000_000, 5).to_json();
+        let text = format!("[\n{good},\n{{\"experiment\":\"b\",\"runs\":1}},\n{good}\n]\n");
+        fs::write(&path, &text).unwrap();
+        let err = load(&path).expect_err("malformed");
+        assert!(err.contains("line 3: missing field \"workers\""), "{err}");
+        assert!(append(&path, &[entry("c", 1.0, 1_000_000, 1)]).is_err());
+        assert_eq!(fs::read_to_string(&path).unwrap(), text, "left as it was");
+
+        for bad in ["{\"experiment\":\"x\"", "not json", ""] {
+            fs::write(&path, format!("[\n{bad}\n]\n")).unwrap();
+            let err = load(&path).expect_err(bad);
+            assert!(err.contains("malformed.json: line 2: "), "{err}");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    /// Loading the committed trajectory and rendering it again gives
+    /// back the file byte for byte: the reader keeps every entry and
+    /// the writer reproduces every float.
+    #[test]
+    fn committed_trajectory_round_trips() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json");
+        let text = fs::read_to_string(&path).unwrap();
+        let entries = load(&path).unwrap();
+        assert_eq!(entries.len() + 2, text.lines().count());
+        assert_eq!(render_trajectory(&entries), text);
+        assert_eq!(render_trajectory(&[]), "[\n]\n");
     }
 
     #[test]

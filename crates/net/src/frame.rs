@@ -125,7 +125,7 @@ impl FrameKind {
         self as u8
     }
 
-    /// Stable lowercase name, used in trace events and metric rows.
+    /// Stable lowercase name, used in metric rows.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

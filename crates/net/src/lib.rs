@@ -26,9 +26,6 @@
 //!   serial simulator's event loop across OS processes, shipping node
 //!   state via the protocols' snapshot seams. Its final report is
 //!   **equal** to the serial simulator's, not approximately so.
-//! - [`trace`] — typed wall-clock event tracing for the connection
-//!   state machine (dials, races, displacements, retries, stalls,
-//!   drains), serializable as JSON lines.
 //! - [`stats`] — the live observability endpoint: a [`StatsServer`]
 //!   serves a `bsub_obs::SharedReport` — the coordinator's merged
 //!   cluster report, or a broker's own sink — as Prometheus text and
@@ -63,7 +60,6 @@ pub mod frame;
 pub mod peer;
 mod peer_core;
 pub mod stats;
-pub mod trace;
 pub mod transport;
 
 pub use backoff::Backoff;
@@ -82,5 +78,4 @@ pub use cluster::{
 pub use frame::{frame_size_hist, frame_time_hist, Frame, FrameKind, HEADER_LEN, MAX_BODY_LEN};
 pub use peer::{ConnState, PeerConfig, PeerId, PeerManager};
 pub use stats::{render_prometheus, scrape, StatsServer};
-pub use trace::{NetEvent, NetTrace, TracedEvent};
 pub use transport::{EndpointAddr, Listener, Stream};

@@ -41,7 +41,6 @@
 use crate::backoff::Backoff;
 use crate::frame::{frame_size_hist, frame_time_hist, Frame, FrameKind, HEADER_LEN};
 use crate::peer_core::PeerCore;
-use crate::trace::{self, NetEvent, NetTrace, TraceSlot};
 use crate::transport::{EndpointAddr, Listener, Stream};
 use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::{Counter, SharedReport, SizeHist};
@@ -145,17 +144,11 @@ struct Shared {
     /// Cross-thread metrics sink (socket threads have no thread-local
     /// profiler); disabled unless armed via [`PeerManager::metrics`].
     metrics: SharedReport,
-    /// Optional wall-clock event trace; empty slot = one atomic load.
-    trace: TraceSlot,
 }
 
 impl Shared {
     fn core(&self) -> MutexGuard<'_, PeerCore<Conn>> {
         self.core.lock().expect("peer core lock")
-    }
-
-    fn trace(&self, event: NetEvent) {
-        trace::record(&self.trace, event);
     }
 
     fn count(&self, c: Counter) {
@@ -197,7 +190,6 @@ impl PeerManager {
             inbound: inbound_tx,
             shutdown: AtomicBool::new(false),
             metrics: SharedReport::new(),
-            trace: TraceSlot::new(),
         });
         let manager = Arc::new(Self {
             shared: Arc::clone(&shared),
@@ -220,12 +212,6 @@ impl PeerManager {
     #[must_use]
     pub fn metrics(&self) -> &SharedReport {
         &self.shared.metrics
-    }
-
-    /// Attaches a wall-clock event trace. Only the first attach wins;
-    /// a later call is ignored (the slot is write-once).
-    pub fn attach_trace(&self, trace: Arc<NetTrace>) {
-        let _ = self.shared.trace.set(trace);
     }
 
     /// The lifecycle state of the connection toward `peer`.
@@ -255,7 +241,7 @@ impl PeerManager {
             u64::from(self.config.local.0),
             u64::from(peer.0),
         );
-        for attempt in 1..=DIAL_ATTEMPTS {
+        for _ in 0..DIAL_ATTEMPTS {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 return Err(io::Error::new(
                     io::ErrorKind::Interrupted,
@@ -265,18 +251,12 @@ impl PeerManager {
             if !self.shared.core().begin(peer, ConnState::Dialing) {
                 return Ok(()); // already established
             }
-            self.shared.trace(NetEvent::Dial { peer, attempt });
             match self.dial_once(peer, addr) {
                 Ok(()) => return Ok(()),
                 Err(_) => {
                     self.shared.count(Counter::NetRetries);
                     self.shared.core().abandon(peer, ConnState::Dialing);
-                    let delay = backoff.next_delay();
-                    self.shared.trace(NetEvent::Retry {
-                        peer,
-                        delay_ms: delay.as_millis() as u64,
-                    });
-                    thread::sleep(delay);
+                    thread::sleep(backoff.next_delay());
                 }
             }
         }
@@ -337,10 +317,6 @@ impl PeerManager {
             }
             Err(TrySendError::Full(frame)) => {
                 self.shared.count(Counter::NetSendStalls);
-                self.shared.trace(NetEvent::SendStall {
-                    peer,
-                    kind: frame.kind,
-                });
                 frame
             }
         };
@@ -420,7 +396,6 @@ impl PeerManager {
         // drains the queue, then half-closes the socket.
         if self.shared.core().drain(peer).is_some() {
             self.shared.conns_changed.notify_all();
-            self.shared.trace(NetEvent::Drain { peer });
         }
     }
 
@@ -430,9 +405,8 @@ impl PeerManager {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let conns = self.shared.core().shutdown();
         self.shared.conns_changed.notify_all();
-        for (peer, conn) in conns {
+        for (_, conn) in conns {
             conn.stream.shutdown_both();
-            self.shared.trace(NetEvent::Closed { peer });
         }
     }
 }
@@ -471,7 +445,6 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
         match listener.accept_pending() {
             Ok(Some(stream)) => {
                 idle = 0;
-                shared.trace(NetEvent::Accept);
                 let shared = Arc::clone(shared);
                 thread::spawn(move || accept_handshake(&shared, stream));
             }
@@ -535,17 +508,9 @@ fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -
     if let Some(loser) = loser {
         loser.stream.shutdown_both();
         shared.count(Counter::NetRaceLost);
-        shared.trace(match epoch {
-            Some(_) => NetEvent::Displaced { peer },
-            None => NetEvent::RaceLost { peer },
-        });
     }
     let Some(epoch) = epoch else { return Ok(()) };
     shared.conns_changed.notify_all();
-    shared.trace(NetEvent::HandshakeOk {
-        peer,
-        dialer: dialer == shared.local,
-    });
     {
         let shared = Arc::clone(shared);
         thread::spawn(move || reader_loop(&shared, reader_stream, peer, epoch));
@@ -591,8 +556,6 @@ fn reader_loop(shared: &Arc<Shared>, stream: Stream, peer: PeerId, epoch: u64) {
         let _ = shared.inbound.send((peer, None));
         shared.conns_changed.notify_all();
     }
-    drop(core);
-    shared.trace(NetEvent::Closed { peer });
 }
 
 /// The writer thread's reusable drain state.
@@ -846,11 +809,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_sink_and_trace_observe_the_lifecycle() {
+    fn metrics_sink_observes_the_lifecycle() {
         let (a, b, _a_addr, b_addr) = pair("obsplane");
         a.metrics().enable();
-        let trace = Arc::new(NetTrace::new());
-        a.attach_trace(Arc::clone(&trace));
         a.connect(PeerId(1), &b_addr).unwrap();
         a.send(PeerId(1), Frame::new(FrameKind::Dispatch, vec![0; 16]))
             .unwrap();
@@ -879,12 +840,6 @@ mod tests {
             assert!(Instant::now() < deadline, "writer metrics never appeared");
             thread::yield_now();
         }
-
-        let labels: Vec<&str> = trace.events().iter().map(|e| e.event.label()).collect();
-        assert!(labels.contains(&"dial"), "{labels:?}");
-        assert!(labels.contains(&"handshake_ok"), "{labels:?}");
-        assert!(labels.contains(&"drain"), "{labels:?}");
-        assert!(trace.to_jsonl().lines().count() == labels.len());
 
         // B never armed its sink: nothing recorded there.
         assert!(b.metrics().snapshot().is_empty());

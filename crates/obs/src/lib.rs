@@ -46,10 +46,10 @@
 //! commutativity is what makes the cluster-wide live report independent
 //! of frame arrival order.
 //!
-//! Because this crate is the bottom of the graph, it also hosts the
-//! workspace's one byte codec, [`codec::Writer`] / [`codec::Reader`]:
-//! the report codec, node snapshots, match-index checkpoints, and the
-//! `bsub-net` frame bodies are all written with it.
+//! As the bottom of the graph, it also hosts the workspace's one byte
+//! codec, [`codec::Writer`] / [`codec::Reader`] (report codec, node
+//! snapshots, index checkpoints, frame bodies), and its one JSON writer
+//! and reader, [`json::Object`] / [`json::Fields`] (every artifact).
 //!
 //! # Example
 //!

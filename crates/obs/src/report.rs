@@ -4,7 +4,7 @@
 
 use crate::codec::{Reader, Writer};
 use crate::hist::Histogram;
-use crate::json::json_string;
+use crate::json::Object;
 use crate::profiler::{Counter, Gauge, Profiler, SizeHist, TimeHist};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -206,66 +206,49 @@ impl ProfReport {
     /// reports serialize identically.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"counters\":{");
-        push_pairs(
-            &mut out,
-            Counter::ALL
-                .iter()
-                .filter(|&&c| self.counter(c) > 0)
-                .map(|&c| (c.name(), self.counter(c).to_string())),
-        );
-        out.push_str("},\"gauges\":{");
-        push_pairs(
-            &mut out,
-            Gauge::ALL
-                .iter()
-                .filter(|&&g| self.gauge(g) > 0)
-                .map(|&g| (g.name(), self.gauge(g).to_string())),
-        );
-        out.push_str("},\"time_ns\":{");
-        push_pairs(
-            &mut out,
-            TimeHist::ALL
-                .iter()
-                .filter(|&&h| !self.time_hist(h).is_empty())
-                .map(|&h| (h.name(), hist_json(self.time_hist(h)))),
-        );
-        out.push_str("},\"size_bytes\":{");
-        push_pairs(
-            &mut out,
-            SizeHist::ALL
-                .iter()
-                .filter(|&&h| !self.size_hist(h).is_empty())
-                .map(|&h| (h.name(), hist_json(self.size_hist(h)))),
-        );
-        out.push_str("}}");
-        out
+        let mut o = Object::new();
+        self.fill_json(&mut o);
+        o.finish()
+    }
+
+    fn fill_json(&self, o: &mut Object) {
+        o.object("counters", |o| {
+            for &c in Counter::ALL.iter().filter(|&&c| self.counter(c) > 0) {
+                o.u64(c.name(), self.counter(c));
+            }
+        });
+        o.object("gauges", |o| {
+            for &g in Gauge::ALL.iter().filter(|&&g| self.gauge(g) > 0) {
+                o.u64(g.name(), self.gauge(g));
+            }
+        });
+        o.object("time_ns", |o| {
+            for &h in &TimeHist::ALL {
+                add_hist(o, h.name(), self.time_hist(h));
+            }
+        });
+        o.object("size_bytes", |o| {
+            for &h in &SizeHist::ALL {
+                add_hist(o, h.name(), self.size_hist(h));
+            }
+        });
     }
 }
 
-fn push_pairs<'a>(out: &mut String, pairs: impl Iterator<Item = (&'a str, String)>) {
-    let mut first = true;
-    for (name, value) in pairs {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "{}:{}", json_string(name), value);
+/// Adds `h`'s summary under `name`, unless it is empty.
+fn add_hist(o: &mut Object, name: &str, h: &Histogram) {
+    if h.is_empty() {
+        return;
     }
-}
-
-fn hist_json(h: &Histogram) -> String {
-    format!(
-        "{{\"count\":{},\"sum\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-        h.count(),
-        h.sum(),
-        h.min(),
-        h.quantile(0.5),
-        h.quantile(0.9),
-        h.quantile(0.99),
-        h.max()
-    )
+    o.object(name, |o| {
+        o.u64("count", h.count())
+            .u64("sum", h.sum())
+            .u64("min", h.min())
+            .u64("p50", h.quantile(0.5))
+            .u64("p90", h.quantile(0.9))
+            .u64("p99", h.quantile(0.99))
+            .u64("max", h.max());
+    });
 }
 
 /// Profiling reports grouped by label (one group per protocol /
@@ -327,15 +310,11 @@ impl MetricsReport {
     /// Renders the report as a JSON object keyed by label.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        push_pairs(
-            &mut out,
-            self.groups
-                .iter()
-                .map(|(label, report)| (label.as_str(), report.to_json())),
-        );
-        out.push('}');
-        out
+        let mut o = Object::new();
+        for (label, report) in &self.groups {
+            o.object(label, |o| report.fill_json(o));
+        }
+        o.finish()
     }
 
     /// Renders a human-readable terminal table: one section per label

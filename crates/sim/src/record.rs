@@ -37,8 +37,8 @@
 //! engine.
 
 use crate::message::MessageId;
+use bsub_obs::json::Object;
 use bsub_traces::{NodeId, SimDuration, SimTime};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Which merge rule produced a [`TraceEvent::FilterMerge`].
@@ -305,37 +305,40 @@ impl TraceEvent {
     /// The event's simulation timestamp.
     #[must_use]
     pub fn at(&self) -> SimTime {
-        match self {
-            TraceEvent::Published { at, .. }
-            | TraceEvent::ContactBegin { at, .. }
-            | TraceEvent::ContactEnd { at, .. }
-            | TraceEvent::Forwarded { at, .. }
-            | TraceEvent::ForwardingDecision { at, .. }
-            | TraceEvent::Delivered { at, .. }
-            | TraceEvent::Injected { at, .. }
-            | TraceEvent::Expired { at, .. }
-            | TraceEvent::FilterMerge { at, .. }
-            | TraceEvent::FilterDecay { at, .. }
-            | TraceEvent::Promoted { at, .. }
-            | TraceEvent::Demoted { at, .. }
-            | TraceEvent::Snapshot { at, .. }
-            | TraceEvent::ContactLost { at, .. }
-            | TraceEvent::ContactTruncated { at, .. }
-            | TraceEvent::NodeReset { at, .. }
-            | TraceEvent::ControlCorrupted { at, .. } => *at,
+        self.head().1
+    }
+
+    /// The event's `"ev"` label in the JSON event log, and its time.
+    fn head(&self) -> (&'static str, SimTime) {
+        match *self {
+            TraceEvent::Published { at, .. } => ("published", at),
+            TraceEvent::ContactBegin { at, .. } => ("contact_begin", at),
+            TraceEvent::ContactEnd { at, .. } => ("contact_end", at),
+            TraceEvent::Forwarded { at, .. } => ("forwarded", at),
+            TraceEvent::ForwardingDecision { at, .. } => ("forwarding_decision", at),
+            TraceEvent::Delivered { at, .. } => ("delivered", at),
+            TraceEvent::Injected { at, .. } => ("injected", at),
+            TraceEvent::Expired { at, .. } => ("expired", at),
+            TraceEvent::FilterMerge { at, .. } => ("filter_merge", at),
+            TraceEvent::FilterDecay { at, .. } => ("filter_decay", at),
+            TraceEvent::Promoted { at, .. } => ("promoted", at),
+            TraceEvent::Demoted { at, .. } => ("demoted", at),
+            TraceEvent::Snapshot { at, .. } => ("snapshot", at),
+            TraceEvent::ContactLost { at, .. } => ("contact_lost", at),
+            TraceEvent::ContactTruncated { at, .. } => ("contact_truncated", at),
+            TraceEvent::NodeReset { at, .. } => ("node_reset", at),
+            TraceEvent::ControlCorrupted { at, .. } => ("control_corrupted", at),
         }
     }
 
-    /// Renders the event as one JSON object (no trailing newline).
-    ///
-    /// The encoder is hand-rolled — the workspace carries no
-    /// serialization dependency — but the emitted fields are plain
-    /// numbers, booleans and short ASCII labels, plus the content key,
-    /// which is the only string that needs escaping.
+    /// Renders the event as one JSON object (no trailing newline),
+    /// written with [`bsub_obs::json::Object`]: the event's label, its
+    /// time in milliseconds, then its fields in declaration order.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        let t = self.at().as_millis();
+        let (ev, at) = self.head();
+        let mut o = Object::new();
+        o.str("ev", ev).u64("t_ms", at.as_millis());
         match self {
             TraceEvent::Published {
                 msg,
@@ -345,36 +348,24 @@ impl TraceEvent {
                 targets,
                 ..
             } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"published","t_ms":{t},"msg":{},"producer":{},"key":{},"size":{size},"targets":{targets}}}"#,
-                    msg.raw(),
-                    producer.index(),
-                    json_string(key),
-                );
+                o.u64("msg", msg.raw())
+                    .u64("producer", producer.index() as u64)
+                    .str("key", key)
+                    .u64("size", (*size).into())
+                    .u64("targets", *targets);
             }
             TraceEvent::ContactBegin { a, b, budget, .. } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"contact_begin","t_ms":{t},"a":{},"b":{},"budget":{budget}}}"#,
-                    a.index(),
-                    b.index(),
-                );
+                o.u64("a", a.index() as u64)
+                    .u64("b", b.index() as u64)
+                    .u64("budget", *budget);
             }
             TraceEvent::ContactEnd { a, b, used, .. } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"contact_end","t_ms":{t},"a":{},"b":{},"used":{used}}}"#,
-                    a.index(),
-                    b.index(),
-                );
+                o.u64("a", a.index() as u64)
+                    .u64("b", b.index() as u64)
+                    .u64("used", *used);
             }
             TraceEvent::Forwarded { msg, bytes, .. } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"forwarded","t_ms":{t},"msg":{},"bytes":{bytes}}}"#,
-                    msg.raw(),
-                );
+                o.u64("msg", msg.raw()).u64("bytes", *bytes);
             }
             TraceEvent::ForwardingDecision {
                 from,
@@ -383,30 +374,22 @@ impl TraceEvent {
                 preference,
                 ..
             } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"forwarding_decision","t_ms":{t},"from":{},"to":{},"msg":{}"#,
-                    from.index(),
-                    to.index(),
-                    msg.raw(),
-                );
-                match preference {
-                    Some(p) => {
-                        let kind = if p.absolute { "absolute" } else { "relative" };
-                        let _ = write!(s, r#","pref":{},"pref_kind":"{kind}"}}"#, p.value);
-                    }
-                    None => s.push_str(r#","pref":null}"#),
+                o.u64("from", from.index() as u64)
+                    .u64("to", to.index() as u64)
+                    .u64("msg", msg.raw());
+                if let Some(p) = preference {
+                    let kind = if p.absolute { "absolute" } else { "relative" };
+                    o.i64("pref", p.value).str("pref_kind", kind);
+                } else {
+                    o.null("pref");
                 }
             }
             TraceEvent::Delivered {
                 msg, node, genuine, ..
             } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"delivered","t_ms":{t},"msg":{},"node":{},"genuine":{genuine}}}"#,
-                    msg.raw(),
-                    node.index(),
-                );
+                o.u64("msg", msg.raw())
+                    .u64("node", node.index() as u64)
+                    .bool("genuine", *genuine);
             }
             TraceEvent::Injected {
                 msg,
@@ -414,56 +397,30 @@ impl TraceEvent {
                 false_positive,
                 ..
             } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"injected","t_ms":{t},"msg":{},"broker":{},"false_positive":{false_positive}}}"#,
-                    msg.raw(),
-                    broker.index(),
-                );
+                o.u64("msg", msg.raw())
+                    .u64("broker", broker.index() as u64)
+                    .bool("false_positive", *false_positive);
             }
             TraceEvent::Expired { node, count, .. } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"expired","t_ms":{t},"node":{},"count":{count}}}"#,
-                    node.index(),
-                );
+                o.u64("node", node.index() as u64).u64("count", *count);
             }
             TraceEvent::FilterMerge {
                 node, kind, fill, ..
             } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"filter_merge","t_ms":{t},"node":{},"kind":"{}","fill":{}}}"#,
-                    node.index(),
-                    kind.label(),
-                    json_f64(*fill),
-                );
+                o.u64("node", node.index() as u64)
+                    .str("kind", kind.label())
+                    .f64("fill", *fill);
             }
             TraceEvent::FilterDecay {
                 node, amount, fill, ..
             } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"filter_decay","t_ms":{t},"node":{},"amount":{amount},"fill":{}}}"#,
-                    node.index(),
-                    json_f64(*fill),
-                );
+                o.u64("node", node.index() as u64)
+                    .u64("amount", (*amount).into())
+                    .f64("fill", *fill);
             }
-            TraceEvent::Promoted { node, peer, .. } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"promoted","t_ms":{t},"node":{},"peer":{}}}"#,
-                    node.index(),
-                    peer.index(),
-                );
-            }
-            TraceEvent::Demoted { node, peer, .. } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"demoted","t_ms":{t},"node":{},"peer":{}}}"#,
-                    node.index(),
-                    peer.index(),
-                );
+            TraceEvent::Promoted { node, peer, .. } | TraceEvent::Demoted { node, peer, .. } => {
+                o.u64("node", node.index() as u64)
+                    .u64("peer", peer.index() as u64);
             }
             TraceEvent::Snapshot {
                 brokers,
@@ -473,21 +430,16 @@ impl TraceEvent {
                 max_counter,
                 ..
             } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"snapshot","t_ms":{t},"brokers":{brokers},"buffered":{buffered},"relay_fill":{},"relay_fpr":{},"max_counter":{max_counter}}}"#,
-                    json_f64(*relay_fill),
-                    json_f64(*relay_fpr),
-                );
+                o.u64("brokers", *brokers)
+                    .u64("buffered", *buffered)
+                    .f64("relay_fill", *relay_fill)
+                    .f64("relay_fpr", *relay_fpr)
+                    .u64("max_counter", (*max_counter).into());
             }
             TraceEvent::ContactLost { a, b, cause, .. } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"contact_lost","t_ms":{t},"a":{},"b":{},"cause":"{}"}}"#,
-                    a.index(),
-                    b.index(),
-                    cause.label(),
-                );
+                o.u64("a", a.index() as u64)
+                    .u64("b", b.index() as u64)
+                    .str("cause", cause.label());
             }
             TraceEvent::ContactTruncated {
                 a,
@@ -496,36 +448,21 @@ impl TraceEvent {
                 original,
                 ..
             } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"contact_truncated","t_ms":{t},"a":{},"b":{},"budget":{budget},"original":{original}}}"#,
-                    a.index(),
-                    b.index(),
-                );
+                o.u64("a", a.index() as u64)
+                    .u64("b", b.index() as u64)
+                    .u64("budget", *budget)
+                    .u64("original", *original);
             }
             TraceEvent::NodeReset { node, .. } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"node_reset","t_ms":{t},"node":{}}}"#,
-                    node.index()
-                );
+                o.u64("node", node.index() as u64);
             }
             TraceEvent::ControlCorrupted { node, bytes, .. } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"control_corrupted","t_ms":{t},"node":{},"bytes":{bytes}}}"#,
-                    node.index(),
-                );
+                o.u64("node", node.index() as u64).u64("bytes", *bytes);
             }
         }
-        s
+        o.finish()
     }
 }
-
-// JSON emission primitives live in `bsub_obs::json` so the whole
-// workspace shares one implementation (event logs, metrics reports,
-// and the perf trajectory must all format floats identically).
-use bsub_obs::json::{json_f64, json_string};
 
 /// Receives the event stream of one run.
 ///
@@ -982,9 +919,18 @@ mod tests {
 
     #[test]
     fn json_floats_are_round_trip_formatted() {
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(2.0), "2.0");
-        assert_eq!(json_f64(f64::NAN), "null");
+        let decay = |fill| {
+            TraceEvent::FilterDecay {
+                at: SimTime::from_secs(0),
+                node: NodeId::new(0),
+                amount: 1,
+                fill,
+            }
+            .to_json()
+        };
+        assert!(decay(0.5).ends_with(r#","fill":0.5}"#));
+        assert!(decay(2.0).ends_with(r#","fill":2.0}"#));
+        assert!(decay(f64::NAN).ends_with(r#","fill":null}"#));
     }
 
     #[test]
