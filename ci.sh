@@ -15,10 +15,12 @@
 #                          matching, net-cluster, broker-bench,
 #                          net-stress
 #
-# net-stress runs only when named: it repeats the bsub-net tests ten
-# times pinned to one CPU (taskset -c 0), where lost wakeups and
-# ordering bugs that parallelism hides can show. Hosted CI runs it as a
-# job of its own. It builds nothing in release.
+# net-stress runs only when named: it repeats the bsub-net tests and
+# the kill-worker test (bsub-bench's kill_worker: a SIGKILLed worker
+# process must be named at once) ten times pinned to one CPU
+# (taskset -c 0), where lost wakeups and ordering bugs that parallelism
+# hides can show. Hosted CI runs it as a job of its own. It builds
+# nothing in release.
 #
 # Smoke artifacts go to BSUB_SMOKE_DIR when set (hosted CI sets it to
 # upload them), otherwise to a scratch directory removed on exit.
@@ -99,10 +101,11 @@ timing_summary() {
 }
 
 if [ "$STAGE_FILTER" = net-stress ]; then
-    stage "net-stress (bsub-net tests on one CPU, 10 times)"
+    stage "net-stress (bsub-net and kill-worker tests on one CPU, 10 times)"
     for i in $(seq 1 10); do
         echo "-- single-cpu iteration $i --"
         taskset -c 0 cargo test -p bsub-net -- -q
+        taskset -c 0 cargo test -p bsub-bench --test kill_worker -- -q
     done
     timing_summary
     echo "CI OK (net-stress)"

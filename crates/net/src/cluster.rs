@@ -9,59 +9,44 @@
 //!
 //! A contact between nodes `a` and `b` is dispatched to the owner of
 //! `a` (the *executor*). The executor pulls a snapshot of any
-//! endpoint it does not own (`STATE_REQ` → `STATE_GRANT`, via
-//! [`Protocol::export_node`]/[`Protocol::import_node`]), runs the
-//! simulator's own contact step ([`Simulation::step_contact`]: churn
-//! resets, fault gating, link budget, `on_contact`) against its own
-//! instance, returns the post-exchange snapshots to their owners
-//! (`STATE_RET`, acknowledged toward the coordinator as `NODE_FREE`),
-//! and reports the exchange's costs and deliveries (`RESULT`). The
-//! coordinator keeps per-node busy flags so no node is in two
-//! exchanges at once, and replays results **in contact-index order**
-//! into one master [`MetricsCollector`] — which is why the final
-//! [`SimReport`] is not merely close to the serial simulator's, but
-//! equal to it (the `net-cluster` harness and CI diff the CSVs byte
-//! for byte).
+//! endpoint it does not own (`STATE_REQ` → `STATE_GRANT`), runs the
+//! simulator's own contact step ([`Simulation::step_contact`]) against
+//! its own instance, returns the post-exchange snapshots to their
+//! owners (`STATE_RET`, acknowledged toward the coordinator as
+//! `NODE_FREE`), and reports the exchange's costs and deliveries
+//! (`RESULT`). Fault draws are stateless, so the executor repeats them
+//! from the shared [`Simulation`]; the one stateful input, the churn
+//! resets, rides in the `DISPATCH` body. Before the first contact at
+//! or after a scheduled publication, a **publish barrier** drains every
+//! exchange, and every worker applies the publications
+//! ([`Simulation::step_publish`]) and answers `PUBLISH_OK`.
 //!
-//! Faulted runs are reproduced exactly too. Every fault draw is
-//! stateless (keyed on the fault seed and the contact index, node or
-//! churn cell), so the executor repeats it from the shared
-//! [`Simulation`]. The one stateful input — which endpoints rejoin
-//! after downtime and must reset — comes from the coordinator, which
-//! walks its own [`FaultState`] in contact order and ships the two
-//! reset bits in the `DISPATCH` body.
-//!
-//! Publications use a **publish barrier**: before the first contact
-//! at or after a scheduled publication, the coordinator drains every
-//! in-flight exchange, broadcasts `ADVANCE`, and waits for
-//! `PUBLISH_OK` from every worker. Every worker applies every
-//! publication to its own instance through
-//! [`Simulation::step_publish`] (cheap, and it keeps globally
-//! registered state such as PUSH's message registry dense), so a
-//! producer's authoritative owner always has the publication applied
-//! before the next exchange can touch it. Publication has no metric
-//! side effects on the workers; the coordinator accounts generated
-//! messages through the same step, over a protocol that holds nothing.
+//! Every coordinator decision lives in the socket-free `ClusterCore`
+//! (`cluster_core.rs`): no node is in two exchanges at once, and
+//! results are replayed **in contact order** into one master
+//! [`MetricsCollector`], so the final [`SimReport`] equals the serial
+//! simulator's (the `net-cluster` harness and CI diff the CSVs byte for
+//! byte). A worker's closed link ends the run at once with an error
+//! naming it; the coordinator's closed link ends every worker's run.
 //!
 //! Lock discipline (the reason the distributed exchange cannot
 //! deadlock): a worker's executor thread acquires its protocol
 //! instance **only after** all remote snapshots have arrived, and
 //! never blocks on the network while holding it; the main thread
-//! serves `STATE_REQ` for any node not currently in an exchange
-//! (guaranteed by the coordinator's busy flags). Every wait chain
-//! therefore ends at an executor that is simply computing.
+//! serves `STATE_REQ` for any node not currently in an exchange.
+//! Every wait chain therefore ends at an executor that is computing.
 
+use crate::cluster_core::{Action, ClusterCore};
 use crate::frame::{Frame, FrameKind};
 use crate::peer::{PeerConfig, PeerId, PeerManager};
 use crate::transport::EndpointAddr;
 use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::{self as obs, Counter, ProfReport, SharedReport, TimeHist};
 use bsub_sim::{
-    FaultState, Message, MetricsCollector, NullProtocol, NullRecorder, Protocol, ProtocolFactory,
-    Recorder, SimReport, Simulation, TraceEvent,
+    MetricsCollector, NullRecorder, Protocol, ProtocolFactory, Recorder, SimReport, Simulation,
+    TraceEvent,
 };
-use bsub_traces::{NodeId, SimDuration};
-use std::collections::{BTreeMap, HashMap};
+use bsub_traces::NodeId;
 use std::io;
 use std::path::Path;
 use std::sync::mpsc;
@@ -76,8 +61,9 @@ pub const COORDINATOR: PeerId = PeerId(0);
 /// liveness.
 const POLL: Duration = Duration::from_millis(200);
 
-/// How long a run may make no progress before it is declared wedged
-/// (a worker died, a socket path is wrong, ...).
+/// How long a run may make no progress before it is declared wedged:
+/// the backstop for a peer that is alive but silent. A closed link
+/// ends the run at once instead.
 const STALL: Duration = Duration::from_secs(120);
 
 /// How long the coordinator waits for all workers to dial in.
@@ -142,8 +128,13 @@ impl ClusterSpec {
     /// The worker that owns `node`'s authoritative state.
     #[must_use]
     pub fn node_owner(&self, node: NodeId) -> PeerId {
-        PeerId(1 + (node.index() as u32 % self.workers))
+        owner(node, self.workers)
     }
+}
+
+/// The worker of `workers` that owns `node`: `1 + node mod workers`.
+pub(crate) fn owner(node: NodeId, workers: u32) -> PeerId {
+    PeerId(1 + (node.index() as u32 % workers))
 }
 
 /// What a finished cluster run hands back.
@@ -163,7 +154,7 @@ pub struct ClusterOutcome {
     pub cluster_metrics: Option<ProfReport>,
 }
 
-fn bad(message: impl Into<String>) -> io::Error {
+pub(crate) fn bad(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
@@ -275,16 +266,16 @@ fn read_stats(body: &[u8]) -> io::Result<(u8, Option<ProfReport>)> {
 
 /// One executed contact, as shipped in a `RESULT` frame: the
 /// exchange's scalar costs plus its delivery events.
-#[derive(Debug, PartialEq, Eq)]
-struct ExchangeOutcome {
-    index: u64,
-    forwardings: u64,
-    control_bytes: u64,
-    data_bytes: u64,
-    injections: u64,
-    false_injections: u64,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ExchangeOutcome {
+    pub index: u64,
+    pub forwardings: u64,
+    pub control_bytes: u64,
+    pub data_bytes: u64,
+    pub injections: u64,
+    pub false_injections: u64,
     /// `(message id, consumer, genuine)` in execution order.
-    deliveries: Vec<(u64, u32, bool)>,
+    pub deliveries: Vec<(u64, u32, bool)>,
 }
 
 impl ExchangeOutcome {
@@ -323,20 +314,14 @@ impl ExchangeOutcome {
 
     /// The scalar costs as a [`SimReport`] shell, for
     /// [`MetricsCollector::absorb_costs`].
-    fn as_costs(&self) -> SimReport {
+    pub fn as_costs(&self) -> SimReport {
         SimReport {
-            protocol: String::new(),
-            generated: 0,
-            target_pairs: 0,
-            delivered: 0,
-            false_delivered: 0,
-            delay_total: SimDuration::from_millis(0),
             forwardings: self.forwardings,
             control_bytes: self.control_bytes,
             data_bytes: self.data_bytes,
-            contacts: 0,
             injections: self.injections,
             false_injections: self.false_injections,
+            ..SimReport::default()
         }
     }
 }
@@ -372,8 +357,9 @@ impl Recorder for DeliveryTap {
 /// # Errors
 ///
 /// Connection failures, malformed frames, a protocol that cannot
-/// export/import state, or a coordinator that goes silent for longer
-/// than the stall timeout.
+/// export/import state, a closed link to the coordinator, or a
+/// coordinator that stays connected but silent for longer than the
+/// stall timeout.
 ///
 /// # Panics
 ///
@@ -399,21 +385,17 @@ pub fn run_worker(
     for lower in 0..worker {
         pm.connect(PeerId(lower), &peer_addr(dir, PeerId(lower)))?;
     }
-    // Then wait for the peers above to dial in: coordinator plus every
-    // other worker = `spec.workers` connections. Without this gate the
-    // coordinator (which only counts its own links) can dispatch a
-    // contact whose executor immediately needs a worker-worker link
-    // that has not assembled yet — the StateReq send then fails
-    // NotConnected and the cluster wedges until the stall timeout.
+    // Then wait for the peers above to dial in (coordinator plus every
+    // other worker): an executor's first STATE_REQ needs its link.
     pm.await_connections(spec.workers as usize, ASSEMBLY)?;
 
     let protocol: Arc<Mutex<Box<dyn Protocol>>> = Arc::new(Mutex::new(factory.build(spec.seed)));
+    let to_coordinator = |kind, body| pm.send(COORDINATOR, Frame::new(kind, body));
+    let lock = || protocol.lock().expect("protocol lock");
     let (exec_tx, exec_rx) = mpsc::channel::<(u64, [bool; 2])>();
     let (grant_tx, grant_rx) = mpsc::channel::<(u32, Vec<u8>)>();
     let executor = {
-        let pm = Arc::clone(&pm);
-        let protocol = Arc::clone(&protocol);
-        let spec = spec.clone();
+        let (pm, protocol, spec) = (Arc::clone(&pm), Arc::clone(&protocol), spec.clone());
         thread::spawn(move || -> io::Result<()> {
             while let Ok((index, resets)) = exec_rx.recv() {
                 // With the plane on, the contact runs under a profiler
@@ -425,18 +407,15 @@ pub fn run_worker(
                 let outcome = pm
                     .metrics()
                     .profile(|| execute_contact(&spec, &pm, &protocol, &grant_rx, index, resets))?;
-                pm.send(
-                    COORDINATOR,
-                    Frame::new(FrameKind::ExchangeResult, outcome.encode()),
-                )?;
+                let frame = Frame::new(FrameKind::ExchangeResult, outcome.encode());
+                pm.send(COORDINATOR, frame)?;
             }
             Ok(())
         })
     };
 
     let mut applied = 0usize;
-    let mut last_frame = Instant::now();
-    let mut last_stats = Instant::now();
+    let (mut last_frame, mut last_stats) = (Instant::now(), Instant::now());
     let mut stats_done = false;
     let main = (|| -> io::Result<()> {
         loop {
@@ -444,48 +423,44 @@ pub fn run_worker(
             // effective granularity is bounded by POLL. Stops once the
             // final delta has been surrendered, keeping the
             // coordinator's merged total stable from then on.
-            if let Some(cadence) = spec.stats_cadence {
-                if !stats_done && last_stats.elapsed() >= cadence {
-                    last_stats = Instant::now();
-                    let delta = pm.metrics().take_delta();
-                    if !delta.is_empty() {
-                        pm.send(
-                            COORDINATOR,
-                            Frame::new(FrameKind::Stats, body_stats(STATS_DELTA, Some(&delta))),
-                        )?;
-                    }
+            let cadence = spec.stats_cadence.filter(|_| !stats_done);
+            if cadence.is_some_and(|cadence| last_stats.elapsed() >= cadence) {
+                last_stats = Instant::now();
+                let delta = pm.metrics().take_delta();
+                if !delta.is_empty() {
+                    to_coordinator(FrameKind::Stats, body_stats(STATS_DELTA, Some(&delta)))?;
                 }
             }
-            let Some((from, frame)) = pm.recv_timeout(POLL) else {
+            let Some((from, frame)) = pm.recv_any(POLL) else {
                 if last_frame.elapsed() > STALL {
                     return Err(timed_out(format!(
-                        "coordinator went silent (worker {}, applied={applied}, \
-                         stats_done={stats_done})",
-                        local.0
+                        "coordinator went silent (worker {worker}, applied={applied}, \
+                         stats_done={stats_done})"
                     )));
                 }
                 continue;
             };
             last_frame = Instant::now();
-            match frame.kind {
-                FrameKind::Dispatch => {
-                    let dispatch = read_dispatch(&frame.body)?;
-                    exec_tx
-                        .send(dispatch)
-                        .map_err(|_| bad("executor thread is gone"))?;
+            // A worker's close is the coordinator's to name; the
+            // coordinator's own close ends the run.
+            let frame = match frame {
+                Some(frame) => frame,
+                None if from == COORDINATOR => {
+                    let message = format!("coordinator closed its link (worker {worker})");
+                    return Err(io::Error::new(io::ErrorKind::ConnectionAborted, message));
                 }
+                None => continue,
+            };
+            match frame.kind {
+                FrameKind::Dispatch => exec_tx
+                    .send(read_dispatch(&frame.body)?)
+                    .map_err(|_| bad("executor thread is gone"))?,
                 FrameKind::StateReq => {
                     let node = read_u32(&frame.body)?;
-                    let snapshot = {
-                        let guard = protocol.lock().expect("protocol lock");
-                        guard
-                            .export_node(NodeId::new(node))
-                            .ok_or_else(|| bad("protocol cannot export node state"))?
-                    };
-                    pm.send(
-                        from,
-                        Frame::new(FrameKind::StateGrant, body_node_bytes(node, &snapshot)),
-                    )?;
+                    let snapshot = lock().export_node(NodeId::new(node));
+                    let snapshot = snapshot.ok_or_else(|| bad("protocol cannot export state"))?;
+                    let body = body_node_bytes(node, &snapshot);
+                    pm.send(from, Frame::new(FrameKind::StateGrant, body))?;
                 }
                 FrameKind::StateGrant => {
                     let granted = read_node_bytes(&frame.body)?;
@@ -495,39 +470,28 @@ pub fn run_worker(
                 }
                 FrameKind::StateRet => {
                     let (node, bytes) = read_node_bytes(&frame.body)?;
-                    {
-                        let mut guard = protocol.lock().expect("protocol lock");
-                        if !guard.import_node(NodeId::new(node), &bytes) {
-                            return Err(bad("returned node snapshot rejected"));
-                        }
+                    if !lock().import_node(NodeId::new(node), &bytes) {
+                        return Err(bad("returned node snapshot rejected"));
                     }
-                    pm.send(COORDINATOR, Frame::new(FrameKind::NodeFree, body_u32(node)))?;
+                    to_coordinator(FrameKind::NodeFree, body_u32(node))?;
                 }
                 FrameKind::Advance => {
                     let count = read_u64(&frame.body)? as usize;
                     if count > spec.sim.schedule().len() || count < applied {
                         return Err(bad("ADVANCE outside the schedule"));
                     }
-                    {
-                        // A publication's only possible delivery is a
-                        // self-delivery, which every ledger drops alike:
-                        // the throwaway collector loses nothing.
-                        let mut guard = protocol.lock().expect("protocol lock");
-                        let mut metrics = MetricsCollector::new();
-                        for index in applied..count {
-                            spec.sim.step_publish(
-                                index,
-                                &mut metrics,
-                                &mut **guard,
-                                &mut NullRecorder,
-                            );
-                        }
+                    // A publication's only possible delivery is a
+                    // self-delivery, which every ledger drops alike: the
+                    // throwaway collector loses nothing.
+                    let (mut guard, mut metrics) = (lock(), MetricsCollector::new());
+                    for index in applied..count {
+                        let instance = &mut **guard;
+                        spec.sim
+                            .step_publish(index, &mut metrics, instance, &mut NullRecorder);
                     }
+                    drop(guard);
                     applied = count;
-                    pm.send(
-                        COORDINATOR,
-                        Frame::new(FrameKind::PublishOk, body_u64(count as u64)),
-                    )?;
+                    to_coordinator(FrameKind::PublishOk, body_u64(count as u64))?;
                 }
                 FrameKind::Stats => {
                     let (op, _) = read_stats(&frame.body)?;
@@ -540,35 +504,37 @@ pub fn run_worker(
                     // holds all W finals, nothing is still in flight.
                     let delta = pm.metrics().take_delta();
                     stats_done = true;
-                    pm.send(
-                        COORDINATOR,
-                        Frame::new(FrameKind::Stats, body_stats(STATS_FINAL, Some(&delta))),
-                    )?;
+                    to_coordinator(FrameKind::Stats, body_stats(STATS_FINAL, Some(&delta)))?;
                 }
                 FrameKind::Done => return Ok(()),
                 other => return Err(bad(format!("worker got unexpected {other:?} frame"))),
             }
         }
     })();
-    drop(exec_tx);
+    // Dropping both senders and closing every link frees an executor
+    // blocked on its next dispatch, on a grant, or on a send, so the
+    // join returns at once. On `DONE` the executor is idle: the
+    // coordinator has every result and every `NODE_FREE` by then.
+    drop((exec_tx, grant_tx));
+    pm.shutdown();
     let exec = executor
         .join()
         .map_err(|_| bad("executor thread panicked"))?;
-    pm.shutdown();
     // Surface both failures: the executor's error is usually the root
-    // cause (e.g. a dead link), the main loop's stall the symptom.
-    match (main, exec) {
-        (Err(main), Err(exec)) => Err(io::Error::new(
+    // cause (e.g. a dead link), the main loop's the symptom.
+    if let (Err(main), Err(exec)) = (&main, &exec) {
+        return Err(io::Error::new(
             main.kind(),
             format!("{main}; executor: {exec}"),
-        )),
-        (main, exec) => main.and(exec),
+        ));
     }
+    main.and(exec)
 }
 
-/// Runs one dispatched contact's exchange on the executor worker and
-/// returns its outcome. See the module docs for the lock discipline
-/// this function upholds.
+/// Runs one dispatched contact on the executor worker: gathers the
+/// remote endpoints' snapshots, runs [`exchange`], and returns the
+/// remote state to its owners. See the module docs for the lock
+/// discipline this function upholds.
 fn execute_contact(
     spec: &ClusterSpec,
     pm: &PeerManager,
@@ -577,293 +543,79 @@ fn execute_contact(
     index: u64,
     resets: [bool; 2],
 ) -> io::Result<ExchangeOutcome> {
-    let contact = *spec
-        .sim
-        .trace()
-        .events()
-        .get(index as usize)
-        .ok_or_else(|| bad("dispatch index outside the trace"))?;
-    let local = pm.local();
-    let mut remotes: Vec<NodeId> = Vec::new();
-    for node in [contact.a, contact.b] {
-        if spec.node_owner(node) != local && !remotes.contains(&node) {
-            remotes.push(node);
-        }
-    }
+    let contact = spec.sim.trace().events().get(index as usize);
+    let contact = contact.ok_or_else(|| bad("dispatch index outside the trace"))?;
+    let remotes = [contact.a, contact.b].map(|node| (node, spec.node_owner(node)));
     // Gather every remote snapshot BEFORE touching the local
     // instance: the main thread must stay free to serve STATE_REQs
     // from other executors meanwhile.
-    for &node in &remotes {
-        pm.send(
-            spec.node_owner(node),
-            Frame::new(FrameKind::StateReq, body_u32(node.index() as u32)),
-        )?;
+    let mut requested = 0;
+    for &(node, owner) in remotes.iter().filter(|&&(_, owner)| owner != pm.local()) {
+        let body = body_u32(node.index() as u32);
+        pm.send(owner, Frame::new(FrameKind::StateReq, body))?;
+        requested += 1;
     }
-    let mut snapshots: HashMap<u32, Vec<u8>> = HashMap::new();
-    let deadline = Instant::now() + STALL;
-    while snapshots.len() < remotes.len() {
-        match grants.recv_timeout(POLL) {
-            Ok((node, bytes)) => {
-                snapshots.insert(node, bytes);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if Instant::now() >= deadline {
-                    return Err(timed_out(format!(
-                        "state grant never arrived (worker {} executing contact {index}, \
-                         got {} of {} snapshots)",
-                        pm.local().0,
-                        snapshots.len(),
-                        remotes.len(),
-                    )));
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(bad("worker main loop is gone"));
-            }
-        }
+    let mut snapshots = Vec::with_capacity(requested);
+    while snapshots.len() < requested {
+        let (node, bytes) = grants.recv_timeout(STALL).map_err(|e| {
+            let worker = pm.local().0;
+            timed_out(format!(
+                "worker {worker}, contact {index}: no state grant ({e})"
+            ))
+        })?;
+        snapshots.push((NodeId::new(node), bytes));
     }
-
-    let (report, deliveries, returns) = {
-        let mut guard = protocol.lock().expect("protocol lock");
-        let instance = &mut **guard;
-        for (&node, bytes) in &snapshots {
-            if !instance.import_node(NodeId::new(node), bytes) {
-                return Err(bad("remote node snapshot rejected"));
-            }
-        }
-        let mut metrics = MetricsCollector::new();
-        let mut tap = DeliveryTap::default();
-        spec.sim
-            .step_contact(index as usize, resets, &mut metrics, instance, &mut tap);
-        let mut returns = Vec::with_capacity(remotes.len());
-        for &node in &remotes {
-            let bytes = instance
-                .export_node(node)
-                .ok_or_else(|| bad("protocol cannot export node state"))?;
-            returns.push((node, bytes));
-        }
-        (metrics.finish("exchange"), tap.deliveries, returns)
-    };
+    let mut guard = protocol.lock().expect("protocol lock");
+    let (outcome, returns) = exchange(&spec.sim, &mut **guard, index, resets, snapshots)?;
+    drop(guard);
     for (node, bytes) in returns {
-        pm.send(
-            spec.node_owner(node),
-            Frame::new(
-                FrameKind::StateRet,
-                body_node_bytes(node.index() as u32, &bytes),
-            ),
-        )?;
+        let body = body_node_bytes(node.index() as u32, &bytes);
+        pm.send(spec.node_owner(node), Frame::new(FrameKind::StateRet, body))?;
     }
-    Ok(ExchangeOutcome {
+    Ok(outcome)
+}
+
+/// Node snapshots, each with its node, as they cross the sockets.
+pub(crate) type Snapshots = Vec<(NodeId, Vec<u8>)>;
+
+/// The executor's exchange step, with no sockets: imports the remote
+/// endpoints' `snapshots` into `instance`, runs the simulator's own
+/// contact step ([`Simulation::step_contact`]) for contact `index`, and
+/// exports those endpoints again. Returns the exchange's outcome and
+/// the post-exchange snapshots, in `snapshots`' order.
+pub(crate) fn exchange(
+    sim: &Simulation,
+    instance: &mut dyn Protocol,
+    index: u64,
+    resets: [bool; 2],
+    mut snapshots: Snapshots,
+) -> io::Result<(ExchangeOutcome, Snapshots)> {
+    for (node, bytes) in &snapshots {
+        if !instance.import_node(*node, bytes) {
+            return Err(bad("remote node snapshot rejected"));
+        }
+    }
+    let (mut metrics, mut tap) = (MetricsCollector::new(), DeliveryTap::default());
+    sim.step_contact(index as usize, resets, &mut metrics, instance, &mut tap);
+    for (node, bytes) in &mut snapshots {
+        *bytes = instance
+            .export_node(*node)
+            .ok_or_else(|| bad("protocol cannot export node state"))?;
+    }
+    let report = metrics.finish("exchange");
+    let outcome = ExchangeOutcome {
         index,
         forwardings: report.forwardings,
         control_bytes: report.control_bytes,
         data_bytes: report.data_bytes,
         injections: report.injections,
         false_injections: report.false_injections,
-        deliveries,
-    })
+        deliveries: tap.deliveries,
+    };
+    Ok((outcome, snapshots))
 }
 
 // ---- coordinator ------------------------------------------------------
-
-struct PendingContact {
-    executor: PeerId,
-    at: Instant,
-}
-
-struct Coordinator<'a> {
-    spec: &'a ClusterSpec,
-    pm: Arc<PeerManager>,
-    metrics: MetricsCollector,
-    /// Materialized messages, indexed by message id (= schedule index).
-    messages: Vec<Arc<Message>>,
-    /// Schedule entries applied (and accounted) so far.
-    applied: usize,
-    busy: Vec<bool>,
-    busy_nodes: usize,
-    /// Dispatched contacts whose RESULT has not arrived yet.
-    pending: HashMap<u64, PendingContact>,
-    /// Results arrived out of order, waiting for their turn.
-    buffered: BTreeMap<u64, ExchangeOutcome>,
-    /// Next contact index to replay into the master ledger.
-    next_replay: u64,
-    exchange_ns: Vec<u64>,
-    acks: u32,
-    barrier_target: Option<u64>,
-    last_progress: Instant,
-    /// The live merged cluster report; `None` = plane off.
-    stats: Option<Arc<SharedReport>>,
-    /// Workers whose final STATS delta has arrived.
-    stats_finals: u32,
-    /// Last time the coordinator folded its own sink into `stats`.
-    last_stats: Instant,
-}
-
-impl Coordinator<'_> {
-    /// Folds the coordinator's own socket-thread metrics into the live
-    /// report on the configured cadence.
-    fn merge_own_stats(&mut self) {
-        let Some(stats) = &self.stats else { return };
-        let cadence = self.spec.stats_cadence.unwrap_or(POLL);
-        if self.last_stats.elapsed() >= cadence {
-            self.last_stats = Instant::now();
-            let delta = self.pm.metrics().take_delta();
-            stats.record(|r| r.merge(&delta));
-        }
-    }
-
-    /// Handles one inbound frame (or a liveness check on timeout).
-    fn pump(&mut self) -> io::Result<()> {
-        self.merge_own_stats();
-        let Some((from, frame)) = self.pm.recv_timeout(POLL) else {
-            if self.last_progress.elapsed() > STALL {
-                // The bookkeeping snapshot names what the coordinator
-                // was still owed — usually enough to tell a dead
-                // worker from a protocol-level wedge.
-                return Err(timed_out(format!(
-                    "cluster made no progress — worker dead? \
-                     (pending={:?}, busy_nodes={}, buffered={}, next_replay={}, \
-                      acks={}/{:?}, stats_finals={})",
-                    self.pending.keys().collect::<Vec<_>>(),
-                    self.busy_nodes,
-                    self.buffered.len(),
-                    self.next_replay,
-                    self.acks,
-                    self.barrier_target,
-                    self.stats_finals,
-                )));
-            }
-            return Ok(());
-        };
-        self.last_progress = Instant::now();
-        match frame.kind {
-            FrameKind::ExchangeResult => {
-                let outcome = ExchangeOutcome::decode(&frame.body)?;
-                let pending = self
-                    .pending
-                    .remove(&outcome.index)
-                    .ok_or_else(|| bad("result for a contact that was never dispatched"))?;
-                if pending.executor != from {
-                    return Err(bad("result arrived from the wrong worker"));
-                }
-                let ns = pending.at.elapsed().as_nanos() as u64;
-                obs::observe_ns(TimeHist::NetExchangeNs, ns);
-                self.pm
-                    .metrics()
-                    .record(|r| r.record_time(TimeHist::NetExchangeNs, ns));
-                self.exchange_ns[outcome.index as usize] = ns;
-                // Endpoints the executor itself owns are free now;
-                // remotely owned ones stay busy until NODE_FREE.
-                let contact = self.spec.sim.trace().events()[outcome.index as usize];
-                for node in [contact.a, contact.b] {
-                    if self.spec.node_owner(node) == from {
-                        self.free(node);
-                    }
-                }
-                self.buffered.insert(outcome.index, outcome);
-                self.replay_ready()
-            }
-            FrameKind::NodeFree => {
-                let node = read_u32(&frame.body)?;
-                self.free(NodeId::new(node));
-                Ok(())
-            }
-            FrameKind::PublishOk => {
-                let count = read_u64(&frame.body)?;
-                if Some(count) != self.barrier_target {
-                    return Err(bad("PUBLISH_OK outside a publish barrier"));
-                }
-                self.acks += 1;
-                Ok(())
-            }
-            FrameKind::Stats => {
-                let (op, report) = read_stats(&frame.body)?;
-                let Some(stats) = &self.stats else {
-                    return Err(bad("STATS frame but the stats plane is off"));
-                };
-                let report =
-                    report.ok_or_else(|| bad("coordinator got a STATS request, not a delta"))?;
-                stats.record(|r| r.merge(&report));
-                self.pm
-                    .metrics()
-                    .record(|r| r.add_counter(Counter::NetStatsFrames, 1));
-                if op == STATS_FINAL {
-                    self.stats_finals += 1;
-                }
-                Ok(())
-            }
-            other => Err(bad(format!("coordinator got unexpected {other:?} frame"))),
-        }
-    }
-
-    fn free(&mut self, node: NodeId) {
-        let slot = &mut self.busy[node.index()];
-        if *slot {
-            *slot = false;
-            self.busy_nodes -= 1;
-        }
-    }
-
-    /// Replays every contiguous buffered result into the master
-    /// ledger, in contact-index order — the step that makes the
-    /// distributed run's report equal the serial one.
-    fn replay_ready(&mut self) -> io::Result<()> {
-        while let Some(outcome) = self.buffered.remove(&self.next_replay) {
-            let contact = self.spec.sim.trace().events()[self.next_replay as usize];
-            self.metrics.on_contact();
-            self.metrics.absorb_costs(&outcome.as_costs());
-            for &(msg, node, genuine) in &outcome.deliveries {
-                let msg = self
-                    .messages
-                    .get(msg as usize)
-                    .ok_or_else(|| bad("delivery references an unpublished message"))?;
-                let _ = self
-                    .metrics
-                    .on_delivery(msg, NodeId::new(node), contact.start, genuine);
-            }
-            self.next_replay += 1;
-        }
-        Ok(())
-    }
-
-    /// Waits until no exchange is in flight anywhere in the cluster.
-    fn drain_inflight(&mut self) -> io::Result<()> {
-        while !self.pending.is_empty() || self.busy_nodes > 0 || !self.buffered.is_empty() {
-            self.pump()?;
-        }
-        Ok(())
-    }
-
-    /// The publish barrier: drain, broadcast `ADVANCE(target)`, await
-    /// every worker's `PUBLISH_OK`, then account the publications in
-    /// the master ledger through the serial runner's own publish step.
-    fn barrier(&mut self, target: usize) -> io::Result<()> {
-        self.drain_inflight()?;
-        self.acks = 0;
-        self.barrier_target = Some(target as u64);
-        for worker in 1..=self.spec.workers {
-            self.pm.send(
-                PeerId(worker),
-                Frame::new(FrameKind::Advance, body_u64(target as u64)),
-            )?;
-        }
-        while self.acks < self.spec.workers {
-            self.pump()?;
-        }
-        self.barrier_target = None;
-        for index in self.applied..target {
-            let msg = self.spec.sim.step_publish(
-                index,
-                &mut self.metrics,
-                &mut NullProtocol,
-                &mut NullRecorder,
-            );
-            self.messages.push(msg);
-        }
-        self.applied = target;
-        Ok(())
-    }
-}
 
 /// Runs the coordinator over `spec.workers` already-spawned workers
 /// rendezvousing in `dir`. Blocks until the run completes and every
@@ -875,7 +627,9 @@ impl Coordinator<'_> {
 /// # Errors
 ///
 /// Assembly timeouts, malformed frames, protocol violations by a
-/// worker, or a stall (e.g. a worker process died mid-run).
+/// worker, a worker's closed link (the error names the worker and the
+/// contacts pending on it), or a worker that stays connected but
+/// silent for longer than the stall timeout.
 pub fn run_coordinator(
     spec: &ClusterSpec,
     factory: &dyn ProtocolFactory,
@@ -892,6 +646,11 @@ pub fn run_coordinator(
 /// the `net-cluster` binary's `--stats-addr` flag does. The run arms
 /// the sink and merges into it; the caller's earlier contents stay.
 ///
+/// The run is one loop: act on the `ClusterCore`'s next action, or
+/// read one frame and feed it to the core. The loop itself keeps only
+/// what needs a clock or a socket: exchange timing, the stats plane
+/// and the stall check.
+///
 /// # Errors
 ///
 /// Same as [`run_coordinator`].
@@ -903,125 +662,117 @@ pub fn run_coordinator_with(
 ) -> io::Result<ClusterOutcome> {
     let started = Instant::now();
     let name = factory.build(spec.seed).name().to_string();
-    let pm = PeerManager::bind(PeerConfig::new(
-        COORDINATOR,
-        peer_addr(dir, COORDINATOR),
-        spec.seed,
-    ))?;
+    let addr = peer_addr(dir, COORDINATOR);
+    let pm = PeerManager::bind(PeerConfig::new(COORDINATOR, addr, spec.seed))?;
     if let Some(stats) = &stats {
         stats.enable();
         pm.metrics().enable();
     }
     pm.await_connections(spec.workers as usize, ASSEMBLY)?;
 
-    let trace = spec.sim.trace();
-    let schedule = spec.sim.schedule();
-    let contacts = trace.len();
-    let mut coord = Coordinator {
-        spec,
-        pm: Arc::clone(&pm),
-        metrics: MetricsCollector::new(),
-        messages: Vec::with_capacity(schedule.len()),
-        applied: 0,
-        busy: vec![false; trace.node_count() as usize],
-        busy_nodes: 0,
-        pending: HashMap::new(),
-        buffered: BTreeMap::new(),
-        next_replay: 0,
-        exchange_ns: vec![0; contacts],
-        acks: 0,
-        barrier_target: None,
-        last_progress: Instant::now(),
-        stats,
-        stats_finals: 0,
-        last_stats: Instant::now(),
+    let cadence = spec.stats_cadence.unwrap_or(POLL);
+    let mut core = ClusterCore::new(&spec.sim, spec.workers);
+    // Sends to one worker, or to all for `None`. A link that is gone is
+    // that worker's close, which its notice would report a moment later.
+    let send = |core: &ClusterCore<'_>, to: Option<PeerId>, frame: Frame| {
+        let mut to = to.map_or(1..=spec.workers, |p| p.0..=p.0).map(PeerId);
+        to.try_for_each(|peer| pm.send(peer, frame.clone()).map_err(|_| core.closed(peer)))
     };
-
-    // Churn resets are the one stateful fault input: walk them here,
-    // in contact order, exactly as the serial runner does.
-    let mut faults = FaultState::new(trace.node_count() as usize);
-    for (index, contact) in trace.iter().enumerate() {
-        // Publications scheduled at or before this contact's start go
-        // first (inclusive boundary, same as the serial runner).
-        let mut due = coord.applied;
-        while due < schedule.len() && schedule[due].at <= contact.start {
-            due += 1;
-        }
-        if due > coord.applied {
-            coord.barrier(due)?;
-        }
-        while coord.busy[contact.a.index()] || coord.busy[contact.b.index()] {
-            coord.pump()?;
-        }
-        for node in [contact.a, contact.b] {
-            if !coord.busy[node.index()] {
-                coord.busy[node.index()] = true;
-                coord.busy_nodes += 1;
-            }
-        }
-        let resets = faults.resets(spec.sim.faults(), contact);
-        let executor = spec.node_owner(contact.a);
-        coord.pending.insert(
-            index as u64,
-            PendingContact {
-                executor,
-                at: Instant::now(),
-            },
-        );
-        coord.last_progress = Instant::now();
-        pm.send(
-            executor,
-            Frame::new(FrameKind::Dispatch, body_dispatch(index as u64, resets)),
-        )?;
-    }
-    coord.drain_inflight()?;
-    // Trailing publications after the last contact (the serial
-    // runner's final inclusive flush).
-    if coord.applied < schedule.len() {
-        coord.barrier(schedule.len())?;
-    }
-    debug_assert_eq!(coord.next_replay as usize, contacts);
-
-    // Final STATS collection, before DONE goes out: ask every worker
-    // for its final delta and pump until all have replied. Receipt is
-    // the flush guarantee — once the last final is in, the merged
-    // report covers every contact and every cadence delta.
-    if coord.stats.is_some() {
-        for worker in 1..=spec.workers {
-            pm.send(
-                PeerId(worker),
-                Frame::new(FrameKind::Stats, body_stats(STATS_REQUEST, None)),
-            )?;
-        }
-        while coord.stats_finals < spec.workers {
-            coord.pump()?;
-        }
-        if let Some(stats) = &coord.stats {
+    // A contact's dispatch time while it is out, its latency once back.
+    let mut exchange_ns = vec![0; spec.sim.trace().len()];
+    let (mut last_frame, mut last_stats) = (Instant::now(), Instant::now());
+    // The final STATS collection: once the core has finished, ask every
+    // worker for its final delta, and finish when all have replied.
+    // Receipt is the flush guarantee — once the last final is in, the
+    // merged report covers every contact and every cadence delta.
+    let (mut finals_asked, mut finals) = (false, 0u32);
+    loop {
+        if let Some(stats) = stats.as_ref().filter(|_| last_stats.elapsed() >= cadence) {
+            last_stats = Instant::now();
             let delta = pm.metrics().take_delta();
             stats.record(|r| r.merge(&delta));
         }
+        let out = match core.next() {
+            Action::Dispatch {
+                index,
+                executor,
+                resets,
+            } => {
+                exchange_ns[index as usize] = started.elapsed().as_nanos() as u64;
+                let body = body_dispatch(index, resets);
+                Some((Some(executor), Frame::new(FrameKind::Dispatch, body)))
+            }
+            Action::Advance(count) => Some((None, Frame::new(FrameKind::Advance, body_u64(count)))),
+            Action::Finished if stats.is_none() || finals == spec.workers => break,
+            Action::Finished if !finals_asked => {
+                finals_asked = true;
+                let body = body_stats(STATS_REQUEST, None);
+                Some((None, Frame::new(FrameKind::Stats, body)))
+            }
+            Action::Finished | Action::Wait => None,
+        };
+        if let Some((to, frame)) = out {
+            send(&core, to, frame)?;
+            continue;
+        }
+        let Some((from, frame)) = pm.recv_any(POLL) else {
+            if last_frame.elapsed() > STALL {
+                let owed = core.owed();
+                let message = format!("no progress for {STALL:?} ({owed}, {finals} stats finals)");
+                return Err(timed_out(message));
+            }
+            continue;
+        };
+        last_frame = Instant::now();
+        let frame = frame.ok_or_else(|| core.closed(from))?;
+        match frame.kind {
+            FrameKind::ExchangeResult => {
+                let outcome = ExchangeOutcome::decode(&frame.body)?;
+                let index = outcome.index as usize;
+                core.result(from, outcome)?;
+                let ns = started.elapsed().as_nanos() as u64 - exchange_ns[index];
+                obs::observe_ns(TimeHist::NetExchangeNs, ns);
+                pm.metrics()
+                    .record(|r| r.record_time(TimeHist::NetExchangeNs, ns));
+                exchange_ns[index] = ns;
+            }
+            FrameKind::NodeFree => core.node_free(from, read_u32(&frame.body)?)?,
+            FrameKind::PublishOk => core.publish_ok(from, read_u64(&frame.body)?)?,
+            FrameKind::Stats => {
+                let (op, report) = read_stats(&frame.body)?;
+                let (Some(stats), Some(report)) = (&stats, report) else {
+                    return Err(bad("coordinator got a STATS request, or its plane is off"));
+                };
+                stats.record(|r| r.merge(&report));
+                pm.metrics()
+                    .record(|r| r.add_counter(Counter::NetStatsFrames, 1));
+                finals += u32::from(op == STATS_FINAL);
+            }
+            other => return Err(bad(format!("coordinator got unexpected {other:?} frame"))),
+        }
     }
-
+    if let Some(stats) = &stats {
+        let delta = pm.metrics().take_delta();
+        stats.record(|r| r.merge(&delta));
+    }
+    send(&core, None, Frame::new(FrameKind::Done, Vec::new()))?;
     for worker in 1..=spec.workers {
-        pm.send(PeerId(worker), Frame::new(FrameKind::Done, Vec::new()))?;
         // Flush the queue and half-close so DONE is guaranteed out
         // before the manager shuts down.
         pm.drain(PeerId(worker));
     }
-    let report = coord.metrics.finish(&name);
-    let exchange_ns = coord.exchange_ns;
-    let cluster_metrics = coord.stats.as_ref().map(|stats| stats.snapshot());
     Ok(ClusterOutcome {
-        report,
+        report: core.finish(&name),
         exchange_ns,
         wall: started.elapsed(),
-        cluster_metrics,
+        cluster_metrics: stats.map(|stats| stats.snapshot()),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsub_traces::SimDuration;
 
     #[test]
     fn exchange_outcome_round_trips() {

@@ -25,7 +25,9 @@
 //! - [`cluster`] — a multi-process loopback cluster that re-runs the
 //!   serial simulator's event loop across OS processes, shipping node
 //!   state via the protocols' snapshot seams. Its final report is
-//!   **equal** to the serial simulator's, not approximately so.
+//!   **equal** to the serial simulator's, not approximately so. The
+//!   coordinator's decisions live in one pure `ClusterCore`, with no
+//!   sockets, threads or clock.
 //! - [`stats`] — the live observability endpoint: a [`StatsServer`]
 //!   serves a `bsub_obs::SharedReport` — the coordinator's merged
 //!   cluster report, or a broker's own sink — as Prometheus text and
@@ -56,6 +58,7 @@
 pub mod backoff;
 pub mod broker;
 pub mod cluster;
+mod cluster_core;
 pub mod frame;
 pub mod peer;
 mod peer_core;

@@ -324,16 +324,6 @@ impl PeerManager {
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, format!("{peer} went away")))
     }
 
-    /// Receives the next inbound frame from any peer, waiting at most
-    /// `timeout`. `None` on timeout, or when the next item is a close
-    /// notice, which this consumes ([`PeerManager::recv_any`] returns
-    /// it).
-    #[must_use]
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<(PeerId, Frame)> {
-        let (peer, frame) = self.recv_any(timeout)?;
-        frame.map(|frame| (peer, frame))
-    }
-
     /// Receives the next inbound item from any peer, waiting at most
     /// `timeout`: a frame, or `None` for the notice that the peer's
     /// installed connection closed. The notice follows every frame that
@@ -680,19 +670,17 @@ mod tests {
             Frame::new(FrameKind::Dispatch, 42u64.to_le_bytes().to_vec()),
         )
         .unwrap();
-        let (from, frame) = b
-            .recv_timeout(Duration::from_secs(5))
-            .expect("frame arrives");
+        let (from, frame) = b.recv_any(Duration::from_secs(5)).expect("frame arrives");
+        let frame = frame.expect("a frame, not a close notice");
         assert_eq!(from, PeerId(0));
         assert_eq!(frame.kind, FrameKind::Dispatch);
         assert_eq!(b.state(PeerId(0)), ConnState::Established);
         // And the reverse direction over the same socket.
         b.send(PeerId(0), Frame::new(FrameKind::PublishOk, Vec::new()))
             .unwrap();
-        let (from, frame) = a
-            .recv_timeout(Duration::from_secs(5))
-            .expect("reply arrives");
-        assert_eq!((from, frame.kind), (PeerId(1), FrameKind::PublishOk));
+        let (from, frame) = a.recv_any(Duration::from_secs(5)).expect("reply arrives");
+        let kind = frame.map(|frame| frame.kind);
+        assert_eq!((from, kind), (PeerId(1), Some(FrameKind::PublishOk)));
     }
 
     /// A second handshake from an already connected peer that loses the
@@ -746,8 +734,7 @@ mod tests {
     }
 
     /// A closed connection's notice comes before the frames of the
-    /// peer's next connection: `recv_any` returns it, and
-    /// `recv_timeout` consumes it as a `None`.
+    /// peer's next connection, in every round of a reconnect.
     #[test]
     fn close_notice_precedes_a_reconnects_frames() {
         let (first, b, _a_addr, b_addr) = pair("notice");
@@ -770,14 +757,14 @@ mod tests {
             back.send(PeerId(1), Frame::new(FrameKind::Dispatch, vec![round]))
                 .unwrap();
             let wait = Duration::from_secs(5);
-            let frame = if round == 1 {
-                assert!(matches!(b.recv_any(wait), Some((PeerId(0), None))));
-                b.recv_any(wait).and_then(|(_, frame)| frame)
-            } else {
-                assert!(b.recv_timeout(wait).is_none(), "the notice comes first");
-                b.recv_timeout(wait).map(|(_, frame)| frame)
-            };
-            assert_eq!(frame.expect("the new connection's frame").body, [round]);
+            let notice = b.recv_any(wait);
+            assert!(
+                matches!(notice, Some((PeerId(0), None))),
+                "round {round}: the notice comes first, got {notice:?}"
+            );
+            let (from, frame) = b.recv_any(wait).expect("the new connection's frame");
+            assert_eq!(from, PeerId(0));
+            assert_eq!(frame.expect("a frame, not a notice").body, [round]);
             gone = back;
         }
     }
@@ -815,7 +802,8 @@ mod tests {
         a.connect(PeerId(1), &b_addr).unwrap();
         a.send(PeerId(1), Frame::new(FrameKind::Dispatch, vec![0; 16]))
             .unwrap();
-        b.recv_timeout(Duration::from_secs(5)).expect("delivered");
+        let (_, frame) = b.recv_any(Duration::from_secs(5)).expect("delivered");
+        assert!(frame.is_some(), "a frame, not a close notice");
         a.drain(PeerId(1));
 
         // The writer thread records asynchronously; wait for it.
@@ -986,12 +974,10 @@ mod tests {
         ));
         // Every queued frame still arrives, in order, before the EOF.
         for i in 0..200u64 {
-            let (_, frame) = b
-                .recv_timeout(Duration::from_secs(5))
-                .expect("drained frame");
+            let (_, frame) = b.recv_any(Duration::from_secs(5)).expect("drained frame");
             assert_eq!(
                 frame,
-                Frame::new(FrameKind::Dispatch, i.to_le_bytes().to_vec())
+                Some(Frame::new(FrameKind::Dispatch, i.to_le_bytes().to_vec()))
             );
         }
         // B's reader sees the clean EOF and retires the connection;
@@ -1013,7 +999,7 @@ mod tests {
             b.recv_any(Duration::ZERO),
             Some((PeerId(0), None))
         ));
-        assert!(b.recv_timeout(Duration::from_millis(10)).is_none());
+        assert!(b.recv_any(Duration::from_millis(10)).is_none());
         assert!(a.recv_any(Duration::ZERO).is_none());
     }
 }

@@ -80,11 +80,12 @@ fn dial_accept_race_resolves_to_one_connection() {
     let pong = loop {
         assert!(Instant::now() < deadline, "race survivors never spoke");
         let _ = a.send(PeerId(2), Frame::new(FrameKind::Dispatch, vec![1]));
-        if let Some((from, frame)) = b.recv_timeout(Duration::from_millis(300)) {
+        // A close notice, like a lost frame, means another round.
+        if let Some((from, Some(frame))) = b.recv_any(Duration::from_millis(300)) {
             assert_eq!((from, frame.kind), (PeerId(1), FrameKind::Dispatch));
             let _ = b.send(PeerId(1), Frame::new(FrameKind::PublishOk, vec![2]));
-            if let Some(reply) = a.recv_timeout(Duration::from_millis(300)) {
-                break reply;
+            if let Some((from, Some(reply))) = a.recv_any(Duration::from_millis(300)) {
+                break (from, reply);
             }
         }
     };
@@ -108,8 +109,8 @@ fn mid_exchange_drop_recovers_without_state_corruption() {
     a.connect(PeerId(2), &b_addr).unwrap();
     a.send(PeerId(2), Frame::new(FrameKind::Dispatch, vec![0]))
         .unwrap();
-    b.recv_timeout(Duration::from_secs(5))
-        .expect("pre-drop frame");
+    let (_, frame) = b.recv_any(Duration::from_secs(5)).expect("pre-drop frame");
+    assert!(frame.is_some(), "a frame, not a close notice");
 
     // Populate a real B-SUB instance with TCBF counters by running a
     // short serial simulation, then snapshot one node.
@@ -137,8 +138,9 @@ fn mid_exchange_drop_recovers_without_state_corruption() {
     )
     .unwrap();
     let (_, frame) = b2
-        .recv_timeout(Duration::from_secs(5))
+        .recv_any(Duration::from_secs(5))
         .expect("snapshot arrives");
+    let frame = frame.expect("a frame, not a close notice");
     assert_eq!(
         frame.body, snapshot,
         "transport did not corrupt the snapshot"

@@ -47,14 +47,14 @@ pub enum DeliveryOutcome {
 /// Per-consumer delivery ledger: which messages this node has already
 /// received, genuinely or falsely. The per-node sets together give the
 /// run's (message, node) dedup.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct NodeLedger {
     delivered: MessageIdSet,
     false_delivered: MessageIdSet,
 }
 
 /// Accumulates raw simulation events; finalized into a [`SimReport`].
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct MetricsCollector {
     generated: u64,
     target_pairs: u64,
@@ -198,7 +198,7 @@ impl MetricsCollector {
 }
 
 /// Final metrics of one simulation run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimReport {
     /// Name of the protocol that produced the run.
     pub protocol: String,
