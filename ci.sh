@@ -316,6 +316,21 @@ if want perf; then
             exit 1
         }
     done
+    # The smoke run's metric schema and deterministic values must match
+    # the committed report, key order included: every group's counters,
+    # gauges and size histograms, and each timing histogram's name and
+    # sample count (its nanosecond fields are wall clock). A renamed,
+    # reordered or newly silent metric fails here end to end.
+    command -v jq >/dev/null || {
+        echo "the perf stage compares metrics with jq, which is not installed" >&2
+        exit 1
+    }
+    METRICS_SHAPE='map_values({counters, gauges, size_bytes, time_ns: (.time_ns | map_values(.count))})'
+    if ! diff <(jq "$METRICS_SHAPE" "$SMOKE_DIR/metrics_perf_smoke.json") \
+        <(jq "$METRICS_SHAPE" results/metrics_perf_smoke.json); then
+        echo "metrics_perf_smoke.json diverged from the committed artifact" >&2
+        exit 1
+    fi
 fi
 
 if want scale; then

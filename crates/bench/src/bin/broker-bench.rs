@@ -31,12 +31,12 @@
 //! `HOST:PORT` or `unix:PATH`). `--worker --dir D --peer N
 //! --workers W --publishes P --keys K` is the internal client mode.
 
-use bsub_bench::cli::{arg_value, numeric, percentile_us, stats_addr};
+use bsub_bench::cli::{arg_value, frame_latency_rows, numeric, percentile_us, stats_addr};
 use bsub_bench::output::{render_table, write_csv};
 use bsub_bench::perf::{self, PerfEntry};
 use bsub_net::{
-    frame_time_hist, BrokerClient, BrokerConfig, BrokerNode, EndpointAddr, FrameKind, PeerConfig,
-    PeerId, StatsServer, HEADER_LEN,
+    BrokerClient, BrokerConfig, BrokerNode, EndpointAddr, PeerConfig, PeerId, StatsServer,
+    HEADER_LEN,
 };
 use bsub_obs::{calibrate_ns, ProfReport};
 use std::path::{Path, PathBuf};
@@ -283,20 +283,7 @@ fn main() {
         format!("{qps:.1}"),
         format!("{wall_ms:.1}"),
     ]];
-    for kind in FrameKind::ALL {
-        let hist = merged.time_hist(frame_time_hist(kind));
-        if hist.count() == 0 {
-            continue;
-        }
-        rows.push(vec![
-            format!("frame_{}", kind.name()),
-            hist.count().to_string(),
-            format!("{:.1}", hist.quantile(0.5) as f64 / 1e3),
-            format!("{:.1}", hist.quantile(0.99) as f64 / 1e3),
-            format!("{:.1}", hist.count() as f64 / wall.as_secs_f64().max(1e-9)),
-            format!("{wall_ms:.1}"),
-        ]);
-    }
+    rows.extend(frame_latency_rows(&merged, wall_ms));
     print!(
         "{}",
         render_table(

@@ -45,14 +45,13 @@
 //! P --dir D --peer N --workers W` is the internal worker-process
 //! mode.
 
-use bsub_bench::cli::{arg_value, numeric, percentile_us, stats_addr};
+use bsub_bench::cli::{arg_value, frame_latency_rows, numeric, percentile_us, stats_addr};
 use bsub_bench::experiments::{smoke_environment, smoke_protocols};
 use bsub_bench::output::{render_table, results_dir, write_csv};
 use bsub_bench::perf::{self, PerfEntry};
 use bsub_bench::{Experiment, MASTER_SEED};
 use bsub_net::{
-    frame_time_hist, render_prometheus, run_coordinator_with, run_worker, scrape, ClusterSpec,
-    FrameKind, StatsServer,
+    render_prometheus, run_coordinator_with, run_worker, scrape, ClusterSpec, StatsServer,
 };
 use bsub_obs::{calibrate_ns, SharedReport};
 use bsub_sim::{ProtocolFactory, SimReport};
@@ -301,23 +300,9 @@ fn main() {
             merged.to_json(),
             "live /metrics.json scrape diverged from the in-process snapshot"
         );
-        for kind in FrameKind::ALL {
-            let hist = merged.time_hist(frame_time_hist(kind));
-            if hist.count() == 0 {
-                continue;
-            }
-            latency_rows.push(vec![
-                "all".to_string(),
-                format!("frame_{}", kind.name()),
-                hist.count().to_string(),
-                format!("{:.1}", hist.quantile(0.5) as f64 / 1e3),
-                format!("{:.1}", hist.quantile(0.99) as f64 / 1e3),
-                format!(
-                    "{:.1}",
-                    hist.count() as f64 / (total_wall_ms / 1e3).max(1e-9)
-                ),
-                format!("{total_wall_ms:.1}"),
-            ]);
+        for mut row in frame_latency_rows(&merged, total_wall_ms) {
+            row.insert(0, "all".to_string());
+            latency_rows.push(row);
         }
         let metrics_path = results_dir().join("net_metrics.json");
         std::fs::write(&metrics_path, format!("{}\n", merged.to_json()))

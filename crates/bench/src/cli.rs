@@ -1,7 +1,8 @@
-//! Flag and latency helpers shared by the multi-process harness
+//! Flag, latency and table-row helpers shared by the multi-process harness
 //! binaries (`net-cluster`, `broker-bench`).
 
-use bsub_net::EndpointAddr;
+use bsub_net::{frame_time_hist, EndpointAddr, FrameKind};
+use bsub_obs::ProfReport;
 use std::path::PathBuf;
 
 /// The value following `key` in `args`, when both are present.
@@ -34,6 +35,29 @@ pub fn percentile_us(sorted_ns: &[u64], pct: usize) -> f64 {
     }
     let rank = (sorted_ns.len() - 1) * pct / 100;
     sorted_ns[rank] as f64 / 1e3
+}
+
+/// One latency row per frame kind `report` timed, in discriminant
+/// order: `frame_<kind>`, its sample count, p50 and p99 in µs, samples
+/// per second over `wall_ms`, and `wall_ms`.
+#[must_use]
+pub fn frame_latency_rows(report: &ProfReport, wall_ms: f64) -> Vec<Vec<String>> {
+    let mut rows = Vec::new();
+    for kind in FrameKind::ALL {
+        let hist = report.time_hist(frame_time_hist(kind));
+        if hist.count() == 0 {
+            continue;
+        }
+        rows.push(vec![
+            format!("frame_{}", kind.name()),
+            hist.count().to_string(),
+            format!("{:.1}", hist.quantile(0.5) as f64 / 1e3),
+            format!("{:.1}", hist.quantile(0.99) as f64 / 1e3),
+            format!("{:.1}", hist.count() as f64 / (wall_ms / 1e3).max(1e-9)),
+            format!("{wall_ms:.1}"),
+        ]);
+    }
+    rows
 }
 
 /// Parses the stats endpoint address given to `flag`: `unix:PATH` or
@@ -70,6 +94,16 @@ mod tests {
         assert_eq!(percentile_us(&ns, 99), 3.0);
         assert_eq!(percentile_us(&ns, 100), 4.0);
         assert_eq!(percentile_us(&[], 50), 0.0);
+    }
+
+    #[test]
+    fn frame_rows_cover_only_the_timed_kinds() {
+        let mut report = ProfReport::default();
+        report.record_time(frame_time_hist(FrameKind::Publish), 2_000);
+        report.record_time(frame_time_hist(FrameKind::Publish), 4_000);
+        let want = ["frame_publish", "2", "2.0", "4.0", "4.0", "500.0"];
+        assert_eq!(frame_latency_rows(&report, 500.0), [want.map(String::from)]);
+        assert!(frame_latency_rows(&ProfReport::default(), 500.0).is_empty());
     }
 
     #[test]

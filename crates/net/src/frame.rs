@@ -148,49 +148,25 @@ impl FrameKind {
     }
 }
 
-/// The wall-clock write-latency histogram for frames of `kind`.
+/// The wall-clock write-latency histogram for frames of `kind`: its
+/// place in the `NetFrame*Ns` family, which follows [`FrameKind`]'s
+/// discriminant order.
 #[must_use]
 pub fn frame_time_hist(kind: FrameKind) -> TimeHist {
-    match kind {
-        FrameKind::Hello => TimeHist::NetFrameHelloNs,
-        FrameKind::Dispatch => TimeHist::NetFrameDispatchNs,
-        FrameKind::StateReq => TimeHist::NetFrameStateReqNs,
-        FrameKind::StateGrant => TimeHist::NetFrameStateGrantNs,
-        FrameKind::StateRet => TimeHist::NetFrameStateRetNs,
-        FrameKind::ExchangeResult => TimeHist::NetFrameExchangeResultNs,
-        FrameKind::NodeFree => TimeHist::NetFrameNodeFreeNs,
-        FrameKind::Advance => TimeHist::NetFrameAdvanceNs,
-        FrameKind::PublishOk => TimeHist::NetFramePublishOkNs,
-        FrameKind::Done => TimeHist::NetFrameDoneNs,
-        FrameKind::Stats => TimeHist::NetFrameStatsNs,
-        FrameKind::Subscribe => TimeHist::NetFrameSubscribeNs,
-        FrameKind::Unsubscribe => TimeHist::NetFrameUnsubscribeNs,
-        FrameKind::Publish => TimeHist::NetFramePublishNs,
-        FrameKind::Deliver => TimeHist::NetFrameDeliverNs,
-    }
+    TimeHist::ALL[TimeHist::NetFrameHelloNs as usize + family_offset(kind)]
 }
 
-/// The encoded-size histogram for frames of `kind`. Recorded on the
-/// send side only, so a cluster-wide merge counts each frame once.
+/// The encoded-size histogram for frames of `kind`: its place in the
+/// `NetFrame*Bytes` family. Recorded on the send side only, so a
+/// cluster-wide merge counts each frame once.
 #[must_use]
 pub fn frame_size_hist(kind: FrameKind) -> SizeHist {
-    match kind {
-        FrameKind::Hello => SizeHist::NetFrameHelloBytes,
-        FrameKind::Dispatch => SizeHist::NetFrameDispatchBytes,
-        FrameKind::StateReq => SizeHist::NetFrameStateReqBytes,
-        FrameKind::StateGrant => SizeHist::NetFrameStateGrantBytes,
-        FrameKind::StateRet => SizeHist::NetFrameStateRetBytes,
-        FrameKind::ExchangeResult => SizeHist::NetFrameExchangeResultBytes,
-        FrameKind::NodeFree => SizeHist::NetFrameNodeFreeBytes,
-        FrameKind::Advance => SizeHist::NetFrameAdvanceBytes,
-        FrameKind::PublishOk => SizeHist::NetFramePublishOkBytes,
-        FrameKind::Done => SizeHist::NetFrameDoneBytes,
-        FrameKind::Stats => SizeHist::NetFrameStatsBytes,
-        FrameKind::Subscribe => SizeHist::NetFrameSubscribeBytes,
-        FrameKind::Unsubscribe => SizeHist::NetFrameUnsubscribeBytes,
-        FrameKind::Publish => SizeHist::NetFramePublishBytes,
-        FrameKind::Deliver => SizeHist::NetFrameDeliverBytes,
-    }
+    SizeHist::ALL[SizeHist::NetFrameHelloBytes as usize + family_offset(kind)]
+}
+
+/// `kind`'s offset in a per-frame-kind metric family.
+fn family_offset(kind: FrameKind) -> usize {
+    usize::from(kind.byte() - FrameKind::Hello.byte())
 }
 
 /// One decoded frame: a kind and an opaque body. The body's meaning
@@ -559,12 +535,14 @@ mod tests {
     }
 
     #[test]
-    fn every_frame_kind_maps_to_distinct_histograms() {
-        let mut times: Vec<TimeHist> = FrameKind::ALL.iter().map(|&k| frame_time_hist(k)).collect();
-        let mut sizes: Vec<SizeHist> = FrameKind::ALL.iter().map(|&k| frame_size_hist(k)).collect();
-        times.dedup();
-        sizes.dedup();
-        assert_eq!(times.len(), FrameKind::ALL.len());
-        assert_eq!(sizes.len(), FrameKind::ALL.len());
+    fn every_frame_kind_maps_to_its_own_histograms() {
+        for kind in FrameKind::ALL {
+            let name = kind.name();
+            assert_eq!(frame_time_hist(kind).name(), format!("net_frame_{name}_ns"));
+            assert_eq!(
+                frame_size_hist(kind).name(),
+                format!("net_frame_{name}_bytes")
+            );
+        }
     }
 }

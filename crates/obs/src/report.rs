@@ -5,7 +5,7 @@
 use crate::codec::{Reader, Writer};
 use crate::hist::Histogram;
 use crate::json::Object;
-use crate::profiler::{Counter, Gauge, Profiler, SizeHist, TimeHist};
+use crate::profiler::{Counter, Gauge, SizeHist, TimeHist};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -38,15 +38,6 @@ impl Default for ProfReport {
 impl ProfReport {
     /// Version byte leading every wire-encoded report (DESIGN.md §15).
     pub const WIRE_VERSION: u8 = 1;
-
-    pub(crate) fn from_profiler(p: &Profiler) -> Self {
-        Self {
-            counters: p.counters,
-            gauges: p.gauge_hwm,
-            time_hists: p.time_hists.clone(),
-            size_hists: p.size_hists.clone(),
-        }
-    }
 
     /// Value of a counter.
     #[must_use]
@@ -110,8 +101,7 @@ impl ProfReport {
     }
 
     /// Raises a gauge's high-water mark to at least `level`.
-    #[cfg(test)]
-    fn raise_gauge(&mut self, g: Gauge, level: u64) {
+    pub(crate) fn raise_gauge(&mut self, g: Gauge, level: u64) {
         let slot = &mut self.gauges[g as usize];
         *slot = (*slot).max(level);
     }
