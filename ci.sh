@@ -398,7 +398,9 @@ if want net-cluster; then
     # Unix-domain sockets) running the smoke workload through the real
     # networked runtime with the stats plane on (STATS deltas every 100 ms
     # by default), then diffs every deterministic report column against
-    # the serial simulator's — byte for byte. While the cluster runs, the
+    # the serial simulator's and the committed results/net_smoke.csv —
+    # byte for byte — and checks the net_latency.csv header against the
+    # committed one (its timings are not diffed). While the cluster runs, the
     # coordinator's stats endpoint is scraped from a separate process to
     # prove the merged cluster-wide report is retrievable live; the binary
     # additionally self-checks that the scraped exposition equals the
@@ -444,6 +446,21 @@ if want net-cluster; then
     done
     if ! diff "$SMOKE_DIR/net_smoke.csv" "$SMOKE_DIR/net_smoke_sim.csv"; then
         echo "networked cluster run diverged from the serial simulator" >&2
+        exit 1
+    fi
+    # Against the committed report too: a change that shifted the
+    # cluster and the serial run alike would pass the diff above.
+    if ! diff "$SMOKE_DIR/net_smoke.csv" results/net_smoke.csv; then
+        echo "net_smoke.csv differs from the committed results/net_smoke.csv" >&2
+        exit 1
+    fi
+    # The latency CSV is wall-clock timing, so only its layout is
+    # checked: the header must equal the committed file's.
+    LATENCY_HEADER="$(head -n 1 "$SMOKE_DIR/net_latency.csv")"
+    if [ "$LATENCY_HEADER" != "$(head -n 1 results/net_latency.csv)" ]; then
+        echo "net_latency.csv header differs from results/net_latency.csv:" >&2
+        echo "  smoke:     $LATENCY_HEADER" >&2
+        echo "  committed: $(head -n 1 results/net_latency.csv)" >&2
         exit 1
     fi
 fi

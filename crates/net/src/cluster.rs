@@ -22,36 +22,32 @@
 //! ([`Simulation::step_publish`]) and answers `PUBLISH_OK`.
 //!
 //! Every coordinator decision lives in the socket-free `ClusterCore`
-//! (`cluster_core.rs`): no node is in two exchanges at once, and
-//! results are replayed **in contact order** into one master
-//! [`MetricsCollector`], so the final [`SimReport`] equals the serial
-//! simulator's (the `net-cluster` harness and CI diff the CSVs byte for
-//! byte). A worker's closed link ends the run at once with an error
-//! naming it; the coordinator's closed link ends every worker's run.
+//! (`cluster_core.rs`): no node is in two exchanges at once, and results
+//! are replayed **in contact order** into one master
+//! [`MetricsCollector`](bsub_sim::MetricsCollector), so the final
+//! [`SimReport`] equals the serial simulator's (the `net-cluster` harness
+//! and CI diff the CSVs byte for byte). A worker's closed link ends the
+//! run at once naming it; the coordinator's closed link ends every worker's.
 //!
-//! Lock discipline (the reason the distributed exchange cannot
-//! deadlock): a worker's executor thread acquires its protocol
-//! instance **only after** all remote snapshots have arrived, and
-//! never blocks on the network while holding it; the main thread
-//! serves `STATE_REQ` for any node not currently in an exchange.
-//! Every wait chain therefore ends at an executor that is computing.
+//! A worker is one loop over the socket-free `WorkerCore`, which runs
+//! its dispatched contacts in arrival order. Why the distributed
+//! exchange cannot deadlock: a worker blocks only in `recv_any`, never
+//! while a contact awaits its grant, so it serves every `STATE_REQ` as
+//! it arrives; and its sends cannot wedge, because every peer's reader
+//! drains its socket into an unbounded inbound queue. Every wait chain
+//! therefore ends at a worker that is computing or reading.
 
-use crate::cluster_core::{Action, ClusterCore};
+use crate::cluster_core::{Action, ClusterCore, WorkerCore};
 use crate::frame::{Frame, FrameKind};
 use crate::peer::{PeerConfig, PeerId, PeerManager};
 use crate::transport::EndpointAddr;
 use bsub_obs::codec::{Reader, Writer};
 use bsub_obs::{self as obs, Counter, ProfReport, SharedReport, TimeHist};
-use bsub_sim::{
-    MetricsCollector, NullRecorder, Protocol, ProtocolFactory, Recorder, SimReport, Simulation,
-    TraceEvent,
-};
+use bsub_sim::{ProtocolFactory, SimReport, Simulation};
 use bsub_traces::NodeId;
 use std::io;
 use std::path::Path;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The coordinator's peer id. Workers are `1..=workers`.
@@ -158,10 +154,6 @@ pub(crate) fn bad(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
-fn timed_out(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::TimedOut, message.into())
-}
-
 // ---- frame body codecs ------------------------------------------------
 
 /// Decodes a whole frame body with `read`; truncation, a malformed
@@ -177,34 +169,34 @@ fn decode_body<'a, T>(
         .ok_or_else(|| bad(format!("malformed {what} body")))
 }
 
-fn body_u32(v: u32) -> Vec<u8> {
+pub(crate) fn body_u32(v: u32) -> Vec<u8> {
     let mut w = Writer::with_capacity(4);
     w.u32(v);
     w.into_bytes()
 }
 
-fn body_u64(v: u64) -> Vec<u8> {
+pub(crate) fn body_u64(v: u64) -> Vec<u8> {
     let mut w = Writer::with_capacity(8);
     w.u64(v);
     w.into_bytes()
 }
 
-fn read_u32(body: &[u8]) -> io::Result<u32> {
+pub(crate) fn read_u32(body: &[u8]) -> io::Result<u32> {
     decode_body(body, "u32", Reader::u32)
 }
 
-fn read_u64(body: &[u8]) -> io::Result<u64> {
+pub(crate) fn read_u64(body: &[u8]) -> io::Result<u64> {
     decode_body(body, "u64", Reader::u64)
 }
 
-fn body_node_bytes(node: u32, bytes: &[u8]) -> Vec<u8> {
+pub(crate) fn body_node_bytes(node: u32, bytes: &[u8]) -> Vec<u8> {
     let mut w = Writer::with_capacity(8 + bytes.len());
     w.u32(node);
     w.bytes(bytes);
     w.into_bytes()
 }
 
-fn read_node_bytes(body: &[u8]) -> io::Result<(u32, Vec<u8>)> {
+pub(crate) fn read_node_bytes(body: &[u8]) -> io::Result<(u32, Vec<u8>)> {
     decode_body(body, "node snapshot", |r| {
         Some((r.u32()?, r.bytes()?.to_vec()))
     })
@@ -212,14 +204,14 @@ fn read_node_bytes(body: &[u8]) -> io::Result<(u32, Vec<u8>)> {
 
 /// A `DISPATCH` body: the contact index, then one flags byte holding
 /// the contact's resets (bit 0 endpoint `a`, bit 1 endpoint `b`).
-fn body_dispatch(index: u64, [a, b]: [bool; 2]) -> Vec<u8> {
+pub(crate) fn body_dispatch(index: u64, [a, b]: [bool; 2]) -> Vec<u8> {
     let mut w = Writer::with_capacity(9);
     w.u64(index);
     w.u8(u8::from(a) | u8::from(b) << 1);
     w.into_bytes()
 }
 
-fn read_dispatch(body: &[u8]) -> io::Result<(u64, [bool; 2])> {
+pub(crate) fn read_dispatch(body: &[u8]) -> io::Result<(u64, [bool; 2])> {
     decode_body(body, "dispatch", |r| {
         let (index, flags) = (r.u64()?, r.u8()?);
         (flags <= 0b11).then_some((index, [flags & 1 == 1, flags & 2 == 2]))
@@ -250,23 +242,18 @@ fn body_stats(op: u8, report: Option<&ProfReport>) -> Vec<u8> {
 fn read_stats(body: &[u8]) -> io::Result<(u8, Option<ProfReport>)> {
     let (&op, rest) = body.split_first().ok_or_else(|| bad("empty STATS body"))?;
     match op {
-        STATS_REQUEST => {
-            if !rest.is_empty() {
-                return Err(bad("STATS request carries a payload"));
-            }
-            Ok((op, None))
-        }
-        STATS_DELTA | STATS_FINAL => {
-            let report = ProfReport::decode(rest).ok_or_else(|| bad("malformed STATS report"))?;
-            Ok((op, Some(report)))
-        }
+        STATS_REQUEST if rest.is_empty() => Ok((op, None)),
+        STATS_REQUEST => Err(bad("STATS request carries a payload")),
+        STATS_DELTA | STATS_FINAL => ProfReport::decode(rest)
+            .map(|report| (op, Some(report)))
+            .ok_or_else(|| bad("malformed STATS report")),
         other => Err(bad(format!("unknown STATS op {other}"))),
     }
 }
 
 /// One executed contact, as shipped in a `RESULT` frame: the
 /// exchange's scalar costs plus its delivery events.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct ExchangeOutcome {
     pub index: u64,
     pub forwardings: u64,
@@ -279,7 +266,7 @@ pub(crate) struct ExchangeOutcome {
 }
 
 impl ExchangeOutcome {
-    fn encode(&self) -> Vec<u8> {
+    pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(56 + 13 * self.deliveries.len());
         w.u64(self.index);
         w.u64(self.forwardings);
@@ -296,7 +283,7 @@ impl ExchangeOutcome {
         w.into_bytes()
     }
 
-    fn decode(body: &[u8]) -> io::Result<Self> {
+    pub fn decode(body: &[u8]) -> io::Result<Self> {
         decode_body(body, "result", |r| {
             Some(Self {
                 index: r.u64()?,
@@ -326,40 +313,21 @@ impl ExchangeOutcome {
     }
 }
 
-/// A recorder that keeps only `Delivered` events — the one event
-/// class the coordinator must replay into the master ledger.
-#[derive(Debug, Default)]
-struct DeliveryTap {
-    deliveries: Vec<(u64, u32, bool)>,
-}
-
-impl Recorder for DeliveryTap {
-    fn is_active(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: &TraceEvent) {
-        if let TraceEvent::Delivered {
-            msg, node, genuine, ..
-        } = event
-        {
-            self.deliveries
-                .push((msg.raw(), node.index() as u32, *genuine));
-        }
-    }
-}
-
 // ---- worker -----------------------------------------------------------
 
 /// Runs worker `worker` (1-based, ≤ `spec.workers`) until the
-/// coordinator sends `DONE`. Blocks for the whole run.
+/// coordinator sends `DONE`. Blocks for the whole run, which is one
+/// loop: read one frame, hand it to the worker's `WorkerCore`, and
+/// send what the core returns.
 ///
 /// # Errors
 ///
-/// Connection failures, malformed frames, a protocol that cannot
-/// export/import state, a closed link to the coordinator, or a
-/// coordinator that stays connected but silent for longer than the
-/// stall timeout.
+/// Connection failures, malformed frames, a frame the worker's
+/// bookkeeping contradicts (a grant its head contact does not await, a
+/// snapshot request or return for a node it does not own, a dispatch
+/// whose endpoint `a` it does not own), a protocol that cannot
+/// export/import state, a closed link to the coordinator, or no frame
+/// for longer than the stall timeout (naming what the worker awaits).
 ///
 /// # Panics
 ///
@@ -389,230 +357,64 @@ pub fn run_worker(
     // other worker): an executor's first STATE_REQ needs its link.
     pm.await_connections(spec.workers as usize, ASSEMBLY)?;
 
-    let protocol: Arc<Mutex<Box<dyn Protocol>>> = Arc::new(Mutex::new(factory.build(spec.seed)));
+    // With the plane on, the core profiles each exchange step into the
+    // sink before its RESULT goes out: once the coordinator holds every
+    // result, the drain-time STATS collection misses no contact.
+    let protocol = factory.build(spec.seed);
+    let mut core = WorkerCore::new(&spec.sim, local, spec.workers, protocol, pm.metrics());
     let to_coordinator = |kind, body| pm.send(COORDINATOR, Frame::new(kind, body));
-    let lock = || protocol.lock().expect("protocol lock");
-    let (exec_tx, exec_rx) = mpsc::channel::<(u64, [bool; 2])>();
-    let (grant_tx, grant_rx) = mpsc::channel::<(u32, Vec<u8>)>();
-    let executor = {
-        let (pm, protocol, spec) = (Arc::clone(&pm), Arc::clone(&protocol), spec.clone());
-        thread::spawn(move || -> io::Result<()> {
-            while let Ok((index, resets)) = exec_rx.recv() {
-                // With the plane on, the contact runs under a profiler
-                // (the protocol's `obs::` instrumentation lights up as in
-                // the serial profiled runner) recorded into the sink
-                // BEFORE the result goes out: once the coordinator holds
-                // every result, the drain-time STATS collection misses
-                // no contact's profile.
-                let outcome = pm
-                    .metrics()
-                    .profile(|| execute_contact(&spec, &pm, &protocol, &grant_rx, index, resets))?;
-                let frame = Frame::new(FrameKind::ExchangeResult, outcome.encode());
-                pm.send(COORDINATOR, frame)?;
-            }
-            Ok(())
-        })
-    };
-
-    let mut applied = 0usize;
     let (mut last_frame, mut last_stats) = (Instant::now(), Instant::now());
     let mut stats_done = false;
-    let main = (|| -> io::Result<()> {
-        loop {
-            // Cadence shipping: piggybacked on the main loop, so the
-            // effective granularity is bounded by POLL. Stops once the
-            // final delta has been surrendered, keeping the
-            // coordinator's merged total stable from then on.
-            let cadence = spec.stats_cadence.filter(|_| !stats_done);
-            if cadence.is_some_and(|cadence| last_stats.elapsed() >= cadence) {
-                last_stats = Instant::now();
+    // Returning drops the manager, which closes every link.
+    loop {
+        // Cadence shipping: piggybacked on the loop, so the effective
+        // granularity is bounded by POLL. Stops once the final delta
+        // has been surrendered, keeping the coordinator's merged total
+        // stable from then on.
+        let cadence = spec.stats_cadence.filter(|_| !stats_done);
+        if cadence.is_some_and(|cadence| last_stats.elapsed() >= cadence) {
+            last_stats = Instant::now();
+            let delta = pm.metrics().take_delta();
+            if !delta.is_empty() {
+                to_coordinator(FrameKind::Stats, body_stats(STATS_DELTA, Some(&delta)))?;
+            }
+        }
+        let Some((from, frame)) = pm.recv_any(POLL) else {
+            if last_frame.elapsed() > STALL {
+                let owed = format!("worker {worker}: {}, stats_done={stats_done}", core.owed());
+                let message = format!("no frame for {STALL:?} ({owed})");
+                return Err(io::Error::new(io::ErrorKind::TimedOut, message));
+            }
+            continue;
+        };
+        last_frame = Instant::now();
+        // A worker's close is the coordinator's to name; the
+        // coordinator's own close ends the run.
+        let frame = match frame {
+            Some(frame) => frame,
+            None if from == COORDINATOR => {
+                let message = format!("coordinator closed its link (worker {worker})");
+                return Err(io::Error::new(io::ErrorKind::ConnectionAborted, message));
+            }
+            None => continue,
+        };
+        match frame.kind {
+            // Surrender the final delta, even an empty one: the
+            // coordinator counts replies, and once it holds all W
+            // finals, nothing is still in flight.
+            FrameKind::Stats if read_stats(&frame.body)?.0 == STATS_REQUEST => {
                 let delta = pm.metrics().take_delta();
-                if !delta.is_empty() {
-                    to_coordinator(FrameKind::Stats, body_stats(STATS_DELTA, Some(&delta)))?;
+                stats_done = true;
+                to_coordinator(FrameKind::Stats, body_stats(STATS_FINAL, Some(&delta)))?;
+            }
+            FrameKind::Done => return Ok(()),
+            _ => {
+                for (to, frame) in core.handle(from, &frame)? {
+                    pm.send(to, frame)?;
                 }
             }
-            let Some((from, frame)) = pm.recv_any(POLL) else {
-                if last_frame.elapsed() > STALL {
-                    return Err(timed_out(format!(
-                        "coordinator went silent (worker {worker}, applied={applied}, \
-                         stats_done={stats_done})"
-                    )));
-                }
-                continue;
-            };
-            last_frame = Instant::now();
-            // A worker's close is the coordinator's to name; the
-            // coordinator's own close ends the run.
-            let frame = match frame {
-                Some(frame) => frame,
-                None if from == COORDINATOR => {
-                    let message = format!("coordinator closed its link (worker {worker})");
-                    return Err(io::Error::new(io::ErrorKind::ConnectionAborted, message));
-                }
-                None => continue,
-            };
-            match frame.kind {
-                FrameKind::Dispatch => exec_tx
-                    .send(read_dispatch(&frame.body)?)
-                    .map_err(|_| bad("executor thread is gone"))?,
-                FrameKind::StateReq => {
-                    let node = read_u32(&frame.body)?;
-                    let snapshot = lock().export_node(NodeId::new(node));
-                    let snapshot = snapshot.ok_or_else(|| bad("protocol cannot export state"))?;
-                    let body = body_node_bytes(node, &snapshot);
-                    pm.send(from, Frame::new(FrameKind::StateGrant, body))?;
-                }
-                FrameKind::StateGrant => {
-                    let granted = read_node_bytes(&frame.body)?;
-                    // The executor may already have given up on a
-                    // wedged run; a dropped receiver is not an error.
-                    let _ = grant_tx.send(granted);
-                }
-                FrameKind::StateRet => {
-                    let (node, bytes) = read_node_bytes(&frame.body)?;
-                    if !lock().import_node(NodeId::new(node), &bytes) {
-                        return Err(bad("returned node snapshot rejected"));
-                    }
-                    to_coordinator(FrameKind::NodeFree, body_u32(node))?;
-                }
-                FrameKind::Advance => {
-                    let count = read_u64(&frame.body)? as usize;
-                    if count > spec.sim.schedule().len() || count < applied {
-                        return Err(bad("ADVANCE outside the schedule"));
-                    }
-                    // A publication's only possible delivery is a
-                    // self-delivery, which every ledger drops alike: the
-                    // throwaway collector loses nothing.
-                    let (mut guard, mut metrics) = (lock(), MetricsCollector::new());
-                    for index in applied..count {
-                        let instance = &mut **guard;
-                        spec.sim
-                            .step_publish(index, &mut metrics, instance, &mut NullRecorder);
-                    }
-                    drop(guard);
-                    applied = count;
-                    to_coordinator(FrameKind::PublishOk, body_u64(count as u64))?;
-                }
-                FrameKind::Stats => {
-                    let (op, _) = read_stats(&frame.body)?;
-                    if op != STATS_REQUEST {
-                        return Err(bad("worker got a non-request STATS frame"));
-                    }
-                    // Surrender the final delta — even an empty one,
-                    // since the coordinator counts replies. Receipt by
-                    // the coordinator is the flush guarantee: once it
-                    // holds all W finals, nothing is still in flight.
-                    let delta = pm.metrics().take_delta();
-                    stats_done = true;
-                    to_coordinator(FrameKind::Stats, body_stats(STATS_FINAL, Some(&delta)))?;
-                }
-                FrameKind::Done => return Ok(()),
-                other => return Err(bad(format!("worker got unexpected {other:?} frame"))),
-            }
-        }
-    })();
-    // Dropping both senders and closing every link frees an executor
-    // blocked on its next dispatch, on a grant, or on a send, so the
-    // join returns at once. On `DONE` the executor is idle: the
-    // coordinator has every result and every `NODE_FREE` by then.
-    drop((exec_tx, grant_tx));
-    pm.shutdown();
-    let exec = executor
-        .join()
-        .map_err(|_| bad("executor thread panicked"))?;
-    // Surface both failures: the executor's error is usually the root
-    // cause (e.g. a dead link), the main loop's the symptom.
-    if let (Err(main), Err(exec)) = (&main, &exec) {
-        return Err(io::Error::new(
-            main.kind(),
-            format!("{main}; executor: {exec}"),
-        ));
-    }
-    main.and(exec)
-}
-
-/// Runs one dispatched contact on the executor worker: gathers the
-/// remote endpoints' snapshots, runs [`exchange`], and returns the
-/// remote state to its owners. See the module docs for the lock
-/// discipline this function upholds.
-fn execute_contact(
-    spec: &ClusterSpec,
-    pm: &PeerManager,
-    protocol: &Mutex<Box<dyn Protocol>>,
-    grants: &mpsc::Receiver<(u32, Vec<u8>)>,
-    index: u64,
-    resets: [bool; 2],
-) -> io::Result<ExchangeOutcome> {
-    let contact = spec.sim.trace().events().get(index as usize);
-    let contact = contact.ok_or_else(|| bad("dispatch index outside the trace"))?;
-    let remotes = [contact.a, contact.b].map(|node| (node, spec.node_owner(node)));
-    // Gather every remote snapshot BEFORE touching the local
-    // instance: the main thread must stay free to serve STATE_REQs
-    // from other executors meanwhile.
-    let mut requested = 0;
-    for &(node, owner) in remotes.iter().filter(|&&(_, owner)| owner != pm.local()) {
-        let body = body_u32(node.index() as u32);
-        pm.send(owner, Frame::new(FrameKind::StateReq, body))?;
-        requested += 1;
-    }
-    let mut snapshots = Vec::with_capacity(requested);
-    while snapshots.len() < requested {
-        let (node, bytes) = grants.recv_timeout(STALL).map_err(|e| {
-            let worker = pm.local().0;
-            timed_out(format!(
-                "worker {worker}, contact {index}: no state grant ({e})"
-            ))
-        })?;
-        snapshots.push((NodeId::new(node), bytes));
-    }
-    let mut guard = protocol.lock().expect("protocol lock");
-    let (outcome, returns) = exchange(&spec.sim, &mut **guard, index, resets, snapshots)?;
-    drop(guard);
-    for (node, bytes) in returns {
-        let body = body_node_bytes(node.index() as u32, &bytes);
-        pm.send(spec.node_owner(node), Frame::new(FrameKind::StateRet, body))?;
-    }
-    Ok(outcome)
-}
-
-/// Node snapshots, each with its node, as they cross the sockets.
-pub(crate) type Snapshots = Vec<(NodeId, Vec<u8>)>;
-
-/// The executor's exchange step, with no sockets: imports the remote
-/// endpoints' `snapshots` into `instance`, runs the simulator's own
-/// contact step ([`Simulation::step_contact`]) for contact `index`, and
-/// exports those endpoints again. Returns the exchange's outcome and
-/// the post-exchange snapshots, in `snapshots`' order.
-pub(crate) fn exchange(
-    sim: &Simulation,
-    instance: &mut dyn Protocol,
-    index: u64,
-    resets: [bool; 2],
-    mut snapshots: Snapshots,
-) -> io::Result<(ExchangeOutcome, Snapshots)> {
-    for (node, bytes) in &snapshots {
-        if !instance.import_node(*node, bytes) {
-            return Err(bad("remote node snapshot rejected"));
         }
     }
-    let (mut metrics, mut tap) = (MetricsCollector::new(), DeliveryTap::default());
-    sim.step_contact(index as usize, resets, &mut metrics, instance, &mut tap);
-    for (node, bytes) in &mut snapshots {
-        *bytes = instance
-            .export_node(*node)
-            .ok_or_else(|| bad("protocol cannot export node state"))?;
-    }
-    let report = metrics.finish("exchange");
-    let outcome = ExchangeOutcome {
-        index,
-        forwardings: report.forwardings,
-        control_bytes: report.control_bytes,
-        data_bytes: report.data_bytes,
-        injections: report.injections,
-        false_injections: report.false_injections,
-        deliveries: tap.deliveries,
-    };
-    Ok((outcome, snapshots))
 }
 
 // ---- coordinator ------------------------------------------------------
@@ -719,7 +521,7 @@ pub fn run_coordinator_with(
             if last_frame.elapsed() > STALL {
                 let owed = core.owed();
                 let message = format!("no progress for {STALL:?} ({owed}, {finals} stats finals)");
-                return Err(timed_out(message));
+                return Err(io::Error::new(io::ErrorKind::TimedOut, message));
             }
             continue;
         };

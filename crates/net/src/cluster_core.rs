@@ -1,20 +1,27 @@
-//! The coordinator's decisions, with no sockets, threads or clock
-//! (DESIGN.md §12.6). [`ClusterCore`] walks the contact trace in order
-//! and holds what the cluster's exactness rests on: where each node's
-//! state is, the results that arrived ahead of their turn, the master
-//! ledger they are replayed into in contact order, and the publish
-//! barrier's acks. The shell asks [`ClusterCore::next`] what to do;
-//! while the answer is [`Action::Wait`] it reads one frame and makes
-//! one call per event. A frame that contradicts the bookkeeping is an
+//! The cluster's decisions, one core per role, with no sockets, threads
+//! or clock (DESIGN.md §12.6). [`ClusterCore`], the coordinator, walks
+//! the contact trace in order and holds what exactness rests on: where
+//! each node's state is, the results that arrived ahead of their turn,
+//! the master ledger they are replayed into in contact order, and the
+//! publish barrier's acks. Its shell acts on [`ClusterCore::next`], and
+//! while that is [`Action::Wait`] feeds it one frame. [`WorkerCore`]
+//! takes one call per frame a worker reads and returns the frames to
+//! send. A frame that contradicts a core's bookkeeping is an
 //! `InvalidData` error.
 
-use crate::cluster::{bad, owner, ExchangeOutcome};
+use crate::cluster::{
+    bad, body_node_bytes, body_u32, body_u64, owner, read_dispatch, read_node_bytes, read_u32,
+    read_u64, ExchangeOutcome, COORDINATOR,
+};
+use crate::frame::{Frame, FrameKind};
 use crate::peer::PeerId;
+use bsub_obs::SharedReport;
 use bsub_sim::{
-    FaultState, Message, MetricsCollector, NullProtocol, NullRecorder, SimReport, Simulation,
+    FaultState, Message, MetricsCollector, NullProtocol, NullRecorder, Protocol, Recorder,
+    SimReport, Simulation, TraceEvent,
 };
 use bsub_traces::NodeId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::sync::Arc;
 
@@ -246,16 +253,208 @@ impl<'a> ClusterCore<'a> {
     }
 }
 
+/// An outcome records its exchange's deliveries: the one event class
+/// the coordinator must replay into the master ledger.
+impl Recorder for ExchangeOutcome {
+    fn is_active(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, event: &TraceEvent) {
+        if let TraceEvent::Delivered {
+            msg, node, genuine, ..
+        } = event
+        {
+            self.deliveries
+                .push((msg.raw(), node.index() as u32, *genuine));
+        }
+    }
+}
+
+/// One worker's bookkeeping for one cluster run: its own protocol
+/// instance, the contacts dispatched to it and the publications it has
+/// applied. A contact's executor owns its endpoint `a`, so it awaits at
+/// most one grant, for `b`. Contacts run in arrival order, so the
+/// instance's clock never runs back (PUSH keeps an expiry cache).
+pub(crate) struct WorkerCore<'a> {
+    sim: &'a Simulation,
+    local: PeerId,
+    workers: u32,
+    protocol: Box<dyn Protocol>,
+    /// With the stats plane on, each exchange step is profiled into it.
+    sink: &'a SharedReport,
+    /// Dispatched contacts and their resets, in arrival order. The
+    /// front is the head: it awaits the grant of its endpoint `b`.
+    queue: VecDeque<(u64, [bool; 2])>,
+    /// Publications applied to `protocol`.
+    applied: usize,
+    /// The frames the current call sends, in order.
+    out: Vec<(PeerId, Frame)>,
+}
+
+impl<'a> WorkerCore<'a> {
+    pub fn new(
+        sim: &'a Simulation,
+        local: PeerId,
+        workers: u32,
+        protocol: Box<dyn Protocol>,
+        sink: &'a SharedReport,
+    ) -> Self {
+        Self {
+            sim,
+            local,
+            workers,
+            protocol,
+            sink,
+            queue: VecDeque::new(),
+            applied: 0,
+            out: Vec::new(),
+        }
+    }
+
+    /// One `DISPATCH`, `STATE_REQ`, `STATE_GRANT`, `STATE_RET` or
+    /// `ADVANCE` from `from`: returns the frames to send, in order.
+    pub fn handle(&mut self, from: PeerId, frame: &Frame) -> io::Result<Vec<(PeerId, Frame)>> {
+        let events = self.sim.trace().events();
+        match frame.kind {
+            FrameKind::Dispatch => {
+                let (index, resets) = read_dispatch(&frame.body)?;
+                let contact = events.get(index as usize);
+                if contact.is_none_or(|c| owner(c.a, self.workers) != self.local) {
+                    return Err(bad(format!("DISPATCH {index}, whose a is not here")));
+                }
+                self.queue.push_back((index, resets));
+                if self.queue.len() == 1 {
+                    self.drain(None)?;
+                }
+            }
+            FrameKind::StateReq => {
+                let node = self.own("STATE_REQ", read_u32(&frame.body)?)?;
+                let bytes = self.protocol.export_node(node);
+                let bytes = bytes.ok_or_else(|| bad("protocol cannot export state"))?;
+                let body = body_node_bytes(node.index() as u32, &bytes);
+                self.send(from, FrameKind::StateGrant, body);
+            }
+            FrameKind::StateGrant => {
+                let (node, bytes) = read_node_bytes(&frame.body)?;
+                let b = NodeId::new(node);
+                let other = |&(i, _): &(u64, _)| events[i as usize].b != b;
+                if owner(b, self.workers) != from || self.queue.front().is_none_or(other) {
+                    return Err(bad(format!("STATE_GRANT of {b} from {from}, unawaited")));
+                }
+                self.drain(Some((b, bytes)))?;
+            }
+            FrameKind::StateRet => {
+                let (node, bytes) = read_node_bytes(&frame.body)?;
+                let node = self.own("STATE_RET", node)?;
+                if !self.protocol.import_node(node, &bytes) {
+                    return Err(bad("returned node snapshot rejected"));
+                }
+                let body = body_u32(node.index() as u32);
+                self.send(COORDINATOR, FrameKind::NodeFree, body);
+            }
+            FrameKind::Advance => {
+                let count = read_u64(&frame.body)? as usize;
+                let (sim, instance) = (self.sim, &mut *self.protocol);
+                if count > sim.schedule().len() || count < self.applied || !self.queue.is_empty() {
+                    return Err(bad("ADVANCE outside the schedule, or mid-exchange"));
+                }
+                // A publication's only possible delivery is a
+                // self-delivery, which every ledger drops alike: the
+                // throwaway collector loses nothing.
+                let mut metrics = MetricsCollector::new();
+                for index in self.applied..count {
+                    sim.step_publish(index, &mut metrics, instance, &mut NullRecorder);
+                }
+                self.applied = count;
+                self.send(COORDINATOR, FrameKind::PublishOk, body_u64(count as u64));
+            }
+            other => return Err(bad(format!("worker got unexpected {other:?} frame"))),
+        }
+        Ok(std::mem::take(&mut self.out))
+    }
+
+    fn send(&mut self, to: PeerId, kind: FrameKind, body: Vec<u8>) {
+        self.out.push((to, Frame::new(kind, body)));
+    }
+
+    /// `node`, if it is in the world and this worker owns it.
+    fn own(&self, what: &str, node: u32) -> io::Result<NodeId> {
+        let (id, nodes) = (NodeId::new(node), self.sim.trace().node_count());
+        if node < nodes && owner(id, self.workers) == self.local {
+            return Ok(id);
+        }
+        Err(bad(format!("{what} for node {node}, not owned here")))
+    }
+
+    /// Runs the queue in arrival order, the head with its `grant`, until
+    /// the head has a remote endpoint `b` and no grant: it asks for one.
+    /// A run is the simulator's own contact step
+    /// ([`Simulation::step_contact`]) between importing and exporting
+    /// `b`, all profiled; then `b` goes home and the `RESULT` out.
+    fn drain(&mut self, mut grant: Option<(NodeId, Vec<u8>)>) -> io::Result<()> {
+        while let Some(&(index, resets)) = self.queue.front() {
+            let b = self.sim.trace().events()[index as usize].b;
+            if owner(b, self.workers) != self.local && grant.is_none() {
+                let body = body_u32(b.index() as u32);
+                self.send(owner(b, self.workers), FrameKind::StateReq, body);
+                return Ok(());
+            }
+            self.queue.pop_front();
+            let (sim, instance, remote) = (self.sim, &mut *self.protocol, grant.take());
+            let (mut metrics, mut outcome) = (MetricsCollector::new(), ExchangeOutcome::default());
+            let remote = self.sink.profile(|| {
+                if let Some((node, bytes)) = &remote {
+                    if !instance.import_node(*node, bytes) {
+                        return Err(bad("remote node snapshot rejected"));
+                    }
+                }
+                sim.step_contact(index as usize, resets, &mut metrics, instance, &mut outcome);
+                let export = |(node, _)| instance.export_node(node).map(|bytes| (node, bytes));
+                remote
+                    .map(|r| export(r).ok_or_else(|| bad("cannot export")))
+                    .transpose()
+            })?;
+            if let Some((node, bytes)) = remote {
+                let body = body_node_bytes(node.index() as u32, &bytes);
+                self.send(owner(node, self.workers), FrameKind::StateRet, body);
+            }
+            let report = metrics.finish("exchange");
+            let outcome = ExchangeOutcome {
+                index,
+                forwardings: report.forwardings,
+                control_bytes: report.control_bytes,
+                data_bytes: report.data_bytes,
+                injections: report.injections,
+                false_injections: report.false_injections,
+                ..outcome
+            };
+            self.send(COORDINATOR, FrameKind::ExchangeResult, outcome.encode());
+        }
+        Ok(())
+    }
+
+    /// What the worker awaits, for a stall report.
+    pub fn owed(&self) -> String {
+        let (events, queued, applied) = (self.sim.trace().events(), self.queue.len(), self.applied);
+        let head = self.queue.front().map(|&(i, _)| (i, events[i as usize].b));
+        let head = head.map(|(i, b)| format!("contact {i} awaits {b}'s grant, "));
+        let head = head.unwrap_or_default();
+        format!("{head}{queued} queued, {applied} applied")
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    //! A seeded, socket-free property test: simulated workers, each
-    //! with its own protocol instance, run the cluster protocol against
-    //! one core. Snapshots move at grant and return time, and results,
-    //! `NODE_FREE`s and `PUBLISH_OK`s reach the core in seeded orders.
-    //! Plus one test per frame the core must refuse.
+    //! A seeded, socket-free property test: one `WorkerCore` per
+    //! simulated worker runs the cluster protocol against one
+    //! `ClusterCore`. Frames on a link keep their send order, links
+    //! interleave in seeded order, and frames bound for the coordinator
+    //! reach it in any order. Plus one test per frame a core must
+    //! refuse, and one that pins a worker's arrival order.
 
     use super::*;
-    use crate::cluster::{exchange, Snapshots};
+    use crate::cluster::body_dispatch;
     use bsub_baselines::{Pull, Push};
     use bsub_bloom::SplitMix64;
     use bsub_core::{BsubConfig, BsubProtocol, DfMode};
@@ -265,7 +464,10 @@ mod tests {
     use bsub_traces::SimDuration;
     use bsub_workload::{interests, keys, WorkloadBuilder};
 
-    /// A world the size of the socket tests' `small_world`.
+    /// A world the size of the socket tests' `small_world`. Odd seeds
+    /// get a two-minute TTL, so messages expire between contacts that
+    /// are in flight together, and PUSH's instance-wide expiry memo
+    /// shows a worker that runs its contacts out of arrival order.
     fn world(seed: u64, faults: FaultSpec) -> Simulation {
         let trace = SyntheticTrace::new("core", 10, SimDuration::from_hours(1), 150)
             .seed(seed)
@@ -274,7 +476,7 @@ mod tests {
         let subscriptions = interests::assign_interests(nodes, keys::trend_keys(), seed ^ 0x1111);
         let schedule = WorkloadBuilder::new(&trace).seed(seed ^ 0x2222).build();
         let config = SimConfig {
-            ttl: SimDuration::from_mins(30),
+            ttl: SimDuration::from_mins(if seed % 2 == 1 { 2 } else { 30 }),
             ..SimConfig::default()
         };
         Simulation::new(trace, subscriptions, schedule, config).with_faults(faults)
@@ -330,79 +532,64 @@ mod tests {
         prefixes
     }
 
-    /// A frame on its way to the coordinator.
-    enum ToCore {
-        Result(ExchangeOutcome),
-        NodeFree(u32),
-        PublishOk(u64),
-    }
-
-    /// A dispatched exchange its executor has not run yet.
-    struct Lend {
-        index: u64,
-        executor: PeerId,
-        resets: [bool; 2],
-        remotes: Vec<NodeId>,
-        granted: Snapshots,
-    }
-
     #[derive(Debug, Default)]
     struct Coverage {
         out_of_order: u64,
         free_before_result: u64,
         barriers: u64,
         resets: u64,
+        /// Dispatches that reach a worker already holding two or more
+        /// contacts: where arrival order and its reverse differ.
+        deep_queues: u64,
     }
 
     struct Cluster<'s> {
         seed: u64,
         sim: &'s Simulation,
-        workers: Vec<Box<dyn Protocol>>,
-        /// Publications each worker has applied.
-        applied: Vec<usize>,
-        inbox: Vec<(PeerId, ToCore)>,
-        /// In dispatch order: a worker's executor runs its contacts in
-        /// the order their `DISPATCH`es arrive, so an instance's clock
-        /// never runs back (PUSH's instance-wide expiry cache needs
-        /// that).
-        lends: Vec<Lend>,
-        /// Snapshots on their way home to their owners.
-        returns: Snapshots,
-        /// `ADVANCE(count)` frames a worker has not applied yet.
-        advances: Vec<(PeerId, u64)>,
+        /// Worker `w`'s core at `w - 1`.
+        workers: Vec<WorkerCore<'s>>,
+        /// Frames on their way to the coordinator, taken in any order.
+        inbox: Vec<(PeerId, Frame)>,
+        /// Frames on their way to a worker, one queue per link
+        /// `(from, to)`: a link keeps its send order, as a socket does.
+        links: BTreeMap<(PeerId, PeerId), VecDeque<Frame>>,
         /// The contact each node is in, from its dispatch until its
-        /// state is home again: at the executor's run for an endpoint
-        /// it owns, at the owner's import for a lent one.
+        /// state is home again: at the executor's `RESULT` for an
+        /// endpoint it owns, at the owner's `NODE_FREE` for a lent one.
         busy: Vec<Option<u64>>,
         /// The serial ledger after each prefix of the trace.
         prefixes: Vec<SimReport>,
         /// Contacts whose `RESULT` the core has not had yet.
         unresulted: std::collections::BTreeSet<u64>,
+        /// Each worker's contacts without a `RESULT`, in the order their
+        /// `DISPATCH`es reach it (its link keeps the dispatch order).
+        arrivals: Vec<VecDeque<u64>>,
         finished: bool,
         cov: Coverage,
     }
 
     impl<'s> Cluster<'s> {
-        fn new(seed: u64, sim: &'s Simulation, workers: u32, protocol: usize) -> Self {
+        fn new(
+            seed: u64,
+            sim: &'s Simulation,
+            workers: u32,
+            protocol: usize,
+            sink: &'s SharedReport,
+        ) -> Self {
+            let worker = |w| WorkerCore::new(sim, PeerId(w), workers, build(protocol, sim), sink);
             Self {
                 seed,
                 sim,
-                workers: (0..workers).map(|_| build(protocol, sim)).collect(),
-                applied: vec![0; workers as usize],
+                workers: (1..=workers).map(worker).collect(),
                 inbox: Vec::new(),
-                lends: Vec::new(),
-                returns: Vec::new(),
-                advances: Vec::new(),
+                links: BTreeMap::new(),
                 busy: vec![None; sim.trace().node_count() as usize],
                 prefixes: serial_prefixes(sim, protocol),
                 unresulted: std::collections::BTreeSet::new(),
+                arrivals: vec![VecDeque::new(); workers as usize],
                 finished: false,
                 cov: Coverage::default(),
             }
-        }
-
-        fn worker(&mut self, peer: PeerId) -> &mut dyn Protocol {
-            &mut *self.workers[peer.0 as usize - 1]
         }
 
         fn owner(&self, node: NodeId) -> PeerId {
@@ -410,41 +597,32 @@ mod tests {
         }
 
         /// Takes one seeded step: asks the core for its next action,
-        /// or moves one frame or snapshot.
+        /// feeds it one frame, or hands one link's oldest frame to its
+        /// worker.
         fn step(&mut self, core: &mut ClusterCore<'_>, rng: &mut SplitMix64) {
-            // Each worker's oldest lend: the one its executor is on.
-            let heads: Vec<usize> = (0..self.lends.len())
-                .filter(|&i| {
-                    let executor = self.lends[i].executor;
-                    self.lends[..i].iter().all(|l| l.executor != executor)
-                })
-                .collect();
-            let grants = heads.len();
-            let choices = 1 + self.inbox.len() + grants + self.returns.len() + self.advances.len();
-            let mut pick = rng.below_usize(choices);
+            let busy = self.links.iter().filter(|(_, q)| !q.is_empty());
+            let links: Vec<(PeerId, PeerId)> = busy.map(|(&link, _)| link).collect();
+            let choices = 1 + self.inbox.len() + links.len();
+            let (mut pick, seed) = (rng.below_usize(choices), self.seed);
             if pick == 0 {
                 let action = core.next();
                 let stuck = choices == 1 && action == Action::Wait;
-                assert!(
-                    !stuck,
-                    "{}: the core waits on nothing: {}",
-                    self.seed,
-                    core.owed()
-                );
+                assert!(!stuck, "{seed}: the core waits on nothing: {}", core.owed());
                 return self.act(action);
             }
             pick -= 1;
             if pick < self.inbox.len() {
                 let (from, frame) = self.inbox.swap_remove(pick);
-                let fed = match frame {
-                    ToCore::Result(outcome) => {
+                let fed = match frame.kind {
+                    FrameKind::ExchangeResult => {
+                        let outcome = ExchangeOutcome::decode(&frame.body).expect("a RESULT");
                         self.unresulted.remove(&outcome.index);
                         core.result(from, outcome)
                     }
-                    ToCore::NodeFree(node) => core.node_free(from, node),
-                    ToCore::PublishOk(count) => core.publish_ok(from, count),
+                    FrameKind::NodeFree => core.node_free(from, read_u32(&frame.body).unwrap()),
+                    FrameKind::PublishOk => core.publish_ok(from, read_u64(&frame.body).unwrap()),
+                    other => panic!("{seed}: a worker sent {other:?} to the coordinator"),
                 };
-                let seed = self.seed;
                 fed.unwrap_or_else(|e| panic!("{seed}: a frame of a correct run refused: {e}"));
                 // Replay is in contact order: the ledger after `k`
                 // replayed contacts is the serial one after contact `k`.
@@ -453,63 +631,59 @@ mod tests {
                 let serial = &self.prefixes[replayed];
                 return assert_eq!(&ledger, serial, "{seed}: {replayed} replayed");
             }
-            pick -= self.inbox.len();
-            if pick < grants {
-                return self.grant_or_run(heads[pick]);
+            let (from, to) = links[pick - self.inbox.len()];
+            let frame = self
+                .links
+                .get_mut(&(from, to))
+                .and_then(VecDeque::pop_front);
+            let frame = frame.expect("a frame on the link");
+            let sends = self.workers[to.0 as usize - 1].handle(from, &frame);
+            let sends = sends.unwrap_or_else(|e| panic!("{seed}: {to} refused {frame:?}: {e}"));
+            for (dest, frame) in sends {
+                self.send(to, dest, frame);
             }
-            pick -= grants;
-            if pick < self.returns.len() {
-                let (node, bytes) = self.returns.swap_remove(pick);
-                let owner = self.owner(node);
-                assert!(self.worker(owner).import_node(node, &bytes));
-                let index = self.busy[node.index()].take().expect("a lent node is busy");
-                if self.unresulted.contains(&index) {
-                    self.cov.free_before_result += 1;
-                }
-                let node = node.index() as u32;
-                return self.inbox.push((owner, ToCore::NodeFree(node)));
-            }
-            pick -= self.returns.len();
-            let (worker, count) = self.advances.swap_remove(pick);
-            let from = self.applied[worker.0 as usize - 1];
-            let mut scratch = MetricsCollector::new();
-            for index in from..count as usize {
-                let sim = self.sim;
-                sim.step_publish(index, &mut scratch, self.worker(worker), &mut NullRecorder);
-            }
-            self.applied[worker.0 as usize - 1] = count as usize;
-            self.inbox.push((worker, ToCore::PublishOk(count)));
         }
 
-        /// Grants lend `i`'s next remote snapshot from its owner, or,
-        /// with every snapshot granted, runs the exchange on the
-        /// executor's own instance through the workers' exchange step.
-        fn grant_or_run(&mut self, i: usize) {
-            let lend = &self.lends[i];
-            if let Some(&node) = lend.remotes.get(lend.granted.len()) {
-                let owner = self.owner(node);
-                let bytes = self.worker(owner).export_node(node).expect("exports");
-                return self.lends[i].granted.push((node, bytes));
+        /// Puts `frame` on its way from `from` to `to`, and notes when a
+        /// node leaves its exchange.
+        fn send(&mut self, from: PeerId, to: PeerId, frame: Frame) {
+            if to != COORDINATOR {
+                return self.links.entry((from, to)).or_default().push_back(frame);
             }
-            let lend = self.lends.remove(i);
-            let sim = self.sim;
-            let instance = self.worker(lend.executor);
-            let (outcome, returns) =
-                exchange(sim, instance, lend.index, lend.resets, lend.granted).expect("exchange");
-            let contact = sim.trace().events()[lend.index as usize];
-            for node in [contact.a, contact.b] {
-                if self.owner(node) == lend.executor {
-                    self.busy[node.index()] = None;
+            match frame.kind {
+                FrameKind::ExchangeResult => {
+                    let outcome = ExchangeOutcome::decode(&frame.body).expect("a RESULT");
+                    let (index, seed) = (outcome.index, self.seed);
+                    let first = self.arrivals[from.0 as usize - 1].pop_front();
+                    assert_eq!(
+                        first,
+                        Some(index),
+                        "{seed}: {from} ran out of arrival order"
+                    );
+                    let contact = self.sim.trace().events()[index as usize];
+                    for node in [contact.a, contact.b] {
+                        if self.owner(node) == from {
+                            self.busy[node.index()] = None;
+                        }
+                    }
+                    if self.unresulted.range(..index).next().is_some() {
+                        self.cov.out_of_order += 1;
+                    }
                 }
+                FrameKind::NodeFree => {
+                    let node = read_u32(&frame.body).expect("a node") as usize;
+                    let index = self.busy[node].take().expect("a lent node is busy");
+                    if self.unresulted.contains(&index) {
+                        self.cov.free_before_result += 1;
+                    }
+                }
+                _ => {}
             }
-            if self.unresulted.range(..lend.index).next().is_some() {
-                self.cov.out_of_order += 1;
-            }
-            self.returns.extend(returns);
-            self.inbox.push((lend.executor, ToCore::Result(outcome)));
+            self.inbox.push((from, frame));
         }
 
         fn act(&mut self, action: Action) {
+            let seed = self.seed;
             match action {
                 Action::Dispatch {
                     index,
@@ -518,41 +692,33 @@ mod tests {
                 } => {
                     let contact = self.sim.trace().events()[index as usize];
                     assert_eq!(executor, self.owner(contact.a));
-                    let mut remotes = Vec::new();
                     for node in [contact.a, contact.b] {
                         if let Some(other) = self.busy[node.index()].replace(index) {
-                            let seed = self.seed;
                             panic!(
                                 "{seed}: {node:?} dispatched in contact {index} while in {other}"
                             );
                         }
-                        if self.owner(node) != executor {
-                            remotes.push(node);
-                        }
                     }
                     self.cov.resets += u64::from(resets[0]) + u64::from(resets[1]);
                     self.unresulted.insert(index);
-                    self.lends.push(Lend {
-                        index,
-                        executor,
-                        resets,
-                        remotes,
-                        granted: Vec::new(),
-                    });
+                    let arrivals = &mut self.arrivals[executor.0 as usize - 1];
+                    self.cov.deep_queues += u64::from(arrivals.len() >= 2);
+                    arrivals.push_back(index);
+                    let frame = Frame::new(FrameKind::Dispatch, body_dispatch(index, resets));
+                    self.send(COORDINATOR, executor, frame);
                 }
                 Action::Advance(count) => {
-                    let in_flight = !self.lends.is_empty()
-                        || !self.returns.is_empty()
+                    let in_flight = self.links.values().any(|q| !q.is_empty())
                         || !self.unresulted.is_empty()
                         || self.busy.iter().any(Option::is_some);
-                    let seed = self.seed;
                     assert!(
                         !in_flight,
                         "{seed}: a barrier opened with an exchange in flight"
                     );
                     self.cov.barriers += 1;
                     for worker in 1..=self.workers.len() as u32 {
-                        self.advances.push((PeerId(worker), count));
+                        let frame = Frame::new(FrameKind::Advance, body_u64(count));
+                        self.send(COORDINATOR, PeerId(worker), frame);
                     }
                 }
                 Action::Wait => {}
@@ -564,11 +730,11 @@ mod tests {
     /// Thousands of seeded schedules over small worlds, for PUSH, PULL
     /// and B-SUB on one to three workers, with no faults and under
     /// churn: the replayed report equals the serial simulator's, no
-    /// node is ever in two exchanges, and no barrier opens with an
-    /// exchange in flight.
+    /// node is ever in two exchanges, no barrier opens with an exchange
+    /// in flight, and every worker runs its contacts in arrival order.
     #[test]
     fn schedules_replay_the_serial_report() {
-        let mut cov = Coverage::default();
+        let (mut cov, sink) = (Coverage::default(), SharedReport::new());
         for seed in 0..2_400u64 {
             let mut rng = SplitMix64::new(seed);
             let faults = if seed % 2 == 0 {
@@ -584,29 +750,25 @@ mod tests {
             let serial = sim.run(&mut *build(protocol, &sim));
 
             let mut core = ClusterCore::new(&sim, workers);
-            let mut cluster = Cluster::new(seed, &sim, workers, protocol);
+            let mut cluster = Cluster::new(seed, &sim, workers, protocol, &sink);
             while !cluster.finished {
                 cluster.step(&mut core, &mut rng);
             }
-            assert!(
-                cluster.inbox.is_empty() && cluster.lends.is_empty(),
-                "{seed}"
-            );
-            assert!(
-                cluster.returns.is_empty() && cluster.advances.is_empty(),
-                "{seed}"
-            );
+            assert!(cluster.inbox.is_empty(), "{seed}");
+            assert!(cluster.links.values().all(VecDeque::is_empty), "{seed}");
             assert_eq!(core.finish(&serial.protocol), serial, "{seed}");
             cov.out_of_order += cluster.cov.out_of_order;
             cov.free_before_result += cluster.cov.free_before_result;
             cov.barriers += cluster.cov.barriers;
             cov.resets += cluster.cov.resets;
+            cov.deep_queues += cluster.cov.deep_queues;
         }
         for (name, count) in [
             ("out-of-order results", cov.out_of_order),
             ("NODE_FREEs ahead of their RESULT", cov.free_before_result),
             ("barriers", cov.barriers),
             ("churn resets", cov.resets),
+            ("dispatches behind two queued contacts", cov.deep_queues),
         ] {
             assert!(count > 1_000, "only {count} {name}: {cov:?}");
         }
@@ -615,10 +777,16 @@ mod tests {
     /// Three nodes on two workers (node 0 and 2 on worker 1, node 1 on
     /// worker 2), one publication, then contacts 0–1 and 1–2.
     fn tiny() -> Simulation {
+        small(3, &[(0, 1), (1, 2)])
+    }
+
+    /// `nodes` nodes, one publication from node 0 for node 1, then the
+    /// `contacts`, ten seconds apart.
+    fn small(nodes: u32, contacts: &[(u32, u32)]) -> Simulation {
         use bsub_sim::{GeneratedMessage, SubscriptionTable};
         use bsub_traces::{ContactEvent, ContactTrace, SimTime};
-        let contact = |a, b, at| {
-            let at = SimTime::from_secs(at);
+        let contact = |(i, &(a, b)): (usize, &(u32, u32))| {
+            let at = SimTime::from_secs(10 * (i as u64 + 1));
             ContactEvent::new(
                 NodeId::new(a),
                 NodeId::new(b),
@@ -626,8 +794,9 @@ mod tests {
                 at + SimDuration::from_secs(5),
             )
         };
-        let trace = ContactTrace::new("tiny", 3, vec![contact(0, 1, 10), contact(1, 2, 20)]);
-        let mut subscriptions = SubscriptionTable::new(3);
+        let events = contacts.iter().enumerate().map(contact).collect();
+        let trace = ContactTrace::new("tiny", nodes, events);
+        let mut subscriptions = SubscriptionTable::new(nodes);
         subscriptions.subscribe(NodeId::new(1), "k");
         let schedule = vec![GeneratedMessage {
             at: SimTime::from_secs(0),
@@ -763,6 +932,147 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
             let named = format!("worker {worker} closed its link; pending contacts [0]");
             assert_eq!(err.to_string(), named);
+        }
+    }
+
+    /// PUSH worker `local` of two over `sim`, past the opening barrier.
+    fn worker<'s>(sim: &'s Simulation, local: u32, sink: &'s SharedReport) -> WorkerCore<'s> {
+        let mut worker = WorkerCore::new(sim, PeerId(local), 2, build(0, sim), sink);
+        let advance = Frame::new(FrameKind::Advance, body_u64(1));
+        let sent = worker.handle(COORDINATOR, &advance).unwrap();
+        assert_eq!(kinds(&sent), [(COORDINATOR, FrameKind::PublishOk)]);
+        worker
+    }
+
+    fn dispatch(index: u64) -> Frame {
+        Frame::new(FrameKind::Dispatch, body_dispatch(index, [false; 2]))
+    }
+
+    fn node_frame(kind: FrameKind, node: u32) -> Frame {
+        Frame::new(kind, body_u32(node))
+    }
+
+    /// Where each frame goes, and its kind.
+    fn kinds(sends: &[(PeerId, Frame)]) -> Vec<(PeerId, FrameKind)> {
+        sends.iter().map(|(to, frame)| (*to, frame.kind)).collect()
+    }
+
+    /// `worker`'s grant of `node`, as `to` gets it.
+    fn grant(worker: &mut WorkerCore<'_>, to: PeerId, node: u32) -> Frame {
+        let mut sent = worker
+            .handle(to, &node_frame(FrameKind::StateReq, node))
+            .unwrap();
+        assert_eq!(kinds(&sent), [(to, FrameKind::StateGrant)]);
+        sent.remove(0).1
+    }
+
+    fn refuses(worker: &mut WorkerCore<'_>, from: PeerId, frame: &Frame) -> bool {
+        refused(worker.handle(from, frame).map(drop))
+    }
+
+    #[test]
+    fn a_grant_the_head_contact_does_not_await_is_refused() {
+        let (sim, sink) = (tiny(), SharedReport::new());
+        let (mut w1, mut w2) = (worker(&sim, 1, &sink), worker(&sim, 2, &sink));
+        let granted = grant(&mut w2, PeerId(1), 1);
+        assert!(refuses(&mut w1, PeerId(2), &granted), "nothing dispatched");
+        let sent = w1.handle(COORDINATOR, &dispatch(0)).unwrap();
+        assert_eq!(kinds(&sent), [(PeerId(2), FrameKind::StateReq)]);
+        let advance = Frame::new(FrameKind::Advance, body_u64(1));
+        assert!(refuses(&mut w1, COORDINATOR, &advance), "a contact is out");
+        let stray = Frame::new(FrameKind::StateGrant, body_node_bytes(2, b"stray"));
+        assert!(refuses(&mut w1, PeerId(2), &stray), "not the awaited node");
+        assert!(refuses(&mut w1, PeerId(1), &granted), "not from the owner");
+        assert_eq!(
+            w1.owed(),
+            "contact 0 awaits n1's grant, 1 queued, 1 applied"
+        );
+        let sent = w1.handle(PeerId(2), &granted).unwrap();
+        let (ret, result) = (FrameKind::StateRet, FrameKind::ExchangeResult);
+        assert_eq!(kinds(&sent), [(PeerId(2), ret), (COORDINATOR, result)]);
+        assert!(refuses(&mut w1, PeerId(2), &granted), "granted already");
+    }
+
+    #[test]
+    fn a_state_req_for_a_node_not_owned_is_refused() {
+        let (sim, sink) = (tiny(), SharedReport::new());
+        let mut w1 = worker(&sim, 1, &sink);
+        for node in [1, 3, 4, u32::MAX] {
+            let req = node_frame(FrameKind::StateReq, node);
+            assert!(refuses(&mut w1, PeerId(2), &req), "node {node}");
+        }
+        grant(&mut w1, PeerId(2), 2);
+    }
+
+    #[test]
+    fn a_state_ret_for_a_node_not_owned_is_refused() {
+        let (sim, sink) = (tiny(), SharedReport::new());
+        let (mut w1, mut w2) = (worker(&sim, 1, &sink), worker(&sim, 2, &sink));
+        let theirs = grant(&mut w2, PeerId(1), 1);
+        let ret = |frame: &Frame| Frame::new(FrameKind::StateRet, frame.body.clone());
+        assert!(
+            refuses(&mut w1, PeerId(2), &ret(&theirs)),
+            "another worker's node"
+        );
+        let outside = Frame::new(FrameKind::StateRet, body_node_bytes(4, b"outside"));
+        assert!(refuses(&mut w1, PeerId(2), &outside), "outside the world");
+        let mine = grant(&mut w1, PeerId(2), 2);
+        let sent = w1.handle(PeerId(2), &ret(&mine)).unwrap();
+        assert_eq!(kinds(&sent), [(COORDINATOR, FrameKind::NodeFree)]);
+    }
+
+    #[test]
+    fn a_dispatch_whose_endpoint_a_is_not_owned_is_refused() {
+        let (sim, sink) = (tiny(), SharedReport::new());
+        let mut w2 = worker(&sim, 2, &sink);
+        assert!(
+            refuses(&mut w2, COORDINATOR, &dispatch(0)),
+            "node 0 is worker 1's"
+        );
+        assert!(
+            refuses(&mut w2, COORDINATOR, &dispatch(2)),
+            "outside the trace"
+        );
+        let sent = w2.handle(COORDINATOR, &dispatch(1)).unwrap();
+        assert_eq!(kinds(&sent), [(PeerId(1), FrameKind::StateReq)]);
+    }
+
+    /// Three contacts reach worker 1, each with its endpoint `b` on
+    /// worker 2: each asks for its grant, and reports its `RESULT`,
+    /// only after the `RESULT` of the one that arrived before it.
+    #[test]
+    fn contacts_run_in_arrival_order() {
+        let contacts = [(0, 1), (2, 3), (4, 5)];
+        let (sim, sink) = (small(6, &contacts), SharedReport::new());
+        let (mut w1, mut w2) = (worker(&sim, 1, &sink), worker(&sim, 2, &sink));
+        let sent = w1.handle(COORDINATOR, &dispatch(0)).unwrap();
+        assert_eq!(kinds(&sent), [(PeerId(2), FrameKind::StateReq)]);
+        for index in [1, 2] {
+            let sent = w1.handle(COORDINATOR, &dispatch(index)).unwrap();
+            assert!(sent.is_empty(), "contact {index} waits behind contact 0");
+        }
+        let grants: Vec<Frame> = (0..3)
+            .map(|i| grant(&mut w2, PeerId(1), 2 * i + 1))
+            .collect();
+        for early in &grants[1..] {
+            assert!(refuses(&mut w1, PeerId(2), early), "not asked for yet");
+        }
+        let (req, ret, result) = (
+            FrameKind::StateReq,
+            FrameKind::StateRet,
+            FrameKind::ExchangeResult,
+        );
+        for (index, granted) in grants.iter().enumerate() {
+            let sent = w1.handle(PeerId(2), granted).unwrap();
+            let mut order = vec![(PeerId(2), ret), (COORDINATOR, result)];
+            if index < 2 {
+                order.push((PeerId(2), req));
+                let next = read_u32(&sent[2].1.body).unwrap();
+                assert_eq!(next, 2 * index as u32 + 3, "the next arrival asks next");
+            }
+            assert_eq!(kinds(&sent), order);
+            let outcome = ExchangeOutcome::decode(&sent[1].1.body).unwrap();
+            assert_eq!(outcome.index, index as u64);
         }
     }
 }
