@@ -411,9 +411,8 @@ impl<'a> WorkerCore<'a> {
                 }
                 sim.step_contact(index as usize, resets, &mut metrics, instance, &mut outcome);
                 let export = |(node, _)| instance.export_node(node).map(|bytes| (node, bytes));
-                remote
-                    .map(|r| export(r).ok_or_else(|| bad("cannot export")))
-                    .transpose()
+                let unexported = || bad("protocol cannot export node state");
+                remote.map(|r| export(r).ok_or_else(unexported)).transpose()
             })?;
             if let Some((node, bytes)) = remote {
                 let body = body_node_bytes(node.index() as u32, &bytes);
